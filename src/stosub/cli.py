@@ -19,7 +19,7 @@ from .generators import generate_common_cause, generate_product
 from .greedy import GreedyConfig, format_trajectory, run
 from .independence import adaptivity_gap_bound, gamma, kappa
 from .model import Instance, validate_utility
-from .policies import best_nonadaptive, optimal_adaptive, virtual_nonadaptive_value
+from .policies import best_nonadaptive, optimal_adaptive
 
 BUNDLED_SUITE = Path(__file__).parent / "data" / "verification_suite.json"
 
@@ -135,9 +135,7 @@ def _cmd_gap(args) -> int:
     constraint = _load_constraint(instance, args.constraint, embedded)
     gamma_report = gamma(instance, cap=args.cap)
     _print_independence("gamma", gamma_report)
-    policy, opt_value = optimal_adaptive(instance, constraint)
-    _, best_fixed = best_nonadaptive(instance, constraint)
-    virtual = virtual_nonadaptive_value(instance, constraint, policy)
+    opt_value, best_fixed, virtual = harness.oracle_values(instance, constraint)
     print(f"optimal adaptive value: {opt_value!r}")
     print(f"best non-adaptive value: {best_fixed!r}")
     print(f"virtual policy value: {virtual!r}")

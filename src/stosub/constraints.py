@@ -11,20 +11,78 @@ Explicit families are downward-closed by default.  Passing
 ``downward_closed=False`` admits prefix-closed families that are not
 downward-closed (feasibility of a sequence then means every prefix's item
 set is listed), which the adaptive-policy oracles support as well.
+
+Each kind is one :class:`Constraint` subclass that carries its own behaviour:
+``feasible``, ``lp_vertex``, ``in_polytope``, ``rounding_groups``, ``alpha``
+and its JSON form.  A new kind is one class plus one entry in :data:`KINDS`.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 from .errors import ConfigurationError, InputError, UnsupportedKindError
+from .errors import require_field, require_list
 from .multilinear import FractionalPoint
 
 
+def _nonnegative(value, what: str, whole: bool = False):
+    """A finite nonnegative number, as an int when ``whole``; bools never pass."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InputError(f"{what} must be a number, got {value!r}")
+    if not math.isfinite(value) or value < 0 or whole and value % 1:
+        kind = "whole number" if whole else "number"
+        raise InputError(f"{what} must be a finite nonnegative {kind}, got {value!r}")
+    return int(value) if whole else float(value)
+
+
 @dataclass(frozen=True)
-class UniformMatroid:
+class LPSolution:
+    """Optimum of the per-round LP; ``vertex_set`` is set when it is integral."""
+
+    point: FractionalPoint
+    objective: float
+    vertex_set: tuple[str, ...] | None
+
+
+def _integral(order: list[str], chosen, objective) -> LPSolution:
+    picked = set(chosen)
+    return LPSolution(
+        point=FractionalPoint(
+            tuple(order), tuple(1.0 if it in picked else 0.0 for it in order)
+        ),
+        objective=objective,
+        vertex_set=tuple(sorted(chosen)),
+    )
+
+
+def _greedy_pick(order: list[str], weights: dict[str, float], cap: int) -> list[str]:
+    # sorted is stable, so equal weights keep their order in ``order``.
+    ranked = sorted(order, key=lambda it: -weights[it])
+    return [it for it in ranked if weights[it] > 0][:cap]
+
+
+class Constraint:
+    """Base of the constraint kinds, with the defaults most kinds share."""
+
+    alpha: float | None = 1.0
+    downward_closed = True
+
+    def in_polytope(self, x: FractionalPoint, tol: float) -> bool:
+        raise UnsupportedKindError(
+            f"no closed-form polytope membership for kind {self.kind!r}"
+        )
+
+    def rounding_groups(self, items: tuple[str, ...]) -> list | None:
+        """Swap-rounding groups as (item positions, cap); None without a scheme."""
+        return None
+
+
+@dataclass(frozen=True)
+class UniformMatroid(Constraint):
     """All sets of at most ``rank`` items."""
 
     rank: int
@@ -32,12 +90,31 @@ class UniformMatroid:
     kind = "uniform"
 
     def __post_init__(self):
-        if self.rank < 0:
-            raise InputError("rank must be nonnegative")
+        object.__setattr__(self, "rank", _nonnegative(self.rank, "rank", whole=True))
+
+    def feasible(self, chosen: set[str]) -> bool:
+        return len(chosen) <= self.rank
+
+    def lp_vertex(self, order, weights) -> LPSolution:
+        chosen = _greedy_pick(order, weights, self.rank)
+        return _integral(order, chosen, sum(weights[i] for i in chosen))
+
+    def in_polytope(self, x, tol):
+        return sum(x.values) <= self.rank + tol
+
+    def rounding_groups(self, items):
+        return [(list(range(len(items))), self.rank)]
+
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, "k": self.rank}
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> UniformMatroid:
+        return cls(rank=require_field(doc, "k", "uniform constraint"))
 
 
 @dataclass(frozen=True)
-class PartitionMatroid:
+class PartitionMatroid(Constraint):
     """Per-block cardinality caps over a partition of the ground items."""
 
     blocks: tuple[tuple[str, ...], ...]
@@ -48,29 +125,72 @@ class PartitionMatroid:
     def __post_init__(self):
         if len(self.blocks) != len(self.capacities):
             raise InputError("one capacity per block required")
+        blocks = tuple(tuple(block) for block in self.blocks)
         seen: set[str] = set()
-        canon = []
-        for block, cap in zip(self.blocks, self.capacities):
-            block = tuple(block)
-            if cap < 0:
-                raise InputError("capacities must be nonnegative")
-            for item in block:
-                if item in seen:
-                    raise InputError(f"item {item!r} appears in two blocks")
-                seen.add(item)
-            canon.append(block)
-        object.__setattr__(self, "blocks", tuple(canon))
-        object.__setattr__(self, "capacities", tuple(int(c) for c in self.capacities))
+        for item in (item for block in blocks for item in block):
+            if item in seen:
+                raise InputError(f"item {item!r} appears in two blocks")
+            seen.add(item)
+        object.__setattr__(self, "blocks", blocks)
+        caps = tuple(_nonnegative(c, "capacity", whole=True) for c in self.capacities)
+        object.__setattr__(self, "capacities", caps)
+        object.__setattr__(self, "_covered", frozenset(seen))
 
-    def block_of(self, item: str) -> int:
-        for b, block in enumerate(self.blocks):
-            if item in block:
-                return b
-        raise InputError(f"item {item!r} not covered by any block")
+    def _check_covered(self, items: Iterable[str]):
+        uncovered = set(items) - self._covered
+        if uncovered:
+            raise InputError(f"items {sorted(uncovered)} not covered by any block")
+
+    def feasible(self, chosen):
+        for block, cap in zip(self.blocks, self.capacities):
+            if len(chosen & set(block)) > cap:
+                return False
+        self._check_covered(chosen)
+        return True
+
+    def lp_vertex(self, order, weights):
+        chosen: list[str] = []
+        for block, cap in zip(self.blocks, self.capacities):
+            in_block = [it for it in order if it in block]
+            chosen.extend(_greedy_pick(in_block, weights, cap))
+        self._check_covered(order)
+        return _integral(order, chosen, sum(weights[i] for i in chosen))
+
+    def in_polytope(self, x, tol):
+        coords = x.as_dict()
+        self._check_covered(coords)
+        return all(
+            sum(coords.get(i, 0.0) for i in block) <= cap + tol
+            for block, cap in zip(self.blocks, self.capacities)
+        )
+
+    def rounding_groups(self, items):
+        index = {item: i for i, item in enumerate(items)}
+        try:
+            return [
+                ([index[item] for item in block], cap)
+                for block, cap in zip(self.blocks, self.capacities)
+            ]
+        except KeyError as exc:
+            raise InputError(f"unknown block item {exc.args[0]!r}") from None
+
+    def to_dict(self):
+        return {
+            "kind": self.kind,
+            "blocks": [list(b) for b in self.blocks],
+            "capacities": list(self.capacities),
+        }
+
+    @classmethod
+    def from_dict(cls, doc):
+        return cls(
+            blocks=require_list(doc, "blocks", "partition constraint", of=list),
+            capacities=require_list(doc, "capacities", "partition constraint"),
+        )
 
 
 @dataclass(frozen=True)
-class Knapsack:
+class Knapsack(Constraint):
     """Sets whose total cost stays within the budget.
 
     The relaxation polytope is the box intersected with the budget halfspace,
@@ -86,31 +206,76 @@ class Knapsack:
     kind = "knapsack"
 
     def __post_init__(self):
-        canon = []
-        seen = set()
+        costs: dict[str, float] = {}
         for item, cost in sorted(self.costs):
-            if item in seen:
+            if item in costs:
                 raise InputError(f"duplicate cost for item {item!r}")
-            seen.add(item)
-            cost = float(cost)
-            if not math.isfinite(cost) or cost < 0:
-                raise InputError("costs must be finite and nonnegative")
-            canon.append((item, cost))
-        object.__setattr__(self, "costs", tuple(canon))
-        if not math.isfinite(self.budget) or self.budget < 0:
-            raise InputError("budget must be finite and nonnegative")
-        if self.alpha is not None and not 0 < self.alpha <= 1:
+            costs[item] = _nonnegative(cost, "cost")
+        object.__setattr__(self, "costs", tuple(costs.items()))
+        object.__setattr__(self, "_cost", costs)
+        object.__setattr__(self, "budget", _nonnegative(self.budget, "budget"))
+        if self.alpha is not None and not 0 < _nonnegative(self.alpha, "alpha") <= 1:
             raise InputError("alpha must lie in (0, 1]")
 
     def cost_of(self, item: str) -> float:
-        for it, cost in self.costs:
-            if it == item:
-                return cost
-        raise InputError(f"no cost declared for item {item!r}")
+        try:
+            return self._cost[item]
+        except KeyError:
+            raise InputError(f"no cost declared for item {item!r}") from None
+
+    def feasible(self, chosen):
+        return sum(self.cost_of(i) for i in chosen) <= self.budget
+
+    def lp_vertex(self, order, weights):
+        cost = {it: self.cost_of(it) for it in order}
+        coords = {it: 0.0 for it in order}
+        objective = 0.0
+        remaining = self.budget
+        # Free items first, then by density; ties keep their order (stable sort).
+        ranked = [it for it in order if weights[it] > 0]
+        ranked.sort(key=lambda it: -weights[it] / cost[it] if cost[it] else -math.inf)
+        for it in ranked:
+            if cost[it] <= remaining:
+                coords[it] = 1.0
+                objective += weights[it]
+                remaining -= cost[it]
+            else:
+                if remaining > 0:
+                    frac = remaining / cost[it]
+                    coords[it] = frac
+                    objective += weights[it] * frac
+                break
+        if all(v in (0.0, 1.0) for v in coords.values()):
+            return _integral(order, [i for i in order if coords[i] == 1.0], objective)
+        point = FractionalPoint(tuple(order), tuple(coords[it] for it in order))
+        return LPSolution(point=point, objective=objective, vertex_set=None)
+
+    def in_polytope(self, x, tol):
+        return (
+            sum(self.cost_of(i) * v for i, v in x.as_dict().items())
+            <= self.budget + tol
+        )
+
+    def to_dict(self):
+        doc = {"kind": self.kind, "costs": dict(self.costs), "budget": self.budget}
+        if self.alpha is not None:
+            doc["alpha"] = self.alpha
+        return doc
+
+    @classmethod
+    def from_dict(cls, doc):
+        costs = require_field(doc, "costs", "knapsack constraint")
+        if not isinstance(costs, dict):
+            raise InputError("knapsack costs must map items to numbers")
+        return cls(
+            costs=tuple(costs.items()),
+            budget=require_field(doc, "budget", "knapsack constraint"),
+            alpha=doc.get("alpha"),
+        )
 
 
 @dataclass(frozen=True)
-class ExplicitFamily:
+class ExplicitFamily(Constraint):
     """An explicitly listed family of feasible item sets."""
 
     feasible_sets: tuple[tuple[str, ...], ...]
@@ -122,7 +287,8 @@ class ExplicitFamily:
     def __post_init__(self):
         canon = tuple(sorted({tuple(sorted(set(s))) for s in self.feasible_sets}))
         object.__setattr__(self, "feasible_sets", canon)
-        members = {frozenset(s) for s in canon}
+        members = frozenset(frozenset(s) for s in canon)
+        object.__setattr__(self, "_members", members)
         if frozenset() not in members:
             raise InputError("explicit families must contain the empty set")
         if self.downward_closed:
@@ -133,49 +299,59 @@ class ExplicitFamily:
                             f"family is not downward-closed: {sorted(s - {item})} "
                             f"missing below {sorted(s)}"
                         )
-        if self.alpha is not None and not 0 < self.alpha <= 1:
+        if self.alpha is not None and not 0 < _nonnegative(self.alpha, "alpha") <= 1:
             raise InputError("alpha must lie in (0, 1]")
 
-    def members(self) -> frozenset[frozenset[str]]:
-        cache = getattr(self, "_members_cache", None)
-        if cache is None:
-            cache = frozenset(frozenset(s) for s in self.feasible_sets)
-            object.__setattr__(self, "_members_cache", cache)
-        return cache
+    def feasible(self, chosen):
+        return frozenset(chosen) in self._members
+
+    def lp_vertex(self, order, weights):
+        best_set: tuple[str, ...] = ()
+        best_value = 0.0
+        for candidate in self.feasible_sets:
+            unknown = [i for i in candidate if i not in weights]
+            if unknown:
+                continue
+            value = sum(weights[i] for i in candidate)
+            if value > best_value or (value == best_value and candidate < best_set):
+                best_value = value
+                best_set = candidate
+        return _integral(order, best_set, best_value)
+
+    def to_dict(self):
+        doc = {"kind": self.kind, "feasible_sets": [list(s) for s in self.feasible_sets]}
+        if not self.downward_closed:
+            doc["downward_closed"] = False
+        if self.alpha is not None:
+            doc["alpha"] = self.alpha
+        return doc
+
+    @classmethod
+    def from_dict(cls, doc):
+        sets = require_list(doc, "feasible_sets", "explicit constraint", of=list)
+        return cls(
+            feasible_sets=sets,
+            downward_closed=bool(doc.get("downward_closed", True)),
+            alpha=doc.get("alpha"),
+        )
 
 
-Constraint = Union[UniformMatroid, PartitionMatroid, Knapsack, ExplicitFamily]
+KINDS: dict[str, type[Constraint]] = {
+    c.kind: c for c in (UniformMatroid, PartitionMatroid, Knapsack, ExplicitFamily)
+}
 
-MATROID_KINDS = ("uniform", "partition")
 
-
-@dataclass(frozen=True)
-class LPSolution:
-    """Optimum of the per-round LP; ``vertex_set`` is set when it is integral."""
-
-    point: FractionalPoint
-    objective: float
-    vertex_set: tuple[str, ...] | None
+def constraint_from_dict(doc: dict) -> Constraint:
+    kind = require_field(doc, "kind", "constraint")
+    cls = KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise InputError(f"unknown constraint kind {kind!r}")
+    return cls.from_dict(doc)
 
 
 def is_feasible(constraint: Constraint, items: Iterable[str]) -> bool:
     """Membership of an item set in the family."""
-    chosen = set(items)
-    if isinstance(constraint, UniformMatroid):
-        return len(chosen) <= constraint.rank
-    if isinstance(constraint, PartitionMatroid):
-        for block, cap in zip(constraint.blocks, constraint.capacities):
-            if len(chosen & set(block)) > cap:
-                return False
-        uncovered = chosen - {i for b in constraint.blocks for i in b}
-        if uncovered:
-            raise InputError(f"items {sorted(uncovered)} not covered by any block")
-        return True
-    if isinstance(constraint, Knapsack):
-        return sum(constraint.cost_of(i) for i in chosen) <= constraint.budget
-    if isinstance(constraint, ExplicitFamily):
-        return frozenset(chosen) in constraint.members()
-    raise UnsupportedKindError(f"unknown constraint type {type(constraint).__name__}")
+    return constraint.feasible(set(items))
 
 
 def is_prefix_feasible(constraint: Constraint, sequence: Iterable[str]) -> bool:
@@ -207,11 +383,6 @@ def _clamped(weights: Mapping[str, float]) -> dict[str, float]:
     return out
 
 
-def _greedy_pick(order: list[str], weights: dict[str, float], cap: int) -> list[str]:
-    ranked = sorted(order, key=lambda it: (-weights[it], order.index(it)))
-    return [it for it in ranked if weights[it] > 0][:cap]
-
-
 def lp_maximize(constraint: Constraint, weights: Mapping[str, float]) -> LPSolution:
     """Maximize a nonnegative linear objective over the relaxation polytope.
 
@@ -219,85 +390,7 @@ def lp_maximize(constraint: Constraint, weights: Mapping[str, float]) -> LPSolut
     pass instance-ordered mappings get reproducible vertices.
     """
     weights = _clamped(weights)
-    order = list(weights)
-
-    def indicator(selected: Iterable[str]) -> FractionalPoint:
-        chosen = set(selected)
-        return FractionalPoint(
-            tuple(order), tuple(1.0 if it in chosen else 0.0 for it in order)
-        )
-
-    if isinstance(constraint, UniformMatroid):
-        chosen = _greedy_pick(order, weights, constraint.rank)
-        return LPSolution(
-            point=indicator(chosen),
-            objective=sum(weights[i] for i in chosen),
-            vertex_set=tuple(sorted(chosen)),
-        )
-
-    if isinstance(constraint, PartitionMatroid):
-        chosen: list[str] = []
-        for block, cap in zip(constraint.blocks, constraint.capacities):
-            in_block = [it for it in order if it in block]
-            chosen.extend(_greedy_pick(in_block, weights, cap))
-        uncovered = set(order) - {i for b in constraint.blocks for i in b}
-        if uncovered:
-            raise InputError(f"items {sorted(uncovered)} not covered by any block")
-        return LPSolution(
-            point=indicator(chosen),
-            objective=sum(weights[i] for i in chosen),
-            vertex_set=tuple(sorted(chosen)),
-        )
-
-    if isinstance(constraint, Knapsack):
-        coords = {it: 0.0 for it in order}
-        objective = 0.0
-        free = [it for it in order if constraint.cost_of(it) == 0 and weights[it] > 0]
-        for it in free:
-            coords[it] = 1.0
-            objective += weights[it]
-        remaining = constraint.budget
-        costly = [
-            it for it in order if constraint.cost_of(it) > 0 and weights[it] > 0
-        ]
-        costly.sort(key=lambda it: (-weights[it] / constraint.cost_of(it), order.index(it)))
-        for it in costly:
-            cost = constraint.cost_of(it)
-            if cost <= remaining:
-                coords[it] = 1.0
-                objective += weights[it]
-                remaining -= cost
-            else:
-                if remaining > 0:
-                    frac = remaining / cost
-                    coords[it] = frac
-                    objective += weights[it] * frac
-                break
-        integral = all(v in (0.0, 1.0) for v in coords.values())
-        return LPSolution(
-            point=FractionalPoint(tuple(order), tuple(coords[it] for it in order)),
-            objective=objective,
-            vertex_set=tuple(sorted(it for it, v in coords.items() if v == 1.0))
-            if integral
-            else None,
-        )
-
-    if isinstance(constraint, ExplicitFamily):
-        best_set: tuple[str, ...] = ()
-        best_value = 0.0
-        for candidate in constraint.feasible_sets:
-            unknown = [i for i in candidate if i not in weights]
-            if unknown:
-                continue
-            value = sum(weights[i] for i in candidate)
-            if value > best_value or (value == best_value and candidate < best_set):
-                best_value = value
-                best_set = candidate
-        return LPSolution(
-            point=indicator(best_set), objective=best_value, vertex_set=best_set
-        )
-
-    raise UnsupportedKindError(f"unknown constraint type {type(constraint).__name__}")
+    return constraint.lp_vertex(list(weights), weights)
 
 
 def alpha_for(constraint: Constraint) -> float:
@@ -306,15 +399,11 @@ def alpha_for(constraint: Constraint) -> float:
     Matroid kinds round losslessly.  Knapsack and explicit kinds carry a
     declared factor because no rounding scheme for them is implemented.
     """
-    if isinstance(constraint, (UniformMatroid, PartitionMatroid)):
-        return 1.0
-    if isinstance(constraint, (Knapsack, ExplicitFamily)):
-        if constraint.alpha is None:
-            raise ConfigurationError(
-                f"{constraint.kind} constraints need a configured alpha"
-            )
-        return constraint.alpha
-    raise UnsupportedKindError(f"unknown constraint type {type(constraint).__name__}")
+    if constraint.alpha is None:
+        raise ConfigurationError(
+            f"{constraint.kind} constraints need a configured alpha"
+        )
+    return constraint.alpha
 
 
 def point_in_polytope(
@@ -327,22 +416,4 @@ def point_in_polytope(
     """
     if any(v < -tol or v > 1 + tol for v in x.values):
         return False
-    if isinstance(constraint, UniformMatroid):
-        return sum(x.values) <= constraint.rank + tol
-    if isinstance(constraint, PartitionMatroid):
-        coords = x.as_dict()
-        uncovered = set(coords) - {i for b in constraint.blocks for i in b}
-        if uncovered:
-            raise InputError(f"items {sorted(uncovered)} not covered by any block")
-        return all(
-            sum(coords.get(i, 0.0) for i in block) <= cap + tol
-            for block, cap in zip(constraint.blocks, constraint.capacities)
-        )
-    if isinstance(constraint, Knapsack):
-        return (
-            sum(constraint.cost_of(i) * v for i, v in x.as_dict().items())
-            <= constraint.budget + tol
-        )
-    raise UnsupportedKindError(
-        f"no closed-form polytope membership for kind {constraint.kind!r}"
-    )
+    return constraint.in_polytope(x, tol)

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the document field
+readers that turn a missing or mistyped field into an :class:`InputError`.
 
 The CLI maps these onto exit codes: :class:`CapacityError` exits with 2,
 every other :class:`StosubError` with 1.
@@ -35,3 +36,18 @@ class DegenerateBoundError(InputError):
 
 class UnsupportedKindError(InputError):
     """Operation does not support this constraint kind."""
+
+
+def require_field(mapping: dict, key: str, context: str):
+    try:
+        return mapping[key]
+    except (KeyError, TypeError):
+        raise InputError(f"{context} is missing the {key!r} field") from None
+
+
+def require_list(mapping: dict, key: str, context: str, of: type = object) -> list:
+    """The ``key`` field as a list whose entries are all ``of`` instances."""
+    value = require_field(mapping, key, context)
+    if not isinstance(value, list) or not all(isinstance(v, of) for v in value):
+        raise InputError(f"{context} field {key!r} must be a list of {of.__name__}s")
+    return value

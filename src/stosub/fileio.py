@@ -10,14 +10,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .constraints import (
-    Constraint,
-    ExplicitFamily,
-    Knapsack,
-    PartitionMatroid,
-    UniformMatroid,
-)
-from .errors import InputError
+from .constraints import Constraint, constraint_from_dict
+from .errors import InputError, require_field, require_list
 from .independence import GammaWitness, IndependenceReport, KappaWitness
 from .model import (
     ExplicitTable,
@@ -29,13 +23,6 @@ from .model import (
     _as_fraction,
 )
 from .policies import Pick, Policy, PolicyNode, STOP
-
-
-def _require(mapping: dict, key: str, context: str):
-    try:
-        return mapping[key]
-    except (KeyError, TypeError):
-        raise InputError(f"{context} is missing the {key!r} field") from None
 
 
 def instance_to_dict(instance: Instance) -> dict:
@@ -73,23 +60,23 @@ def utility_to_dict(utility: UtilityFunction) -> dict:
 
 
 def utility_from_dict(doc: dict) -> UtilityFunction:
-    kind = _require(doc, "kind", "utility")
+    kind = require_field(doc, "kind", "utility")
     if kind == "weighted-coverage":
         coverage = {}
-        for item, by_state in _require(doc, "coverage", "utility").items():
+        for item, by_state in require_field(doc, "coverage", "utility").items():
             for state, covered in by_state.items():
                 coverage[(item, state)] = tuple(covered)
         return WeightedCoverage.build(
-            targets=tuple(_require(doc, "targets", "utility")),
-            weights=_require(doc, "weights", "utility"),
+            targets=tuple(require_field(doc, "targets", "utility")),
+            weights=require_field(doc, "weights", "utility"),
             coverage=coverage,
         )
     if kind == "explicit-table":
         return ExplicitTable(
-            ground=tuple(tuple(p) for p in _require(doc, "ground", "utility")),
+            ground=tuple(tuple(p) for p in require_field(doc, "ground", "utility")),
             entries=tuple(
                 (tuple(tuple(p) for p in entry["pairs"]), float(entry["value"]))
-                for entry in _require(doc, "table", "utility")
+                for entry in require_field(doc, "table", "utility")
             ),
         )
     raise InputError(f"unknown utility kind {kind!r}")
@@ -97,75 +84,20 @@ def utility_from_dict(doc: dict) -> UtilityFunction:
 
 def instance_from_dict(doc: dict) -> Instance:
     entries = []
-    for row in _require(doc, "distribution", "instance"):
-        assignment = _require(row, "assignment", "distribution entry")
-        prob = _require(row, "prob", "distribution entry")
+    for row in require_field(doc, "distribution", "instance"):
+        assignment = require_field(row, "assignment", "distribution entry")
+        prob = require_field(row, "prob", "distribution entry")
         entries.append((Realization.from_dict(assignment), _as_fraction(str(prob))))
     return Instance(
-        items=tuple(_require(doc, "items", "instance")),
-        states=tuple(_require(doc, "states", "instance")),
+        items=tuple(require_list(doc, "items", "instance")),
+        states=tuple(require_list(doc, "states", "instance")),
         distribution=JointDistribution(tuple(entries)),
-        utility=utility_from_dict(_require(doc, "utility", "instance")),
+        utility=utility_from_dict(require_field(doc, "utility", "instance")),
     )
 
 
 def constraint_to_dict(constraint: Constraint) -> dict:
-    if isinstance(constraint, UniformMatroid):
-        return {"kind": "uniform", "k": constraint.rank}
-    if isinstance(constraint, PartitionMatroid):
-        return {
-            "kind": "partition",
-            "blocks": [list(b) for b in constraint.blocks],
-            "capacities": list(constraint.capacities),
-        }
-    if isinstance(constraint, Knapsack):
-        doc = {
-            "kind": "knapsack",
-            "costs": dict(constraint.costs),
-            "budget": constraint.budget,
-        }
-        if constraint.alpha is not None:
-            doc["alpha"] = constraint.alpha
-        return doc
-    if isinstance(constraint, ExplicitFamily):
-        doc = {
-            "kind": "explicit",
-            "feasible_sets": [list(s) for s in constraint.feasible_sets],
-        }
-        if not constraint.downward_closed:
-            doc["downward_closed"] = False
-        if constraint.alpha is not None:
-            doc["alpha"] = constraint.alpha
-        return doc
-    raise InputError(f"unknown constraint type {type(constraint).__name__}")
-
-
-def constraint_from_dict(doc: dict) -> Constraint:
-    kind = _require(doc, "kind", "constraint")
-    if kind == "uniform":
-        return UniformMatroid(rank=int(_require(doc, "k", "uniform constraint")))
-    if kind == "partition":
-        return PartitionMatroid(
-            blocks=tuple(
-                tuple(b) for b in _require(doc, "blocks", "partition constraint")
-            ),
-            capacities=tuple(_require(doc, "capacities", "partition constraint")),
-        )
-    if kind == "knapsack":
-        return Knapsack(
-            costs=tuple(_require(doc, "costs", "knapsack constraint").items()),
-            budget=float(_require(doc, "budget", "knapsack constraint")),
-            alpha=doc.get("alpha"),
-        )
-    if kind == "explicit":
-        return ExplicitFamily(
-            feasible_sets=tuple(
-                tuple(s) for s in _require(doc, "feasible_sets", "explicit constraint")
-            ),
-            downward_closed=bool(doc.get("downward_closed", True)),
-            alpha=doc.get("alpha"),
-        )
-    raise InputError(f"unknown constraint kind {kind!r}")
+    return constraint.to_dict()
 
 
 def policy_to_obj(policy: Policy):
@@ -184,8 +116,8 @@ def policy_from_obj(obj) -> Policy:
     def decode(node) -> PolicyNode:
         if node == "stop":
             return STOP
-        item = _require(node, "item", "policy node")
-        branches = _require(node, "branches", "policy node")
+        item = require_field(node, "item", "policy node")
+        branches = require_field(node, "branches", "policy node")
         return Pick(
             item=item,
             branches=tuple((state, decode(child)) for state, child in branches.items()),

@@ -95,13 +95,23 @@ class Trajectory:
     config: GreedyConfig
 
 
-def _round_weights(
+def _round(
     instance: Instance,
+    constraint: Constraint,
     y: FractionalPoint,
+    t: float,
     config: GreedyConfig,
-    round_index: int,
     cap: int,
-) -> list[float]:
+) -> tuple[RoundRecord, FractionalPoint]:
+    """One round at time ``t``: its record and the point it moves ``y`` to.
+
+    The final round's step is 1 - t, so the steps of a full sweep sum to
+    exactly 1 even when 1/delta is not an integer.
+    """
+    round_index = int(round(t / config.delta))
+    d = 1.0 - t if round_index >= config.rounds - 1 else config.delta
+    if d <= 0 or t + d > 1.0 + 1e-12:
+        raise InputError(f"round at t={t} would overshoot the time horizon")
     weights = []
     for j, item in enumerate(instance.items):
         if config.weight_mode == "exact":
@@ -120,15 +130,13 @@ def _round_weights(
         if not math.isfinite(w):
             raise StosubError(f"non-finite weight for item {item!r}")
         weights.append(w)
-    return weights
-
-
-def _apply(y: FractionalPoint, lp: LPSolution, step: float) -> FractionalPoint:
+    lp = lp_maximize(constraint, dict(zip(instance.items, weights)))
     moved = [
-        min(1.0, v + step * lp.point.value_of(item))
+        min(1.0, v + d * lp.point.value_of(item))
         for item, v in zip(y.items, y.values)
     ]
-    return FractionalPoint(y.items, tuple(moved))
+    record = RoundRecord(t=t, step=d, point=y, weights=tuple(weights), lp=lp)
+    return record, FractionalPoint(y.items, tuple(moved))
 
 
 def step(
@@ -139,19 +147,9 @@ def step(
     config: GreedyConfig,
     cap: int = EXACT_CAP,
 ) -> tuple[FractionalPoint, LPSolution]:
-    """One round at time ``t``, on the same step schedule :func:`run` uses.
-
-    The final round's step is 1 - t, so the steps of a full sweep sum to
-    exactly 1 even when 1/delta is not an integer.
-    """
-    round_index = int(round(t / config.delta))
-    last = round_index >= config.rounds - 1
-    d = 1.0 - t if last else config.delta
-    if d <= 0 or t + d > 1.0 + 1e-12:
-        raise InputError(f"round at t={t} would overshoot the time horizon")
-    weights = _round_weights(instance, y, config, round_index, cap)
-    lp = lp_maximize(constraint, dict(zip(instance.items, weights)))
-    return _apply(y, lp, d), lp
+    """One round at time ``t``, on the same step schedule :func:`run` uses."""
+    record, moved = _round(instance, constraint, y, t, config, cap)
+    return moved, record.lp
 
 
 def run(
@@ -164,18 +162,10 @@ def run(
     y = FractionalPoint.zeros(instance.items)
     t = 0.0
     records = []
-    n_rounds = config.rounds
-    for i in range(n_rounds):
-        # Grid correction: a non-integral 1/delta gets a shorter final step so
-        # the step sizes sum to exactly 1.
-        d = config.delta if i < n_rounds - 1 else 1.0 - t
-        weights = _round_weights(instance, y, config, i, cap)
-        lp = lp_maximize(constraint, dict(zip(instance.items, weights)))
-        records.append(
-            RoundRecord(t=t, step=d, point=y, weights=tuple(weights), lp=lp)
-        )
-        y = _apply(y, lp, d)
-        t += d
+    for _ in range(config.rounds):
+        record, y = _round(instance, constraint, y, t, config, cap)
+        records.append(record)
+        t += record.step
     return Trajectory(rounds=tuple(records), final=y, config=config)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import fileio
-from .constraints import Constraint, alpha_for, MATROID_KINDS
+from .constraints import Constraint, alpha_for
 from .errors import InputError
 from .generators import common_cause_2, generate_common_cause, generate_product
 from .greedy import GreedyConfig, lower_bound_certificate, run
@@ -153,6 +153,13 @@ def _rounding_average(
     return mean, se
 
 
+def oracle_values(instance: Instance, constraint: Constraint) -> tuple:
+    """Optimal adaptive, best non-adaptive and virtual non-adaptive values."""
+    policy, opt = optimal_adaptive(instance, constraint)
+    _, best = best_nonadaptive(instance, constraint)
+    return opt, best, virtual_nonadaptive_value(instance, constraint, policy)
+
+
 def run_pipeline(scenario: Scenario, base_dir: Path | None = None) -> ReportRow:
     """Execute one scenario end to end; stage failures land in ``notes``."""
     instance = scenario.instance.resolve(base_dir)
@@ -171,9 +178,7 @@ def run_pipeline(scenario: Scenario, base_dir: Path | None = None) -> ReportRow:
     if scenario.kind == "independence-profile":
         return ReportRow(**row, notes=";".join(notes))
 
-    policy, opt_value = optimal_adaptive(instance, scenario.constraint)
-    _, best_fixed = best_nonadaptive(instance, scenario.constraint)
-    virtual = virtual_nonadaptive_value(instance, scenario.constraint, policy)
+    opt_value, best_fixed, virtual = oracle_values(instance, scenario.constraint)
     row.update(
         opt_adaptive=opt_value, best_nonadaptive=best_fixed, virtual_value=virtual
     )
@@ -222,7 +227,7 @@ def run_pipeline(scenario: Scenario, base_dir: Path | None = None) -> ReportRow:
                 else "fail"
             )
 
-    if scenario.constraint.kind in MATROID_KINDS:
+    if scenario.constraint.rounding_groups(instance.items) is not None:
         alpha = alpha_for(scenario.constraint)
         row["alpha"] = alpha
         mean, se = _rounding_average(

@@ -95,6 +95,8 @@ def _conditional(ev, item: int, vmask: int, proj) -> list[tuple[int, Fraction]]:
             continue
         weights[states[item]] = weights.get(states[item], Fraction(0)) + prob
         total += prob
+    if total == 0:
+        raise InputError("observation has probability zero")
     return [(s, weights[s] / total) for s in sorted(weights)]
 
 
@@ -102,6 +104,43 @@ def _realization_of(instance: Instance, proj) -> Realization:
     return Realization(
         tuple((instance.items[i], instance.states[s]) for i, s in proj)
     )
+
+
+def _names(instance: Instance, mask: int) -> tuple[str, ...]:
+    return tuple(item for i, item in enumerate(instance.items) if mask >> i & 1)
+
+
+def _projection_of(instance: Instance, ev, vmask: int, observation: Realization):
+    if ev.mask_of(observation.domain) != vmask:
+        raise InputError("observation must assign exactly the observed items")
+    return tuple(
+        sorted(
+            (instance.item_index(i), instance.state_index(s))
+            for i, s in observation.pairs
+        )
+    )
+
+
+def _ratio(num: Fraction, den: Fraction) -> Fraction | None:
+    """``num / den`` with 0/0 as 1; None for an unbounded ratio x/0."""
+    if den == 0:
+        return Fraction(1) if num == 0 else None
+    return num / den
+
+
+def _state_gains(ev, e: int, smask: int):
+    """Marginal of item ``e`` on base ``smask``, and its gain in each state."""
+    base = ev.set_value_exact(smask)
+    states = range(len(ev.instance.states))
+    gains = [ev.state_value_exact(smask, e, o) - base for o in states]
+    return ev.set_value_exact(smask | 1 << e) - base, gains
+
+
+def _pair_gains(ev, e: int, base_key: frozenset) -> list[Fraction]:
+    """Gain of each state of item ``e`` on top of the observed pair set."""
+    base = ev.pair_value(base_key)[1]
+    states = range(len(ev.instance.states))
+    return [ev.pair_value(base_key | {(e, o)})[1] - base for o in states]
 
 
 def kappa(instance: Instance, cap: int = ENUMERATION_CAP) -> IndependenceReport:
@@ -124,41 +163,25 @@ def kappa(instance: Instance, cap: int = ENUMERATION_CAP) -> IndependenceReport:
         others = full & ~(1 << e)
         smasks = _submasks(others)
         # Marginal pieces are independent of the observation, so hoist them.
-        nums = {
-            s: ev.set_value_exact(s | 1 << e) - ev.set_value_exact(s) for s in smasks
-        }
-        state_gains = {
-            s: {
-                o: ev.state_value_exact(s, e, o) - ev.set_value_exact(s)
-                for o in range(len(instance.states))
-            }
-            for s in smasks
-        }
-        for vmask in _submasks(others):
+        gains = {s: _state_gains(ev, e, s) for s in smasks}
+        for vmask in smasks:
             for proj, _ in _projections(ev, vmask):
                 cond = _conditional(ev, e, vmask, proj)
                 for smask in smasks:
                     examined += 1
-                    num = nums[smask]
-                    den = sum(
-                        (q * state_gains[smask][o] for o, q in cond), Fraction(0)
-                    )
-                    if den == 0:
-                        if num != 0:
-                            continue  # unbounded ratio, never a minimum
-                        ratio = Fraction(1)
-                    else:
-                        ratio = num / den
+                    num, state_gains = gains[smask]
+                    den = Fraction(0)
+                    for o, q in cond:
+                        den += q * state_gains[o]
+                    ratio = _ratio(num, den)
+                    if ratio is None:
+                        continue  # unbounded ratio, never a minimum
                     if best is None or ratio < best:
                         best = ratio
                         witness = KappaWitness(
                             item=instance.items[e],
-                            base=tuple(
-                                instance.items[i] for i in range(m) if smask >> i & 1
-                            ),
-                            observed_items=tuple(
-                                instance.items[i] for i in range(m) if vmask >> i & 1
-                            ),
+                            base=_names(instance, smask),
+                            observed_items=_names(instance, vmask),
                             observation=_realization_of(instance, proj),
                         )
     assert best is not None and witness is not None
@@ -182,28 +205,9 @@ def kappa_ratio(
     if smask >> e & 1 or any(instance.item_index(v) == e for v in observed_items):
         raise InputError("base and observed sets must avoid the item itself")
     vmask = ev.mask_of(observed_items)
-    proj = tuple(
-        sorted(
-            (instance.item_index(i), instance.state_index(s))
-            for i, s in observation.pairs
-        )
-    )
-    if ev.mask_of(observation.domain) != vmask:
-        raise InputError("observation must assign exactly the observed items")
-    cond = _conditional(ev, e, vmask, proj)
-    if not cond:
-        raise InputError("observation has probability zero")
-    num = ev.set_value_exact(smask | 1 << e) - ev.set_value_exact(smask)
-    den = sum(
-        (
-            q * (ev.state_value_exact(smask, e, o) - ev.set_value_exact(smask))
-            for o, q in cond
-        ),
-        Fraction(0),
-    )
-    if den == 0:
-        return Fraction(1) if num == 0 else None
-    return num / den
+    cond = _conditional(ev, e, vmask, _projection_of(instance, ev, vmask, observation))
+    num, gains = _state_gains(ev, e, smask)
+    return _ratio(num, sum((q * gains[o] for o, q in cond), Fraction(0)))
 
 
 def gamma(instance: Instance, cap: int = ENUMERATION_CAP) -> IndependenceReport:
@@ -215,7 +219,6 @@ def gamma(instance: Instance, cap: int = ENUMERATION_CAP) -> IndependenceReport:
     """
     _check_cap(instance, cap)
     ev = _evaluator(instance)
-    instance_states = range(len(instance.states))
     m = instance.m
     full = (1 << m) - 1
 
@@ -223,18 +226,7 @@ def gamma(instance: Instance, cap: int = ENUMERATION_CAP) -> IndependenceReport:
     witness: GammaWitness | None = None
     examined = 0
 
-    pair_gain_cache: dict = {}
-
-    def expected_gain(e, base_key, cond):
-        gains = pair_gain_cache.get((e, base_key))
-        if gains is None:
-            base_value = ev.pair_value(base_key)[1]
-            gains = {
-                o: ev.pair_value(base_key | {(e, o)})[1] - base_value
-                for o in instance_states
-            }
-            pair_gain_cache[(e, base_key)] = gains
-        return sum((q * gains[o] for o, q in cond), Fraction(0))
+    pair_gains: dict = {}
 
     for e in range(m):
         others = full & ~(1 << e)
@@ -250,21 +242,23 @@ def gamma(instance: Instance, cap: int = ENUMERATION_CAP) -> IndependenceReport:
                         ratio = Fraction(1)  # identical conditionals cancel
                     else:
                         base_key = frozenset(proj_a) | frozenset(proj_b)
-                        num = expected_gain(e, base_key, conds[proj_a])
-                        den = expected_gain(e, base_key, conds[proj_b])
-                        if den == 0:
-                            if num != 0:
-                                continue
-                            ratio = Fraction(1)
-                        else:
-                            ratio = num / den
+                        gains = pair_gains.get((e, base_key))
+                        if gains is None:
+                            gains = _pair_gains(ev, e, base_key)
+                            pair_gains[(e, base_key)] = gains
+                        num = den = Fraction(0)
+                        for o, q in conds[proj_a]:
+                            num += q * gains[o]
+                        for o, q in conds[proj_b]:
+                            den += q * gains[o]
+                        ratio = _ratio(num, den)
+                        if ratio is None:
+                            continue
                     if best is None or ratio < best:
                         best = ratio
                         witness = GammaWitness(
                             item=instance.items[e],
-                            observed_items=tuple(
-                                instance.items[i] for i in range(m) if vmask >> i & 1
-                            ),
+                            observed_items=_names(instance, vmask),
                             observation=_realization_of(instance, proj_a),
                             observation_alt=_realization_of(instance, proj_b),
                         )
@@ -288,35 +282,18 @@ def gamma_ratio(
     vmask = ev.mask_of(observed_items)
     if vmask >> e & 1:
         raise InputError("observed set must avoid the item itself")
-
-    def proj_of(real: Realization):
-        if ev.mask_of(real.domain) != vmask:
-            raise InputError("observation must assign exactly the observed items")
-        return tuple(
-            sorted(
-                (instance.item_index(i), instance.state_index(s))
-                for i, s in real.pairs
-            )
-        )
-
-    proj_a, proj_b = proj_of(observation), proj_of(observation_alt)
+    proj_a = _projection_of(instance, ev, vmask, observation)
+    proj_b = _projection_of(instance, ev, vmask, observation_alt)
     cond_a = _conditional(ev, e, vmask, proj_a)
     cond_b = _conditional(ev, e, vmask, proj_b)
-    if not cond_a or not cond_b:
-        raise InputError("observation has probability zero")
     if proj_a == proj_b:
         return Fraction(1)
     base_key = frozenset(proj_a) | frozenset(proj_b)
-    base_value = ev.pair_value(base_key)[1]
-    gains = {
-        o: ev.pair_value(base_key | {(e, o)})[1] - base_value
-        for o in range(len(instance.states))
-    }
-    num = sum((q * gains[o] for o, q in cond_a), Fraction(0))
-    den = sum((q * gains[o] for o, q in cond_b), Fraction(0))
-    if den == 0:
-        return Fraction(1) if num == 0 else None
-    return num / den
+    gains = _pair_gains(ev, e, base_key)
+    return _ratio(
+        sum((q * gains[o] for o, q in cond_a), Fraction(0)),
+        sum((q * gains[o] for o, q in cond_b), Fraction(0)),
+    )
 
 
 def ratio_bound(kappa: float, m: int, alpha: float = 1.0) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
 
-from .constraints import Constraint, ExplicitFamily, is_feasible, is_prefix_feasible
+from .constraints import Constraint, is_feasible, is_prefix_feasible
 from .errors import CapacityError, DegenerateBoundError, InputError, PolicyError
 from .model import Instance, Realization, _evaluator
 from .multilinear import FractionalPoint, multilinear_value, optimistic_weight
@@ -165,7 +165,7 @@ def optimal_adaptive(
             f"{max_support}"
         )
     ev = _evaluator(instance)
-    by_sequence = isinstance(constraint, ExplicitFamily) and not constraint.downward_closed
+    by_sequence = not constraint.downward_closed
     memo: dict = {}
 
     def solve(sequence: tuple[int, ...], observed: frozenset) -> tuple[Fraction, int | None]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .constraints import Constraint, PartitionMatroid, UniformMatroid, point_in_polytope
+from .constraints import Constraint, point_in_polytope
 from .errors import InputError, UnsupportedKindError
 from .model import Instance
 from .multilinear import FractionalPoint
@@ -51,15 +51,8 @@ def pipage_round(
     instance: Instance, constraint: Constraint, y: FractionalPoint, seed: int
 ) -> frozenset[str]:
     """Round ``y`` to a feasible set of a uniform or partition matroid."""
-    if isinstance(constraint, UniformMatroid):
-        groups = [(list(range(instance.m)), constraint.rank)]
-    elif isinstance(constraint, PartitionMatroid):
-        index = {item: i for i, item in enumerate(instance.items)}
-        groups = [
-            ([index[item] for item in block], cap)
-            for block, cap in zip(constraint.blocks, constraint.capacities)
-        ]
-    else:
+    groups = constraint.rounding_groups(instance.items)
+    if groups is None:
         raise UnsupportedKindError(
             f"swap rounding supports matroid kinds only, not {constraint.kind!r}"
         )

@@ -215,3 +215,28 @@ class TestUsageErrors:
 
     def test_bad_constraint_json(self, cc2_path, capsys):
         assert main(["oracle", "adaptive", cc2_path, "--constraint", "{oops"]) == 1
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"kind": "uniform", "k": "x"}',
+            '{"kind": "uniform", "k": 1.5}',
+            '{"kind": "partition", "blocks": [["a"], ["b"]], "capacities": [1.5, 1]}',
+            '{"kind": "partition", "blocks": [["a"], ["b"]], "capacities": ["1", 1]}',
+            '{"kind": "knapsack", "costs": {"a": 1, "b": 1}, "budget": "x"}',
+            '{"kind": "knapsack", "costs": [1], "budget": 1}',
+            '[1]',
+        ],
+        ids=[
+            "string-k",
+            "fractional-k",
+            "fractional-capacity",
+            "string-capacity",
+            "string-budget",
+            "costs-not-a-mapping",
+            "not-an-object",
+        ],
+    )
+    def test_malformed_constraint_document(self, cc2_path, capsys, doc):
+        assert main(["greedy", cc2_path, "--constraint", doc]) == 1
+        assert capsys.readouterr().err.startswith("error: ")

@@ -141,6 +141,20 @@ class TestLpMaximize:
         sol = ss.lp_maximize(ss.UniformMatroid(rank=1), {"a": 2.0, "b": 2.0})
         assert sol.vertex_set == ("a",)
 
+    def test_tie_break_is_stable_partition(self):
+        # Equal weights inside a block: the earlier item in ``weights`` wins.
+        weights = {"b": 2.0, "a": 2.0, "d": 1.0, "c": 1.0}
+        sol = ss.lp_maximize(partition_ab_cd(), weights)
+        assert sol.vertex_set == ("b", "d")
+
+    def test_tie_break_is_stable_knapsack(self):
+        # Equal densities: the earlier item in ``weights`` is packed first.
+        c = ss.Knapsack(costs=(("a", 1.0), ("b", 2.0), ("c", 1.0)), budget=2.0)
+        sol = ss.lp_maximize(c, {"c": 1.0, "a": 1.0, "b": 2.0})
+        assert sol.vertex_set == ("a", "c")
+        sol = ss.lp_maximize(c, {"b": 2.0, "c": 1.0, "a": 1.0})
+        assert sol.vertex_set == ("b",)
+
     def test_scaling_preserves_argmax(self):
         rng = random.Random(7)
         for _ in range(20):
@@ -235,3 +249,37 @@ class TestConstruction:
     def test_bad_alpha(self):
         with pytest.raises(ss.InputError):
             ss.Knapsack(costs=(("a", 1.0),), budget=1.0, alpha=1.5)
+
+    @pytest.mark.parametrize("rank", [1.5, True, "1", -1, float("inf")])
+    def test_rank_must_be_a_whole_number(self, rank):
+        with pytest.raises(ss.InputError):
+            ss.UniformMatroid(rank=rank)
+
+    def test_integral_float_rank_becomes_int(self):
+        assert ss.UniformMatroid(rank=2.0).rank == 2
+        assert isinstance(ss.UniformMatroid(rank=2.0).rank, int)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ss.PartitionMatroid(blocks=(("a",),), capacities=(1.5,)),
+            lambda: ss.PartitionMatroid(blocks=(("a",),), capacities=("1",)),
+            lambda: ss.PartitionMatroid(blocks=(("a",),), capacities=(False,)),
+            lambda: ss.Knapsack(costs=(("a", "1"),), budget=1.0),
+            lambda: ss.Knapsack(costs=(("a", 1.0),), budget="x"),
+            lambda: ss.Knapsack(costs=(("a", 1.0),), budget=1.0, alpha="x"),
+            lambda: ss.ExplicitFamily(feasible_sets=((),), alpha=True),
+        ],
+        ids=[
+            "fractional-capacity",
+            "string-capacity",
+            "bool-capacity",
+            "string-cost",
+            "string-budget",
+            "string-alpha",
+            "bool-alpha",
+        ],
+    )
+    def test_non_numeric_fields_rejected(self, make):
+        with pytest.raises(ss.InputError):
+            make()

@@ -87,6 +87,13 @@ class TestInstanceParsing:
         with pytest.raises(ss.InputError, match="utility kind"):
             fileio.utility_from_dict({"kind": "mystery"})
 
+    @pytest.mark.parametrize("field", ["items", "states"])
+    def test_items_and_states_must_be_lists(self, cc2, field):
+        doc = fileio.instance_to_dict(cc2)
+        doc[field] = "".join(doc[field])
+        with pytest.raises(ss.InputError, match=field):
+            fileio.instance_from_dict(doc)
+
     def test_not_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -125,6 +132,55 @@ class TestConstraintRoundTrip:
     def test_unknown_kind(self):
         with pytest.raises(ss.InputError):
             fileio.constraint_from_dict({"kind": "mystery"})
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kind": "uniform", "k": "x"},
+            {"kind": "uniform", "k": 1.5},
+            {"kind": "uniform", "k": True},
+            {"kind": "partition", "blocks": [["a"]], "capacities": [1.5]},
+            {"kind": "partition", "blocks": [["a"]], "capacities": ["1"]},
+            {"kind": "partition", "blocks": [["a"]], "capacities": 1},
+            {"kind": "partition", "blocks": "a", "capacities": [1]},
+            {"kind": "knapsack", "costs": {"a": 1.0}, "budget": "x"},
+            {"kind": "knapsack", "costs": [1], "budget": 1.0},
+            {"kind": "knapsack", "costs": {"a": "1"}, "budget": 1.0},
+            {"kind": "knapsack", "costs": {"a": 1.0}, "budget": 1.0, "alpha": "x"},
+            {"kind": "explicit", "feasible_sets": "a"},
+            {"kind": "explicit", "feasible_sets": [[], 5]},
+            {"kind": "partition", "blocks": [5], "capacities": [1]},
+            {"kind": ["uniform"], "k": 1},
+            ["uniform", 1],
+        ],
+        ids=[
+            "string-k",
+            "fractional-k",
+            "bool-k",
+            "fractional-capacity",
+            "string-capacity",
+            "capacities-not-a-list",
+            "blocks-not-a-list",
+            "string-budget",
+            "costs-not-a-mapping",
+            "string-cost",
+            "string-alpha",
+            "feasible-sets-not-a-list",
+            "feasible-set-not-a-list",
+            "block-not-a-list",
+            "unhashable-kind",
+            "not-an-object",
+        ],
+    )
+    def test_malformed_constraint_rejected(self, doc):
+        with pytest.raises(ss.InputError):
+            fileio.constraint_from_dict(doc)
+
+    def test_integral_float_fields_accepted(self):
+        doc = {"kind": "partition", "blocks": [["a"], ["b"]], "capacities": [1.0, 2]}
+        assert fileio.constraint_from_dict(doc) == ss.PartitionMatroid(
+            blocks=(("a",), ("b",)), capacities=(1, 2)
+        )
 
 
 class TestPolicyRoundTrip:

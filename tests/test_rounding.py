@@ -104,6 +104,14 @@ class TestPipageRound:
         with pytest.raises(ss.UnsupportedKindError):
             ss.pipage_round(cc2, knapsack, y, 0)
 
+    def test_partition_block_names_unknown_item(self, cc2):
+        y = ss.FractionalPoint(cc2.items, (0.5, 0.5))
+        constraint = ss.PartitionMatroid(
+            blocks=(("a", "zz"), ("b",)), capacities=(1, 1)
+        )
+        with pytest.raises(ss.InputError, match="zz"):
+            ss.pipage_round(cc2, constraint, y, 0)
+
     def test_deterministic_given_seed(self, cc2):
         y = ss.FractionalPoint(cc2.items, (0.5, 0.5))
         constraint = ss.UniformMatroid(rank=1)
