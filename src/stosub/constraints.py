@@ -20,23 +20,19 @@ and its JSON form.  A new kind is one class plus one entry in :data:`KINDS`.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import ConfigurationError, InputError, UnsupportedKindError
-from .errors import require_field, require_list
+from .errors import nonnegative, require_field, require_list
 from .multilinear import FractionalPoint
 
 
-def _nonnegative(value, what: str, whole: bool = False):
-    """A finite nonnegative number, as an int when ``whole``; bools never pass."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise InputError(f"{what} must be a number, got {value!r}")
-    if not math.isfinite(value) or value < 0 or whole and value % 1:
-        kind = "whole number" if whole else "number"
-        raise InputError(f"{what} must be a finite nonnegative {kind}, got {value!r}")
-    return int(value) if whole else float(value)
+def _name_lists(doc: dict, key: str, context: str) -> list[list[str]]:
+    lists = require_list(doc, key, context, of=list)
+    if not all(isinstance(name, str) for names in lists for name in names):
+        raise InputError(f"{context} field {key!r} must list item names (strings)")
+    return lists
 
 
 @dataclass(frozen=True)
@@ -90,7 +86,7 @@ class UniformMatroid(Constraint):
     kind = "uniform"
 
     def __post_init__(self):
-        object.__setattr__(self, "rank", _nonnegative(self.rank, "rank", whole=True))
+        object.__setattr__(self, "rank", nonnegative(self.rank, "rank", whole=True))
 
     def feasible(self, chosen: set[str]) -> bool:
         return len(chosen) <= self.rank
@@ -132,7 +128,7 @@ class PartitionMatroid(Constraint):
                 raise InputError(f"item {item!r} appears in two blocks")
             seen.add(item)
         object.__setattr__(self, "blocks", blocks)
-        caps = tuple(_nonnegative(c, "capacity", whole=True) for c in self.capacities)
+        caps = tuple(nonnegative(c, "capacity", whole=True) for c in self.capacities)
         object.__setattr__(self, "capacities", caps)
         object.__setattr__(self, "_covered", frozenset(seen))
 
@@ -184,7 +180,7 @@ class PartitionMatroid(Constraint):
     @classmethod
     def from_dict(cls, doc):
         return cls(
-            blocks=require_list(doc, "blocks", "partition constraint", of=list),
+            blocks=_name_lists(doc, "blocks", "partition constraint"),
             capacities=require_list(doc, "capacities", "partition constraint"),
         )
 
@@ -210,11 +206,11 @@ class Knapsack(Constraint):
         for item, cost in sorted(self.costs):
             if item in costs:
                 raise InputError(f"duplicate cost for item {item!r}")
-            costs[item] = _nonnegative(cost, "cost")
+            costs[item] = nonnegative(cost, "cost")
         object.__setattr__(self, "costs", tuple(costs.items()))
         object.__setattr__(self, "_cost", costs)
-        object.__setattr__(self, "budget", _nonnegative(self.budget, "budget"))
-        if self.alpha is not None and not 0 < _nonnegative(self.alpha, "alpha") <= 1:
+        object.__setattr__(self, "budget", nonnegative(self.budget, "budget"))
+        if self.alpha is not None and not 0 < nonnegative(self.alpha, "alpha") <= 1:
             raise InputError("alpha must lie in (0, 1]")
 
     def cost_of(self, item: str) -> float:
@@ -299,7 +295,7 @@ class ExplicitFamily(Constraint):
                             f"family is not downward-closed: {sorted(s - {item})} "
                             f"missing below {sorted(s)}"
                         )
-        if self.alpha is not None and not 0 < _nonnegative(self.alpha, "alpha") <= 1:
+        if self.alpha is not None and not 0 < nonnegative(self.alpha, "alpha") <= 1:
             raise InputError("alpha must lie in (0, 1]")
 
     def feasible(self, chosen):
@@ -328,10 +324,15 @@ class ExplicitFamily(Constraint):
 
     @classmethod
     def from_dict(cls, doc):
-        sets = require_list(doc, "feasible_sets", "explicit constraint", of=list)
+        closed = doc.get("downward_closed", True)
+        if not isinstance(closed, bool):
+            raise InputError(
+                f"explicit constraint field 'downward_closed' must be true or false, "
+                f"got {closed!r}"
+            )
         return cls(
-            feasible_sets=sets,
-            downward_closed=bool(doc.get("downward_closed", True)),
+            feasible_sets=_name_lists(doc, "feasible_sets", "explicit constraint"),
+            downward_closed=closed,
             alpha=doc.get("alpha"),
         )
 

@@ -5,6 +5,9 @@ The CLI maps these onto exit codes: :class:`CapacityError` exits with 2,
 every other :class:`StosubError` with 1.
 """
 
+import math
+import numbers
+
 
 class StosubError(Exception):
     """Base class for all package errors."""
@@ -51,3 +54,13 @@ def require_list(mapping: dict, key: str, context: str, of: type = object) -> li
     if not isinstance(value, list) or not all(isinstance(v, of) for v in value):
         raise InputError(f"{context} field {key!r} must be a list of {of.__name__}s")
     return value
+
+
+def nonnegative(value, what: str, whole: bool = False):
+    """A finite nonnegative number, as an int when ``whole``; bools never pass."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InputError(f"{what} must be a number, got {value!r}")
+    if not math.isfinite(value) or value < 0 or whole and value % 1:
+        kind = "whole number" if whole else "number"
+        raise InputError(f"{what} must be a finite nonnegative {kind}, got {value!r}")
+    return int(value) if whole else float(value)

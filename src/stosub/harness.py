@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import fileio
 from .constraints import Constraint, alpha_for
-from .errors import InputError
+from .errors import InputError, nonnegative
 from .generators import common_cause_2, generate_common_cause, generate_product
 from .greedy import GreedyConfig, lower_bound_certificate, run
 from .independence import (
@@ -303,36 +303,48 @@ def report_to_dict(report: Report) -> dict:
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
+    if not isinstance(doc, dict):
+        raise InputError(f"a scenario must be an object, got {doc!r}")
+    context = f"scenario {doc.get('name')!r}"
+
+    def number(mapping: dict, key: str, default, whole: bool = True):
+        return nonnegative(mapping.get(key, default), f"{context} field {key!r}", whole)
+
     instance_doc = doc.get("instance")
     if not isinstance(instance_doc, dict):
-        raise InputError(f"scenario {doc.get('name')!r} needs an instance spec")
+        raise InputError(f"{context} needs an instance spec")
     spec = InstanceSpec(
         generator=instance_doc.get("generator"),
         path=instance_doc.get("path"),
-        m=int(instance_doc.get("m", 2)),
-        states=int(instance_doc.get("states", 2)),
-        worlds=int(instance_doc.get("worlds", 2)),
-        seed=int(instance_doc.get("seed", 0)),
+        m=number(instance_doc, "m", 2),
+        states=number(instance_doc, "states", 2),
+        worlds=number(instance_doc, "worlds", 2),
+        seed=number(instance_doc, "seed", 0),
     )
     greedy_doc = doc.get("greedy", {})
+    if not isinstance(greedy_doc, dict):
+        raise InputError(f"{context} field 'greedy' must be an object")
+    sample_count = greedy_doc.get("sample_count", "auto")
+    if sample_count != "auto":
+        sample_count = number(greedy_doc, "sample_count", None)
     config = GreedyConfig(
-        delta=float(greedy_doc.get("delta", 0.05)),
+        delta=number(greedy_doc, "delta", 0.05, whole=False),
         weight_mode=greedy_doc.get("weight_mode", "exact"),
-        sample_count=greedy_doc.get("sample_count", "auto"),
-        seed=int(greedy_doc.get("seed", 0)),
+        sample_count=sample_count,
+        seed=number(greedy_doc, "seed", 0),
         weight_variant=greedy_doc.get("weight_variant", "optimistic"),
     )
     constraint_doc = doc.get("constraint")
     if constraint_doc is None:
-        raise InputError(f"scenario {doc.get('name')!r} needs a constraint")
+        raise InputError(f"{context} needs a constraint")
     return Scenario(
         name=str(doc.get("name", "unnamed")),
         kind=str(doc.get("kind", "ratio-check")),
         instance=spec,
         constraint=fileio.constraint_from_dict(constraint_doc),
         greedy=config,
-        rounding_seeds=int(doc.get("rounding_seeds", 2000)),
-        rounding_base_seed=int(doc.get("rounding_base_seed", 0)),
+        rounding_seeds=number(doc, "rounding_seeds", 2000),
+        rounding_base_seed=number(doc, "rounding_base_seed", 0),
     )
 
 

@@ -10,6 +10,22 @@ plain floats.
 Expected values exposed here (``expected_set_value`` and friends) are
 computed in exact rational arithmetic internally and rounded once on the way
 out, which makes algebraically equal expectations compare equal as floats.
+
+The value table: entry ``mask`` (bit i for item i) holds E[f(S)] as an
+integer numerator N over one denominator D = L * 2**k.  L is the LCD of the
+support's probabilities (p_w = a_w / L).  Utility values are floats, hence
+dyadic: 2**k times every weight or table value is an integer, and so is
+2**k times any left-to-right float sum of weights, because rounding a sum
+of nonnegative floats never drops below the finest bit of its terms.  So
+N = sum_w a_w * 2**k f_w exactly, in int64 when L * 2**k * max f < 2**63
+and in Python ints otherwise; the float view is the correctly rounded N / D,
+the float ``float(Fraction(N, D))`` gives.  Coverage sums its weights left
+to right in ascending target order, in ``WeightedCoverage.evaluate`` and in
+the kernel alike.  The kernel runs world by world, building the covered
+targets (or the explicit table's ground-pair index) of all 2**m masks by
+doubling over the item bits, so its extra memory is O(2**m) whatever the
+support size.  Full tables exist up to ``EXACT_CAP`` items, built on first
+use; above it only the requested masks are valued.
 """
 
 from __future__ import annotations
@@ -17,12 +33,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Mapping, Union
+
+import numpy as np
 
 from .errors import CapacityError, ConditioningError, InputError
 
 Pair = tuple[str, str]
+
+EXACT_CAP = 16
 
 
 def _as_fraction(value) -> Fraction:
@@ -52,6 +71,7 @@ class Realization:
             raise InputError("realization assigns an item more than once")
         ordered = tuple(sorted(self.pairs))
         object.__setattr__(self, "pairs", ordered)
+        object.__setattr__(self, "_state_map", dict(ordered))
 
     @classmethod
     def from_dict(cls, assignment: Mapping[str, str]) -> "Realization":
@@ -62,10 +82,12 @@ class Realization:
         return frozenset(item for item, _ in self.pairs)
 
     def state_of(self, item: str) -> str:
-        for it, state in self.pairs:
-            if it == item:
-                return state
-        raise InputError(f"item {item!r} not assigned in this realization")
+        try:
+            return self._state_map[item]
+        except (KeyError, TypeError):
+            raise InputError(
+                f"item {item!r} not assigned in this realization"
+            ) from None
 
     def restrict(self, items: Iterable[str]) -> "Realization":
         keep = set(items)
@@ -79,7 +101,7 @@ class Realization:
 
     def consistent_with(self, partial: "Realization") -> bool:
         """True when this realization agrees with ``partial`` on its domain."""
-        own = dict(self.pairs)
+        own = self._state_map
         return all(own.get(item) == state for item, state in partial.pairs)
 
 
@@ -202,16 +224,17 @@ class WeightedCoverage:
                 raise InputError("target weights must be finite and nonnegative")
         index = {t: i for i, t in enumerate(self.targets)}
         canon = []
-        seen = set()
+        cover: dict[Pair, frozenset[int]] = {}
         for pair, covered in sorted(self.coverage):
-            if pair in seen:
+            if pair in cover:
                 raise InputError(f"duplicate coverage entry for {pair}")
-            seen.add(pair)
             unknown = [t for t in covered if t not in index]
             if unknown:
                 raise InputError(f"coverage of {pair} names unknown targets {unknown}")
+            cover[pair] = frozenset(index[t] for t in covered)
             canon.append((pair, tuple(sorted(set(covered)))))
         object.__setattr__(self, "coverage", tuple(canon))
+        object.__setattr__(self, "_cover", cover)
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
 
     @classmethod
@@ -228,26 +251,36 @@ class WeightedCoverage:
             coverage=tuple((pair, tuple(ts)) for pair, ts in coverage.items()),
         )
 
-    def _cover_map(self) -> dict[Pair, frozenset[int]]:
-        cache = getattr(self, "_cover_cache", None)
-        if cache is None:
-            index = {t: i for i, t in enumerate(self.targets)}
-            cache = {
-                pair: frozenset(index[t] for t in covered)
-                for pair, covered in self.coverage
-            }
-            object.__setattr__(self, "_cover_cache", cache)
-        return cache
-
     def evaluate(self, pairs: Iterable[Pair]) -> float:
-        cover = self._cover_map()
         covered: set[int] = set()
         for pair in pairs:
             try:
-                covered |= cover[tuple(pair)]
+                covered |= self._cover[tuple(pair)]
             except KeyError:
                 raise InputError(f"unknown (item, state) pair {pair}") from None
-        return sum(self.weights[i] for i in covered)
+        # Left to right in target order, as ``_values`` adds (sum() may compensate).
+        total = 0
+        for i in sorted(covered):
+            total += self.weights[i]
+        return total
+
+    def _codes(self, pairs: list[Pair]) -> np.ndarray:
+        """One row of covered-target flags per pair; a union is an OR of rows."""
+        codes = np.zeros((len(pairs), len(self.targets)), dtype=bool)
+        for row, pair in zip(codes, pairs):
+            row[list(self._cover[pair])] = True
+        return codes
+
+    def _values(self, codes: np.ndarray) -> np.ndarray:
+        total = np.zeros(len(codes))
+        for t, weight in enumerate(self.weights):
+            total += codes[:, t] * weight
+        return total
+
+    def _grid(self) -> tuple[float, int]:
+        """Largest value any pair set can take, and its dyadic scale exponent."""
+        every = self._values(np.ones((1, len(self.targets)), dtype=bool))
+        return float(every[0]), _dyadic_shift(self.weights)
 
 
 @dataclass(frozen=True)
@@ -291,6 +324,11 @@ class ExplicitTable:
         )
         object.__setattr__(self, "entries", canon)
         object.__setattr__(self, "_table_cache", table)
+        bit = {pair: 1 << i for i, pair in enumerate(ground)}
+        by_mask = np.zeros(len(table))
+        for key, value in table.items():
+            by_mask[sum(bit[p] for p in key)] = value
+        object.__setattr__(self, "_mask_cache", by_mask)
 
     @classmethod
     def from_function(cls, ground: Iterable[Pair], fn) -> "ExplicitTable":
@@ -308,8 +346,24 @@ class ExplicitTable:
         except KeyError:
             raise InputError(f"pairs {sorted(key)} outside the table's ground set") from None
 
+    def _codes(self, pairs: list[Pair]) -> np.ndarray:
+        """The ground-set bit of each pair; a union is an OR of bits."""
+        return np.array([1 << self.ground.index(p) for p in pairs], dtype=np.int64)
+
+    def _values(self, codes: np.ndarray) -> np.ndarray:
+        return self._mask_cache[codes]
+
+    def _grid(self) -> tuple[float, int]:
+        values = self._table_cache.values()
+        return max(values), _dyadic_shift(values)
+
 
 UtilityFunction = Union[WeightedCoverage, ExplicitTable]
+
+
+def _dyadic_shift(values: Iterable[float]) -> int:
+    """Least k >= 0 such that every value times 2**k is an integer."""
+    return max((v.as_integer_ratio()[1].bit_length() - 1 for v in values), default=0)
 
 
 def evaluate(utility: UtilityFunction, pairs: Iterable[Pair]) -> float:
@@ -438,43 +492,90 @@ class Instance:
             if set(self.utility.ground) != all_pairs:
                 raise InputError("table ground set must equal items x states")
 
+        for name, names in (("_item_pos", self.items), ("_state_pos", self.states)):
+            object.__setattr__(self, name, {n: k for k, n in enumerate(names)})
+
     @property
     def m(self) -> int:
         return len(self.items)
 
     def item_index(self, item: str) -> int:
         try:
-            return self.items.index(item)
-        except ValueError:
+            return self._item_pos[item]
+        except (KeyError, TypeError):
             raise InputError(f"unknown item {item!r}") from None
 
     def state_index(self, state: str) -> int:
         try:
-            return self.states.index(state)
-        except ValueError:
+            return self._state_pos[state]
+        except (KeyError, TypeError):
             raise InputError(f"unknown state {state!r}") from None
 
 
 class _Evaluator:
-    """Per-instance caches of exact expected values keyed by item bitmask.
-
-    Memo writes are idempotent (pure functions of the key), so concurrent use
-    from multiple threads at worst recomputes a value.
-    """
+    """Per-instance exact value tables over item bitmasks (module docstring).
+    Table writes are pure functions of their keys, so threads at worst race."""
 
     def __init__(self, instance: Instance):
         self.instance = instance
         self.m = instance.m
-        item_pos = {item: i for i, item in enumerate(instance.items)}
-        self.support: list[tuple[tuple[int, ...], Fraction]] = []
-        for realization, prob in instance.distribution.entries:
-            states = [0] * self.m
-            for item, state in realization.pairs:
-                states[item_pos[item]] = instance.state_index(state)
-            self.support.append((tuple(states), prob))
+        self.support: list[tuple[tuple[int, ...], Fraction]] = [
+            (tuple(instance.state_index(r.state_of(i)) for i in instance.items), p)
+            for r, p in instance.distribution.entries
+        ]
+        pairs = [(i, s) for i in instance.items for s in instance.states]
+        codes = instance.utility._codes(pairs)
+        self._codes = codes.reshape((self.m, len(instance.states)) + codes.shape[1:])
+        lcd = math.lcm(*(prob.denominator for _, prob in self.support))
+        self._worlds = [(states, int(p * lcd)) for states, p in self.support if p]
+        top, self._shift = instance.utility._grid()
+        self._int64 = lcd * max(1, int(Fraction(top) * (1 << self._shift))) < 1 << 63
+        self.denominator = lcd << self._shift
+        self._tables: dict = {}
         self._pair_values: dict[frozenset[tuple[int, int]], tuple[float, Fraction]] = {}
-        self._set_values: dict[int, Fraction] = {}
-        self._state_values: dict[tuple[int, int, int], Fraction] = {}
+
+    def _numerators(self, masks: np.ndarray | None, pin=None) -> np.ndarray:
+        """Numerators of the given masks (all 2^m in order when None), world by
+        world; ``pin`` adds one fixed (item, state) pair to every set."""
+        base = np.zeros_like(self._codes[0, 0]) if pin is None else self._codes[pin]
+        total = 0
+        for states, weight in self._worlds:
+            rows = [self._codes[i, s] for i, s in enumerate(states)]
+            if masks is None:  # doubling over item bits: mask | 1<<i from mask
+                codes = base[None]
+                for row in rows:
+                    codes = np.concatenate([codes, codes | row])
+            else:
+                codes = np.repeat(base[None], len(masks), axis=0)
+                for i, row in enumerate(rows):
+                    codes[(masks >> i) & 1 == 1] |= row
+            values = self.instance.utility._values(codes)
+            if self._int64:
+                scaled = np.ldexp(values, self._shift).astype(np.int64)
+            else:
+                scale = 1 << self._shift
+                scaled = [int(Fraction(v) * scale) for v in values.tolist()]
+                scaled = np.array(scaled, dtype=object)
+            total = total + weight * scaled
+        return total
+
+    def _floats(self, numerators: np.ndarray) -> np.ndarray:
+        """Correctly rounded ``numerator / denominator``, as float(Fraction) gives."""
+        return np.array([n / self.denominator for n in numerators.tolist()])
+
+    def _table(self, pin=None) -> tuple[np.ndarray, np.ndarray]:
+        hit = self._tables.get(pin)
+        if hit is None:
+            numerators = self._numerators(None, pin)
+            hit = self._tables[pin] = (numerators, self._floats(numerators))
+        return hit
+
+    def values(self, masks: np.ndarray | None = None, pin=None) -> np.ndarray:
+        """Float E[f] of each mask, or of every mask in order when None."""
+        if self.m <= EXACT_CAP:
+            floats = self._table(pin)[1]
+            return floats if masks is None else floats[masks]
+        return self._floats(self._numerators(masks, pin))
 
     def pair_value(self, key: frozenset[tuple[int, int]]) -> tuple[float, Fraction]:
         hit = self._pair_values.get(key)
@@ -487,41 +588,21 @@ class _Evaluator:
             self._pair_values[key] = hit
         return hit
 
-    def set_value_exact(self, mask: int) -> Fraction:
-        hit = self._set_values.get(mask)
-        if hit is None:
-            bits = [i for i in range(self.m) if mask >> i & 1]
-            total = Fraction(0)
-            for states, prob in self.support:
-                if prob == 0:
-                    continue
-                key = frozenset((i, states[i]) for i in bits)
-                total += prob * self.pair_value(key)[1]
-            hit = total
-            self._set_values[mask] = hit
-        return hit
+    def set_value_exact(self, mask: int, pin=None) -> Fraction:
+        if self.m <= EXACT_CAP:
+            numerator = self._table(pin)[0][mask]
+        else:
+            numerator = self._numerators(np.array([mask], dtype=object), pin)[0]
+        return Fraction(int(numerator), self.denominator)
 
     def set_value(self, mask: int) -> float:
+        if self.m <= EXACT_CAP:
+            return float(self.values()[mask])
         return float(self.set_value_exact(mask))
 
     def state_value_exact(self, mask: int, item: int, state: int) -> Fraction:
         """Expected utility of the realized pairs of ``mask`` plus a pinned pair."""
-        key3 = (mask, item, state)
-        hit = self._state_values.get(key3)
-        if hit is None:
-            bits = [i for i in range(self.m) if mask >> i & 1]
-            total = Fraction(0)
-            for states, prob in self.support:
-                if prob == 0:
-                    continue
-                key = frozenset((i, states[i]) for i in bits) | {(item, state)}
-                total += prob * self.pair_value(key)[1]
-            hit = total
-            self._state_values[key3] = hit
-        return hit
-
-    def state_value(self, mask: int, item: int, state: int) -> float:
-        return float(self.state_value_exact(mask, item, state))
+        return self.set_value_exact(mask, (item, state))
 
     def mask_of(self, items: Iterable[str]) -> int:
         mask = 0
@@ -530,9 +611,12 @@ class _Evaluator:
         return mask
 
 
-@lru_cache(maxsize=64)
 def _evaluator(instance: Instance) -> _Evaluator:
-    return _Evaluator(instance)
+    ev = getattr(instance, "_evaluator_cache", None)
+    if ev is None:
+        ev = _Evaluator(instance)
+        object.__setattr__(instance, "_evaluator_cache", ev)
+    return ev
 
 
 def expected_set_value(instance: Instance, items: Iterable[str]) -> float:

@@ -7,7 +7,10 @@ sampled estimators exist for larger ground sets and for exercising the
 estimation path of the ascent algorithm.
 
 All expected set values come from the model module's exact tables, so an
-indicator vector reproduces ``expected_set_value`` bit for bit.
+indicator vector reproduces ``expected_set_value`` bit for bit.  The exact
+kernels contract that table with numpy in a scalar loop's float order: a
+mask's coordinate factors multiply in item order, and terms add left to
+right from 0.0 in mask order (``np.sum`` would pair them up instead).
 """
 
 from __future__ import annotations
@@ -19,9 +22,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .model import Instance, _evaluator
-
-EXACT_CAP = 16
+from .model import EXACT_CAP, Instance, _evaluator
 
 _COORD_TOL = 1e-9
 
@@ -45,6 +46,7 @@ class FractionalPoint:
                 raise InputError(f"coordinate {item}={v} outside [0, 1]")
             cleaned.append(min(1.0, max(0.0, v)))
         object.__setattr__(self, "values", tuple(cleaned))
+        object.__setattr__(self, "_pos", {it: i for i, it in enumerate(self.items)})
 
     @classmethod
     def from_dict(cls, coords: Mapping[str, float]) -> "FractionalPoint":
@@ -58,17 +60,17 @@ class FractionalPoint:
     def as_dict(self) -> dict[str, float]:
         return dict(zip(self.items, self.values))
 
-    def value_of(self, item: str) -> float:
+    def _index(self, item: str) -> int:
         try:
-            return self.values[self.items.index(item)]
-        except ValueError:
+            return self._pos[item]
+        except (KeyError, TypeError):
             raise InputError(f"unknown item {item!r}") from None
 
+    def value_of(self, item: str) -> float:
+        return self.values[self._index(item)]
+
     def replace(self, item: str, value: float) -> "FractionalPoint":
-        try:
-            i = self.items.index(item)
-        except ValueError:
-            raise InputError(f"unknown item {item!r}") from None
+        i = self._index(item)
         vals = list(self.values)
         vals[i] = value
         return FractionalPoint(self.items, tuple(vals))
@@ -103,47 +105,36 @@ def _check_cap(instance: Instance, cap: int):
         )
 
 
+def _inclusion_probabilities(xv: list[float], skip: int | None = None) -> np.ndarray:
+    """Probability of each mask over the coordinates other than ``skip``;
+    doubling multiplies each mask's factors in item order, as a loop would."""
+    p = np.ones(1)
+    for j, x in enumerate(xv):
+        if j != skip:
+            p = np.concatenate([p * (1.0 - x), p * x])
+    return p
+
+
+def _sequential_sum(terms: np.ndarray) -> float:
+    """``0.0 + t0 + t1 + ...`` left to right, as a scalar loop adds."""
+    return 0.0 + float(np.add.accumulate(terms)[-1])
+
+
 def multilinear_value(
     instance: Instance, x: FractionalPoint, cap: int = EXACT_CAP
 ) -> float:
     """Exact multilinear extension value at ``x``."""
     _check_cap(instance, cap)
-    ev = _evaluator(instance)
-    xv = _aligned(instance, x)
-    m = instance.m
-    total = 0.0
-    for mask in range(1 << m):
-        p = 1.0
-        for j in range(m):
-            p *= xv[j] if mask >> j & 1 else 1.0 - xv[j]
-            if p == 0.0:
-                break
-        if p == 0.0:
-            continue
-        total += p * ev.set_value(mask)
-    return total
+    table = _evaluator(instance).values()
+    return _sequential_sum(_inclusion_probabilities(_aligned(instance, x)) * table)
 
 
 def _base_weight(instance: Instance, xv: list[float], e: int, cap: int) -> float:
     _check_cap(instance, cap)
-    ev = _evaluator(instance)
-    m = instance.m
-    bit = 1 << e
-    total = 0.0
-    for mask in range(1 << m):
-        if mask & bit:
-            continue
-        p = 1.0
-        for j in range(m):
-            if j == e:
-                continue
-            p *= xv[j] if mask >> j & 1 else 1.0 - xv[j]
-            if p == 0.0:
-                break
-        if p == 0.0:
-            continue
-        total += p * (ev.set_value(mask | bit) - ev.set_value(mask))
-    return total
+    # Axis 1 splits each mask by bit e; raveling keeps ascending mask order.
+    table = _evaluator(instance).values().reshape(-1, 2, 1 << e)
+    gains = (table[:, 1] - table[:, 0]).ravel()
+    return _sequential_sum(_inclusion_probabilities(xv, skip=e) * gains)
 
 
 def optimistic_weight(
@@ -181,21 +172,9 @@ def state_weight(
     """Expected gain of pinning ``item`` to ``state`` on top of a draw at ``x``."""
     _check_cap(instance, cap)
     ev = _evaluator(instance)
-    xv = _aligned(instance, x)
-    e = instance.item_index(item)
-    s = instance.state_index(state)
-    m = instance.m
-    total = 0.0
-    for mask in range(1 << m):
-        p = 1.0
-        for j in range(m):
-            p *= xv[j] if mask >> j & 1 else 1.0 - xv[j]
-            if p == 0.0:
-                break
-        if p == 0.0:
-            continue
-        total += p * (ev.state_value(mask, e, s) - ev.set_value(mask))
-    return total
+    pin = (instance.item_index(item), instance.state_index(state))
+    gains = ev.values(pin=pin) - ev.values()
+    return _sequential_sum(_inclusion_probabilities(_aligned(instance, x)) * gains)
 
 
 def estimation_sample_count(delta: float, m: int) -> int:
@@ -215,7 +194,7 @@ def _stream_rng(seed: int, stream: tuple[int, ...]) -> np.random.Generator:
 
 def _sample_masks(
     rng: np.random.Generator, xv: list[float], n: int, skip: int | None = None
-) -> list[int]:
+) -> np.ndarray:
     m = len(xv)
     probs = np.asarray(xv)
     if skip is not None:
@@ -223,17 +202,16 @@ def _sample_masks(
         probs[skip] = 0.0
     include = rng.random((n, m)) < probs
     weights = 1 << np.arange(m, dtype=np.int64)
-    return [int(v) for v in include @ weights]
+    return include @ weights
 
 
-def _summarize(values: list[float], seed: int) -> Estimate:
+def _summarize(values: np.ndarray, seed: int) -> Estimate:
     n = len(values)
-    first = values[0]
-    if all(v == first for v in values):
+    first = float(values[0])
+    if (values == first).all():
         return Estimate(mean=first, sample_count=n, std_error=0.0, seed=seed)
-    arr = np.asarray(values)
-    mean = float(arr.mean())
-    se = float(arr.std(ddof=1) / math.sqrt(n))
+    mean = float(values.mean())
+    se = float(values.std(ddof=1) / math.sqrt(n))
     return Estimate(mean=mean, sample_count=n, std_error=se, seed=seed)
 
 
@@ -251,7 +229,7 @@ def multilinear_estimate(
     xv = _aligned(instance, x)
     rng = _stream_rng(seed, stream)
     masks = _sample_masks(rng, xv, sample_count)
-    return _summarize([ev.set_value(mask) for mask in masks], seed)
+    return _summarize(ev.values(masks), seed)
 
 
 def optimistic_weight_estimate(
@@ -276,5 +254,4 @@ def optimistic_weight_estimate(
     bit = 1 << e
     rng = _stream_rng(seed, stream)
     masks = _sample_masks(rng, xv, sample_count, skip=e)
-    diffs = [ev.set_value(mask | bit) - ev.set_value(mask) for mask in masks]
-    return _summarize(diffs, seed)
+    return _summarize(ev.values(masks | bit) - ev.values(masks), seed)

@@ -257,23 +257,16 @@ def virtual_nonadaptive_value(
     """Expected value of steering the tree with a fresh virtual draw.
 
     The virtual draw fixes which items get picked; an independent true draw
-    supplies the states that are scored.  Exact double enumeration over the
-    support.
+    supplies the states that are scored, so each picked set scores its exact
+    expected value.
     """
     if not policy_is_feasible(policy, constraint):
         raise PolicyError("policy has an infeasible pick sequence")
     ev = _evaluator(instance)
     total = Fraction(0)
     for virtual, p_virtual in instance.distribution.entries:
-        if p_virtual == 0:
-            continue
-        picked = _walk(policy, virtual)
-        picked_idx = [instance.item_index(i) for i in picked]
-        for true_states, p_true in ev.support:
-            if p_true == 0:
-                continue
-            key = frozenset((i, true_states[i]) for i in picked_idx)
-            total += p_virtual * p_true * ev.pair_value(key)[1]
+        if p_virtual:
+            total += p_virtual * ev.set_value_exact(ev.mask_of(_walk(policy, virtual)))
     return float(total)
 
 

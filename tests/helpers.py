@@ -221,3 +221,43 @@ def lp_vertex_oracle(constraint, weights) -> float:
                     best = max(best, value_of(subset) + frac * weights[extra])
         return best
     raise AssertionError(f"no oracle for {constraint!r}")
+
+
+def _loop_sum(instance, coords, gain, skip=None) -> float:
+    """Scalar-loop sum over item masks in ascending order of p(mask) * gain(set).
+
+    ``p`` multiplies one factor per item in item order (leaving out ``skip``),
+    terms with ``p == 0`` are dropped, and the total is accumulated left to
+    right from 0.0.  This pins the float semantics of the exact kernels.
+    """
+    items = instance.items
+    total = 0.0
+    for mask in range(1 << len(items)):
+        if skip is not None and mask >> skip & 1:
+            continue
+        p = 1.0
+        for j, item in enumerate(items):
+            if j != skip:
+                p *= coords[item] if mask >> j & 1 else 1.0 - coords[item]
+        if p == 0.0:
+            continue
+        total += p * gain(frozenset(i for j, i in enumerate(items) if mask >> j & 1))
+    return total
+
+
+def loop_multilinear(instance, coords, value) -> float:
+    """``value(set)`` is the float expected value, e.g. ``float(direct_set_value)``."""
+    return _loop_sum(instance, coords, value)
+
+
+def loop_optimistic_weight(instance, coords, item, value) -> float:
+    return _loop_sum(
+        instance,
+        coords,
+        lambda s: value(s | {item}) - value(s),
+        skip=instance.items.index(item),
+    )
+
+
+def loop_state_weight(instance, coords, item, state, state_value, value) -> float:
+    return _loop_sum(instance, coords, lambda s: state_value(s) - value(s))

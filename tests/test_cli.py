@@ -240,3 +240,31 @@ class TestUsageErrors:
     def test_malformed_constraint_document(self, cc2_path, capsys, doc):
         assert main(["greedy", cc2_path, "--constraint", doc]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"kind": "partition", "blocks": [[["a"]]], "capacities": [1]}',
+            '{"kind": "explicit", "feasible_sets": [[], ["a"], ["a", "b"]],'
+            ' "downward_closed": "no"}',
+        ],
+        ids=["nested-block-entry", "string-downward-closed"],
+    )
+    def test_malformed_constraint_entries(self, cc2_path, capsys, doc):
+        assert main(["greedy", cc2_path, "--constraint", doc]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_malformed_scenario_field(self, tmp_path, capsys):
+        doc = {
+            "scenarios": [
+                {
+                    "name": "bad-m",
+                    "instance": {"generator": "common-cause", "m": "x"},
+                    "constraint": {"kind": "uniform", "k": 1},
+                }
+            ]
+        }
+        path = tmp_path / "suite.json"
+        path.write_text(fileio.dumps(doc))
+        assert main(["experiment", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")

@@ -176,6 +176,27 @@ class TestConstraintRoundTrip:
         with pytest.raises(ss.InputError):
             fileio.constraint_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kind": "partition", "blocks": [[["a"]]], "capacities": [1]},
+            {"kind": "partition", "blocks": [["a", 1]], "capacities": [1]},
+            {"kind": "explicit", "feasible_sets": [[], [["a"]]]},
+            {"kind": "explicit", "feasible_sets": [[]], "downward_closed": "no"},
+            {"kind": "explicit", "feasible_sets": [[]], "downward_closed": 0},
+        ],
+        ids=[
+            "nested-block-entry",
+            "number-block-entry",
+            "nested-feasible-set-entry",
+            "string-downward-closed",
+            "number-downward-closed",
+        ],
+    )
+    def test_malformed_constraint_entries_rejected(self, doc):
+        with pytest.raises(ss.InputError):
+            fileio.constraint_from_dict(doc)
+
     def test_integral_float_fields_accepted(self):
         doc = {"kind": "partition", "blocks": [["a"], ["b"]], "capacities": [1.0, 2]}
         assert fileio.constraint_from_dict(doc) == ss.PartitionMatroid(

@@ -163,6 +163,41 @@ class TestScenarioFiles:
                 }
             )
 
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            {"instance": {"generator": "common-cause", "m": "x"}},
+            {"instance": {"generator": "common-cause", "m": 2.5}},
+            {"instance": {"generator": "common-cause", "seed": True}},
+            {"greedy": {"delta": "fast"}},
+            {"greedy": {"sample_count": [1]}},
+            {"greedy": "exact"},
+            {"rounding_seeds": "20"},
+        ],
+        ids=[
+            "string-m",
+            "fractional-m",
+            "bool-seed",
+            "string-delta",
+            "list-sample-count",
+            "greedy-not-an-object",
+            "string-rounding-seeds",
+        ],
+    )
+    def test_malformed_scenario_fields_rejected(self, patch):
+        doc = {
+            "name": "x",
+            "instance": {"generator": "common-cause-2"},
+            "constraint": {"kind": "uniform", "k": 1},
+            **patch,
+        }
+        with pytest.raises(ss.InputError):
+            harness.scenario_from_dict(doc)
+
+    def test_scenario_must_be_an_object(self):
+        with pytest.raises(ss.InputError):
+            harness.scenario_from_dict(["x"])
+
 
 class TestDeterminism:
     def test_pipeline_rows_identical_across_runs(self):
