@@ -56,11 +56,23 @@ def require_list(mapping: dict, key: str, context: str, of: type = object) -> li
     return value
 
 
+def require_object(mapping: dict, key: str, context: str) -> dict:
+    """The ``key`` field as a JSON object."""
+    value = require_field(mapping, key, context)
+    if not isinstance(value, dict):
+        raise InputError(f"{context} field {key!r} must be an object")
+    return value
+
+
 def nonnegative(value, what: str, whole: bool = False):
     """A finite nonnegative number, as an int when ``whole``; bools never pass."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InputError(f"{what} must be a number, got {value!r}")
-    if not math.isfinite(value) or value < 0 or whole and value % 1:
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite or value < 0 or whole and value % 1:
         kind = "whole number" if whole else "number"
         raise InputError(f"{what} must be a finite nonnegative {kind}, got {value!r}")
     return int(value) if whole else float(value)

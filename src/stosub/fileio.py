@@ -11,7 +11,13 @@ import json
 from pathlib import Path
 
 from .constraints import Constraint, constraint_from_dict
-from .errors import InputError, require_field, require_list
+from .errors import (
+    InputError,
+    nonnegative,
+    require_field,
+    require_list,
+    require_object,
+)
 from .independence import GammaWitness, IndependenceReport, KappaWitness
 from .model import (
     ExplicitTable,
@@ -59,40 +65,61 @@ def utility_to_dict(utility: UtilityFunction) -> dict:
     }
 
 
+def _pair(value, context: str) -> tuple[str, str]:
+    if not (
+        isinstance(value, list)
+        and len(value) == 2
+        and all(isinstance(v, str) for v in value)
+    ):
+        raise InputError(f"{context} must be an [item, state] pair, got {value!r}")
+    return tuple(value)
+
+
 def utility_from_dict(doc: dict) -> UtilityFunction:
     kind = require_field(doc, "kind", "utility")
     if kind == "weighted-coverage":
+        targets = require_list(doc, "targets", "utility", str)
+        weights = require_object(doc, "weights", "utility")
+        for t in targets:
+            nonnegative(require_field(weights, t, "weights"), f"weight of {t!r}")
+        coverage_doc = require_object(doc, "coverage", "utility")
         coverage = {}
-        for item, by_state in require_field(doc, "coverage", "utility").items():
-            for state, covered in by_state.items():
+        for item in coverage_doc:
+            by_state = require_object(coverage_doc, item, "utility coverage")
+            for state in by_state:
+                covered = require_list(by_state, state, f"coverage of {item!r}", str)
                 coverage[(item, state)] = tuple(covered)
         return WeightedCoverage.build(
-            targets=tuple(require_field(doc, "targets", "utility")),
-            weights=require_field(doc, "weights", "utility"),
-            coverage=coverage,
+            targets=tuple(targets), weights=weights, coverage=coverage
         )
     if kind == "explicit-table":
+        ground = require_list(doc, "ground", "utility")
+        entries = []
+        for entry in require_list(doc, "table", "utility", dict):
+            pairs = require_list(entry, "pairs", "table entry")
+            value = require_field(entry, "value", "table entry")
+            value = nonnegative(value, "table value")
+            entries.append((tuple(_pair(p, "table pair") for p in pairs), value))
         return ExplicitTable(
-            ground=tuple(tuple(p) for p in require_field(doc, "ground", "utility")),
-            entries=tuple(
-                (tuple(tuple(p) for p in entry["pairs"]), float(entry["value"]))
-                for entry in require_field(doc, "table", "utility")
-            ),
+            ground=tuple(_pair(p, "ground pair") for p in ground),
+            entries=tuple(entries),
         )
     raise InputError(f"unknown utility kind {kind!r}")
 
 
 def instance_from_dict(doc: dict) -> Instance:
     entries = []
-    for row in require_field(doc, "distribution", "instance"):
-        assignment = require_field(row, "assignment", "distribution entry")
+    for row in require_list(doc, "distribution", "instance", dict):
+        assignment = require_object(row, "assignment", "distribution entry")
+        if not all(isinstance(s, str) for s in assignment.values()):
+            raise InputError("distribution entry assignment must map items to states")
         prob = require_field(row, "prob", "distribution entry")
         entries.append((Realization.from_dict(assignment), _as_fraction(str(prob))))
     return Instance(
-        items=tuple(require_list(doc, "items", "instance")),
-        states=tuple(require_list(doc, "states", "instance")),
+        items=tuple(require_list(doc, "items", "instance", str)),
+        states=tuple(require_list(doc, "states", "instance", str)),
         distribution=JointDistribution(tuple(entries)),
-        utility=utility_from_dict(require_field(doc, "utility", "instance")),
+        utility=utility_from_dict(require_object(doc, "utility", "instance")),
     )
 
 

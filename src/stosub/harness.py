@@ -313,9 +313,12 @@ def scenario_from_dict(doc: dict) -> Scenario:
     instance_doc = doc.get("instance")
     if not isinstance(instance_doc, dict):
         raise InputError(f"{context} needs an instance spec")
+    path = instance_doc.get("path")
+    if path is not None and not isinstance(path, str):
+        raise InputError(f"{context} field 'path' must be a string, got {path!r}")
     spec = InstanceSpec(
         generator=instance_doc.get("generator"),
-        path=instance_doc.get("path"),
+        path=path,
         m=number(instance_doc, "m", 2),
         states=number(instance_doc, "states", 2),
         worlds=number(instance_doc, "worlds", 2),

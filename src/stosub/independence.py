@@ -3,19 +3,38 @@
 Both diagnostics are worst-case ratios of expected marginal gains under
 different conditioning regimes, minimized over every item, base set, and
 positive-probability observation.  They equal exactly 1 for product priors.
-All arithmetic is exact: probabilities are rationals and utility floats are
-converted to rationals without rounding, so a product prior yields the
-rational 1 with no tolerance.
+All arithmetic is exact, so a product prior yields the rational 1 with no
+tolerance.
+
+Every ratio is a quotient of integers.  World w has integer weight a_w = p_w
+* L (L the LCD of the support), and expected values are integer numerators
+over the evaluator's D = L * 2**k.  An observation v of the items V groups
+the worlds that agree with it: T is their total weight and W_o the weight of
+those in which item e has state o, so e's conditional marginal is W_o / T.
+
+- kappa, for item e, base S and observation v: with n_S = N(S + e) - N(S)
+  and G_{S,o} = N(S + (e, o)) - N(S), N the numerators of E[f],
+  ratio = n_S * T / sum_o W_o * G_{S,o}.
+- gamma, for item e and observations a, b of V: with g_o = 2**k * (f(A | B
+  | {(e, o)}) - f(A | B)), A and B the observed pair sets,
+  ratio = T_b * sum_o W_{a,o} * g_o / (T_a * sum_o W_{b,o} * g_o).
+
+A ratio x / y is kept as the pair (x, y) with y > 0, and x / y < x' / y'
+exactly when x * y' < x' * y, so the minimization compares Python ints and
+builds one ``Fraction`` at the end.
 
 Conventions for degenerate ratios follow the definitions: 0/0 counts as 1,
 a zero numerator over a positive denominator counts as 0, and a positive
 numerator over a zero denominator is skipped (it cannot attain a minimum).
 Observations with probability zero are excluded, as conditioning on them is
-undefined.
+undefined.  The witness is the first strict minimum in enumeration order,
+with the loops nested as written below, masks ascending and observations in
+sorted state order.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -71,38 +90,48 @@ def _submasks(full: int):
         sub = (sub | ~full) + 1 & full
 
 
-def _projections(ev, vmask: int) -> list[tuple[tuple[tuple[int, int], ...], Fraction]]:
-    """Distinct positive-probability restrictions of the support to ``vmask``."""
-    bits = [i for i in range(ev.m) if vmask >> i & 1]
-    agg: dict[tuple[tuple[int, int], ...], Fraction] = {}
-    for states, prob in ev.support:
-        if prob == 0:
-            continue
-        key = tuple((i, states[i]) for i in bits)
-        agg[key] = agg.get(key, Fraction(0)) + prob
-    return sorted((k, p) for k, p in agg.items() if p > 0)
+def _bits(vmask: int, m: int) -> list[int]:
+    return [i for i in range(m) if vmask >> i & 1]
 
 
-def _conditional(ev, item: int, vmask: int, proj) -> list[tuple[int, Fraction]]:
-    """State marginal of ``item`` given the projection, as exact fractions."""
-    keep = dict(proj)
-    weights: dict[int, Fraction] = {}
-    total = Fraction(0)
-    for states, prob in ev.support:
-        if prob == 0:
-            continue
-        if any(states[i] != s for i, s in keep.items()):
-            continue
-        weights[states[item]] = weights.get(states[item], Fraction(0)) + prob
-        total += prob
-    if total == 0:
-        raise InputError("observation has probability zero")
-    return [(s, weights[s] / total) for s in sorted(weights)]
+def _observations(ev, e: int, vmask: int) -> list[tuple[tuple[int, ...], int, list]]:
+    """Positive-probability observations of ``vmask``, in sorted order.
+
+    One pass over the worlds: each observation (the states of the observed
+    items, in item order) comes with its total weight T and the weight W_o
+    of each state o that item ``e`` takes under it, as (o, W_o) pairs.
+    """
+    bits = _bits(vmask, ev.m)
+    groups: dict[tuple[int, ...], dict[int, int]] = {}
+    for states, weight in ev.worlds:
+        by_state = groups.setdefault(tuple(states[i] for i in bits), {})
+        by_state[states[e]] = by_state.get(states[e], 0) + weight
+    return [
+        (key, sum(by_state.values()), sorted(by_state.items()))
+        for key, by_state in sorted(groups.items())
+    ]
 
 
-def _realization_of(instance: Instance, proj) -> Realization:
+def _observation_of(instance: Instance, ev, e: int, vmask: int, observation):
+    """The entry of ``_observations(ev, e, vmask)`` for ``observation``."""
+    if ev.mask_of(observation.domain) != vmask:
+        raise InputError("observation must assign exactly the observed items")
+    key = tuple(
+        instance.state_index(s)
+        for _, s in sorted((instance.item_index(i), s) for i, s in observation.pairs)
+    )
+    for entry in _observations(ev, e, vmask):
+        if entry[0] == key:
+            return entry
+    raise InputError("observation has probability zero")
+
+
+def _realization_of(instance: Instance, vmask: int, key) -> Realization:
     return Realization(
-        tuple((instance.items[i], instance.states[s]) for i, s in proj)
+        tuple(
+            (instance.items[i], instance.states[s])
+            for i, s in zip(_bits(vmask, instance.m), key)
+        )
     )
 
 
@@ -110,37 +139,57 @@ def _names(instance: Instance, mask: int) -> tuple[str, ...]:
     return tuple(item for i, item in enumerate(instance.items) if mask >> i & 1)
 
 
-def _projection_of(instance: Instance, ev, vmask: int, observation: Realization):
-    if ev.mask_of(observation.domain) != vmask:
-        raise InputError("observation must assign exactly the observed items")
-    return tuple(
-        sorted(
-            (instance.item_index(i), instance.state_index(s))
-            for i, s in observation.pairs
-        )
-    )
-
-
-def _ratio(num: Fraction, den: Fraction) -> Fraction | None:
-    """``num / den`` with 0/0 as 1; None for an unbounded ratio x/0."""
+def _ratio(num: int, den: int) -> tuple[int, int] | None:
+    """``num / den`` as a pair with a positive denominator, 0/0 as 1; None for x/0."""
     if den == 0:
-        return Fraction(1) if num == 0 else None
-    return num / den
+        return (1, 1) if num == 0 else None
+    return (num, den) if den > 0 else (-num, -den)
 
 
-def _state_gains(ev, e: int, smask: int):
-    """Marginal of item ``e`` on base ``smask``, and its gain in each state."""
-    base = ev.set_value_exact(smask)
+def _expect(weights, gains) -> int:
+    """Sum of W_o * gain_o over the (o, W_o) pairs of one observation."""
+    total = 0
+    for o, w in weights:
+        total += w * gains[o]
+    return total
+
+
+def _state_gains(ev, e: int, smask: int) -> tuple[int, list[int]]:
+    """Marginal of item ``e`` on base ``smask``, and its gain in each state,
+    as numerators over the evaluator's denominator."""
+    base = ev.numerator(smask)
     states = range(len(ev.instance.states))
-    gains = [ev.state_value_exact(smask, e, o) - base for o in states]
-    return ev.set_value_exact(smask | 1 << e) - base, gains
+    gains = [ev.numerator(smask, (e, o)) - base for o in states]
+    return ev.numerator(smask | 1 << e) - base, gains
 
 
-def _pair_gains(ev, e: int, base_key: frozenset) -> list[Fraction]:
-    """Gain of each state of item ``e`` on top of the observed pair set."""
-    base = ev.pair_value(base_key)[1]
-    states = range(len(ev.instance.states))
-    return [ev.pair_value(base_key | {(e, o)})[1] - base for o in states]
+def _cross_gains(ev, e: int, vmask: int, observations) -> list[list[int]]:
+    """``dots[a][b]`` = sum_o W_{a,o} * g_o for a != b, where g_o is the
+    gain of state o of ``e`` on top of the union of observations a and b."""
+    dots = [[0] * len(observations) for _ in observations]
+    rows = [key for key, _, _ in observations]
+    gains = ev.union_gains(e, _bits(vmask, ev.m), rows)
+    for (a, b), g in zip(itertools.combinations(range(len(rows)), 2), gains):
+        dots[a][b] = _expect(observations[a][2], g)
+        dots[b][a] = _expect(observations[b][2], g)
+    return dots
+
+
+def _below(ratio, best) -> bool:
+    """``ratio < best`` for pairs with positive denominators."""
+    return ratio[0] * best[1] < best[0] * ratio[1]
+
+
+# (1, 0) stands for +infinity: every x/y with y > 0 compares below it.
+_UNBOUNDED = (1, 0)
+
+
+def _report(best: tuple[int, int], witness, examined: int) -> IndependenceReport:
+    value = Fraction(*best)
+    return IndependenceReport(
+        value=value, clamped=min(value, Fraction(1)), witness=witness,
+        ratios_examined=examined,
+    )
 
 
 def kappa(instance: Instance, cap: int = ENUMERATION_CAP) -> IndependenceReport:
@@ -155,40 +204,29 @@ def kappa(instance: Instance, cap: int = ENUMERATION_CAP) -> IndependenceReport:
     m = instance.m
     full = (1 << m) - 1
 
-    best: Fraction | None = None
-    witness: KappaWitness | None = None
+    best = _UNBOUNDED
+    found = None
     examined = 0
 
     for e in range(m):
-        others = full & ~(1 << e)
-        smasks = _submasks(others)
+        smasks = _submasks(full & ~(1 << e))
         # Marginal pieces are independent of the observation, so hoist them.
-        gains = {s: _state_gains(ev, e, s) for s in smasks}
+        pieces = [(s, *_state_gains(ev, e, s)) for s in smasks]
         for vmask in smasks:
-            for proj, _ in _projections(ev, vmask):
-                cond = _conditional(ev, e, vmask, proj)
-                for smask in smasks:
-                    examined += 1
-                    num, state_gains = gains[smask]
-                    den = Fraction(0)
-                    for o, q in cond:
-                        den += q * state_gains[o]
-                    ratio = _ratio(num, den)
-                    if ratio is None:
-                        continue  # unbounded ratio, never a minimum
-                    if best is None or ratio < best:
-                        best = ratio
-                        witness = KappaWitness(
-                            item=instance.items[e],
-                            base=_names(instance, smask),
-                            observed_items=_names(instance, vmask),
-                            observation=_realization_of(instance, proj),
-                        )
-    assert best is not None and witness is not None
-    return IndependenceReport(
-        value=best, clamped=min(best, Fraction(1)), witness=witness,
-        ratios_examined=examined,
+            for key, total, weights in _observations(ev, e, vmask):
+                examined += len(smasks)
+                for smask, num, gains in pieces:
+                    ratio = _ratio(num * total, _expect(weights, gains))
+                    if ratio is not None and _below(ratio, best):
+                        best, found = ratio, (e, smask, vmask, key)
+    e, smask, vmask, key = found
+    witness = KappaWitness(
+        item=instance.items[e],
+        base=_names(instance, smask),
+        observed_items=_names(instance, vmask),
+        observation=_realization_of(instance, vmask, key),
     )
+    return _report(best, witness, examined)
 
 
 def kappa_ratio(
@@ -205,9 +243,10 @@ def kappa_ratio(
     if smask >> e & 1 or any(instance.item_index(v) == e for v in observed_items):
         raise InputError("base and observed sets must avoid the item itself")
     vmask = ev.mask_of(observed_items)
-    cond = _conditional(ev, e, vmask, _projection_of(instance, ev, vmask, observation))
+    _, total, weights = _observation_of(instance, ev, e, vmask, observation)
     num, gains = _state_gains(ev, e, smask)
-    return _ratio(num, sum((q * gains[o] for o, q in cond), Fraction(0)))
+    ratio = _ratio(num * total, _expect(weights, gains))
+    return None if ratio is None else Fraction(*ratio)
 
 
 def gamma(instance: Instance, cap: int = ENUMERATION_CAP) -> IndependenceReport:
@@ -222,51 +261,33 @@ def gamma(instance: Instance, cap: int = ENUMERATION_CAP) -> IndependenceReport:
     m = instance.m
     full = (1 << m) - 1
 
-    best: Fraction | None = None
-    witness: GammaWitness | None = None
+    best = _UNBOUNDED
+    found = None
     examined = 0
 
-    pair_gains: dict = {}
-
     for e in range(m):
-        others = full & ~(1 << e)
-        for vmask in _submasks(others):
-            projections = _projections(ev, vmask)
-            conds = {
-                proj: _conditional(ev, e, vmask, proj) for proj, _ in projections
-            }
-            for proj_a, _ in projections:
-                for proj_b, _ in projections:
-                    examined += 1
-                    if proj_a == proj_b:
-                        ratio = Fraction(1)  # identical conditionals cancel
+        for vmask in _submasks(full & ~(1 << e)):
+            observations = _observations(ev, e, vmask)
+            dots = _cross_gains(ev, e, vmask, observations)
+            examined += len(observations) ** 2
+            for a, (key_a, total_a, _) in enumerate(observations):
+                for b, (key_b, total_b, _) in enumerate(observations):
+                    if a == b:
+                        ratio = (1, 1)  # identical conditionals cancel
                     else:
-                        base_key = frozenset(proj_a) | frozenset(proj_b)
-                        gains = pair_gains.get((e, base_key))
-                        if gains is None:
-                            gains = _pair_gains(ev, e, base_key)
-                            pair_gains[(e, base_key)] = gains
-                        num = den = Fraction(0)
-                        for o, q in conds[proj_a]:
-                            num += q * gains[o]
-                        for o, q in conds[proj_b]:
-                            den += q * gains[o]
-                        ratio = _ratio(num, den)
+                        ratio = _ratio(total_b * dots[a][b], total_a * dots[b][a])
                         if ratio is None:
                             continue
-                    if best is None or ratio < best:
-                        best = ratio
-                        witness = GammaWitness(
-                            item=instance.items[e],
-                            observed_items=_names(instance, vmask),
-                            observation=_realization_of(instance, proj_a),
-                            observation_alt=_realization_of(instance, proj_b),
-                        )
-    assert best is not None and witness is not None
-    return IndependenceReport(
-        value=best, clamped=min(best, Fraction(1)), witness=witness,
-        ratios_examined=examined,
+                    if _below(ratio, best):
+                        best, found = ratio, (e, vmask, key_a, key_b)
+    e, vmask, key_a, key_b = found
+    witness = GammaWitness(
+        item=instance.items[e],
+        observed_items=_names(instance, vmask),
+        observation=_realization_of(instance, vmask, key_a),
+        observation_alt=_realization_of(instance, vmask, key_b),
     )
+    return _report(best, witness, examined)
 
 
 def gamma_ratio(
@@ -282,18 +303,15 @@ def gamma_ratio(
     vmask = ev.mask_of(observed_items)
     if vmask >> e & 1:
         raise InputError("observed set must avoid the item itself")
-    proj_a = _projection_of(instance, ev, vmask, observation)
-    proj_b = _projection_of(instance, ev, vmask, observation_alt)
-    cond_a = _conditional(ev, e, vmask, proj_a)
-    cond_b = _conditional(ev, e, vmask, proj_b)
-    if proj_a == proj_b:
+    pair = [
+        _observation_of(instance, ev, e, vmask, observation),
+        _observation_of(instance, ev, e, vmask, observation_alt),
+    ]
+    if pair[0] == pair[1]:
         return Fraction(1)
-    base_key = frozenset(proj_a) | frozenset(proj_b)
-    gains = _pair_gains(ev, e, base_key)
-    return _ratio(
-        sum((q * gains[o] for o, q in cond_a), Fraction(0)),
-        sum((q * gains[o] for o, q in cond_b), Fraction(0)),
-    )
+    dots = _cross_gains(ev, e, vmask, pair)
+    ratio = _ratio(pair[1][1] * dots[0][1], pair[0][1] * dots[1][0])
+    return None if ratio is None else Fraction(*ratio)
 
 
 def ratio_bound(kappa: float, m: int, alpha: float = 1.0) -> float:

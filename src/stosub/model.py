@@ -25,7 +25,9 @@ the kernel alike.  The kernel runs world by world, building the covered
 targets (or the explicit table's ground-pair index) of all 2**m masks by
 doubling over the item bits, so its extra memory is O(2**m) whatever the
 support size.  Full tables exist up to ``EXACT_CAP`` items, built on first
-use; above it only the requested masks are valued.
+use; above it only the requested masks are valued.  ``union_gains`` values
+pair sets that are not item masks (the union of two observations, which
+gamma needs) through the same codes and scaling, one batch per call.
 """
 
 from __future__ import annotations
@@ -527,7 +529,8 @@ class _Evaluator:
         codes = instance.utility._codes(pairs)
         self._codes = codes.reshape((self.m, len(instance.states)) + codes.shape[1:])
         lcd = math.lcm(*(prob.denominator for _, prob in self.support))
-        self._worlds = [(states, int(p * lcd)) for states, p in self.support if p]
+        # Positive-probability worlds with integer weights a_w = p_w * L.
+        self.worlds = [(states, int(p * lcd)) for states, p in self.support if p]
         top, self._shift = instance.utility._grid()
         self._int64 = lcd * max(1, int(Fraction(top) * (1 << self._shift))) < 1 << 63
         self.denominator = lcd << self._shift
@@ -539,7 +542,7 @@ class _Evaluator:
         world; ``pin`` adds one fixed (item, state) pair to every set."""
         base = np.zeros_like(self._codes[0, 0]) if pin is None else self._codes[pin]
         total = 0
-        for states, weight in self._worlds:
+        for states, weight in self.worlds:
             rows = [self._codes[i, s] for i, s in enumerate(states)]
             if masks is None:  # doubling over item bits: mask | 1<<i from mask
                 codes = base[None]
@@ -549,15 +552,17 @@ class _Evaluator:
                 codes = np.repeat(base[None], len(masks), axis=0)
                 for i, row in enumerate(rows):
                     codes[(masks >> i) & 1 == 1] |= row
-            values = self.instance.utility._values(codes)
-            if self._int64:
-                scaled = np.ldexp(values, self._shift).astype(np.int64)
-            else:
-                scale = 1 << self._shift
-                scaled = [int(Fraction(v) * scale) for v in values.tolist()]
-                scaled = np.array(scaled, dtype=object)
-            total = total + weight * scaled
+            total = total + weight * self._scaled(codes)
         return total
+
+    def _scaled(self, codes: np.ndarray) -> np.ndarray:
+        """2**k times the utility of each pair-set code, as exact integers."""
+        values = self.instance.utility._values(codes)
+        if self._int64:
+            return np.ldexp(values, self._shift).astype(np.int64)
+        scale = 1 << self._shift
+        scaled = [int(Fraction(v) * scale) for v in values.tolist()]
+        return np.array(scaled, dtype=object)
 
     def _floats(self, numerators: np.ndarray) -> np.ndarray:
         """Correctly rounded ``numerator / denominator``, as float(Fraction) gives."""
@@ -588,12 +593,33 @@ class _Evaluator:
             self._pair_values[key] = hit
         return hit
 
-    def set_value_exact(self, mask: int, pin=None) -> Fraction:
+    def union_gains(
+        self, item: int, observed: list[int], rows: list[tuple[int, ...]]
+    ) -> list[list[int]]:
+        """Gains of ``item``'s states on top of the union of two observations.
+
+        Each row assigns a state to each ``observed`` item.  For every two
+        rows a < b, in ``itertools.combinations`` order, the result lists
+        2**k * (f(A | B | {(item, o)}) - f(A | B)) for each state o, exact
+        integers, where A and B are the pair sets of rows a and b.
+        """
+        codes = np.zeros((len(rows),) + self._codes.shape[2:], self._codes.dtype)
+        for j, i in enumerate(observed):
+            codes |= self._codes[i][[row[j] for row in rows]]
+        first, second = np.triu_indices(len(rows), 1)
+        base = codes[first] | codes[second]
+        stacked = [base] + [base | pinned for pinned in self._codes[item]]
+        scaled = self._scaled(np.concatenate(stacked)).reshape(len(stacked), len(base))
+        return (scaled[1:] - scaled[0]).T.tolist()
+
+    def numerator(self, mask: int, pin=None) -> int:
+        """E[f] of ``mask`` (plus the pinned pair) times ``denominator``."""
         if self.m <= EXACT_CAP:
-            numerator = self._table(pin)[0][mask]
-        else:
-            numerator = self._numerators(np.array([mask], dtype=object), pin)[0]
-        return Fraction(int(numerator), self.denominator)
+            return int(self._table(pin)[0][mask])
+        return int(self._numerators(np.array([mask], dtype=object), pin)[0])
+
+    def set_value_exact(self, mask: int, pin=None) -> Fraction:
+        return Fraction(self.numerator(mask, pin), self.denominator)
 
     def set_value(self, mask: int) -> float:
         if self.m <= EXACT_CAP:

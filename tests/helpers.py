@@ -10,8 +10,12 @@ from fractions import Fraction
 
 from stosub import (
     ExplicitFamily,
+    GammaWitness,
+    IndependenceReport,
+    KappaWitness,
     Knapsack,
     PartitionMatroid,
+    Realization,
     UniformMatroid,
     is_feasible,
 )
@@ -147,6 +151,115 @@ def brute_gamma(instance) -> Fraction:
                     if ratio is not None and (best is None or ratio < best):
                         best = ratio
     return best
+
+
+def _ascending_subsets(instance, item):
+    """Subsets of the other items, as ascending bitmasks over the item order."""
+    items = instance.items
+    skip = items.index(item)
+    return [
+        tuple(i for j, i in enumerate(items) if mask >> j & 1)
+        for mask in range(1 << len(items))
+        if not mask >> skip & 1
+    ]
+
+
+def _indexed_observations(instance, observed_items):
+    """Positive-probability observations, ordered by state index in item order."""
+    rank = {s: k for k, s in enumerate(instance.states)}
+    return sorted(
+        _observations(instance, observed_items),
+        key=lambda obs: tuple(rank[obs[i]] for i in observed_items),
+    )
+
+
+def _fraction_ratio(num: Fraction, den: Fraction):
+    if den == 0:
+        return Fraction(1) if num == 0 else None
+    return num / den
+
+
+def _conditional_mean(instance, item, observation, gain) -> Fraction:
+    return sum(
+        (q * gain[s] for s, q in direct_conditional(instance, item, observation)),
+        Fraction(0),
+    )
+
+
+def _report(best, witness, examined):
+    return IndependenceReport(best, min(best, Fraction(1)), witness, examined)
+
+
+def loop_kappa(instance) -> IndependenceReport:
+    """kappa by one Fraction per ratio, in the library's enumeration order.
+
+    Items; then observed sets, their observations, then base sets, each set
+    an ascending bitmask and observations by state index.  The witness is the
+    first strict minimum and every ratio, skipped or not, is counted.
+    """
+    best = witness = None
+    examined = 0
+    for e in instance.items:
+        subsets = _ascending_subsets(instance, e)
+        pieces = []
+        for base in subsets:
+            value = direct_set_value(instance, base)
+            num = direct_set_value(instance, base + (e,)) - value
+            gain = {
+                s: direct_state_value(instance, base, e, s) - value
+                for s in instance.states
+            }
+            pieces.append((base, num, gain))
+        for observed in subsets:
+            for observation in _indexed_observations(instance, observed):
+                for base, num, gain in pieces:
+                    examined += 1
+                    ratio = _fraction_ratio(
+                        num, _conditional_mean(instance, e, observation, gain)
+                    )
+                    if ratio is not None and (best is None or ratio < best):
+                        best = ratio
+                        witness = KappaWitness(
+                            e, base, observed, Realization.from_dict(observation)
+                        )
+    return _report(best, witness, examined)
+
+
+def loop_gamma(instance) -> IndependenceReport:
+    """gamma by one Fraction per ratio, in the library's enumeration order:
+    items, observed sets, then ordered pairs of their observations."""
+    best = witness = None
+    examined = 0
+    for e in instance.items:
+        for observed in _ascending_subsets(instance, e):
+            observations = _indexed_observations(instance, observed)
+            for obs_a in observations:
+                for obs_b in observations:
+                    examined += 1
+                    if obs_a == obs_b:
+                        ratio = Fraction(1)
+                    else:
+                        base = set(obs_a.items()) | set(obs_b.items())
+                        base_value = direct_value(instance, base)
+                        gain = {
+                            s: direct_value(instance, base | {(e, s)}) - base_value
+                            for s in instance.states
+                        }
+                        ratio = _fraction_ratio(
+                            _conditional_mean(instance, e, obs_a, gain),
+                            _conditional_mean(instance, e, obs_b, gain),
+                        )
+                        if ratio is None:
+                            continue
+                    if best is None or ratio < best:
+                        best = ratio
+                        witness = GammaWitness(
+                            e,
+                            observed,
+                            Realization.from_dict(obs_a),
+                            Realization.from_dict(obs_b),
+                        )
+    return _report(best, witness, examined)
 
 
 def enumerate_rank2_policies(instance, constraint):

@@ -254,6 +254,65 @@ class TestUsageErrors:
         assert main(["greedy", cc2_path, "--constraint", doc]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "table, path, value",
+        [
+            (False, ["utility", "coverage"], []),
+            (False, ["utility", "coverage", "a"], ["t1"]),
+            (False, ["distribution", 0, "assignment"], ["a"]),
+            (False, ["utility", "weights", "t1"], "x"),
+            (True, ["utility", "table", 1, "value"], "x"),
+            (True, ["utility", "table", 1], {"pairs": [["a", "x"]]}),
+        ],
+        ids=[
+            "coverage-list",
+            "item-coverage-list",
+            "assignment-list",
+            "string-weight",
+            "string-table-value",
+            "missing-table-value",
+        ],
+    )
+    def test_malformed_instance_document(
+        self, cc2, tmp_path, capsys, table, path, value
+    ):
+        if table:
+            doc = fileio.instance_to_dict(
+                ss.Instance(
+                    items=("a",),
+                    states=("x",),
+                    distribution=ss.JointDistribution(
+                        ((ss.Realization((("a", "x"),)), 1),)
+                    ),
+                    utility=ss.ExplicitTable.from_function([("a", "x")], len),
+                )
+            )
+        else:
+            doc = fileio.instance_to_dict(cc2)
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        instance_path = tmp_path / "bad.json"
+        instance_path.write_text(json.dumps(doc))
+        assert main(["validate", str(instance_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_scenario_path_not_a_string(self, tmp_path, capsys):
+        doc = {
+            "scenarios": [
+                {
+                    "name": "bad-path",
+                    "instance": {"path": 5},
+                    "constraint": {"kind": "uniform", "k": 1},
+                }
+            ]
+        }
+        path = tmp_path / "suite.json"
+        path.write_text(fileio.dumps(doc))
+        assert main(["experiment", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_malformed_scenario_field(self, tmp_path, capsys):
         doc = {
             "scenarios": [

@@ -63,7 +63,91 @@ class TestInstanceRoundTrip:
         assert doc["distribution"][0]["prob"] == "1/2"
 
 
+def _table_doc():
+    return {
+        "items": ["a"],
+        "states": ["x"],
+        "distribution": [{"assignment": {"a": "x"}, "prob": "1"}],
+        "utility": {
+            "kind": "explicit-table",
+            "ground": [["a", "x"]],
+            "table": [
+                {"pairs": [], "value": 0.0},
+                {"pairs": [["a", "x"]], "value": 1.0},
+            ],
+        },
+    }
+
+
+def _coverage_doc():
+    return fileio.instance_to_dict(ss.common_cause_2())
+
+
+def _setter(path, value):
+    def patch(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        doc[last] = value
+
+    return patch
+
+
+def _deleter(path):
+    def patch(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        del doc[last]
+
+    return patch
+
+
+# One malformed document per entry: (base document, patch applied to it).
+MALFORMED_INSTANCES = {
+    "coverage-not-an-object": (_coverage_doc, _setter(["utility", "coverage"], [])),
+    "item-coverage-not-an-object": (
+        _coverage_doc, _setter(["utility", "coverage", "a"], ["t1"])
+    ),
+    "covered-not-a-list": (
+        _coverage_doc, _setter(["utility", "coverage", "a", "good"], "t1")
+    ),
+    "assignment-not-an-object": (
+        _coverage_doc, _setter(["distribution", 0, "assignment"], ["a"])
+    ),
+    "assignment-state-not-a-string": (
+        _coverage_doc, _setter(["distribution", 0, "assignment", "a"], ["good"])
+    ),
+    "distribution-entry-not-an-object": (
+        _coverage_doc, _setter(["distribution", 0], "a")
+    ),
+    "item-not-a-string": (_coverage_doc, _setter(["items", 0], ["a"])),
+    "string-weight": (_coverage_doc, _setter(["utility", "weights", "t1"], "x")),
+    "bool-weight": (_coverage_doc, _setter(["utility", "weights", "t1"], True)),
+    "huge-int-weight": (_coverage_doc, _setter(["utility", "weights", "t1"], 10**400)),
+    "missing-weight": (_coverage_doc, _deleter(["utility", "weights", "t1"])),
+    "string-table-value": (_table_doc, _setter(["utility", "table", 1, "value"], "x")),
+    "missing-table-value": (_table_doc, _deleter(["utility", "table", 1, "value"])),
+    "table-entry-not-an-object": (_table_doc, _setter(["utility", "table", 0], [])),
+    "ground-pair-not-a-pair": (_table_doc, _setter(["utility", "ground", 0], "ax")),
+    "table-pair-not-a-pair": (
+        _table_doc, _setter(["utility", "table", 1, "pairs", 0], ["a"])
+    ),
+}
+
+
+def malformed_instance(name):
+    base, patch = MALFORMED_INSTANCES[name]
+    doc = base()
+    patch(doc)
+    return doc
+
+
 class TestInstanceParsing:
+    @pytest.mark.parametrize("base", [_coverage_doc, _table_doc])
+    def test_well_formed_bases_load(self, base):
+        assert isinstance(fileio.instance_from_dict(base()), ss.Instance)
+
     def test_bad_probability_string(self):
         doc = {
             "items": ["a"],
@@ -99,6 +183,11 @@ class TestInstanceParsing:
         path.write_text("{not json")
         with pytest.raises(ss.InputError):
             fileio.load_instance(path)
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_INSTANCES))
+    def test_malformed_nested_fields_rejected(self, name):
+        with pytest.raises(ss.InputError):
+            fileio.instance_from_dict(malformed_instance(name))
 
 
 class TestConstraintRoundTrip:

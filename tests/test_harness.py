@@ -198,6 +198,16 @@ class TestScenarioFiles:
         with pytest.raises(ss.InputError):
             harness.scenario_from_dict(["x"])
 
+    @pytest.mark.parametrize("path", [5, ["a.json"], {"file": "a.json"}])
+    def test_instance_path_must_be_a_string(self, path):
+        doc = {
+            "name": "x",
+            "instance": {"path": path},
+            "constraint": {"kind": "uniform", "k": 1},
+        }
+        with pytest.raises(ss.InputError, match="path"):
+            harness.scenario_from_dict(doc)
+
 
 class TestDeterminism:
     def test_pipeline_rows_identical_across_runs(self):

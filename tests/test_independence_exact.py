@@ -1,0 +1,136 @@
+"""kappa and gamma equal the Fraction-per-ratio loop on the whole report.
+
+``helpers.loop_kappa`` and ``helpers.loop_gamma`` value every ratio as a
+``Fraction`` straight off the support and ``utility.evaluate``, in the
+library's enumeration order, so value, clamp, witness (the first strict
+minimum) and ``ratios_examined`` must all agree.  The cases cover ties at 0,
+single-state items, an explicit table, non-dyadic weights whose scale forces
+Python-int numerators, and a prior whose LCD is about 10**60.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+import stosub as ss
+from stosub.model import _evaluator
+from helpers import loop_gamma, loop_kappa
+
+
+def _reweighted(instance, weights):
+    """The same instance with target weights cycled from ``weights``."""
+    targets = instance.utility.targets
+    return ss.Instance(
+        items=instance.items,
+        states=instance.states,
+        distribution=instance.distribution,
+        utility=ss.WeightedCoverage(
+            targets=targets,
+            weights=tuple(weights[k % len(weights)] for k in range(len(targets))),
+            coverage=instance.utility.coverage,
+        ),
+    )
+
+
+def _table(seed):
+    rng = random.Random(seed)
+    items, states = ("a", "b", "c"), ("lo", "hi")
+    ground = [(i, s) for i in items for s in states]
+    weight = {pair: rng.choice([0.0, 1.0, 1 / 3, 2.5, 0.1]) for pair in ground}
+    utility = ss.ExplicitTable.from_function(
+        ground, lambda subset: math.sqrt(sum(weight[p] for p in sorted(subset)))
+    )
+    worlds = {}
+    for _ in range(5):
+        r = tuple((i, rng.choice(states)) for i in items)
+        worlds[r] = worlds.get(r, 0) + rng.randint(1, 7)
+    total = sum(worlds.values())
+    return ss.Instance(
+        items=items,
+        states=states,
+        distribution=ss.JointDistribution(
+            tuple((ss.Realization(r), Fraction(w, total)) for r, w in worlds.items())
+        ),
+        utility=utility,
+    )
+
+
+def _huge_lcd(seed):
+    """A product prior over three prime denominators near 1e20, then correlated
+    by moving the last world's mass onto the first."""
+    rng = random.Random(seed)
+    marginals = []
+    for q in (10**20 + 39, 10**20 + 129, 10**20 + 151):
+        a = rng.randrange(1, q)
+        marginals.append([("s1", Fraction(a, q)), ("s2", Fraction(q - a, q))])
+    product = ss.generate_product(3, per_item_marginals=marginals, seed=seed)
+    entries = list(product.distribution.entries)
+    (first, p_first), (last, p_last) = entries[0], entries[-1]
+    entries[0], entries[-1] = (first, p_first + p_last), (last, Fraction(0))
+    return _reweighted(
+        ss.Instance(
+            items=product.items,
+            states=product.states,
+            distribution=ss.JointDistribution(tuple(entries)),
+            utility=product.utility,
+        ),
+        [0.1, 1 / 3, 2.5],
+    )
+
+
+CASES = {
+    "cc-m4": lambda: ss.generate_common_cause(4, 3, 8, seed=0),
+    "cc-m4-ties": lambda: ss.generate_common_cause(4, 2, 6, seed=0),
+    "cc-m3": lambda: ss.generate_common_cause(3, 2, 4, seed=5),
+    "single-state": lambda: ss.generate_common_cause(3, 1, 3, seed=1),
+    "product": lambda: ss.generate_product(3, states_per_item=3, seed=2),
+    "cc2": ss.common_cause_2,
+    "explicit-table": lambda: _table(11),
+    "third-weights": lambda: _reweighted(
+        ss.generate_common_cause(4, 2, 7, seed=6), [0.1, 1 / 3, 2.5, 1e-9 / 3]
+    ),
+    "huge-lcd": lambda: _huge_lcd(4),
+}
+
+
+@pytest.fixture(scope="module")
+def instances():
+    return {name: build() for name, build in CASES.items()}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_kappa_matches_fraction_loop(instances, name):
+    inst = instances[name]
+    report = ss.kappa(inst)
+    assert report == loop_kappa(inst)
+    w = report.witness
+    assert (
+        ss.kappa_ratio(inst, w.item, w.base, w.observed_items, w.observation)
+        == report.value
+    )
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_gamma_matches_fraction_loop(instances, name):
+    inst = instances[name]
+    report = ss.gamma(inst)
+    assert report == loop_gamma(inst)
+    w = report.witness
+    assert (
+        ss.gamma_ratio(inst, w.item, w.observed_items, w.observation, w.observation_alt)
+        == report.value
+    )
+
+
+def test_cases_reach_ties_and_python_ints(instances):
+    """The cases above exercise what they claim to."""
+    assert ss.kappa(instances["cc-m4-ties"]).value == 0
+    assert ss.gamma(instances["cc-m4-ties"]).value == 0
+    assert instances["single-state"].states == ("s1",)
+    assert math.lcm(
+        *(p.denominator for _, p in instances["huge-lcd"].distribution.entries)
+    ) > 10**59
+    for name in ("third-weights", "huge-lcd"):
+        assert _evaluator(instances[name])._table()[0].dtype == object

@@ -4,6 +4,8 @@
 Python loop over ``range(1 << m)`` there would bring back the per-mask
 kernels the table replaced.  Only ``model`` may touch the evaluator's
 underscore attributes; everyone else goes through its public methods.
+The kappa and gamma enumerations compare integer pairs and build a
+``Fraction`` only once they are done, never once per ratio.
 """
 
 import ast
@@ -107,3 +109,84 @@ def test_guard_catches_mask_loops(source):
 )
 def test_guard_catches_private_reads(source):
     assert private_reads(source)
+
+
+def _is_fraction_call(node) -> bool:
+    return isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Name) and node.func.id == "Fraction"
+        or isinstance(node.func, ast.Attribute) and node.func.attr == "Fraction"
+    )
+
+
+def _called_names(node) -> set[str]:
+    return {
+        n.func.id
+        for n in ast.walk(node)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+    }
+
+
+def fractions_per_ratio(source: str, roots=("kappa", "gamma")) -> list[str]:
+    """``Fraction`` calls that run once per loop iteration of the roots.
+
+    That is a call inside a ``for``/``while`` loop or a comprehension of a
+    root function, or anywhere in a module function that such a loop calls,
+    directly or through other module functions.
+    """
+    tree = ast.parse(source)
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+             ast.GeneratorExp)
+    found, called = [], set()
+    for root in roots:
+        for loop in ast.walk(functions[root]):
+            if isinstance(loop, loops):
+                found += [
+                    f"line {n.lineno}: Fraction in a loop of {root}"
+                    for n in ast.walk(loop)
+                    if _is_fraction_call(n)
+                ]
+                called |= _called_names(loop) & functions.keys()
+    pending = list(called)
+    while pending:
+        name = pending.pop()
+        found += [
+            f"line {n.lineno}: Fraction in {name}, called per ratio"
+            for n in ast.walk(functions[name])
+            if _is_fraction_call(n)
+        ]
+        new = _called_names(functions[name]) & functions.keys() - called
+        called |= new
+        pending += new
+    return sorted(set(found))
+
+
+def test_independence_builds_no_fraction_per_ratio():
+    assert fractions_per_ratio((PACKAGE / "independence.py").read_text()) == []
+
+
+GAMMA_STUB = "\ndef gamma(i):\n    pass"
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def kappa(i):\n    for r in rs:\n        best = min(best, Fraction(*r))"
+        + GAMMA_STUB,
+        "def kappa(i):\n    pass\n"
+        "def gamma(i):\n    return min(fractions.Fraction(a, b) for a, b in rs)",
+        "def _q(a, b):\n    return Fraction(a, b)\n"
+        "def _r(a, b):\n    return _q(a, b)\n"
+        "def kappa(i):\n    while rs:\n        _r(*rs.pop())" + GAMMA_STUB,
+    ],
+)
+def test_guard_catches_fractions_per_ratio(source):
+    assert fractions_per_ratio(source)
+
+
+def test_guard_allows_one_fraction_after_the_loop():
+    source = (
+        "def kappa(i):\n    for r in rs:\n        best = r\n    return Fraction(*best)"
+        + GAMMA_STUB
+    )
+    assert fractions_per_ratio(source) == []
