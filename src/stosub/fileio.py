@@ -144,7 +144,9 @@ def policy_from_obj(obj) -> Policy:
         if node == "stop":
             return STOP
         item = require_field(node, "item", "policy node")
-        branches = require_field(node, "branches", "policy node")
+        if not isinstance(item, str):
+            raise InputError(f"policy node item must be a string, got {item!r}")
+        branches = require_object(node, "branches", "policy node")
         return Pick(
             item=item,
             branches=tuple((state, decode(child)) for state, child in branches.items()),

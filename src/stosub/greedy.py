@@ -18,7 +18,6 @@ from .constraints import Constraint, LPSolution, is_feasible, lp_maximize
 from .errors import ConfigurationError, InputError, StosubError
 from .model import Instance
 from .multilinear import (
-    EXACT_CAP,
     FractionalPoint,
     estimation_sample_count,
     multilinear_value,
@@ -101,7 +100,6 @@ def _round(
     y: FractionalPoint,
     t: float,
     config: GreedyConfig,
-    cap: int,
 ) -> tuple[RoundRecord, FractionalPoint]:
     """One round at time ``t``: its record and the point it moves ``y`` to.
 
@@ -116,9 +114,9 @@ def _round(
     for j, item in enumerate(instance.items):
         if config.weight_mode == "exact":
             if config.weight_variant == "optimistic":
-                w = optimistic_weight(instance, y, item, cap=cap)
+                w = optimistic_weight(instance, y, item)
             else:
-                w = standard_weight(instance, y, item, cap=cap)
+                w = standard_weight(instance, y, item)
         else:
             n = config.resolved_sample_count(instance.m)
             estimate = optimistic_weight_estimate(
@@ -145,25 +143,19 @@ def step(
     y: FractionalPoint,
     t: float,
     config: GreedyConfig,
-    cap: int = EXACT_CAP,
 ) -> tuple[FractionalPoint, LPSolution]:
     """One round at time ``t``, on the same step schedule :func:`run` uses."""
-    record, moved = _round(instance, constraint, y, t, config, cap)
+    record, moved = _round(instance, constraint, y, t, config)
     return moved, record.lp
 
 
-def run(
-    instance: Instance,
-    constraint: Constraint,
-    config: GreedyConfig,
-    cap: int = EXACT_CAP,
-) -> Trajectory:
+def run(instance: Instance, constraint: Constraint, config: GreedyConfig) -> Trajectory:
     """Full ascent from the all-zero point; records every round."""
     y = FractionalPoint.zeros(instance.items)
     t = 0.0
     records = []
     for _ in range(config.rounds):
-        record, y = _round(instance, constraint, y, t, config, cap)
+        record, y = _round(instance, constraint, y, t, config)
         records.append(record)
         t += record.step
     return Trajectory(rounds=tuple(records), final=y, config=config)
@@ -197,7 +189,6 @@ def lower_bound_certificate(
     optimal_value: float,
     kappa,
     tol: float = 1e-9,
-    cap: int = EXACT_CAP,
 ) -> CertificateReport:
     """Evaluate the per-round ascent inequality along a trajectory.
 
@@ -216,7 +207,7 @@ def lower_bound_certificate(
             raise InputError("trajectory contains an infeasible LP vertex")
     m = instance.m
     points = [r.point for r in trajectory.rounds] + [trajectory.final]
-    values = [multilinear_value(instance, p, cap=cap) for p in points]
+    values = [multilinear_value(instance, p) for p in points]
     rounds = []
     violations = 0
     for record, value, next_value in zip(trajectory.rounds, values, values[1:]):
@@ -242,10 +233,7 @@ def lower_bound_certificate(
 
 
 def format_trajectory(
-    instance: Instance,
-    trajectory: Trajectory,
-    include_value: bool = True,
-    cap: int = EXACT_CAP,
+    instance: Instance, trajectory: Trajectory, include_value: bool = True
 ) -> str:
     """Tab-separated table, one row per round plus the final point."""
     header = (
@@ -265,7 +253,7 @@ def format_trajectory(
             + [repr(record.lp.objective)]
         )
         if include_value:
-            row.append(repr(multilinear_value(instance, record.point, cap=cap)))
+            row.append(repr(multilinear_value(instance, record.point)))
         lines.append("\t".join(row))
     final_row = (
         ["1.0"]
@@ -274,6 +262,6 @@ def format_trajectory(
         + ["-"]
     )
     if include_value:
-        final_row.append(repr(multilinear_value(instance, trajectory.final, cap=cap)))
+        final_row.append(repr(multilinear_value(instance, trajectory.final)))
     lines.append("\t".join(final_row))
     return "\n".join(lines) + "\n"

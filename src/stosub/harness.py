@@ -23,7 +23,6 @@ from .errors import InputError, nonnegative
 from .generators import common_cause_2, generate_common_cause, generate_product
 from .greedy import GreedyConfig, lower_bound_certificate, run
 from .independence import (
-    IndependenceReport,
     adaptivity_gap_bound,
     gamma,
     kappa,
@@ -134,10 +133,6 @@ class Report:
         return all(row.all_flags_ok for row in self.rows)
 
 
-def _independence(instance: Instance) -> tuple[IndependenceReport, IndependenceReport]:
-    return kappa(instance), gamma(instance)
-
-
 def _rounding_average(
     instance: Instance, constraint: Constraint, point, seeds: int, base_seed: int
 ) -> tuple[float, float]:
@@ -166,7 +161,7 @@ def run_pipeline(scenario: Scenario, base_dir: Path | None = None) -> ReportRow:
     row: dict = {"name": scenario.name, "kind": scenario.kind, "m": instance.m}
     notes: list[str] = []
 
-    kappa_report, gamma_report = _independence(instance)
+    kappa_report, gamma_report = kappa(instance), gamma(instance)
     kappa_clamped = float(kappa_report.clamped)
     gamma_clamped = float(gamma_report.clamped)
     row.update(

@@ -27,7 +27,9 @@ doubling over the item bits, so its extra memory is O(2**m) whatever the
 support size.  Full tables exist up to ``EXACT_CAP`` items, built on first
 use; above it only the requested masks are valued.  ``union_gains`` values
 pair sets that are not item masks (the union of two observations, which
-gamma needs) through the same codes and scaling, one batch per call.
+gamma needs) through the same codes and scaling, one batch per call, and
+``scaled_value`` gives 2**k f of one pair set, so callers that do their own
+exact sums over ``worlds`` (the policy oracles) never see the scale.
 """
 
 from __future__ import annotations
@@ -105,9 +107,6 @@ class Realization:
         """True when this realization agrees with ``partial`` on its domain."""
         own = self._state_map
         return all(own.get(item) == state for item, state in partial.pairs)
-
-
-EMPTY_REALIZATION = Realization(())
 
 
 @dataclass(frozen=True)
@@ -221,9 +220,13 @@ class WeightedCoverage:
             raise InputError("duplicate targets")
         if len(self.weights) != len(self.targets):
             raise InputError("one weight per target required")
+        total = 0.0  # summed left to right, as ``_values`` sums them
         for w in self.weights:
             if not math.isfinite(w) or w < 0:
                 raise InputError("target weights must be finite and nonnegative")
+            total += w
+        if math.isinf(total):
+            raise InputError("target weights must have a finite sum")
         index = {t: i for i, t in enumerate(self.targets)}
         canon = []
         cover: dict[Pair, frozenset[int]] = {}
@@ -521,21 +524,20 @@ class _Evaluator:
     def __init__(self, instance: Instance):
         self.instance = instance
         self.m = instance.m
-        self.support: list[tuple[tuple[int, ...], Fraction]] = [
+        support = [
             (tuple(instance.state_index(r.state_of(i)) for i in instance.items), p)
             for r, p in instance.distribution.entries
         ]
         pairs = [(i, s) for i in instance.items for s in instance.states]
         codes = instance.utility._codes(pairs)
         self._codes = codes.reshape((self.m, len(instance.states)) + codes.shape[1:])
-        lcd = math.lcm(*(prob.denominator for _, prob in self.support))
+        lcd = math.lcm(*(prob.denominator for _, prob in support))
         # Positive-probability worlds with integer weights a_w = p_w * L.
-        self.worlds = [(states, int(p * lcd)) for states, p in self.support if p]
+        self.worlds = [(states, int(p * lcd)) for states, p in support if p]
         top, self._shift = instance.utility._grid()
         self._int64 = lcd * max(1, int(Fraction(top) * (1 << self._shift))) < 1 << 63
         self.denominator = lcd << self._shift
         self._tables: dict = {}
-        self._pair_values: dict[frozenset[tuple[int, int]], tuple[float, Fraction]] = {}
 
     def _numerators(self, masks: np.ndarray | None, pin=None) -> np.ndarray:
         """Numerators of the given masks (all 2^m in order when None), world by
@@ -582,17 +584,6 @@ class _Evaluator:
             return floats if masks is None else floats[masks]
         return self._floats(self._numerators(masks, pin))
 
-    def pair_value(self, key: frozenset[tuple[int, int]]) -> tuple[float, Fraction]:
-        hit = self._pair_values.get(key)
-        if hit is None:
-            items, states = self.instance.items, self.instance.states
-            raw = self.instance.utility.evaluate(
-                (items[i], states[s]) for i, s in key
-            )
-            hit = (raw, Fraction(raw))
-            self._pair_values[key] = hit
-        return hit
-
     def union_gains(
         self, item: int, observed: list[int], rows: list[tuple[int, ...]]
     ) -> list[list[int]]:
@@ -618,17 +609,12 @@ class _Evaluator:
             return int(self._table(pin)[0][mask])
         return int(self._numerators(np.array([mask], dtype=object), pin)[0])
 
-    def set_value_exact(self, mask: int, pin=None) -> Fraction:
-        return Fraction(self.numerator(mask, pin), self.denominator)
-
-    def set_value(self, mask: int) -> float:
-        if self.m <= EXACT_CAP:
-            return float(self.values()[mask])
-        return float(self.set_value_exact(mask))
-
-    def state_value_exact(self, mask: int, item: int, state: int) -> Fraction:
-        """Expected utility of the realized pairs of ``mask`` plus a pinned pair."""
-        return self.set_value_exact(mask, (item, state))
+    def scaled_value(self, pairs: Iterable[tuple[int, int]]) -> int:
+        """2**k times the utility of the (item index, state index) pairs."""
+        code = np.zeros_like(self._codes[0, 0])
+        for i, s in pairs:
+            code |= self._codes[i, s]
+        return int(self._scaled(code[None])[0])
 
     def mask_of(self, items: Iterable[str]) -> int:
         mask = 0
@@ -648,12 +634,12 @@ def _evaluator(instance: Instance) -> _Evaluator:
 def expected_set_value(instance: Instance, items: Iterable[str]) -> float:
     """Expected utility of picking ``items``, the prior averaging their states."""
     ev = _evaluator(instance)
-    return ev.set_value(ev.mask_of(items))
+    return ev.numerator(ev.mask_of(items)) / ev.denominator
 
 
 def expected_set_value_exact(instance: Instance, items: Iterable[str]) -> Fraction:
     ev = _evaluator(instance)
-    return ev.set_value_exact(ev.mask_of(items))
+    return Fraction(ev.numerator(ev.mask_of(items)), ev.denominator)
 
 
 def marginal(instance: Instance, base: Iterable[str], item: str) -> float:
@@ -663,7 +649,7 @@ def marginal(instance: Instance, base: Iterable[str], item: str) -> float:
     bit = 1 << instance.item_index(item)
     if base_mask & bit:
         raise InputError(f"item {item!r} already in the base set")
-    return float(ev.set_value_exact(base_mask | bit) - ev.set_value_exact(base_mask))
+    return (ev.numerator(base_mask | bit) - ev.numerator(base_mask)) / ev.denominator
 
 
 def state_marginal(
@@ -675,5 +661,5 @@ def state_marginal(
     i = instance.item_index(item)
     if base_mask >> i & 1:
         raise InputError(f"item {item!r} already in the base set")
-    s = instance.state_index(state)
-    return float(ev.state_value_exact(base_mask, i, s) - ev.set_value_exact(base_mask))
+    pin = (i, instance.state_index(state))
+    return (ev.numerator(base_mask, pin) - ev.numerator(base_mask)) / ev.denominator

@@ -98,10 +98,10 @@ def _aligned(instance: Instance, x: FractionalPoint) -> list[float]:
     return [coords[item] for item in instance.items]
 
 
-def _check_cap(instance: Instance, cap: int):
-    if instance.m > cap:
+def _check_cap(instance: Instance):
+    if instance.m > EXACT_CAP:
         raise CapacityError(
-            f"exact enumeration over {instance.m} items exceeds the cap {cap}"
+            f"exact enumeration over {instance.m} items exceeds the cap {EXACT_CAP}"
         )
 
 
@@ -120,38 +120,32 @@ def _sequential_sum(terms: np.ndarray) -> float:
     return 0.0 + float(np.add.accumulate(terms)[-1])
 
 
-def multilinear_value(
-    instance: Instance, x: FractionalPoint, cap: int = EXACT_CAP
-) -> float:
+def multilinear_value(instance: Instance, x: FractionalPoint) -> float:
     """Exact multilinear extension value at ``x``."""
-    _check_cap(instance, cap)
+    _check_cap(instance)
     table = _evaluator(instance).values()
     return _sequential_sum(_inclusion_probabilities(_aligned(instance, x)) * table)
 
 
-def _base_weight(instance: Instance, xv: list[float], e: int, cap: int) -> float:
-    _check_cap(instance, cap)
+def _base_weight(instance: Instance, xv: list[float], e: int) -> float:
+    _check_cap(instance)
     # Axis 1 splits each mask by bit e; raveling keeps ascending mask order.
     table = _evaluator(instance).values().reshape(-1, 2, 1 << e)
     gains = (table[:, 1] - table[:, 0]).ravel()
     return _sequential_sum(_inclusion_probabilities(xv, skip=e) * gains)
 
 
-def optimistic_weight(
-    instance: Instance, x: FractionalPoint, item: str, cap: int = EXACT_CAP
-) -> float:
+def optimistic_weight(instance: Instance, x: FractionalPoint, item: str) -> float:
     """Expected marginal of ``item`` over a draw that excludes its own coordinate.
 
     Equals the standard marginal weight at the point with the item's
     coordinate zeroed, and never falls below the standard weight.
     """
     e = instance.item_index(item)
-    return _base_weight(instance, _aligned(instance, x), e, cap)
+    return _base_weight(instance, _aligned(instance, x), e)
 
 
-def standard_weight(
-    instance: Instance, x: FractionalPoint, item: str, cap: int = EXACT_CAP
-) -> float:
+def standard_weight(instance: Instance, x: FractionalPoint, item: str) -> float:
     """Expected marginal of ``item`` over an inclusion draw at ``x``.
 
     Computed as (1 - x_e) times the optimistic weight, which is an exact
@@ -159,18 +153,14 @@ def standard_weight(
     """
     e = instance.item_index(item)
     xv = _aligned(instance, x)
-    return (1.0 - xv[e]) * _base_weight(instance, xv, e, cap)
+    return (1.0 - xv[e]) * _base_weight(instance, xv, e)
 
 
 def state_weight(
-    instance: Instance,
-    x: FractionalPoint,
-    item: str,
-    state: str,
-    cap: int = EXACT_CAP,
+    instance: Instance, x: FractionalPoint, item: str, state: str
 ) -> float:
     """Expected gain of pinning ``item`` to ``state`` on top of a draw at ``x``."""
-    _check_cap(instance, cap)
+    _check_cap(instance)
     ev = _evaluator(instance)
     pin = (instance.item_index(item), instance.state_index(state))
     gains = ev.values(pin=pin) - ev.values()

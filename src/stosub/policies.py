@@ -6,6 +6,16 @@ explicit support: policy values, the optimal adaptive policy via backward
 induction over observation histories, the best non-adaptive set, and the
 virtual non-adaptive value obtained by steering the tree with a fresh draw
 while scoring the true one.
+
+The oracles work on the evaluator's integers.  A history's node has the
+total weight T of the worlds that agree with it (a_w = p_w * L, summing to
+L at the root) and value V; it is stored as U = T * 2**k * V, an integer.
+Stopping gives U = T * g with g = 2**k f(observed pairs); picking e gives
+the sum of its children's U, because a child's T is the weight of its
+worlds.  One node compares the U of its options as it would compare V (T
+and 2**k are shared), and the root value is U / D with D = L * 2**k, the
+correctly rounded float of the exact rational.  The induction returns each
+history's subtree with its U, so the tree is built in the same pass.
 """
 
 from __future__ import annotations
@@ -93,9 +103,6 @@ class Policy:
         return out
 
 
-STOP_POLICY = Policy(root=STOP)
-
-
 @dataclass(frozen=True)
 class PolicyValue:
     value: float
@@ -119,19 +126,14 @@ def _walk(policy: Policy, realization: Realization) -> tuple[str, ...]:
 
 def evaluate_policy(instance: Instance, policy: Policy) -> PolicyValue:
     """Exact expected utility of a policy over the support."""
-    ev = _evaluator(instance)
     total = Fraction(0)
     rows = []
     for realization, prob in instance.distribution.entries:
         if prob == 0:
             continue
         picked = _walk(policy, realization)
-        key = frozenset(
-            (instance.item_index(i), instance.state_index(realization.state_of(i)))
-            for i in picked
-        )
-        raw, exact = ev.pair_value(key)
-        total += prob * exact
+        raw = instance.utility.evaluate((i, realization.state_of(i)) for i in picked)
+        total += prob * Fraction(raw)
         rows.append((realization, frozenset(picked), raw))
     return PolicyValue(value=float(total), per_realization=tuple(rows))
 
@@ -168,20 +170,14 @@ def optimal_adaptive(
     by_sequence = not constraint.downward_closed
     memo: dict = {}
 
-    def solve(sequence: tuple[int, ...], observed: frozenset) -> tuple[Fraction, int | None]:
+    def solve(sequence: tuple, observed: frozenset, worlds: list) -> tuple:
+        """(U, subtree) of the history; ``worlds`` are those that agree with it."""
         key = (sequence, observed) if by_sequence else observed
         hit = memo.get(key)
         if hit is not None:
             return hit
-        stop_value = ev.pair_value(observed)[1]
-        matching = [
-            (states, prob)
-            for states, prob in ev.support
-            if prob > 0 and all(states[i] == s for i, s in observed)
-        ]
-        total = sum((p for _, p in matching), Fraction(0))
+        best = (sum(a for _, a in worlds) * ev.scaled_value(observed), STOP)
         picked_items = {i for i, _ in observed}
-        best_value, best_item = stop_value, None
         for e in range(instance.m):
             if e in picked_items:
                 continue
@@ -190,37 +186,22 @@ def optimal_adaptive(
             names = [instance.items[i] for i in sequence] + [instance.items[e]]
             if not is_feasible(constraint, set(names)):
                 continue
-            weights: dict[int, Fraction] = {}
-            for states, prob in matching:
-                weights[states[e]] = weights.get(states[e], Fraction(0)) + prob
-            value = Fraction(0)
-            for state, w in sorted(weights.items()):
-                child_value, _ = solve(sequence + (e,), observed | {(e, state)})
-                value += w / total * child_value
-            if value > best_value or (value == best_value and best_item is None):
-                best_value, best_item = value, e
-        memo[key] = (best_value, best_item)
-        return best_value, best_item
+            split: dict[int, list] = {}
+            for states, weight in worlds:
+                split.setdefault(states[e], []).append((states, weight))
+            children = {
+                state: solve(sequence + (e,), observed | {(e, state)}, split[state])
+                for state in sorted(split)
+            }
+            value = sum(u for u, _ in children.values())
+            if value > best[0] or (value == best[0] and best[1] is STOP):
+                branches = {instance.states[s]: n for s, (_, n) in children.items()}
+                best = (value, pick(instance.items[e], branches))
+        memo[key] = best
+        return best
 
-    def build(sequence: tuple[int, ...], observed: frozenset) -> PolicyNode:
-        key = (sequence, observed) if by_sequence else observed
-        _, item = memo[key]
-        if item is None:
-            return STOP
-        branches = {}
-        for states, prob in ev.support:
-            if prob == 0 or any(states[i] != s for i, s in observed):
-                continue
-            state = states[item]
-            if instance.states[state] not in branches:
-                branches[instance.states[state]] = build(
-                    sequence + (item,), observed | {(item, state)}
-                )
-        return pick(instance.items[item], branches)
-
-    value, _ = solve((), frozenset())
-    policy = Policy(root=build((), frozenset()))
-    return policy, float(value)
+    value, root = solve((), frozenset(), ev.worlds)
+    return Policy(root=root), value / ev.denominator
 
 
 def best_nonadaptive(
@@ -232,7 +213,7 @@ def best_nonadaptive(
             f"enumeration over {instance.m} items exceeds the cap {max_items}"
         )
     ev = _evaluator(instance)
-    best_value: Fraction | None = None
+    best_value: int | None = None
     candidates: list[tuple[str, ...]] = []
     for mask in range(1 << instance.m):
         items = frozenset(
@@ -240,7 +221,7 @@ def best_nonadaptive(
         )
         if not is_feasible(constraint, items):
             continue
-        value = ev.set_value_exact(mask)
+        value = ev.numerator(mask)
         if best_value is None or value > best_value:
             best_value = value
             candidates = [tuple(sorted(items))]
@@ -248,7 +229,7 @@ def best_nonadaptive(
             candidates.append(tuple(sorted(items)))
     if best_value is None:
         raise InputError("constraint admits no feasible set, not even the empty one")
-    return frozenset(min(candidates)), float(best_value)
+    return frozenset(min(candidates)), best_value / ev.denominator
 
 
 def virtual_nonadaptive_value(
@@ -266,8 +247,8 @@ def virtual_nonadaptive_value(
     total = Fraction(0)
     for virtual, p_virtual in instance.distribution.entries:
         if p_virtual:
-            total += p_virtual * ev.set_value_exact(ev.mask_of(_walk(policy, virtual)))
-    return float(total)
+            total += p_virtual * ev.numerator(ev.mask_of(_walk(policy, virtual)))
+    return float(total / ev.denominator)
 
 
 def policy_pick_probabilities(instance: Instance, policy: Policy) -> FractionalPoint:

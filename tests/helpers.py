@@ -301,6 +301,51 @@ def direct_policy_value(instance, policy) -> Fraction:
     return total
 
 
+def loop_optimal_adaptive(instance, constraint):
+    """(policy, value) of the best adaptive policy, by a ``Fraction`` backward
+    induction over histories straight off the support and ``utility.evaluate``.
+
+    Histories are keyed like the library's: by the observed pairs, plus the
+    pick sequence for families that are not downward-closed.  Ties follow
+    the library's rules: at an equal value picking beats stopping, and the
+    first item in instance order wins among picks.
+    """
+    from stosub import STOP, Policy, pick
+
+    worlds = [(r, p) for r, p in instance.distribution.entries if p]
+    by_sequence = not constraint.downward_closed
+    memo = {}
+
+    def solve(sequence, observed):
+        key = (sequence, observed) if by_sequence else observed
+        if key in memo:
+            return memo[key]
+        matching = [
+            (r, p) for r, p in worlds if all(r.state_of(i) == s for i, s in observed)
+        ]
+        total = sum((p for _, p in matching), Fraction(0))
+        best = (direct_value(instance, observed), STOP)
+        for e in instance.items:
+            if e in sequence or not is_feasible(constraint, set(sequence) | {e}):
+                continue
+            weights = {}
+            for r, p in matching:
+                weights[r.state_of(e)] = weights.get(r.state_of(e), Fraction(0)) + p
+            value, branches = Fraction(0), {}
+            for state, w in sorted(weights.items()):
+                child_value, branches[state] = solve(
+                    sequence + (e,), observed | {(e, state)}
+                )
+                value += w / total * child_value
+            if value > best[0] or (value == best[0] and best[1] is STOP):
+                best = (value, pick(e, branches))
+        memo[key] = best
+        return best
+
+    value, root = solve((), frozenset())
+    return Policy(root=root), float(value)
+
+
 def lp_vertex_oracle(constraint, weights) -> float:
     """Best objective over explicitly enumerated polytope vertices."""
     items = list(weights)

@@ -327,3 +327,12 @@ class TestUsageErrors:
         path.write_text(fileio.dumps(doc))
         assert main(["experiment", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["validate", "kappa", "gamma"])
+    def test_weights_whose_sum_overflows(self, cc2, tmp_path, capsys, command):
+        doc = fileio.instance_to_dict(cc2)
+        doc["utility"]["weights"] = {"t1": 1e308, "t2": 1e308, "t3": 1e308}
+        instance_path = tmp_path / "bad.json"
+        instance_path.write_text(json.dumps(doc))
+        assert main([command, str(instance_path)]) == 1
+        assert "finite sum" in capsys.readouterr().err

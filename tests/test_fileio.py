@@ -125,6 +125,10 @@ MALFORMED_INSTANCES = {
     "string-weight": (_coverage_doc, _setter(["utility", "weights", "t1"], "x")),
     "bool-weight": (_coverage_doc, _setter(["utility", "weights", "t1"], True)),
     "huge-int-weight": (_coverage_doc, _setter(["utility", "weights", "t1"], 10**400)),
+    "weights-sum-overflows": (
+        _coverage_doc,
+        _setter(["utility", "weights"], {"t1": 1e308, "t2": 1e308, "t3": 1e308}),
+    ),
     "missing-weight": (_coverage_doc, _deleter(["utility", "weights", "t1"])),
     "string-table-value": (_table_doc, _setter(["utility", "table", 1, "value"], "x")),
     "missing-table-value": (_table_doc, _deleter(["utility", "table", 1, "value"])),

@@ -5,7 +5,8 @@ Python loop over ``range(1 << m)`` there would bring back the per-mask
 kernels the table replaced.  Only ``model`` may touch the evaluator's
 underscore attributes; everyone else goes through its public methods.
 The kappa and gamma enumerations compare integer pairs and build a
-``Fraction`` only once they are done, never once per ratio.
+``Fraction`` only once they are done, never once per ratio; the adaptive
+oracle's backward induction builds none per history.
 """
 
 import ast
@@ -163,6 +164,11 @@ def fractions_per_ratio(source: str, roots=("kappa", "gamma")) -> list[str]:
 
 def test_independence_builds_no_fraction_per_ratio():
     assert fractions_per_ratio((PACKAGE / "independence.py").read_text()) == []
+
+
+def test_adaptive_oracle_builds_no_fraction_per_history():
+    source = (PACKAGE / "policies.py").read_text()
+    assert fractions_per_ratio(source, roots=("optimal_adaptive",)) == []
 
 
 GAMMA_STUB = "\ndef gamma(i):\n    pass"
