@@ -110,7 +110,7 @@ def _cmd_greedy(args) -> int:
     include_value = args.mode == "exact"
     table = format_trajectory(instance, trajectory, include_value=include_value)
     if args.output:
-        Path(args.output).write_text(table)
+        fileio.write_text(args.output, table)
     else:
         sys.stdout.write(table)
     return 0

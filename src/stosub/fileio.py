@@ -185,8 +185,23 @@ def dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def write_text(path: str | Path, text: str, parents: bool = False):
+    """Write ``text`` to ``path``, creating its directory when ``parents``.
+
+    An operating-system failure (a missing directory, a file where a
+    directory should be) becomes an :class:`InputError`.
+    """
+    path = Path(path)
+    try:
+        if parents:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 def save_instance(instance: Instance, path: str | Path):
-    Path(path).write_text(dumps(instance_to_dict(instance)))
+    write_text(path, dumps(instance_to_dict(instance)))
 
 
 def load_document(path: str | Path) -> dict:

@@ -41,7 +41,7 @@ from typing import Iterable, Mapping, Union
 
 import numpy as np
 
-from .errors import CapacityError, ConditioningError, InputError
+from .errors import CapacityError, ConditioningError, InputError, nonnegative
 
 Pair = tuple[str, str]
 
@@ -220,10 +220,9 @@ class WeightedCoverage:
             raise InputError("duplicate targets")
         if len(self.weights) != len(self.targets):
             raise InputError("one weight per target required")
+        weights = tuple(nonnegative(w, "target weight") for w in self.weights)
         total = 0.0  # summed left to right, as ``_values`` sums them
-        for w in self.weights:
-            if not math.isfinite(w) or w < 0:
-                raise InputError("target weights must be finite and nonnegative")
+        for w in weights:
             total += w
         if math.isinf(total):
             raise InputError("target weights must have a finite sum")
@@ -240,7 +239,7 @@ class WeightedCoverage:
             canon.append((pair, tuple(sorted(set(covered)))))
         object.__setattr__(self, "coverage", tuple(canon))
         object.__setattr__(self, "_cover", cover)
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        object.__setattr__(self, "weights", weights)
 
     @classmethod
     def build(
@@ -252,7 +251,7 @@ class WeightedCoverage:
         targets = tuple(targets)
         return cls(
             targets=targets,
-            weights=tuple(float(weights[t]) for t in targets),
+            weights=tuple(weights[t] for t in targets),
             coverage=tuple((pair, tuple(ts)) for pair, ts in coverage.items()),
         )
 
@@ -315,10 +314,7 @@ class ExplicitTable:
                 raise InputError(f"table subset {sorted(key)} outside the ground set")
             if key in table:
                 raise InputError(f"duplicate table entry for {sorted(key)}")
-            value = float(value)
-            if not math.isfinite(value) or value < 0:
-                raise InputError("table values must be finite and nonnegative")
-            table[key] = value
+            table[key] = nonnegative(value, "table value")
         if len(table) != 1 << len(ground):
             raise InputError(
                 f"table must cover all {1 << len(ground)} subsets, got {len(table)}"
@@ -337,11 +333,16 @@ class ExplicitTable:
 
     @classmethod
     def from_function(cls, ground: Iterable[Pair], fn) -> "ExplicitTable":
+        """Tabulate ``fn`` over every subset of ``ground``.
+
+        ``fn`` receives each subset as a tuple of pairs in sorted order, so a
+        ``fn`` that sums floats over it builds the same table in every process.
+        """
         ground = tuple(sorted(set(ground)))
         entries = []
         for mask in range(1 << len(ground)):
             subset = tuple(g for i, g in enumerate(ground) if mask >> i & 1)
-            entries.append((subset, float(fn(frozenset(subset)))))
+            entries.append((subset, fn(subset)))
         return cls(ground=ground, entries=tuple(entries))
 
     def evaluate(self, pairs: Iterable[Pair]) -> float:

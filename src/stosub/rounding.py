@@ -9,9 +9,16 @@ draw.  The multilinear extension is convex along swap directions and linear
 in single coordinates, so the expected value of the rounded set is at least
 the extension's value at the input point, and block sums never exceed their
 caps.
+
+Each random move has exactly two outcomes, so :func:`exact_distribution`
+can run the same moves in ``Fraction`` arithmetic and enumerate every output
+set of :func:`pipage_round` with its exact probability.  The experiment
+harness decides its rounding flag from that distribution's exact mean.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -47,10 +54,10 @@ def _snap(v: float) -> float:
     return v
 
 
-def pipage_round(
-    instance: Instance, constraint: Constraint, y: FractionalPoint, seed: int
-) -> frozenset[str]:
-    """Round ``y`` to a feasible set of a uniform or partition matroid."""
+def _start(
+    instance: Instance, constraint: Constraint, y: FractionalPoint
+) -> tuple[list, tuple[float, ...]]:
+    """The rounding groups and the snapped coordinates in instance item order."""
     groups = constraint.rounding_groups(instance.items)
     if groups is None:
         raise UnsupportedKindError(
@@ -60,41 +67,106 @@ def pipage_round(
         raise InputError("fractional point items do not match the instance")
     if not point_in_polytope(constraint, y):
         raise InputError("point lies outside the constraint polytope")
-
     coords = y.as_dict()
-    vals = [_snap(coords[item]) for item in instance.items]
-    rng = _rng(seed)
+    return groups, tuple(_snap(coords[item]) for item in instance.items)
 
-    for group, _ in groups:
-        while True:
-            fractional = [i for i in group if 0.0 < vals[i] < 1.0]
-            if len(fractional) < 2:
-                break
-            a, b = fractional[0], fractional[1]
-            up_a = min(1.0 - vals[a], vals[b])  # push mass from b to a
-            up_b = min(vals[a], 1.0 - vals[b])  # push mass from a to b
-            if rng.random() < up_b / (up_a + up_b):
-                vals[a] += up_a
-                vals[b] -= up_a
-            else:
-                vals[a] -= up_b
-                vals[b] += up_b
-            vals[a] = _snap(vals[a])
-            vals[b] = _snap(vals[b])
 
-    # At most one fractional coordinate per group remains; an independent
-    # Bernoulli draw per group preserves marginals.  A full group (possible
-    # only when the leftover fraction is within the membership tolerance)
-    # must round down to keep the cap.
-    for group, cap in groups:
-        ones = sum(1 for i in group if vals[i] == 1.0)
-        for i in group:
-            if 0.0 < vals[i] < 1.0:
-                if ones >= cap:
-                    vals[i] = 0.0
-                else:
-                    vals[i] = 1.0 if rng.random() < vals[i] else 0.0
+def _moved(vals: tuple, changes: dict) -> tuple:
+    return tuple(changes.get(i, v) for i, v in enumerate(vals))
 
-    return frozenset(
-        item for item, v in zip(instance.items, vals) if v == 1.0
+
+def _swap(vals: tuple, group: list[int], cap: int):
+    """One swap between the group's two lowest-index fractional coordinates.
+
+    Returns ``(p, first, second)``: with probability ``p`` mass moves from b
+    to a, otherwise from a to b, until one of them is integral.  Returns None
+    once fewer than two coordinates of the group are fractional.  Integer
+    literals keep ``Fraction`` coordinates exact.
+    """
+    fractional = [i for i in group if 0 < vals[i] < 1]
+    if len(fractional) < 2:
+        return None
+    a, b = fractional[0], fractional[1]
+    va, vb = vals[a], vals[b]
+    up_a = min(1 - va, vb)  # push mass from b to a
+    up_b = min(va, 1 - vb)  # push mass from a to b
+    return (
+        up_b / (up_a + up_b),
+        _moved(vals, {a: va + up_a, b: vb - up_a}),
+        _moved(vals, {a: va - up_b, b: vb + up_b}),
     )
+
+
+def _close(vals: tuple, group: list[int], cap: int):
+    """The Bernoulli draw that settles the group's last fractional coordinate.
+
+    Returns ``(p, up, down)`` with ``p`` the coordinate's value, or 0 when
+    the group is already full (possible only when the leftover fraction is
+    within the membership tolerance), which must round down to keep the cap.
+    Returns None when no coordinate of the group is fractional.
+    """
+    fractional = [i for i in group if 0 < vals[i] < 1]
+    if not fractional:
+        return None
+    i = fractional[0]
+    full = sum(1 for j in group if vals[j] == 1) >= cap
+    return (0 if full else vals[i]), _moved(vals, {i: 1}), _moved(vals, {i: 0})
+
+
+def _phases(groups: list) -> list:
+    """The moves in draw order: all swaps group by group, then the closings."""
+    return [(_swap, g, c) for g, c in groups] + [(_close, g, c) for g, c in groups]
+
+
+def _chosen(instance: Instance, vals: tuple) -> frozenset[str]:
+    return frozenset(item for item, v in zip(instance.items, vals) if v == 1)
+
+
+def pipage_round(
+    instance: Instance, constraint: Constraint, y: FractionalPoint, seed: int
+) -> frozenset[str]:
+    """Round ``y`` to a feasible set of a uniform or partition matroid.
+
+    The generator is built on the first draw, so an integral point costs no
+    randomness.
+    """
+    groups, vals = _start(instance, constraint, y)
+    rng = None
+    for move, group, cap in _phases(groups):
+        while (outcomes := move(vals, group, cap)) is not None:
+            p, first, second = outcomes
+            if p and rng is None:
+                rng = _rng(seed)
+            vals = tuple(map(_snap, first if p and rng.random() < p else second))
+    return _chosen(instance, vals)
+
+
+def exact_distribution(
+    instance: Instance, constraint: Constraint, y: FractionalPoint
+) -> list[tuple[frozenset[str], Fraction]]:
+    """Every output set of :func:`pipage_round` with its exact probability.
+
+    Runs the same moves on the snapped coordinates as ``Fraction`` values,
+    following both outcomes of each draw and merging equal coordinate
+    vectors after every step.  The weights sum to 1, and each item's total
+    weight equals its snapped coordinate unless a group's sum exceeded its
+    cap within the tolerance and a full group rounded down.
+    """
+    groups, start = _start(instance, constraint, y)
+    dist = {tuple(Fraction(v) for v in start): Fraction(1)}
+    for move, group, cap in _phases(groups):
+        settled: dict[tuple, Fraction] = {}
+        while dist:
+            branched: dict[tuple, Fraction] = {}
+            for vals, weight in dist.items():
+                outcomes = move(vals, group, cap)
+                if outcomes is None:
+                    settled[vals] = settled.get(vals, 0) + weight
+                    continue
+                p, first, second = outcomes
+                for q, out in ((p, first), (1 - p, second)):
+                    if q:
+                        branched[out] = branched.get(out, 0) + weight * q
+            dist = branched
+        dist = settled
+    return [(_chosen(instance, vals), weight) for vals, weight in dist.items()]

@@ -205,6 +205,26 @@ class TestExperimentCommand:
         assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
 
 
+class TestOutputPathErrors:
+    def test_generate_into_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "dir" / "x.json"
+        assert main(["generate", "common-cause", "--out", str(out)]) == 1
+        assert "error: cannot write" in capsys.readouterr().err
+        assert not out.parent.exists()
+
+    def test_greedy_output_into_missing_directory(self, cc2_path, tmp_path, capsys):
+        out = tmp_path / "missing" / "dir" / "t.tsv"
+        assert main(["greedy", cc2_path, "--output", str(out)]) == 1
+        assert "error: cannot write" in capsys.readouterr().err
+
+    def test_experiment_out_dir_is_a_file(self, tmp_path, capsys):
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory")
+        assert main(["experiment", "--bundled", "--out-dir", str(blocker)]) == 1
+        assert "error: cannot write" in capsys.readouterr().err
+        assert blocker.read_text() == "not a directory"
+
+
 class TestUsageErrors:
     def test_unknown_flag(self, cc2_path, capsys):
         assert main(["kappa", cc2_path, "--frobnicate"]) == 1

@@ -1,10 +1,14 @@
 import json
+from pathlib import Path
 
 import pytest
 
 import stosub as ss
+from helpers import direct_set_value
 from stosub import fileio, harness
 from stosub.cli import BUNDLED_SUITE
+
+FRACTIONAL_ENDPOINTS = Path(__file__).parent / "data" / "fractional_endpoints.json"
 
 
 def scenario(name="demo", kind="ratio-check", generator="common-cause-2", **kw):
@@ -21,14 +25,13 @@ def scenario(name="demo", kind="ratio-check", generator="common-cause-2", **kw):
         instance=spec,
         constraint=kw.pop("constraint", ss.UniformMatroid(rank=1)),
         greedy=kw.pop("greedy", ss.GreedyConfig(delta=0.1)),
-        rounding_seeds=kw.pop("rounding_seeds", 200),
     )
 
 
 class TestRunPipeline:
     def test_product_modular_like_run_hits_ratio_one(self):
         row = harness.run_pipeline(
-            scenario(generator="product", m=3, seed=1, rounding_seeds=300)
+            scenario(generator="product", m=3, seed=1)
         )
         assert row.kappa == 1.0 and row.gamma == 1.0
         assert row.flag_inner == "pass"
@@ -81,6 +84,30 @@ class TestRunPipeline:
         )
         assert row.rounded_mean is None
         assert "no rounding scheme" in row.notes
+
+
+class TestFractionalEndpoints:
+    """Scenarios whose ascent ends at a fractional point, so rounding branches."""
+
+    SCENARIOS = harness.load_scenarios(FRACTIONAL_ENDPOINTS)
+
+    @pytest.mark.parametrize("s", SCENARIOS, ids=[s.name for s in SCENARIOS])
+    def test_rounded_mean_is_the_exact_mean(self, s):
+        inst = s.instance.resolve()
+        final = ss.run(inst, s.constraint, s.greedy).final
+        assert any(1e-9 < v < 1 - 1e-9 for v in final.values)
+        dist = ss.exact_distribution(inst, s.constraint, final)
+        assert len(dist) > 1
+        row = harness.run_pipeline(s)
+        assert row.rounded_se == 0.0
+        assert row.rounded_mean == float(
+            sum(w * direct_set_value(inst, chosen) for chosen, w in dist)
+        )
+        assert row.all_flags_ok
+
+    def test_some_rounding_flag_is_binding(self):
+        rows = harness.run_suite(self.SCENARIOS).rows
+        assert any(row.flag_rounding == "pass" for row in rows)
 
 
 class TestSuiteAndReports:
@@ -172,7 +199,6 @@ class TestScenarioFiles:
             {"greedy": {"delta": "fast"}},
             {"greedy": {"sample_count": [1]}},
             {"greedy": "exact"},
-            {"rounding_seeds": "20"},
         ],
         ids=[
             "string-m",
@@ -181,7 +207,6 @@ class TestScenarioFiles:
             "string-delta",
             "list-sample-count",
             "greedy-not-an-object",
-            "string-rounding-seeds",
         ],
     )
     def test_malformed_scenario_fields_rejected(self, patch):
@@ -193,6 +218,15 @@ class TestScenarioFiles:
         }
         with pytest.raises(ss.InputError):
             harness.scenario_from_dict(doc)
+
+    def test_retired_rounding_seed_fields_are_ignored(self):
+        doc = {
+            "name": "x",
+            "instance": {"generator": "common-cause-2"},
+            "constraint": {"kind": "uniform", "k": 1},
+        }
+        legacy = {**doc, "rounding_seeds": "20", "rounding_base_seed": -4}
+        assert harness.scenario_from_dict(legacy) == harness.scenario_from_dict(doc)
 
     def test_scenario_must_be_an_object(self):
         with pytest.raises(ss.InputError):

@@ -239,6 +239,35 @@ class TestConstructionInvariants:
                 ground=(("e", "x"),), entries=(((), 0.0), ((("e", "x"),), -1.0))
             )
 
+    def test_int_table_value_beyond_float_range_rejected(self):
+        with pytest.raises(ss.InputError, match="table value"):
+            ss.ExplicitTable(
+                ground=(("e", "x"),), entries=(((), 0), ((("e", "x"),), 10**400))
+            )
+
+    def test_int_weight_beyond_float_range_rejected_by_build(self):
+        with pytest.raises(ss.InputError, match="target weight"):
+            ss.WeightedCoverage.build(
+                targets=("t",), weights={"t": 10**400}, coverage={("e", "x"): ("t",)}
+            )
+
+    def test_int_weight_beyond_float_range_rejected_by_constructor(self):
+        with pytest.raises(ss.InputError, match="target weight"):
+            ss.WeightedCoverage(
+                targets=("t",), weights=(10**400,), coverage=((("e", "x"), ("t",)),)
+            )
+
+    def test_from_function_hands_fn_sorted_pairs(self):
+        ground = [("b", "y"), ("a", "y"), ("b", "x"), ("a", "x")]
+        seen = []
+        ss.ExplicitTable.from_function(ground, lambda key: seen.append(key) or 0.0)
+        assert len(seen) == 16
+        assert all(isinstance(key, tuple) and list(key) == sorted(key) for key in seen)
+        assert {frozenset(key) for key in seen} == {
+            frozenset(p for i, p in enumerate(sorted(ground)) if mask >> i & 1)
+            for mask in range(16)
+        }
+
     def test_partial_realization_in_support_rejected(self):
         with pytest.raises(ss.InputError):
             ss.Instance(
