@@ -71,7 +71,7 @@ def _add_constraint_flag(parser):
 
 def _cmd_validate(args) -> int:
     instance, _ = fileio.load_instance_and_constraint(args.instance)
-    report = validate_utility(instance.utility, cap=args.cap)
+    report = validate_utility(instance.utility)
     print(f"items: {instance.m}, states: {len(instance.states)}, "
           f"support: {len(instance.distribution.entries)}")
     print(f"monotone: {report.monotone}, submodular: {report.submodular}")
@@ -184,7 +184,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("validate", help="check an instance file and its utility")
     p.add_argument("instance")
-    p.add_argument("--cap", type=int, default=14)
     p.set_defaults(fn=_cmd_validate)
 
     for name, fn in (("kappa", _cmd_kappa), ("gamma", _cmd_gamma)):

@@ -13,98 +13,31 @@ from pathlib import Path
 from .constraints import Constraint, constraint_from_dict
 from .errors import (
     InputError,
-    nonnegative,
     require_field,
     require_list,
     require_object,
 )
-from .independence import GammaWitness, IndependenceReport, KappaWitness
+from .independence import IndependenceReport
 from .model import (
-    ExplicitTable,
     Instance,
     JointDistribution,
     Realization,
-    UtilityFunction,
-    WeightedCoverage,
     _as_fraction,
+    utility_from_dict,
 )
 from .policies import Pick, Policy, PolicyNode, STOP
 
 
 def instance_to_dict(instance: Instance) -> dict:
-    doc = {
+    return {
         "items": list(instance.items),
         "states": list(instance.states),
         "distribution": [
             {"assignment": realization.as_dict(), "prob": str(prob)}
             for realization, prob in instance.distribution.entries
         ],
-        "utility": utility_to_dict(instance.utility),
+        "utility": instance.utility.to_dict(),
     }
-    return doc
-
-
-def utility_to_dict(utility: UtilityFunction) -> dict:
-    if isinstance(utility, WeightedCoverage):
-        coverage: dict[str, dict[str, list[str]]] = {}
-        for (item, state), covered in utility.coverage:
-            coverage.setdefault(item, {})[state] = list(covered)
-        return {
-            "kind": utility.kind,
-            "targets": list(utility.targets),
-            "weights": dict(zip(utility.targets, utility.weights)),
-            "coverage": coverage,
-        }
-    return {
-        "kind": utility.kind,
-        "ground": [list(p) for p in utility.ground],
-        "table": [
-            {"pairs": [list(p) for p in subset], "value": value}
-            for subset, value in utility.entries
-        ],
-    }
-
-
-def _pair(value, context: str) -> tuple[str, str]:
-    if not (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(v, str) for v in value)
-    ):
-        raise InputError(f"{context} must be an [item, state] pair, got {value!r}")
-    return tuple(value)
-
-
-def utility_from_dict(doc: dict) -> UtilityFunction:
-    kind = require_field(doc, "kind", "utility")
-    if kind == "weighted-coverage":
-        targets = require_list(doc, "targets", "utility", str)
-        weights = require_object(doc, "weights", "utility")
-        for t in targets:
-            nonnegative(require_field(weights, t, "weights"), f"weight of {t!r}")
-        coverage_doc = require_object(doc, "coverage", "utility")
-        coverage = {}
-        for item in coverage_doc:
-            by_state = require_object(coverage_doc, item, "utility coverage")
-            for state in by_state:
-                covered = require_list(by_state, state, f"coverage of {item!r}", str)
-                coverage[(item, state)] = tuple(covered)
-        return WeightedCoverage.build(
-            targets=tuple(targets), weights=weights, coverage=coverage
-        )
-    if kind == "explicit-table":
-        ground = require_list(doc, "ground", "utility")
-        entries = []
-        for entry in require_list(doc, "table", "utility", dict):
-            pairs = require_list(entry, "pairs", "table entry")
-            value = require_field(entry, "value", "table entry")
-            value = nonnegative(value, "table value")
-            entries.append((tuple(_pair(p, "table pair") for p in pairs), value))
-        return ExplicitTable(
-            ground=tuple(_pair(p, "ground pair") for p in ground),
-            entries=tuple(entries),
-        )
-    raise InputError(f"unknown utility kind {kind!r}")
 
 
 def instance_from_dict(doc: dict) -> Instance:
@@ -121,10 +54,6 @@ def instance_from_dict(doc: dict) -> Instance:
         distribution=JointDistribution(tuple(entries)),
         utility=utility_from_dict(require_object(doc, "utility", "instance")),
     )
-
-
-def constraint_to_dict(constraint: Constraint) -> dict:
-    return constraint.to_dict()
 
 
 def policy_to_obj(policy: Policy):
@@ -156,28 +85,11 @@ def policy_from_obj(obj) -> Policy:
 
 
 def independence_report_to_dict(report: IndependenceReport) -> dict:
-    witness = report.witness
-    if isinstance(witness, KappaWitness):
-        witness_doc = {
-            "item": witness.item,
-            "base": list(witness.base),
-            "observed": list(witness.observed_items),
-            "observation": witness.observation.as_dict(),
-        }
-    elif isinstance(witness, GammaWitness):
-        witness_doc = {
-            "item": witness.item,
-            "observed": list(witness.observed_items),
-            "observation": witness.observation.as_dict(),
-            "observation_alt": witness.observation_alt.as_dict(),
-        }
-    else:
-        witness_doc = None
     return {
         "value": str(report.value),
         "clamped": str(report.clamped),
         "ratios_examined": report.ratios_examined,
-        "witness": witness_doc,
+        "witness": report.witness.to_dict(),
     }
 
 

@@ -23,7 +23,6 @@ from .multilinear import (
     multilinear_value,
     optimistic_weight,
     optimistic_weight_estimate,
-    standard_weight,
 )
 
 WEIGHT_MODES = ("exact", "sampled")
@@ -60,6 +59,8 @@ class GreedyConfig:
                 )
         elif self.sample_count < 1:
             raise ConfigurationError("sample_count must be at least 1")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
 
     @property
     def rounds(self) -> int:
@@ -113,18 +114,14 @@ def _round(
     weights = []
     for j, item in enumerate(instance.items):
         if config.weight_mode == "exact":
-            if config.weight_variant == "optimistic":
-                w = optimistic_weight(instance, y, item)
-            else:
-                w = standard_weight(instance, y, item)
+            w = optimistic_weight(instance, y, item)
         else:
             n = config.resolved_sample_count(instance.m)
-            estimate = optimistic_weight_estimate(
+            w = optimistic_weight_estimate(
                 instance, y, item, n, config.seed, stream=(round_index, j)
-            )
-            w = estimate.mean
-            if config.weight_variant == "standard":
-                w *= 1.0 - y.value_of(item)
+            ).mean
+        if config.weight_variant == "standard":  # the standard_weight identity
+            w *= 1.0 - y.value_of(item)
         if not math.isfinite(w):
             raise StosubError(f"non-finite weight for item {item!r}")
         weights.append(w)

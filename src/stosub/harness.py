@@ -18,7 +18,7 @@ timings deliberately stay out of the report artifacts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import fileio
@@ -233,27 +233,7 @@ def run_suite(scenarios: list[Scenario], base_dir: Path | None = None) -> Report
     return Report(rows=tuple(run_pipeline(s, base_dir) for s in scenarios))
 
 
-TSV_COLUMNS = (
-    "name",
-    "kind",
-    "m",
-    "kappa_raw",
-    "kappa",
-    "gamma_raw",
-    "gamma",
-    "opt_adaptive",
-    "best_nonadaptive",
-    "fractional_value",
-    "rounded_mean",
-    "rounded_se",
-    "bound_inner",
-    "alpha",
-    "virtual_value",
-    "flag_inner",
-    "flag_rounding",
-    "flag_virtual",
-    "notes",
-)
+TSV_COLUMNS = tuple(f.name for f in fields(ReportRow))
 
 
 def _cell(value) -> str:

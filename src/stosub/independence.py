@@ -53,6 +53,14 @@ class KappaWitness:
     observed_items: tuple[str, ...]
     observation: Realization
 
+    def to_dict(self) -> dict:
+        return {
+            "item": self.item,
+            "base": list(self.base),
+            "observed": list(self.observed_items),
+            "observation": self.observation.as_dict(),
+        }
+
 
 @dataclass(frozen=True)
 class GammaWitness:
@@ -60,6 +68,14 @@ class GammaWitness:
     observed_items: tuple[str, ...]
     observation: Realization
     observation_alt: Realization
+
+    def to_dict(self) -> dict:
+        return {
+            "item": self.item,
+            "observed": list(self.observed_items),
+            "observation": self.observation.as_dict(),
+            "observation_alt": self.observation_alt.as_dict(),
+        }
 
 
 @dataclass(frozen=True)

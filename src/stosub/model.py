@@ -11,6 +11,12 @@ Expected values exposed here (``expected_set_value`` and friends) are
 computed in exact rational arithmetic internally and rounded once on the way
 out, which makes algebraically equal expectations compare equal as floats.
 
+Each utility kind (``WeightedCoverage``, ``ExplicitTable``) carries its own
+behaviour: its JSON form (``to_dict``, and ``from_dict`` through the
+``UTILITY_KINDS`` registry), the check that it covers an instance's
+(item, state) pairs, and its ``validity`` report, so no other module
+branches on the kind.
+
 The value table: entry ``mask`` (bit i for item i) holds E[f(S)] as an
 integer numerator N over one denominator D = L * 2**k.  L is the LCD of the
 support's probabilities (p_w = a_w / L).  Utility values are floats, hence
@@ -41,11 +47,23 @@ from typing import Iterable, Mapping, Union
 
 import numpy as np
 
-from .errors import CapacityError, ConditioningError, InputError, nonnegative
+from .errors import (
+    CapacityError,
+    ConditioningError,
+    InputError,
+    nonnegative,
+    require_field,
+    require_list,
+    require_object,
+)
 
 Pair = tuple[str, str]
 
 EXACT_CAP = 16
+
+# Slack of the monotonicity and submodularity checks: float-built tables
+# (modular or budget-additive sums) miss exact equalities by an ulp or so.
+VALIDITY_TOL = 1e-12
 
 
 def _as_fraction(value) -> Fraction:
@@ -202,6 +220,24 @@ def condition(
 
 
 @dataclass(frozen=True)
+class UtilityReport:
+    monotone: bool
+    submodular: bool
+    witness: tuple | None
+    note: str = ""
+
+
+def _pair(value, context: str) -> Pair:
+    if not (
+        isinstance(value, list)
+        and len(value) == 2
+        and all(isinstance(v, str) for v in value)
+    ):
+        raise InputError(f"{context} must be an [item, state] pair, got {value!r}")
+    return tuple(value)
+
+
+@dataclass(frozen=True)
 class WeightedCoverage:
     """Weighted coverage utility: each (item, state) covers a subset of targets.
 
@@ -253,6 +289,49 @@ class WeightedCoverage:
             targets=targets,
             weights=tuple(weights[t] for t in targets),
             coverage=tuple((pair, tuple(ts)) for pair, ts in coverage.items()),
+        )
+
+    def to_dict(self) -> dict:
+        coverage: dict[str, dict[str, list[str]]] = {}
+        for (item, state), covered in self.coverage:
+            coverage.setdefault(item, {})[state] = list(covered)
+        return {
+            "kind": self.kind,
+            "targets": list(self.targets),
+            "weights": dict(zip(self.targets, self.weights)),
+            "coverage": coverage,
+        }
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "WeightedCoverage":
+        targets = require_list(doc, "targets", "utility", str)
+        weights = require_object(doc, "weights", "utility")
+        for t in targets:
+            nonnegative(require_field(weights, t, "weights"), f"weight of {t!r}")
+        coverage_doc = require_object(doc, "coverage", "utility")
+        coverage = {}
+        for item in coverage_doc:
+            by_state = require_object(coverage_doc, item, "utility coverage")
+            for state in by_state:
+                covered = require_list(by_state, state, f"coverage of {item!r}", str)
+                coverage[(item, state)] = tuple(covered)
+        return cls.build(targets=tuple(targets), weights=weights, coverage=coverage)
+
+    def check_pairs(self, pairs: set[Pair]):
+        """Raise unless the coverage map names every pair in ``pairs``."""
+        missing = pairs - {pair for pair, _ in self.coverage}
+        if missing:
+            raise InputError(
+                f"coverage map missing {len(missing)} (item, state) pairs, "
+                f"e.g. {sorted(missing)[0]}"
+            )
+
+    def validity(self) -> UtilityReport:
+        return UtilityReport(
+            monotone=True,
+            submodular=True,
+            witness=None,
+            note="weighted coverage is monotone submodular by construction",
         )
 
     def evaluate(self, pairs: Iterable[Pair]) -> float:
@@ -324,11 +403,11 @@ class ExplicitTable:
             for key in sorted(table, key=lambda k: (len(k), tuple(sorted(k))))
         )
         object.__setattr__(self, "entries", canon)
-        object.__setattr__(self, "_table_cache", table)
         bit = {pair: 1 << i for i, pair in enumerate(ground)}
         by_mask = np.zeros(len(table))
         for key, value in table.items():
             by_mask[sum(bit[p] for p in key)] = value
+        object.__setattr__(self, "_bit", bit)
         object.__setattr__(self, "_mask_cache", by_mask)
 
     @classmethod
@@ -345,26 +424,106 @@ class ExplicitTable:
             entries.append((subset, fn(subset)))
         return cls(ground=ground, entries=tuple(entries))
 
+    def to_dict(self) -> dict:
+        return {
+            "kind": self.kind,
+            "ground": [list(p) for p in self.ground],
+            "table": [
+                {"pairs": [list(p) for p in subset], "value": value}
+                for subset, value in self.entries
+            ],
+        }
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "ExplicitTable":
+        ground = require_list(doc, "ground", "utility")
+        entries = []
+        for entry in require_list(doc, "table", "utility", dict):
+            pairs = require_list(entry, "pairs", "table entry")
+            value = require_field(entry, "value", "table entry")
+            value = nonnegative(value, "table value")
+            entries.append((tuple(_pair(p, "table pair") for p in pairs), value))
+        return cls(
+            ground=tuple(_pair(p, "ground pair") for p in ground),
+            entries=tuple(entries),
+        )
+
+    def check_pairs(self, pairs: set[Pair]):
+        """Raise unless the ground set is exactly ``pairs``."""
+        if set(self.ground) != pairs:
+            raise InputError("table ground set must equal items x states")
+
+    def validity(self) -> UtilityReport:
+        """Check every (subset, pair) gain and every (subset, pair, pair) gain
+        difference, one numpy pass per pair of ground pairs; the witness is the
+        first failure in (subset mask, i, j) order.  ``CONSTRUCTION_CAP``
+        bounds the work."""
+        n, values = len(self.ground), self._mask_cache
+        masks = np.arange(1 << n)
+        drops, bends = [], []  # first failing (mask, i) and (mask, i, j) per i, j
+        for i in range(n):
+            free_i = (masks & 1 << i) == 0
+            up = values[masks | 1 << i]
+            gain_i = up - values
+            drops += [(k, i) for k in _first(free_i & (up < values - VALIDITY_TOL))]
+            for j in range(i + 1, n):
+                free = free_i & ((masks & 1 << j) == 0)
+                bent = gain_i[masks | 1 << j] > gain_i + VALIDITY_TOL
+                bends += [(k, i, j) for k in _first(free & bent)]
+
+        def subset(mask: int) -> tuple[Pair, ...]:
+            return tuple(p for k, p in enumerate(self.ground) if mask >> k & 1)
+
+        witness = None
+        if bends:
+            mask, i, j = min(bends)
+            witness = (
+                "submodular", subset(mask), self.ground[i], self.ground[j],
+                float(values[mask | 1 << i] - values[mask]),
+                float(values[mask | 1 << j | 1 << i] - values[mask | 1 << j]),
+            )
+        if drops:
+            mask, i = min(drops)
+            witness = (
+                "monotone", subset(mask), self.ground[i],
+                float(values[mask]), float(values[mask | 1 << i]),
+            )
+        return UtilityReport(monotone=not drops, submodular=not bends, witness=witness)
+
     def evaluate(self, pairs: Iterable[Pair]) -> float:
         key = frozenset(tuple(p) for p in pairs)
         try:
-            return self._table_cache[key]
+            return float(self._mask_cache[sum(self._bit[p] for p in key)])
         except KeyError:
             raise InputError(f"pairs {sorted(key)} outside the table's ground set") from None
 
     def _codes(self, pairs: list[Pair]) -> np.ndarray:
         """The ground-set bit of each pair; a union is an OR of bits."""
-        return np.array([1 << self.ground.index(p) for p in pairs], dtype=np.int64)
+        return np.array([self._bit[p] for p in pairs], dtype=np.int64)
 
     def _values(self, codes: np.ndarray) -> np.ndarray:
         return self._mask_cache[codes]
 
     def _grid(self) -> tuple[float, int]:
-        values = self._table_cache.values()
+        values = self._mask_cache.tolist()
         return max(values), _dyadic_shift(values)
 
 
+def _first(flags: np.ndarray) -> list[int]:
+    """The index of the first set flag, as a list of zero or one int."""
+    return np.flatnonzero(flags)[:1].tolist()
+
+
 UtilityFunction = Union[WeightedCoverage, ExplicitTable]
+UTILITY_KINDS: dict[str, type] = {c.kind: c for c in (WeightedCoverage, ExplicitTable)}
+
+
+def utility_from_dict(doc: dict) -> UtilityFunction:
+    kind = require_field(doc, "kind", "utility")
+    cls = UTILITY_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise InputError(f"unknown utility kind {kind!r}")
+    return cls.from_dict(doc)
 
 
 def _dyadic_shift(values: Iterable[float]) -> int:
@@ -377,87 +536,14 @@ def evaluate(utility: UtilityFunction, pairs: Iterable[Pair]) -> float:
     return utility.evaluate(pairs)
 
 
-@dataclass(frozen=True)
-class UtilityReport:
-    monotone: bool
-    submodular: bool
-    witness: tuple | None
-    note: str = ""
+def validate_utility(utility: UtilityFunction) -> UtilityReport:
+    """Monotonicity and submodularity of ``utility``, from its own ``validity``.
 
-
-def validate_utility(
-    utility: UtilityFunction,
-    ground: Iterable[Pair] | None = None,
-    cap: int = 14,
-    tol: float = 1e-12,
-) -> UtilityReport:
-    """Exhaustively check monotonicity and submodularity on explicit tables.
-
-    Coverage utilities are monotone submodular by construction and return a
-    trivially valid report.  The check walks all (subset, element) and
-    (subset, element, element) combinations, so the ground set is capped.
+    Coverage utilities are monotone submodular by construction.  Explicit
+    tables are checked exhaustively, up to ``VALIDITY_TOL``, on every
+    (subset, pair) and (subset, pair, pair) combination of their ground set.
     """
-    if isinstance(utility, WeightedCoverage):
-        return UtilityReport(
-            monotone=True,
-            submodular=True,
-            witness=None,
-            note="weighted coverage is monotone submodular by construction",
-        )
-    pairs = tuple(sorted(set(ground))) if ground is not None else utility.ground
-    n = len(pairs)
-    if n > cap:
-        raise CapacityError(f"ground set of {n} pairs exceeds the validation cap {cap}")
-
-    def value(mask: int) -> float:
-        return utility.evaluate(p for i, p in enumerate(pairs) if mask >> i & 1)
-
-    values = [value(mask) for mask in range(1 << n)]
-
-    def monotone_witness():
-        for mask in range(1 << n):
-            for i in range(n):
-                if mask >> i & 1:
-                    continue
-                if values[mask | 1 << i] < values[mask] - tol:
-                    return (
-                        "monotone",
-                        tuple(p for j, p in enumerate(pairs) if mask >> j & 1),
-                        pairs[i],
-                        values[mask],
-                        values[mask | 1 << i],
-                    )
-        return None
-
-    def submodular_witness():
-        # Pairwise diminishing returns characterize submodularity.
-        for mask in range(1 << n):
-            for i in range(n):
-                if mask >> i & 1:
-                    continue
-                gain_i = values[mask | 1 << i] - values[mask]
-                for j in range(i + 1, n):
-                    if mask >> j & 1:
-                        continue
-                    with_j = mask | 1 << j
-                    if values[with_j | 1 << i] - values[with_j] > gain_i + tol:
-                        return (
-                            "submodular",
-                            tuple(p for k, p in enumerate(pairs) if mask >> k & 1),
-                            pairs[i],
-                            pairs[j],
-                            gain_i,
-                            values[with_j | 1 << i] - values[with_j],
-                        )
-        return None
-
-    mono = monotone_witness()
-    sub = submodular_witness()
-    return UtilityReport(
-        monotone=mono is None,
-        submodular=sub is None,
-        witness=mono if mono is not None else sub,
-    )
+    return utility.validity()
 
 
 @dataclass(frozen=True)
@@ -485,18 +571,7 @@ class Instance:
             for _, state in realization.pairs:
                 if state not in state_set:
                     raise InputError(f"realization uses unknown state {state!r}")
-        all_pairs = {(i, s) for i in self.items for s in self.states}
-        if isinstance(self.utility, WeightedCoverage):
-            covered = {pair for pair, _ in self.utility.coverage}
-            missing = all_pairs - covered
-            if missing:
-                raise InputError(
-                    f"coverage map missing {len(missing)} (item, state) pairs, "
-                    f"e.g. {sorted(missing)[0]}"
-                )
-        else:
-            if set(self.utility.ground) != all_pairs:
-                raise InputError("table ground set must equal items x states")
+        self.utility.check_pairs({(i, s) for i in self.items for s in self.states})
 
         for name, names in (("_item_pos", self.items), ("_state_pos", self.states)):
             object.__setattr__(self, name, {n: k for k, n in enumerate(names)})

@@ -17,6 +17,8 @@ from stosub import (
     PartitionMatroid,
     Realization,
     UniformMatroid,
+    UtilityReport,
+    WeightedCoverage,
     is_feasible,
 )
 
@@ -419,3 +421,68 @@ def loop_optimistic_weight(instance, coords, item, value) -> float:
 
 def loop_state_weight(instance, coords, item, state, state_value, value) -> float:
     return _loop_sum(instance, coords, lambda s: state_value(s) - value(s))
+
+
+def loop_validate_utility(utility, tol: float = 1e-12) -> UtilityReport:
+    """Monotonicity and submodularity by nested Python loops over
+    ``utility.evaluate``; the witness is the first failure in (mask, i, j)
+    order, as ``validate_utility`` reports it."""
+    if isinstance(utility, WeightedCoverage):
+        return UtilityReport(
+            monotone=True,
+            submodular=True,
+            witness=None,
+            note="weighted coverage is monotone submodular by construction",
+        )
+    pairs = utility.ground
+    n = len(pairs)
+
+    def value(mask: int) -> float:
+        return utility.evaluate(p for i, p in enumerate(pairs) if mask >> i & 1)
+
+    values = [value(mask) for mask in range(1 << n)]
+
+    def monotone_witness():
+        for mask in range(1 << n):
+            for i in range(n):
+                if mask >> i & 1:
+                    continue
+                if values[mask | 1 << i] < values[mask] - tol:
+                    return (
+                        "monotone",
+                        tuple(p for j, p in enumerate(pairs) if mask >> j & 1),
+                        pairs[i],
+                        values[mask],
+                        values[mask | 1 << i],
+                    )
+        return None
+
+    def submodular_witness():
+        # Pairwise diminishing returns characterize submodularity.
+        for mask in range(1 << n):
+            for i in range(n):
+                if mask >> i & 1:
+                    continue
+                gain_i = values[mask | 1 << i] - values[mask]
+                for j in range(i + 1, n):
+                    if mask >> j & 1:
+                        continue
+                    with_j = mask | 1 << j
+                    if values[with_j | 1 << i] - values[with_j] > gain_i + tol:
+                        return (
+                            "submodular",
+                            tuple(p for k, p in enumerate(pairs) if mask >> k & 1),
+                            pairs[i],
+                            pairs[j],
+                            gain_i,
+                            values[with_j | 1 << i] - values[with_j],
+                        )
+        return None
+
+    mono = monotone_witness()
+    sub = submodular_witness()
+    return UtilityReport(
+        monotone=mono is None,
+        submodular=sub is None,
+        witness=mono if mono is not None else sub,
+    )

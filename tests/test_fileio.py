@@ -209,7 +209,7 @@ class TestConstraintRoundTrip:
     )
     def test_round_trip(self, constraint):
         assert (
-            fileio.constraint_from_dict(fileio.constraint_to_dict(constraint))
+            fileio.constraint_from_dict(constraint.to_dict())
             == constraint
         )
 

@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -5,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import stosub as ss
 from conftest import make_modular, make_single_item
-from helpers import direct_set_value, direct_state_value
+from helpers import direct_set_value, direct_state_value, loop_validate_utility
 
 
 def coverage_abc():
@@ -165,7 +167,72 @@ class TestCondition:
                 assert mixed == target
 
 
+def _float_sum(weights, subset) -> float:
+    total = 0.0  # left to right; sum() may compensate
+    for pair in subset:
+        total += weights[pair]
+    return total
+
+
+def _seeded_tables(per_kind: int = 80):
+    """Explicit tables on n = 1..8 pairs, four kinds interleaved: float
+    modular sums, budget-additive sums, half-integer tables with a few
+    entries moved, and dyadic modular tables with 1e-13-scale noise."""
+    rng = random.Random(20240607)
+    for k in range(per_kind):
+        n = 1 + k % 8
+        ground = [("e", f"s{i:02d}") for i in range(n)]
+        w = {p: rng.uniform(0.0, 10.0) for p in ground}
+        yield ss.ExplicitTable.from_function(ground, lambda s: _float_sum(w, s))
+
+        budget = rng.uniform(0.3, 0.9) * _float_sum(w, ground)
+        yield ss.ExplicitTable.from_function(
+            ground, lambda s: min(budget, _float_sum(w, s))
+        )
+
+        half = {p: rng.randint(0, 6) / 2 for p in ground}
+        curve = [rng.randint(0, 4) / 2 for _ in ground]
+        table = ss.ExplicitTable.from_function(
+            ground,
+            lambda s: _float_sum(half, s) + sum(sorted(curve, reverse=True)[: len(s)]),
+        )
+        entries = list(table.entries)
+        for _ in range(rng.randint(0, 3)):
+            row = rng.randrange(len(entries))
+            moved = entries[row][1] + rng.choice([-1.0, -0.5, 0.5, 1.0])
+            entries[row] = (entries[row][0], max(0.0, moved))
+        yield ss.ExplicitTable(ground=tuple(ground), entries=tuple(entries))
+
+        dyadic = {p: rng.randint(0, 8) / 4 for p in ground}
+        noise = [1e-13, 3e-13, 6e-13, -1e-13, -3e-13, -6e-13]
+        yield ss.ExplicitTable.from_function(
+            ground,
+            lambda s: _float_sum(dyadic, s)
+            + (rng.choice(noise) if rng.random() < 0.3 else 0.0)
+            + 1e-12,
+        )
+
+
 class TestValidateUtility:
+    def test_vectorised_check_equals_loop_reference(self):
+        outcomes, tolerated = Counter(), 0
+        for table in _seeded_tables():
+            report = ss.validate_utility(table)
+            reference = loop_validate_utility(table)
+            assert report == reference
+            assert repr(report) == repr(reference)
+            outcomes[report.monotone, report.submodular] += 1
+            tolerated += report != loop_validate_utility(table, tol=0.0)
+        assert sum(outcomes.values()) >= 300
+        assert {(True, True), (True, False), (False, False)} <= set(outcomes)
+        assert tolerated > 0  # some tables pass only through the tolerance
+
+    def test_construction_cap_bounds_the_check(self):
+        cap = ss.ExplicitTable.CONSTRUCTION_CAP
+        ground = tuple(("e", f"s{k:02d}") for k in range(cap + 1))
+        with pytest.raises(ss.CapacityError, match=f"at most {cap} ground pairs"):
+            ss.ExplicitTable(ground=ground, entries=())
+
     def test_coverage_trivially_valid(self):
         report = ss.validate_utility(coverage_abc())
         assert report.monotone and report.submodular
@@ -201,13 +268,6 @@ class TestValidateUtility:
         report = ss.validate_utility(table)
         assert not report.monotone
         assert report.witness[0] == "monotone"
-
-    def test_cap(self):
-        table = ss.ExplicitTable.from_function(
-            [("e", f"s{k}") for k in range(5)], lambda key: float(len(key))
-        )
-        with pytest.raises(ss.CapacityError):
-            ss.validate_utility(table, cap=4)
 
 
 class TestConstructionInvariants:
