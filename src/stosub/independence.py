@@ -19,17 +19,33 @@ those in which item e has state o, so e's conditional marginal is W_o / T.
   | {(e, o)}) - f(A | B)), A and B the observed pair sets,
   ratio = T_b * sum_o W_{a,o} * g_o / (T_a * sum_o W_{b,o} * g_o).
 
-A ratio x / y is kept as the pair (x, y) with y > 0, and x / y < x' / y'
-exactly when x * y' < x' * y, so the minimization compares Python ints and
-builds one ``Fraction`` at the end.
+For one item e both are a few integer array operations.  kappa stacks the
+observations of every V avoiding e, V ascending and keys sorted, into W
+(observations x states) and T, takes n and G for every S avoiding e from the
+evaluator's value tables (built for every pin in one pass), and forms the
+denominators ``W @ G.T`` and the numerators ``outer(T, n)``: ratios in
+(V, observation, S) order.  gamma values every ordered observation pair of
+every V in one evaluator batch, contracts both observations' W with the
+pair's gains at once, and lays the (a, b) ratios out row-major per V.  On
+the diagonal numerator and denominator are equal, so the ratio is 1.
+
+The arrays are int64 when L**2 * 2**k * max f < 2**63, which bounds every
+numerator and denominator (a weight sum of at most L times a gain of at most
+L * 2**k * max f), and Python-int object arrays otherwise.  ``_first_min``
+finds the minimum of each item's ratios: a float pre-filter keeps the ratios
+within a relative window of the smallest float quotient, a window wider than
+the rounding of x, y and x / y, and a tournament of exact integer
+cross-multiplications (x / y < x' / y' exactly when x * y' < x' * y, with
+y, y' > 0) picks the first minimum among them.  The items' winners go
+through the same helper, and one ``Fraction`` is built at the end.
 
 Conventions for degenerate ratios follow the definitions: 0/0 counts as 1,
-a zero numerator over a positive denominator counts as 0, and a positive
-numerator over a zero denominator is skipped (it cannot attain a minimum).
-Observations with probability zero are excluded, as conditioning on them is
-undefined.  The witness is the first strict minimum in enumeration order,
-with the loops nested as written below, masks ascending and observations in
-sorted state order.
+a zero numerator over a positive denominator counts as 0, a negative
+denominator flips both signs, and a nonzero numerator over a zero
+denominator is skipped (it cannot attain a minimum).  Observations with
+probability zero are excluded, as conditioning on them is undefined.  The
+witness is the first strict minimum in enumeration order: items, then the
+orders above, masks ascending and observations in sorted state order.
 """
 
 from __future__ import annotations
@@ -40,10 +56,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+import numpy as np
+
 from .errors import CapacityError, DegenerateBoundError, InputError
 from .model import Instance, Realization, _evaluator
 
 ENUMERATION_CAP = 6
+
+# Relative width of the float pre-filter.  An int64 quotient is rounded three
+# times (x, y and x / y), less than 4 * 2**-53 in all; a Python-int quotient
+# is rounded once, correctly, so equal ratios give equal floats.
+_WINDOW = 2.0**-40
 
 
 @dataclass(frozen=True)
@@ -89,6 +112,8 @@ class IndependenceReport:
 
 
 def _check_cap(instance: Instance, cap: int):
+    if cap < 1:
+        raise InputError(f"the enumeration cap must be at least 1, got {cap}")
     if instance.m > cap:
         raise CapacityError(
             f"exhaustive enumeration over {instance.m} items exceeds the cap {cap}"
@@ -106,98 +131,91 @@ def _submasks(full: int):
         sub = (sub | ~full) + 1 & full
 
 
-def _bits(vmask: int, m: int) -> list[int]:
-    return [i for i in range(m) if vmask >> i & 1]
+def _first_min(x: np.ndarray, y: np.ndarray) -> tuple[int, tuple[int, int]] | None:
+    """Flat position and value of the first strict minimum of the ratios x / y.
 
-
-def _observations(ev, e: int, vmask: int) -> list[tuple[tuple[int, ...], int, list]]:
-    """Positive-probability observations of ``vmask``, in sorted order.
-
-    One pass over the worlds: each observation (the states of the observed
-    items, in item order) comes with its total weight T and the weight W_o
-    of each state o that item ``e`` takes under it, as (o, W_o) pairs.
+    ``x`` and ``y`` are int64 or object arrays of one shape.  The value is a
+    pair (num, den) of Python ints in lowest terms with den > 0, under the
+    module's conventions; None when every ratio is skipped.  The float
+    quotients are those of the ratios clipped into [-1, 1], so none
+    overflows, and the clip is monotone, so every minimum stays within the
+    window.
     """
-    bits = _bits(vmask, ev.m)
-    groups: dict[tuple[int, ...], dict[int, int]] = {}
-    for states, weight in ev.worlds:
-        by_state = groups.setdefault(tuple(states[i] for i in bits), {})
-        by_state[states[e]] = by_state.get(states[e], 0) + weight
-    return [
-        (key, sum(by_state.values()), sorted(by_state.items()))
-        for key, by_state in sorted(groups.items())
-    ]
+    x, y = x.ravel(), y.ravel()
+    x = np.where(y < 0, -x, x)
+    y = abs(y)
+    undefined = (x == 0) & (y == 0)
+    x, y = np.where(undefined, 1, x), np.where(undefined, 1, y)
+    live = np.flatnonzero(y)
+    if not len(live):
+        return None
+    x, y = x[live], y[live]
+    quotients = (np.clip(x, -y, y) / y).astype(float)
+    low = quotients.min()
+    near = np.flatnonzero(quotients <= low + abs(low) * _WINDOW)
+    index, x, y = live[near], x[near], y[near]
+    # Equal ratios have equal lowest terms, so of the candidates equal to the
+    # first one only that one needs comparing (on a product prior, all of them).
+    common = np.gcd(x, y)
+    x, y = x // common, y // common
+    rest = (x != x[0]) | (y != y[0])
+    rest[0] = True
+    index, x, y = index[rest], x[rest].astype(object), y[rest].astype(object)
+    while len(index) > 1:  # the later of two wins only when strictly smaller
+        if len(index) % 2:  # (1, 0) lies above every ratio, so it never wins
+            index, x, y = np.append(index, -1), np.append(x, 1), np.append(y, 0)
+        later = x[1::2] * y[::2] < x[::2] * y[1::2]
+        index, x, y = (np.where(later, v[1::2], v[::2]) for v in (index, x, y))
+    return int(index[0]), (int(x[0]), int(y[0]))
 
 
-def _observation_of(instance: Instance, ev, e: int, vmask: int, observation):
-    """The entry of ``_observations(ev, e, vmask)`` for ``observation``."""
+def _fraction(num, den) -> Fraction | None:
+    """One ratio under the minimisation's conventions; None when skipped."""
+    hit = _first_min(np.array([int(num)], object), np.array([int(den)], object))
+    return None if hit is None else Fraction(*hit[1])
+
+
+def _best(winners: list) -> tuple[tuple[int, int], tuple]:
+    """The first strict minimum among the items' (ratio, where) winners."""
+    ratios = np.array([ratio for ratio, _ in winners], dtype=object)
+    index, best = _first_min(ratios[:, 0], ratios[:, 1])
+    return best, winners[index][1]
+
+
+def _ordered_pairs(sizes: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Rows a, b of every ordered pair within each block of ``sizes`` rows, the
+    blocks laid end to end: block by block, row-major."""
+    sizes = np.array(sizes)
+    squares = sizes * sizes
+    start = np.repeat(np.cumsum(sizes) - sizes, squares)
+    width = np.repeat(sizes, squares)
+    local = np.arange(squares.sum()) - np.repeat(np.cumsum(squares) - squares, squares)
+    return start + local // width, start + local % width
+
+
+def _row_of(instance: Instance, ev, vmask: int, observation) -> int:
+    """The row of ``observation`` in ``ev.observations(vmask)``."""
     if ev.mask_of(observation.domain) != vmask:
         raise InputError("observation must assign exactly the observed items")
     key = tuple(
         instance.state_index(s)
         for _, s in sorted((instance.item_index(i), s) for i, s in observation.pairs)
     )
-    for entry in _observations(ev, e, vmask):
-        if entry[0] == key:
-            return entry
-    raise InputError("observation has probability zero")
+    try:
+        return ev.observations(vmask)[0].index(key)
+    except ValueError:
+        raise InputError("observation has probability zero") from None
 
 
 def _realization_of(instance: Instance, vmask: int, key) -> Realization:
+    bits = [i for i in range(instance.m) if vmask >> i & 1]
     return Realization(
-        tuple(
-            (instance.items[i], instance.states[s])
-            for i, s in zip(_bits(vmask, instance.m), key)
-        )
+        tuple((instance.items[i], instance.states[s]) for i, s in zip(bits, key))
     )
 
 
 def _names(instance: Instance, mask: int) -> tuple[str, ...]:
     return tuple(item for i, item in enumerate(instance.items) if mask >> i & 1)
-
-
-def _ratio(num: int, den: int) -> tuple[int, int] | None:
-    """``num / den`` as a pair with a positive denominator, 0/0 as 1; None for x/0."""
-    if den == 0:
-        return (1, 1) if num == 0 else None
-    return (num, den) if den > 0 else (-num, -den)
-
-
-def _expect(weights, gains) -> int:
-    """Sum of W_o * gain_o over the (o, W_o) pairs of one observation."""
-    total = 0
-    for o, w in weights:
-        total += w * gains[o]
-    return total
-
-
-def _state_gains(ev, e: int, smask: int) -> tuple[int, list[int]]:
-    """Marginal of item ``e`` on base ``smask``, and its gain in each state,
-    as numerators over the evaluator's denominator."""
-    base = ev.numerator(smask)
-    states = range(len(ev.instance.states))
-    gains = [ev.numerator(smask, (e, o)) - base for o in states]
-    return ev.numerator(smask | 1 << e) - base, gains
-
-
-def _cross_gains(ev, e: int, vmask: int, observations) -> list[list[int]]:
-    """``dots[a][b]`` = sum_o W_{a,o} * g_o for a != b, where g_o is the
-    gain of state o of ``e`` on top of the union of observations a and b."""
-    dots = [[0] * len(observations) for _ in observations]
-    rows = [key for key, _, _ in observations]
-    gains = ev.union_gains(e, _bits(vmask, ev.m), rows)
-    for (a, b), g in zip(itertools.combinations(range(len(rows)), 2), gains):
-        dots[a][b] = _expect(observations[a][2], g)
-        dots[b][a] = _expect(observations[b][2], g)
-    return dots
-
-
-def _below(ratio, best) -> bool:
-    """``ratio < best`` for pairs with positive denominators."""
-    return ratio[0] * best[1] < best[0] * ratio[1]
-
-
-# (1, 0) stands for +infinity: every x/y with y > 0 compares below it.
-_UNBOUNDED = (1, 0)
 
 
 def _report(best: tuple[int, int], witness, examined: int) -> IndependenceReport:
@@ -217,25 +235,27 @@ def kappa(instance: Instance, cap: int = ENUMERATION_CAP) -> IndependenceReport:
     """
     _check_cap(instance, cap)
     ev = _evaluator(instance)
-    m = instance.m
+    m, states = instance.m, len(instance.states)
     full = (1 << m) - 1
+    # Row 0 holds N; row 1 + e * states + o holds N with (e, o) pinned.
+    tables = ev.tables([None, *itertools.product(range(m), range(states))])
 
-    best = _UNBOUNDED
-    found = None
-    examined = 0
-
+    winners, examined = [], 0
     for e in range(m):
-        smasks = _submasks(full & ~(1 << e))
-        # Marginal pieces are independent of the observation, so hoist them.
-        pieces = [(s, *_state_gains(ev, e, s)) for s in smasks]
-        for vmask in smasks:
-            for key, total, weights in _observations(ev, e, vmask):
-                examined += len(smasks)
-                for smask, num, gains in pieces:
-                    ratio = _ratio(num * total, _expect(weights, gains))
-                    if ratio is not None and _below(ratio, best):
-                        best, found = ratio, (e, smask, vmask, key)
-    e, smask, vmask, key = found
+        masks = _submasks(full & ~(1 << e))
+        smasks = np.array(masks)
+        groups = [ev.observations(vmask) for vmask in masks]
+        weights = np.concatenate([w[:, e] for _, w in groups])
+        rows = [(v, key) for v, (keys, _) in zip(masks, groups) for key in keys]
+        base = tables[0, smasks]
+        pinned = tables[1 + e * states : 1 + (e + 1) * states, smasks]
+        num = np.outer(weights.sum(axis=1), tables[0, smasks | 1 << e] - base)
+        den = weights @ (pinned - base)
+        examined += den.size
+        index, ratio = _first_min(num, den)
+        row, col = divmod(index, len(masks))
+        winners.append((ratio, (e, masks[col], *rows[row])))
+    best, (e, smask, vmask, key) = _best(winners)
     witness = KappaWitness(
         item=instance.items[e],
         base=_names(instance, smask),
@@ -259,10 +279,11 @@ def kappa_ratio(
     if smask >> e & 1 or any(instance.item_index(v) == e for v in observed_items):
         raise InputError("base and observed sets must avoid the item itself")
     vmask = ev.mask_of(observed_items)
-    _, total, weights = _observation_of(instance, ev, e, vmask, observation)
-    num, gains = _state_gains(ev, e, smask)
-    ratio = _ratio(num * total, _expect(weights, gains))
-    return None if ratio is None else Fraction(*ratio)
+    weights = ev.observations(vmask)[1][_row_of(instance, ev, vmask, observation), e]
+    base = ev.numerator(smask)
+    gains = [ev.numerator(smask, (e, o)) - base for o in range(len(instance.states))]
+    num = ev.numerator(smask | 1 << e) - base
+    return _fraction(weights.sum() * num, weights @ np.array(gains, dtype=object))
 
 
 def gamma(instance: Instance, cap: int = ENUMERATION_CAP) -> IndependenceReport:
@@ -274,29 +295,25 @@ def gamma(instance: Instance, cap: int = ENUMERATION_CAP) -> IndependenceReport:
     """
     _check_cap(instance, cap)
     ev = _evaluator(instance)
-    m = instance.m
-    full = (1 << m) - 1
+    full = (1 << instance.m) - 1
 
-    best = _UNBOUNDED
-    found = None
-    examined = 0
-
-    for e in range(m):
-        for vmask in _submasks(full & ~(1 << e)):
-            observations = _observations(ev, e, vmask)
-            dots = _cross_gains(ev, e, vmask, observations)
-            examined += len(observations) ** 2
-            for a, (key_a, total_a, _) in enumerate(observations):
-                for b, (key_b, total_b, _) in enumerate(observations):
-                    if a == b:
-                        ratio = (1, 1)  # identical conditionals cancel
-                    else:
-                        ratio = _ratio(total_b * dots[a][b], total_a * dots[b][a])
-                        if ratio is None:
-                            continue
-                    if _below(ratio, best):
-                        best, found = ratio, (e, vmask, key_a, key_b)
-    e, vmask, key_a, key_b = found
+    winners, examined = [], 0
+    for e in range(instance.m):
+        vmasks = _submasks(full & ~(1 << e))
+        groups = [ev.observations(vmask) for vmask in vmasks]
+        weights = np.concatenate([w[:, e] for _, w in groups])
+        rows = [(v, key) for v, (keys, _) in zip(vmasks, groups) for key in keys]
+        totals = weights.sum(axis=1)
+        a, b = _ordered_pairs([len(keys) for keys, _ in groups])
+        # dots[0] = W_a . g and dots[1] = W_b . g, g the pair's union gains.
+        # On the diagonal num == den, so identical conditionals give 1.
+        dots = (weights[np.stack([a, b])] * ev.union_gains(e, vmasks)).sum(axis=-1)
+        num, den = totals[b] * dots[0], totals[a] * dots[1]
+        examined += len(a)
+        index, ratio = _first_min(num, den)
+        (vmask, key_a), (_, key_b) = rows[a[index]], rows[b[index]]
+        winners.append((ratio, (e, vmask, key_a, key_b)))
+    best, (e, vmask, key_a, key_b) = _best(winners)
     witness = GammaWitness(
         item=instance.items[e],
         observed_items=_names(instance, vmask),
@@ -319,15 +336,11 @@ def gamma_ratio(
     vmask = ev.mask_of(observed_items)
     if vmask >> e & 1:
         raise InputError("observed set must avoid the item itself")
-    pair = [
-        _observation_of(instance, ev, e, vmask, observation),
-        _observation_of(instance, ev, e, vmask, observation_alt),
-    ]
-    if pair[0] == pair[1]:
-        return Fraction(1)
-    dots = _cross_gains(ev, e, vmask, pair)
-    ratio = _ratio(pair[1][1] * dots[0][1], pair[0][1] * dots[1][0])
-    return None if ratio is None else Fraction(*ratio)
+    a, b = (_row_of(instance, ev, vmask, obs) for obs in (observation, observation_alt))
+    keys, weights = ev.observations(vmask)
+    gains = ev.union_gains(e, [vmask])[a * len(keys) + b]
+    w_a, w_b = weights[a, e], weights[b, e]
+    return _fraction(w_b.sum() * (w_a @ gains), w_a.sum() * (w_b @ gains))
 
 
 def ratio_bound(kappa: float, m: int, alpha: float = 1.0) -> float:

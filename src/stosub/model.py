@@ -29,13 +29,24 @@ the float ``float(Fraction(N, D))`` gives.  Coverage sums its weights left
 to right in ascending target order, in ``WeightedCoverage.evaluate`` and in
 the kernel alike.  The kernel runs world by world, building the covered
 targets (or the explicit table's ground-pair index) of all 2**m masks by
-doubling over the item bits, so its extra memory is O(2**m) whatever the
-support size.  Full tables exist up to ``EXACT_CAP`` items, built on first
-use; above it only the requested masks are valued.  ``union_gains`` values
-pair sets that are not item masks (the union of two observations, which
-gamma needs) through the same codes and scaling, one batch per call, and
-``scaled_value`` gives 2**k f of one pair set, so callers that do their own
-exact sums over ``worlds`` (the policy oracles) never see the scale.
+doubling over the item bits.  A table may pin one (item, state) pair into
+every set; ``tables(pins)`` builds every requested table not yet cached in
+the same pass, one ``_values`` call per world on the stacked codes, so its
+extra memory is O(#pins * 2**m) whatever the support size, and a caller
+that needs one pin pays for one.  Full tables exist up to ``EXACT_CAP``
+items, built on first use; above it only the requested masks are valued.
+
+The independence measures condition on observations.  ``observations(V)``
+groups the worlds by the states of the items in V once per mask and caches
+the groups, which every item's kappa and gamma ratios (and ``kappa_ratio``
+and ``gamma_ratio``) share: sorted keys, and per key the weight of each
+(item, state), int64 when L**2 * 2**k * max f < 2**63 (so every ratio
+product fits) and Python ints otherwise.  ``union_gains`` values pair sets
+that are not item masks (the unions of two observations, which gamma needs)
+through the same codes and scaling, every pair of every requested mask in
+one batch, and ``scaled_value`` gives 2**k f of one pair set, so callers
+that do their own exact sums over ``worlds`` (the policy oracles) never see
+the scale.
 """
 
 from __future__ import annotations
@@ -611,27 +622,42 @@ class _Evaluator:
         # Positive-probability worlds with integer weights a_w = p_w * L.
         self.worlds = [(states, int(p * lcd)) for states, p in support if p]
         top, self._shift = instance.utility._grid()
-        self._int64 = lcd * max(1, int(Fraction(top) * (1 << self._shift))) < 1 << 63
+        scaled_top = max(1, int(Fraction(top) * (1 << self._shift)))
+        self._int64 = lcd * scaled_top < 1 << 63
         self.denominator = lcd << self._shift
+        # The world weights spread over (item, state): row w holds a_w at the
+        # state each item takes in w.  A ratio multiplies a sum of these (at
+        # most L) by a difference of numerators (at most L * 2**k * top), so
+        # they are int64 only when L**2 * 2**k * top < 2**63.
+        dtype = np.int64 if lcd * lcd * scaled_top < 1 << 63 else object
+        worlds = len(self.worlds)
+        self._columns = list(zip(*(states for states, _ in self.worlds)))
+        self._spread = np.zeros((worlds, self.m, len(instance.states)), dtype)
+        self._spread[
+            np.arange(worlds)[:, None], np.arange(self.m), [s for s, _ in self.worlds]
+        ] = np.array([a for _, a in self.worlds], dtype)[:, None]
         self._tables: dict = {}
+        self._groups: dict = {}
 
-    def _numerators(self, masks: np.ndarray | None, pin=None) -> np.ndarray:
-        """Numerators of the given masks (all 2^m in order when None), world by
-        world; ``pin`` adds one fixed (item, state) pair to every set."""
-        base = np.zeros_like(self._codes[0, 0]) if pin is None else self._codes[pin]
+    def _numerators(self, masks: np.ndarray | None, pins=(None,)) -> np.ndarray:
+        """Numerators of the given masks (all 2^m in order when None), one row
+        per pin; a pin adds one fixed (item, state) pair to every set, None
+        adds none.  World by world, with one ``_values`` call per world."""
+        zero = np.zeros_like(self._codes[0, 0])
+        base = np.stack([zero if pin is None else self._codes[pin] for pin in pins])
         total = 0
         for states, weight in self.worlds:
             rows = [self._codes[i, s] for i, s in enumerate(states)]
             if masks is None:  # doubling over item bits: mask | 1<<i from mask
-                codes = base[None]
+                codes = base[:, None]
                 for row in rows:
-                    codes = np.concatenate([codes, codes | row])
+                    codes = np.concatenate([codes, codes | row], axis=1)
             else:
-                codes = np.repeat(base[None], len(masks), axis=0)
+                codes = np.repeat(base[:, None], len(masks), axis=1)
                 for i, row in enumerate(rows):
-                    codes[(masks >> i) & 1 == 1] |= row
-            total = total + weight * self._scaled(codes)
-        return total
+                    codes[:, (masks >> i) & 1 == 1] |= row
+            total = total + weight * self._scaled(codes.reshape((-1,) + zero.shape))
+        return total.reshape(len(pins), -1)
 
     def _scaled(self, codes: np.ndarray) -> np.ndarray:
         """2**k times the utility of each pair-set code, as exact integers."""
@@ -646,44 +672,85 @@ class _Evaluator:
         """Correctly rounded ``numerator / denominator``, as float(Fraction) gives."""
         return np.array([n / self.denominator for n in numerators.tolist()])
 
+    def tables(self, pins) -> np.ndarray:
+        """Numerators of every mask, one row of 2**m per pin (None for no pin,
+        else an (item index, state index) pair).  The rows not yet cached are
+        built together in one pass over the worlds, so a caller that needs
+        several pins asks for them at once.  Full tables at any m: callers
+        above ``EXACT_CAP`` bound m themselves."""
+        missing = [pin for pin in dict.fromkeys(pins) if pin not in self._tables]
+        if missing:
+            for pin, row in zip(missing, self._numerators(None, missing)):
+                self._tables[pin] = (row, self._floats(row))
+        return np.stack([self._tables[pin][0] for pin in pins])
+
     def _table(self, pin=None) -> tuple[np.ndarray, np.ndarray]:
-        hit = self._tables.get(pin)
-        if hit is None:
-            numerators = self._numerators(None, pin)
-            hit = self._tables[pin] = (numerators, self._floats(numerators))
-        return hit
+        if pin not in self._tables:
+            self.tables([pin])
+        return self._tables[pin]
 
     def values(self, masks: np.ndarray | None = None, pin=None) -> np.ndarray:
         """Float E[f] of each mask, or of every mask in order when None."""
         if self.m <= EXACT_CAP:
             floats = self._table(pin)[1]
             return floats if masks is None else floats[masks]
-        return self._floats(self._numerators(masks, pin))
+        return self._floats(self._numerators(masks, (pin,))[0])
 
-    def union_gains(
-        self, item: int, observed: list[int], rows: list[tuple[int, ...]]
-    ) -> list[list[int]]:
+    def _group(self, vmask: int) -> tuple[list, np.ndarray, np.ndarray]:
+        """The observations of ``vmask`` (see ``observations``) and the code of
+        each one's pair set, built once per mask."""
+        hit = self._groups.get(vmask)
+        if hit is None:
+            bits = [i for i in range(self.m) if vmask >> i & 1]
+            # Each world's key; zip() of no columns is empty, so V = {} gives ().
+            seen = list(zip(*(self._columns[i] for i in bits)))
+            seen = seen or [()] * len(self.worlds)
+            keys = sorted(set(seen))
+            rank = {key: g for g, key in enumerate(keys)}
+            spread = self._spread
+            weights = np.zeros((len(keys),) + spread.shape[1:], spread.dtype)
+            np.add.at(weights, list(map(rank.__getitem__, seen)), spread)
+            states = np.array(keys, dtype=np.intp).reshape(len(keys), len(bits))
+            picked = self._codes[np.array(bits, dtype=np.intp), states]
+            codes = np.bitwise_or.reduce(picked, axis=1)
+            hit = self._groups[vmask] = (keys, weights, codes)
+        return hit
+
+    def observations(self, vmask: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
+        """Positive-probability observations of the items in ``vmask``, sorted.
+
+        Each key lists the observed items' state indices in item order.  Row g
+        of the weights holds W[g, i, o], the total weight of the worlds that
+        agree with key g and give item i state o, so ``W[g, i].sum()`` is the
+        key's weight T for any i.  The weights are int64 or Python ints by the
+        ratio rule in ``__init__``, so products with them are exact.
+        """
+        return self._group(vmask)[:2]
+
+    def union_gains(self, item: int, vmasks: Iterable[int]) -> np.ndarray:
         """Gains of ``item``'s states on top of the union of two observations.
 
-        Each row assigns a state to each ``observed`` item.  For every two
-        rows a < b, in ``itertools.combinations`` order, the result lists
+        For every ordered pair (a, b) of the observations of each mask in
+        ``vmasks`` (masks in the given order, pairs row-major), the row lists
         2**k * (f(A | B | {(item, o)}) - f(A | B)) for each state o, exact
-        integers, where A and B are the pair sets of rows a and b.
+        integers, where A and B are the pair sets of a and b.  Every pair is
+        valued in one batch.
         """
-        codes = np.zeros((len(rows),) + self._codes.shape[2:], self._codes.dtype)
-        for j, i in enumerate(observed):
-            codes |= self._codes[i][[row[j] for row in rows]]
-        first, second = np.triu_indices(len(rows), 1)
-        base = codes[first] | codes[second]
-        stacked = [base] + [base | pinned for pinned in self._codes[item]]
-        scaled = self._scaled(np.concatenate(stacked)).reshape(len(stacked), len(base))
-        return (scaled[1:] - scaled[0]).T.tolist()
+        unions = []
+        for vmask in vmasks:
+            codes = self._group(vmask)[2]
+            pairs = codes[:, None] | codes[None]
+            unions.append(pairs.reshape((-1,) + codes.shape[1:]))
+        base = np.concatenate(unions)
+        stacked = np.concatenate([base] + [base | pin for pin in self._codes[item]])
+        scaled = self._scaled(stacked).reshape(-1, len(base))
+        return (scaled[1:] - scaled[0]).T
 
     def numerator(self, mask: int, pin=None) -> int:
         """E[f] of ``mask`` (plus the pinned pair) times ``denominator``."""
         if self.m <= EXACT_CAP:
             return int(self._table(pin)[0][mask])
-        return int(self._numerators(np.array([mask], dtype=object), pin)[0])
+        return int(self._numerators(np.array([mask], dtype=object), (pin,))[0, 0])
 
     def scaled_value(self, pairs: Iterable[tuple[int, int]]) -> int:
         """2**k times the utility of the (item index, state index) pairs."""

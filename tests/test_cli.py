@@ -67,6 +67,16 @@ class TestIndependenceCommands:
         fileio.save_instance(inst, path)
         assert main(["kappa", str(path)]) == 2
 
+    @pytest.mark.parametrize("cap", ["-1", "0"])
+    @pytest.mark.parametrize(
+        "command",
+        [["kappa"], ["gamma"], ["gap", "--constraint", '{"kind": "uniform", "k": 2}']],
+        ids=lambda command: command[0],
+    )
+    def test_cap_below_one_is_a_usage_error(self, cc2_path, command, cap, capsys):
+        assert main([command[0], cc2_path, *command[1:], "--cap", cap]) == 1
+        assert "cap must be at least 1" in capsys.readouterr().err
+
 
 class TestGreedyCommand:
     def test_prints_trajectory_table(self, cc2_path, capsys):

@@ -65,6 +65,12 @@ class TestKappa:
         with pytest.raises(ss.CapacityError):
             ss.kappa(inst, cap=3)
 
+    @pytest.mark.parametrize("measure", [ss.kappa, ss.gamma])
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_is_an_input_error(self, cc2, measure, cap):
+        with pytest.raises(ss.InputError, match="at least 1"):
+            measure(cc2, cap=cap)
+
     def test_scale_invariance(self, cc2):
         scaled = ss.Instance(
             items=cc2.items,

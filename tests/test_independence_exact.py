@@ -4,19 +4,28 @@
 ``Fraction`` straight off the support and ``utility.evaluate``, in the
 library's enumeration order, so value, clamp, witness (the first strict
 minimum) and ``ratios_examined`` must all agree.  The cases cover ties at 0,
-single-state items, an explicit table, non-dyadic weights whose scale forces
-Python-int numerators, and a prior whose LCD is about 10**60.
+single-state items, an explicit table and a non-monotone one (negative
+denominators), non-dyadic weights whose scale forces Python-int numerators,
+a prior whose LCD is about 10**60, one whose numerators fit int64 but whose
+ratio products do not, and a common-cause prior at m=5.
 """
 
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import stosub as ss
 from stosub.model import _evaluator
-from helpers import loop_gamma, loop_kappa
+from helpers import (
+    direct_conditional,
+    direct_set_value,
+    direct_state_value,
+    loop_gamma,
+    loop_kappa,
+)
 
 
 def _reweighted(instance, weights):
@@ -34,13 +43,14 @@ def _reweighted(instance, weights):
     )
 
 
-def _table(seed):
+def _table(seed, choices=(0.0, 1.0, 1 / 3, 2.5, 0.1), shape=math.sqrt):
+    """A table of ``shape`` of the summed pair weights, and a 5-draw prior."""
     rng = random.Random(seed)
     items, states = ("a", "b", "c"), ("lo", "hi")
     ground = [(i, s) for i in items for s in states]
-    weight = {pair: rng.choice([0.0, 1.0, 1 / 3, 2.5, 0.1]) for pair in ground}
+    weight = {pair: rng.choice(choices) for pair in ground}
     utility = ss.ExplicitTable.from_function(
-        ground, lambda subset: math.sqrt(sum(weight[p] for p in sorted(subset)))
+        ground, lambda subset: shape(sum(weight[p] for p in sorted(subset)))
     )
     worlds = {}
     for _ in range(5):
@@ -57,12 +67,13 @@ def _table(seed):
     )
 
 
-def _huge_lcd(seed):
-    """A product prior over three prime denominators near 1e20, then correlated
-    by moving the last world's mass onto the first."""
+def _moved_product(seed, denominators, weights):
+    """A product prior over the prime ``denominators``, then correlated by
+    moving the last world's mass onto the first; target weights cycle
+    through ``weights``."""
     rng = random.Random(seed)
     marginals = []
-    for q in (10**20 + 39, 10**20 + 129, 10**20 + 151):
+    for q in denominators:
         a = rng.randrange(1, q)
         marginals.append([("s1", Fraction(a, q)), ("s2", Fraction(q - a, q))])
     product = ss.generate_product(3, per_item_marginals=marginals, seed=seed)
@@ -76,7 +87,7 @@ def _huge_lcd(seed):
             distribution=ss.JointDistribution(tuple(entries)),
             utility=product.utility,
         ),
-        [0.1, 1 / 3, 2.5],
+        weights,
     )
 
 
@@ -91,7 +102,14 @@ CASES = {
     "third-weights": lambda: _reweighted(
         ss.generate_common_cause(4, 2, 7, seed=6), [0.1, 1 / 3, 2.5, 1e-9 / 3]
     ),
-    "huge-lcd": lambda: _huge_lcd(4),
+    "huge-lcd": lambda: _moved_product(
+        4, (10**20 + 39, 10**20 + 129, 10**20 + 151), [0.1, 1 / 3, 2.5]
+    ),
+    "non-monotone-table": lambda: _table(
+        1, (0.0, 0.5, 1.0, 1.25, 2.0), lambda total: abs(total - 1.5)
+    ),
+    "wide-products": lambda: _moved_product(3, (1000003, 1000033, 1009), [0.5, 2.0]),
+    "cc-m5": lambda: ss.generate_common_cause(5, 3, 8, seed=0),
 }
 
 
@@ -134,3 +152,26 @@ def test_cases_reach_ties_and_python_ints(instances):
     ) > 10**59
     for name in ("third-weights", "huge-lcd"):
         assert _evaluator(instances[name])._table()[0].dtype == object
+    # Ratios are products with the observation weights, so those carry the
+    # dtype: int64 numerators, yet Python-int ratios, on "wide-products".
+    for name, tables, ratios in [
+        ("cc-m5", np.int64, np.int64),
+        ("wide-products", np.int64, object),
+        ("huge-lcd", object, object),
+    ]:
+        ev = _evaluator(instances[name])
+        assert ev._table()[0].dtype == tables
+        assert ev.observations(0)[1].dtype == ratios
+
+
+def test_non_monotone_table_reaches_negative_denominators(instances):
+    inst = instances["non-monotone-table"]
+    assert not ss.validate_utility(inst.utility).monotone
+    report = ss.kappa(inst)
+    w = report.witness
+    base = direct_set_value(inst, w.base)
+    denominator = sum(
+        q * (direct_state_value(inst, w.base, w.item, s) - base)
+        for s, q in direct_conditional(inst, w.item, w.observation.as_dict())
+    )
+    assert report.value < 0 and denominator < 0
