@@ -76,6 +76,7 @@ from .multilinear import (
     multilinear_value,
     optimistic_weight,
     optimistic_weight_estimate,
+    optimistic_weight_estimates,
     standard_weight,
     state_weight,
 )

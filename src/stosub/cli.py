@@ -19,6 +19,7 @@ from .generators import generate_common_cause, generate_product
 from .greedy import GreedyConfig, format_trajectory, run
 from .independence import adaptivity_gap_bound, gamma, kappa
 from .model import Instance, validate_utility
+from .multilinear import SAMPLE_CAP
 from .policies import best_nonadaptive, optimal_adaptive
 
 BUNDLED_SUITE = Path(__file__).parent / "data" / "verification_suite.json"
@@ -199,7 +200,8 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=["exact", "sampled"], default="exact")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=None,
-                   help="per-round sample count in sampled mode (default: schedule)")
+                   help="per-round sample count in sampled mode (default: "
+                   f"schedule); samples x items is capped at {SAMPLE_CAP}")
     p.add_argument("--variant", choices=["optimistic", "standard"],
                    default="optimistic")
     p.add_argument("--output", help="write the trajectory table here")

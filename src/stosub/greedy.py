@@ -6,6 +6,13 @@ the polytope, and moves the fractional point a delta step toward the LP
 vertex.  Weights come from exact enumeration or from seeded Monte-Carlo
 estimates; either way a run is a pure function of (instance, constraint,
 config).
+
+A sampled round draws its inclusion masks once, from the stream
+``(round_index,)``, and estimates every item's weight from that draw:
+clearing item e's bit in each mask is exactly a draw at the point with
+x_e = 0.  The ascent's guarantee rests on a bound per estimate and a union
+bound over items and rounds, and a union bound needs no independence
+between items, so sharing the draw keeps it.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from .multilinear import (
     estimation_sample_count,
     multilinear_value,
     optimistic_weight,
-    optimistic_weight_estimate,
+    optimistic_weight_estimates,
 )
 
 WEIGHT_MODES = ("exact", "sampled")
@@ -111,15 +118,16 @@ def _round(
     d = 1.0 - t if round_index >= config.rounds - 1 else config.delta
     if d <= 0 or t + d > 1.0 + 1e-12:
         raise InputError(f"round at t={t} would overshoot the time horizon")
+    if config.weight_mode == "exact":
+        optimistic = [optimistic_weight(instance, y, item) for item in instance.items]
+    else:
+        n = config.resolved_sample_count(instance.m)
+        estimates = optimistic_weight_estimates(
+            instance, y, n, config.seed, stream=(round_index,)
+        )
+        optimistic = [estimate.mean for estimate in estimates]
     weights = []
-    for j, item in enumerate(instance.items):
-        if config.weight_mode == "exact":
-            w = optimistic_weight(instance, y, item)
-        else:
-            n = config.resolved_sample_count(instance.m)
-            w = optimistic_weight_estimate(
-                instance, y, item, n, config.seed, stream=(round_index, j)
-            ).mean
+    for item, w in zip(instance.items, optimistic):
         if config.weight_variant == "standard":  # the standard_weight identity
             w *= 1.0 - y.value_of(item)
         if not math.isfinite(w):

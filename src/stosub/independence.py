@@ -24,10 +24,12 @@ observations of every V avoiding e, V ascending and keys sorted, into W
 (observations x states) and T, takes n and G for every S avoiding e from the
 evaluator's value tables (built for every pin in one pass), and forms the
 denominators ``W @ G.T`` and the numerators ``outer(T, n)``: ratios in
-(V, observation, S) order.  gamma values every ordered observation pair of
-every V in one evaluator batch, contracts both observations' W with the
-pair's gains at once, and lays the (a, b) ratios out row-major per V.  On
-the diagonal numerator and denominator are equal, so the ratio is 1.
+(V, observation, S) order.  gamma values the union of each observation pair
+a < b of every V once, in one evaluator batch, and contracts both
+observations' W with the pair's gains at once.  The ratios are laid out
+row-major per V over every ordered pair: (a, b) is T_b * d_a / (T_a * d_b),
+with d the two contractions, and (b, a) is the same pair swapped.  On the
+diagonal numerator and denominator are equal, so the ratio is 1/1.
 
 The arrays are int64 when L**2 * 2**k * max f < 2**63, which bounds every
 numerator and denominator (a weight sum of at most L times a gain of at most
@@ -182,15 +184,17 @@ def _best(winners: list) -> tuple[tuple[int, int], tuple]:
     return best, winners[index][1]
 
 
-def _ordered_pairs(sizes: list[int]) -> tuple[np.ndarray, np.ndarray]:
+def _ordered_pairs(sizes: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows a, b of every ordered pair within each block of ``sizes`` rows, the
-    blocks laid end to end: block by block, row-major."""
+    blocks laid end to end: block by block, row-major; and the position of
+    each pair's mirror (b, a) in that order."""
     sizes = np.array(sizes)
     squares = sizes * sizes
     start = np.repeat(np.cumsum(sizes) - sizes, squares)
     width = np.repeat(sizes, squares)
-    local = np.arange(squares.sum()) - np.repeat(np.cumsum(squares) - squares, squares)
-    return start + local // width, start + local % width
+    first = np.repeat(np.cumsum(squares) - squares, squares)
+    row, col = np.divmod(np.arange(squares.sum()) - first, width)
+    return start + row, start + col, first + col * width + row
 
 
 def _row_of(instance: Instance, ev, vmask: int, observation) -> int:
@@ -304,13 +308,18 @@ def gamma(instance: Instance, cap: int = ENUMERATION_CAP) -> IndependenceReport:
         weights = np.concatenate([w[:, e] for _, w in groups])
         rows = [(v, key) for v, (keys, _) in zip(vmasks, groups) for key in keys]
         totals = weights.sum(axis=1)
-        a, b = _ordered_pairs([len(keys) for keys, _ in groups])
-        # dots[0] = W_a . g and dots[1] = W_b . g, g the pair's union gains.
-        # On the diagonal num == den, so identical conditionals give 1.
-        dots = (weights[np.stack([a, b])] * ev.union_gains(e, vmasks)).sum(axis=-1)
-        num, den = totals[b] * dots[0], totals[a] * dots[1]
+        a, b, mirror = _ordered_pairs([len(keys) for keys, _ in groups])
+        # For a < b: dots[0] = W_a . g and dots[1] = W_b . g, g the pair's
+        # union gains, which (a, b) and (b, a) share.
+        upper = np.flatnonzero(a < b)
+        pairs = np.stack([a[upper], b[upper]])
+        dots = (weights[pairs] * ev.union_gains(e, vmasks, *pairs)).sum(axis=-1)
+        # Rows num, den; the diagonal keeps 1/1, as there num equals den.
+        ratios = np.ones((2, len(a)), weights.dtype)
+        ratios[:, upper] = totals[pairs[::-1]] * dots
+        ratios[:, mirror[upper]] = ratios[::-1, upper]
         examined += len(a)
-        index, ratio = _first_min(num, den)
+        index, ratio = _first_min(*ratios)
         (vmask, key_a), (_, key_b) = rows[a[index]], rows[b[index]]
         winners.append((ratio, (e, vmask, key_a, key_b)))
     best, (e, vmask, key_a, key_b) = _best(winners)
@@ -338,7 +347,13 @@ def gamma_ratio(
         raise InputError("observed set must avoid the item itself")
     a, b = (_row_of(instance, ev, vmask, obs) for obs in (observation, observation_alt))
     keys, weights = ev.observations(vmask)
-    gains = ev.union_gains(e, [vmask])[a * len(keys) + b]
+    bits = [i for i in range(instance.m) if vmask >> i & 1]
+    union = {*zip(bits, keys[a]), *zip(bits, keys[b])}
+    base = ev.scaled_value(union)
+    gains = np.array(
+        [ev.scaled_value(union | {(e, o)}) - base for o in range(len(instance.states))],
+        dtype=object,
+    )
     w_a, w_b = weights[a, e], weights[b, e]
     return _fraction(w_b.sum() * (w_a @ gains), w_a.sum() * (w_b @ gains))
 

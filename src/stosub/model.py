@@ -43,9 +43,9 @@ and ``gamma_ratio``) share: sorted keys, and per key the weight of each
 (item, state), int64 when L**2 * 2**k * max f < 2**63 (so every ratio
 product fits) and Python ints otherwise.  ``union_gains`` values pair sets
 that are not item masks (the unions of two observations, which gamma needs)
-through the same codes and scaling, every pair of every requested mask in
-one batch, and ``scaled_value`` gives 2**k f of one pair set, so callers
-that do their own exact sums over ``worlds`` (the policy oracles) never see
+through the same codes and scaling, every requested pair in one batch, and
+``scaled_value`` gives 2**k f of one pair set, so callers that do their own
+exact sums over ``worlds`` (the policy oracles and ``gamma_ratio``) never see
 the scale.
 """
 
@@ -727,23 +727,22 @@ class _Evaluator:
         """
         return self._group(vmask)[:2]
 
-    def union_gains(self, item: int, vmasks: Iterable[int]) -> np.ndarray:
+    def union_gains(
+        self, item: int, vmasks: Iterable[int], a: np.ndarray, b: np.ndarray
+    ) -> np.ndarray:
         """Gains of ``item``'s states on top of the union of two observations.
 
-        For every ordered pair (a, b) of the observations of each mask in
-        ``vmasks`` (masks in the given order, pairs row-major), the row lists
-        2**k * (f(A | B | {(item, o)}) - f(A | B)) for each state o, exact
-        integers, where A and B are the pair sets of a and b.  Every pair is
-        valued in one batch.
+        ``a`` and ``b`` index the observations of the masks in ``vmasks``, laid
+        end to end in the given order.  Row r lists 2**k * (f(A | B | {(item,
+        o)}) - f(A | B)) for each state o, exact integers, where A and B are
+        the pair sets of observations a[r] and b[r].  Every pair is valued in
+        one batch.
         """
-        unions = []
-        for vmask in vmasks:
-            codes = self._group(vmask)[2]
-            pairs = codes[:, None] | codes[None]
-            unions.append(pairs.reshape((-1,) + codes.shape[1:]))
-        base = np.concatenate(unions)
-        stacked = np.concatenate([base] + [base | pin for pin in self._codes[item]])
-        scaled = self._scaled(stacked).reshape(-1, len(base))
+        codes = np.concatenate([self._group(vmask)[2] for vmask in vmasks])
+        base = codes[a] | codes[b]
+        pins = self._codes[item]
+        stacked = np.concatenate([base] + [base | pin for pin in pins])
+        scaled = self._scaled(stacked).reshape(1 + len(pins), len(base))
         return (scaled[1:] - scaled[0]).T
 
     def numerator(self, mask: int, pin=None) -> int:

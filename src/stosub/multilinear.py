@@ -11,6 +11,17 @@ indicator vector reproduces ``expected_set_value`` bit for bit.  The exact
 kernels contract that table with numpy in a scalar loop's float order: a
 mask's coordinate factors multiply in item order, and terms add left to
 right from 0.0 in mask order (``np.sum`` would pair them up instead).
+
+The sampled weights share one inclusion draw.  ``optimistic_weight_estimates``
+draws n masks at x once and estimates every item e from that draw: clearing
+bit e in every mask gives exactly the draw at x with x_e = 0 (a uniform is
+never below 0), and each sample is the paired difference f(S + e) - f(S).
+So the one-item ``optimistic_weight_estimate`` is the same code on one item.
+The ascent's guarantee bounds each estimate separately (a Chernoff bound)
+and then takes a union bound over items and rounds, which needs no
+independence between the items' estimates, so common draws keep it.  One
+draw holds at most ``SAMPLE_CAP`` uniforms (n times m); a larger request is
+a ``CapacityError`` before anything is drawn.
 """
 
 from __future__ import annotations
@@ -25,6 +36,10 @@ from .errors import CapacityError, InputError
 from .model import EXACT_CAP, Instance, _evaluator
 
 _COORD_TOL = 1e-9
+
+# Uniforms in one inclusion draw (samples times items): 2**25 float64 is
+# 256 MiB, and the draw peaks at 10 bytes per uniform with its masks.
+SAMPLE_CAP = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -168,7 +183,8 @@ def state_weight(
 
 
 def estimation_sample_count(delta: float, m: int) -> int:
-    """Number of samples the estimation schedule prescribes for step size delta."""
+    """Number of samples per round the estimation schedule prescribes for step
+    size delta; one draw of that many sets serves every item's estimate."""
     if not 0 < delta <= 1:
         raise InputError(f"delta must lie in (0, 1], got {delta}")
     if m < 1:
@@ -182,15 +198,14 @@ def _stream_rng(seed: int, stream: tuple[int, ...]) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=stream))
 
 
-def _sample_masks(
-    rng: np.random.Generator, xv: list[float], n: int, skip: int | None = None
-) -> np.ndarray:
+def _sample_masks(rng: np.random.Generator, xv: list[float], n: int) -> np.ndarray:
     m = len(xv)
-    probs = np.asarray(xv)
-    if skip is not None:
-        probs = probs.copy()
-        probs[skip] = 0.0
-    include = rng.random((n, m)) < probs
+    if n * m > SAMPLE_CAP:
+        raise CapacityError(
+            f"{n} samples over {m} items need {n * m} uniform draws, "
+            f"above the cap {SAMPLE_CAP}"
+        )
+    include = rng.random((n, m)) < np.asarray(xv)
     weights = 1 << np.arange(m, dtype=np.int64)
     return include @ weights
 
@@ -222,6 +237,45 @@ def multilinear_estimate(
     return _summarize(ev.values(masks), seed)
 
 
+def _paired_estimates(
+    instance: Instance,
+    x: FractionalPoint,
+    items: Iterable[str],
+    sample_count: int,
+    seed: int,
+    stream: tuple[int, ...],
+) -> tuple[Estimate, ...]:
+    """Optimistic weight estimates of ``items`` from one shared draw at ``x``."""
+    if sample_count < 1:
+        raise InputError("sample_count must be at least 1")
+    ev = _evaluator(instance)
+    xv = _aligned(instance, x)
+    bits = [1 << instance.item_index(item) for item in items]
+    masks = _sample_masks(_stream_rng(seed, stream), xv, sample_count)
+    # masks & ~bit is the draw at x with the item's coordinate zeroed.
+    return tuple(
+        _summarize(ev.values(masks | bit) - ev.values(masks & ~bit), seed)
+        for bit in bits
+    )
+
+
+def optimistic_weight_estimates(
+    instance: Instance,
+    x: FractionalPoint,
+    sample_count: int,
+    seed: int,
+    stream: tuple[int, ...] = (),
+) -> tuple[Estimate, ...]:
+    """Paired Monte-Carlo estimates of every item's optimistic weight, in item
+    order, all from one draw of ``sample_count`` sets (module docstring).
+
+    Each sample differences the value of a drawn set with and without the
+    item, which keeps each estimator unbiased at lower variance than two
+    independent value estimates.
+    """
+    return _paired_estimates(instance, x, instance.items, sample_count, seed, stream)
+
+
 def optimistic_weight_estimate(
     instance: Instance,
     x: FractionalPoint,
@@ -230,18 +284,6 @@ def optimistic_weight_estimate(
     seed: int,
     stream: tuple[int, ...] = (),
 ) -> Estimate:
-    """Paired Monte-Carlo estimate of the optimistic weight.
-
-    Each sample draws one set excluding the item and differences the value
-    with and without it, which keeps the estimator unbiased at lower variance
-    than two independent value estimates.
-    """
-    if sample_count < 1:
-        raise InputError("sample_count must be at least 1")
-    ev = _evaluator(instance)
-    xv = _aligned(instance, x)
-    e = instance.item_index(item)
-    bit = 1 << e
-    rng = _stream_rng(seed, stream)
-    masks = _sample_masks(rng, xv, sample_count, skip=e)
-    return _summarize(ev.values(masks | bit) - ev.values(masks), seed)
+    """Paired Monte-Carlo estimate of one item's optimistic weight; the draws
+    equal those of a draw at x with the item's coordinate zeroed."""
+    return _paired_estimates(instance, x, [item], sample_count, seed, stream)[0]

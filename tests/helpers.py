@@ -6,9 +6,13 @@ bitmask tables, so agreement is meaningful.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
+import numpy as np
+
 from stosub import (
+    Estimate,
     ExplicitFamily,
     GammaWitness,
     IndependenceReport,
@@ -421,6 +425,40 @@ def loop_optimistic_weight(instance, coords, item, value) -> float:
 
 def loop_state_weight(instance, coords, item, state, state_value, value) -> float:
     return _loop_sum(instance, coords, lambda s: state_value(s) - value(s))
+
+
+def per_item_weight_estimate(instance, x, item, sample_count, seed, stream=()):
+    """The per-item optimistic weight sampler the shared-draw estimator
+    replaced: its own ``(seed, stream)`` generator, an n x m uniform draw
+    compared with the coordinates with the item's set to 0, and the paired
+    difference of float set values (here exact ``Fraction``s rounded once,
+    memoised per mask), summarised as ``Estimate`` does."""
+    import math
+
+    import numpy as np
+
+    from stosub import Estimate
+
+    items = instance.items
+    e = items.index(item)
+    probs = np.array([x.value_of(i) for i in items])
+    probs[e] = 0.0
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=stream))
+    include = rng.random((sample_count, len(items))) < probs
+    masks = include @ (1 << np.arange(len(items), dtype=np.int64))
+    memo = {}
+
+    def value(mask):
+        if mask not in memo:
+            chosen = [i for j, i in enumerate(items) if mask >> j & 1]
+            memo[mask] = float(direct_set_value(instance, chosen))
+        return memo[mask]
+
+    values = np.array([value(int(k) | 1 << e) - value(int(k)) for k in masks])
+    if (values == values[0]).all():
+        return Estimate(float(values[0]), sample_count, 0.0, seed)
+    se = float(values.std(ddof=1) / math.sqrt(sample_count))
+    return Estimate(float(values.mean()), sample_count, se, seed)
 
 
 def loop_validate_utility(utility, tol: float = 1e-12) -> UtilityReport:

@@ -103,6 +103,17 @@ class TestGreedyCommand:
         assert code == 0
 
 
+    def test_sample_cap_is_a_capacity_error(self, cc2_path, capsys):
+        code = main(
+            ["greedy", cc2_path, "--mode", "sampled", "--samples", "100000000000",
+             "--delta", "0.5"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("capacity error:")
+        assert "Traceback" not in err
+
+
 class TestOracleCommands:
     def test_adaptive(self, cc2_path, capsys):
         code = main(

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 import stosub as ss
+from stosub import multilinear
 from conftest import make_modular, make_single_item
 
 
@@ -104,6 +105,22 @@ class TestRun:
         traj = ss.run(modular3, constraint, config)
         # Modular weights are far apart, so estimation noise cannot flip the pick.
         assert traj.final.as_dict() == {"a": 1.0, "b": 0.0, "c": 0.0}
+
+    def test_sampled_round_draws_once(self, cc2, monkeypatch):
+        """One generator (one shared draw) per round, not one per item."""
+        streams = []
+        original = multilinear._stream_rng
+
+        def counting(seed, stream):
+            streams.append(stream)
+            return original(seed, stream)
+
+        monkeypatch.setattr(multilinear, "_stream_rng", counting)
+        config = ss.GreedyConfig(
+            delta=0.25, weight_mode="sampled", sample_count=16, seed=2
+        )
+        ss.run(cc2, ss.UniformMatroid(rank=1), config)
+        assert streams == [(k,) for k in range(config.rounds)]
 
     def test_auto_sample_count_resolution(self):
         config = ss.GreedyConfig(delta=0.5, weight_mode="sampled")

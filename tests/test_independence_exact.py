@@ -10,6 +10,7 @@ a prior whose LCD is about 10**60, one whose numerators fit int64 but whose
 ratio products do not, and a common-cause prior at m=5.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -140,6 +141,39 @@ def test_gamma_matches_fraction_loop(instances, name):
         ss.gamma_ratio(inst, w.item, w.observed_items, w.observation, w.observation_alt)
         == report.value
     )
+
+
+@pytest.mark.parametrize("name", ["cc-m4", "cc-m3", "cc2", "non-monotone-table"])
+def test_gamma_ratio_on_every_ordered_pair(instances, name):
+    """gamma values each union of two observations once and mirrors it into
+    (b, a); ``gamma_ratio`` values one pair from its own pair sets, so over
+    every ordered pair it finds the report's count and minimum, 1 on the
+    diagonal, and (b, a) the reciprocal of (a, b)."""
+    inst = instances[name]
+    ev = _evaluator(inst)
+    report = ss.gamma(inst)
+    ratios = []
+    for e, item in enumerate(inst.items):
+        for vmask in range(1 << inst.m):
+            if vmask >> e & 1:
+                continue
+            observed = tuple(i for j, i in enumerate(inst.items) if vmask >> j & 1)
+            obs = [
+                ss.Realization(tuple(zip(observed, (inst.states[s] for s in key))))
+                for key in ev.observations(vmask)[0]
+            ]
+            for a, b in itertools.product(range(len(obs)), repeat=2):
+                forward = ss.gamma_ratio(inst, item, observed, obs[a], obs[b])
+                backward = ss.gamma_ratio(inst, item, observed, obs[b], obs[a])
+                if a == b:
+                    assert forward == 1
+                elif forward is None or forward == 0:
+                    assert {forward, backward} == {None, 0}
+                else:
+                    assert backward == 1 / forward
+                ratios.append(forward)
+    assert len(ratios) == report.ratios_examined
+    assert min(r for r in ratios if r is not None) == report.value
 
 
 def test_cases_reach_ties_and_python_ints(instances):

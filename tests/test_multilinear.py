@@ -1,12 +1,19 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import stosub as ss
+from stosub import multilinear
 from conftest import make_modular
-from helpers import direct_multilinear, direct_set_value, direct_state_value
+from helpers import (
+    direct_multilinear,
+    direct_set_value,
+    direct_state_value,
+    per_item_weight_estimate,
+)
 
 
 def grid_points(instance, count, seed):
@@ -217,23 +224,80 @@ class TestOptimisticEstimate:
         assert est.mean == ss.expected_set_value(cc2, {"a"})
         assert est.std_error == 0.0
 
-    def test_unbiased_against_exact(self, cc2):
-        x = ss.FractionalPoint(cc2.items, (0.5, 0.5))
-        exact = ss.optimistic_weight(cc2, x, "b")
-        means, ses = [], []
-        for seed in range(100):
-            est = ss.optimistic_weight_estimate(cc2, x, "b", 150, seed=seed)
-            means.append(est.mean)
-            ses.append(est.std_error)
-        grand = sum(means) / len(means)
-        combined = math.sqrt(sum(se**2 for se in ses)) / len(ses)
-        assert abs(grand - exact) <= 4 * combined
+    def test_unbiased_against_exact(self):
+        # Every item's estimate comes from the same draws; each one on its own
+        # must still center on its exact weight.
+        inst = ss.generate_common_cause(4, 3, 8, seed=2)
+        x = ss.FractionalPoint(inst.items, (0.5, 0.2, 0.7, 0.4))
+        runs = [ss.optimistic_weight_estimates(inst, x, 150, s) for s in range(100)]
+        for j, item in enumerate(inst.items):
+            exact = ss.optimistic_weight(inst, x, item)
+            grand = sum(run[j].mean for run in runs) / len(runs)
+            combined = math.sqrt(sum(run[j].std_error**2 for run in runs)) / len(runs)
+            assert combined > 0
+            assert abs(grand - exact) <= 4 * combined
 
     def test_stream_key_changes_draws(self, cc2):
         x = ss.FractionalPoint(cc2.items, (0.5, 0.5))
         a = ss.optimistic_weight_estimate(cc2, x, "b", 100, seed=1, stream=(0, 0))
         b = ss.optimistic_weight_estimate(cc2, x, "b", 100, seed=1, stream=(0, 1))
         assert a != b
+
+    def test_matches_the_per_item_sampler(self, cc2):
+        """Clearing an item's bit in a draw at x is the draw with x_e = 0, so
+        the one-item estimate is bit-identical to a sampler that draws per
+        item, on a seeded grid of instances, points, streams and counts."""
+        rng = random.Random(0)
+        instances = [
+            cc2,
+            ss.generate_product(3, states_per_item=2, seed=1),
+            ss.generate_common_cause(4, 3, 8, seed=0),
+            ss.generate_common_cause(5, 2, 6, seed=3),
+        ]
+        for inst in instances:
+            for _ in range(4):
+                coords = [rng.choice([0.0, 1.0, rng.random()]) for _ in inst.items]
+                x = ss.FractionalPoint(inst.items, tuple(coords))
+                for item in inst.items:
+                    n = rng.choice([1, 2, 17, 300])
+                    seed = rng.randrange(100)
+                    stream = rng.choice([(), (0,), (3, 1)])
+                    expected = per_item_weight_estimate(inst, x, item, n, seed, stream)
+                    got = ss.optimistic_weight_estimate(inst, x, item, n, seed, stream)
+                    assert got == expected
+
+    def test_all_items_share_the_one_item_draw(self):
+        inst = ss.generate_common_cause(4, 3, 8, seed=1)
+        x = ss.FractionalPoint(inst.items, (0.3, 0.6, 0.1, 0.9))
+        estimates = ss.optimistic_weight_estimates(inst, x, 64, seed=4, stream=(2,))
+        assert len(estimates) == inst.m
+        for item, estimate in zip(inst.items, estimates):
+            assert estimate == ss.optimistic_weight_estimate(
+                inst, x, item, 64, seed=4, stream=(2,)
+            )
+
+
+class TestSampleCap:
+    def test_huge_count_is_a_capacity_error(self, cc2):
+        x = ss.FractionalPoint(cc2.items, (0.5, 0.5))
+        with pytest.raises(ss.CapacityError, match="above the cap"):
+            ss.optimistic_weight_estimates(cc2, x, 10**11, seed=0)
+        with pytest.raises(ss.CapacityError):
+            ss.optimistic_weight_estimate(cc2, x, "a", 10**11, seed=0)
+        with pytest.raises(ss.CapacityError):
+            ss.multilinear_estimate(cc2, x, 10**11, seed=0)
+
+    def test_cap_counts_samples_times_items(self, cc2, monkeypatch):
+        monkeypatch.setattr(multilinear, "SAMPLE_CAP", 12)
+        x = ss.FractionalPoint(cc2.items, (0.5, 0.5))
+        assert len(ss.optimistic_weight_estimates(cc2, x, 6, seed=0)) == 2
+        with pytest.raises(ss.CapacityError):
+            ss.optimistic_weight_estimates(cc2, x, 7, seed=0)
+
+    def test_cap_admits_the_faithful_schedule_up_to_six_items(self):
+        for m in range(1, 7):
+            config = ss.faithful_config(m)
+            assert config.resolved_sample_count(m) * m <= multilinear.SAMPLE_CAP
 
 
 class TestFractionalPoint:
