@@ -77,6 +77,7 @@ from .multilinear import (
     optimistic_weight,
     optimistic_weight_estimate,
     optimistic_weight_estimates,
+    optimistic_weights,
     standard_weight,
     state_weight,
 )

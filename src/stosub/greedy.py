@@ -18,6 +18,7 @@ between items, so sharing the draw keeps it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Union
 
@@ -28,12 +29,17 @@ from .multilinear import (
     FractionalPoint,
     estimation_sample_count,
     multilinear_value,
-    optimistic_weight,
     optimistic_weight_estimates,
+    optimistic_weights,
 )
 
 WEIGHT_MODES = ("exact", "sampled")
 WEIGHT_VARIANTS = ("optimistic", "standard")
+
+
+def _is(value, kind: type) -> bool:
+    """``value`` is a ``kind`` number; bools never pass."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -53,21 +59,23 @@ class GreedyConfig:
     weight_variant: str = "optimistic"
 
     def __post_init__(self):
-        if not 0 < self.delta <= 1:
-            raise ConfigurationError(f"delta must lie in (0, 1], got {self.delta}")
+        if not _is(self.delta, numbers.Real) or not 0 < self.delta <= 1:
+            raise ConfigurationError(f"delta must lie in (0, 1], got {self.delta!r}")
         if self.weight_mode not in WEIGHT_MODES:
             raise ConfigurationError(f"weight_mode must be one of {WEIGHT_MODES}")
         if self.weight_variant not in WEIGHT_VARIANTS:
             raise ConfigurationError(f"weight_variant must be one of {WEIGHT_VARIANTS}")
-        if isinstance(self.sample_count, str):
-            if self.sample_count != "auto":
-                raise ConfigurationError(
-                    "sample_count must be a positive integer or 'auto'"
-                )
-        elif self.sample_count < 1:
-            raise ConfigurationError("sample_count must be at least 1")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
+        if self.sample_count != "auto" and not (
+            _is(self.sample_count, numbers.Integral) and self.sample_count >= 1
+        ):
+            raise ConfigurationError(
+                f"sample_count must be a positive integer or 'auto', "
+                f"got {self.sample_count!r}"
+            )
+        if not _is(self.seed, numbers.Integral) or self.seed < 0:
+            raise ConfigurationError(
+                f"seed must be nonnegative and an integer, got {self.seed!r}"
+            )
 
     @property
     def rounds(self) -> int:
@@ -119,7 +127,7 @@ def _round(
     if d <= 0 or t + d > 1.0 + 1e-12:
         raise InputError(f"round at t={t} would overshoot the time horizon")
     if config.weight_mode == "exact":
-        optimistic = [optimistic_weight(instance, y, item) for item in instance.items]
+        optimistic = optimistic_weights(instance, y)
     else:
         n = config.resolved_sample_count(instance.m)
         estimates = optimistic_weight_estimates(

@@ -25,9 +25,13 @@ dyadic: 2**k times every weight or table value is an integer, and so is
 of nonnegative floats never drops below the finest bit of its terms.  So
 N = sum_w a_w * 2**k f_w exactly, in int64 when L * 2**k * max f < 2**63
 and in Python ints otherwise; the float view is the correctly rounded N / D,
-the float ``float(Fraction(N, D))`` gives.  Coverage sums its weights left
+the float ``float(Fraction(N, D))`` gives (one numpy division when N and D
+are below 2**53, so both are exact floats).  Coverage sums its weights left
 to right in ascending target order, in ``WeightedCoverage.evaluate`` and in
-the kernel alike.  The kernel runs world by world, building the covered
+the kernel alike; the kernel takes that sum as one product ``codes @
+weights`` when 2**k times the weights' total is below 2**53, because every
+subset sum is then an exact float in any order (each coverage utility
+decides this once).  The kernel runs world by world, building the covered
 targets (or the explicit table's ground-pair index) of all 2**m masks by
 doubling over the item bits.  A table may pin one (item, state) pair into
 every set; ``tables(pins)`` builds every requested table not yet cached in
@@ -35,6 +39,8 @@ the same pass, one ``_values`` call per world on the stacked codes, so its
 extra memory is O(#pins * 2**m) whatever the support size, and a caller
 that needs one pin pays for one.  Full tables exist up to ``EXACT_CAP``
 items, built on first use; above it only the requested masks are valued.
+``gains`` caches the float table's differences across each item's bit, the
+2**(m-1) x m matrix the multilinear weight kernel contracts.
 
 The independence measures condition on observations.  ``observations(V)``
 groups the worlds by the states of the items in V once per mask and caches
@@ -71,6 +77,9 @@ from .errors import (
 Pair = tuple[str, str]
 
 EXACT_CAP = 16
+
+# Every integer below this is an exact float.
+_FLOAT_EXACT = 1 << 53
 
 # Slack of the monotonicity and submodularity checks: float-built tables
 # (modular or budget-additive sums) miss exact equalities by an ulp or so.
@@ -287,6 +296,12 @@ class WeightedCoverage:
         object.__setattr__(self, "coverage", tuple(canon))
         object.__setattr__(self, "_cover", cover)
         object.__setattr__(self, "weights", weights)
+        # Below 2**53 in units of 2**-k every subset sum is an exact float, in
+        # any order, so one product gives the left-to-right sums bit for bit.
+        shift = _dyadic_shift(weights)
+        exact = sum(map(Fraction, weights)) * (1 << shift) < _FLOAT_EXACT
+        object.__setattr__(self, "_shift", shift)
+        object.__setattr__(self, "_product", np.array(weights) if exact else None)
 
     @classmethod
     def build(
@@ -366,6 +381,8 @@ class WeightedCoverage:
         return codes
 
     def _values(self, codes: np.ndarray) -> np.ndarray:
+        if self._product is not None:
+            return codes @ self._product
         total = np.zeros(len(codes))
         for t, weight in enumerate(self.weights):
             total += codes[:, t] * weight
@@ -374,7 +391,7 @@ class WeightedCoverage:
     def _grid(self) -> tuple[float, int]:
         """Largest value any pair set can take, and its dyadic scale exponent."""
         every = self._values(np.ones((1, len(self.targets)), dtype=bool))
-        return float(every[0]), _dyadic_shift(self.weights)
+        return float(every[0]), self._shift
 
 
 @dataclass(frozen=True)
@@ -638,6 +655,7 @@ class _Evaluator:
         ] = np.array([a for _, a in self.worlds], dtype)[:, None]
         self._tables: dict = {}
         self._groups: dict = {}
+        self._gains = None
 
     def _numerators(self, masks: np.ndarray | None, pins=(None,)) -> np.ndarray:
         """Numerators of the given masks (all 2^m in order when None), one row
@@ -669,7 +687,15 @@ class _Evaluator:
         return np.array(scaled, dtype=object)
 
     def _floats(self, numerators: np.ndarray) -> np.ndarray:
-        """Correctly rounded ``numerator / denominator``, as float(Fraction) gives."""
+        """Correctly rounded ``numerator / denominator``, as float(Fraction) gives.
+        When both are below 2**53 they are exact floats, and one float division
+        rounds their quotient correctly too."""
+        if (
+            self.denominator < _FLOAT_EXACT
+            and numerators.dtype == np.int64
+            and (np.abs(numerators) < _FLOAT_EXACT).all()
+        ):
+            return numerators / float(self.denominator)
         return np.array([n / self.denominator for n in numerators.tolist()])
 
     def tables(self, pins) -> np.ndarray:
@@ -695,6 +721,18 @@ class _Evaluator:
             floats = self._table(pin)[1]
             return floats if masks is None else floats[masks]
         return self._floats(self._numerators(masks, (pin,))[0])
+
+    def gains(self) -> np.ndarray:
+        """The 2**(m-1) x m gain matrix, built once: column e lists the float
+        f(S + e) - f(S) over the masks S without bit e, in ascending order of
+        the mask with bit e taken out (the table split by bit e)."""
+        if self._gains is None:
+            table = self.values()
+            self._gains = np.empty((len(table) // 2, self.m))
+            for e in range(self.m):
+                halves = table.reshape(-1, 2, 1 << e)
+                self._gains[:, e] = (halves[:, 1] - halves[:, 0]).ravel()
+        return self._gains
 
     def _group(self, vmask: int) -> tuple[list, np.ndarray, np.ndarray]:
         """The observations of ``vmask`` (see ``observations``) and the code of

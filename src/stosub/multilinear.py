@@ -11,6 +11,11 @@ indicator vector reproduces ``expected_set_value`` bit for bit.  The exact
 kernels contract that table with numpy in a scalar loop's float order: a
 mask's coordinate factors multiply in item order, and terms add left to
 right from 0.0 in mask order (``np.sum`` would pair them up instead).
+``optimistic_weights`` gives every item's weight from one contraction of
+the evaluator's cached gain matrix (column e: the table split by bit e)
+with one inclusion-probability column per item (x without x_e), summed down
+the columns in that same order; ``optimistic_weight`` is its one-column
+case, so the two agree bit for bit.
 
 The sampled weights share one inclusion draw.  ``optimistic_weight_estimates``
 draws n masks at x once and estimates every item e from that draw: clearing
@@ -120,34 +125,52 @@ def _check_cap(instance: Instance):
         )
 
 
-def _inclusion_probabilities(xv: list[float], skip: int | None = None) -> np.ndarray:
-    """Probability of each mask over the coordinates other than ``skip``;
-    doubling multiplies each mask's factors in item order, as a loop would."""
-    p = np.ones(1)
-    for j, x in enumerate(xv):
-        if j != skip:
-            p = np.concatenate([p * (1.0 - x), p * x])
+def _inclusion_probabilities(coords) -> np.ndarray:
+    """Probability of each mask over the coordinates along axis 0, for each
+    further index; doubling in place multiplies each mask's factors in
+    coordinate order, as a loop would."""
+    shape = np.shape(coords)
+    p = np.empty((1 << shape[0],) + shape[1:])
+    p[0] = 1.0
+    for k, x in enumerate(coords):
+        low = p[: 1 << k]
+        np.multiply(low, x, out=p[1 << k : 2 << k])
+        low *= 1.0 - x
     return p
 
 
-def _sequential_sum(terms: np.ndarray) -> float:
-    """``0.0 + t0 + t1 + ...`` left to right, as a scalar loop adds."""
-    return 0.0 + float(np.add.accumulate(terms)[-1])
+def _column_sums(terms: np.ndarray) -> np.ndarray:
+    """``0.0 + t0 + t1 + ...`` down each column, left to right, as a scalar
+    loop adds (``np.sum`` and matmul would pair the terms up).  Overwrites
+    ``terms``."""
+    return 0.0 + np.add.accumulate(terms, axis=0, out=terms)[-1]
 
 
 def multilinear_value(instance: Instance, x: FractionalPoint) -> float:
     """Exact multilinear extension value at ``x``."""
     _check_cap(instance)
     table = _evaluator(instance).values()
-    return _sequential_sum(_inclusion_probabilities(_aligned(instance, x)) * table)
+    return float(_column_sums(_inclusion_probabilities(_aligned(instance, x)) * table))
 
 
-def _base_weight(instance: Instance, xv: list[float], e: int) -> float:
+def _weights(instance: Instance, x: FractionalPoint, columns: slice):
+    """Optimistic weights of the items in the slice ``columns``, in one
+    contraction.  Column e of the evaluator's gain matrix lists f(S + e) -
+    f(S) over the masks S without bit e; its inclusion probabilities come
+    from x without x_e, so each column multiplies its factors in item order."""
+    xv = np.array(_aligned(instance, x))
     _check_cap(instance)
-    # Axis 1 splits each mask by bit e; raveling keeps ascending mask order.
-    table = _evaluator(instance).values().reshape(-1, 2, 1 << e)
-    gains = (table[:, 1] - table[:, 0]).ravel()
-    return _sequential_sum(_inclusion_probabilities(xv, skip=e) * gains)
+    rest = np.arange(instance.m - 1)[:, None]
+    coords = xv[rest + (rest >= np.arange(instance.m)[columns])]  # x without x_e
+    terms = _inclusion_probabilities(coords)
+    terms *= _evaluator(instance).gains()[:, columns]
+    return _column_sums(terms)
+
+
+def optimistic_weights(instance: Instance, x: FractionalPoint) -> tuple[float, ...]:
+    """Every item's exact optimistic weight, in item order, from one
+    contraction; each equals :func:`optimistic_weight` bit for bit."""
+    return tuple(_weights(instance, x, slice(None)).tolist())
 
 
 def optimistic_weight(instance: Instance, x: FractionalPoint, item: str) -> float:
@@ -157,7 +180,7 @@ def optimistic_weight(instance: Instance, x: FractionalPoint, item: str) -> floa
     coordinate zeroed, and never falls below the standard weight.
     """
     e = instance.item_index(item)
-    return _base_weight(instance, _aligned(instance, x), e)
+    return float(_weights(instance, x, slice(e, e + 1))[0])
 
 
 def standard_weight(instance: Instance, x: FractionalPoint, item: str) -> float:
@@ -166,9 +189,7 @@ def standard_weight(instance: Instance, x: FractionalPoint, item: str) -> float:
     Computed as (1 - x_e) times the optimistic weight, which is an exact
     identity of the two enumerations.
     """
-    e = instance.item_index(item)
-    xv = _aligned(instance, x)
-    return (1.0 - xv[e]) * _base_weight(instance, xv, e)
+    return optimistic_weight(instance, x, item) * (1.0 - x.value_of(item))
 
 
 def state_weight(
@@ -179,7 +200,7 @@ def state_weight(
     ev = _evaluator(instance)
     pin = (instance.item_index(item), instance.state_index(state))
     gains = ev.values(pin=pin) - ev.values()
-    return _sequential_sum(_inclusion_probabilities(_aligned(instance, x)) * gains)
+    return float(_column_sums(_inclusion_probabilities(_aligned(instance, x)) * gains))
 
 
 def estimation_sample_count(delta: float, m: int) -> int:

@@ -27,7 +27,7 @@ from typing import Mapping, Union
 from .constraints import Constraint, is_feasible, is_prefix_feasible
 from .errors import CapacityError, DegenerateBoundError, InputError, PolicyError
 from .model import Instance, Realization, _evaluator
-from .multilinear import FractionalPoint, multilinear_value, optimistic_weight
+from .multilinear import FractionalPoint, multilinear_value, optimistic_weights
 
 
 @dataclass(frozen=True)
@@ -286,8 +286,8 @@ def optimal_upper_bound_check(
         raise DegenerateBoundError("check is undefined for kappa = 0")
     lhs = evaluate_policy(instance, policy).value
     picks = policy_pick_probabilities(instance, policy)
+    weights = optimistic_weights(instance, x)
     rhs = multilinear_value(instance, x) + (1.0 / kappa) * sum(
-        picks.value_of(item) * optimistic_weight(instance, x, item)
-        for item in instance.items
+        picks.value_of(item) * w for item, w in zip(instance.items, weights)
     )
     return UpperBoundCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs + tol)

@@ -122,6 +122,20 @@ class TestRun:
         ss.run(cc2, ss.UniformMatroid(rank=1), config)
         assert streams == [(k,) for k in range(config.rounds)]
 
+    def test_exact_round_calls_kernel_once(self, cc2, monkeypatch):
+        """One all-item weight contraction per exact round, not one per item."""
+        calls = []
+        original = multilinear._weights
+
+        def counting(instance, x, columns):
+            calls.append(columns)
+            return original(instance, x, columns)
+
+        monkeypatch.setattr(multilinear, "_weights", counting)
+        config = ss.GreedyConfig(delta=0.25)
+        ss.run(cc2, ss.UniformMatroid(rank=1), config)
+        assert calls == [slice(None)] * config.rounds
+
     def test_auto_sample_count_resolution(self):
         config = ss.GreedyConfig(delta=0.5, weight_mode="sampled")
         assert config.resolved_sample_count(2) == ss.estimation_sample_count(0.5, 2)
@@ -192,6 +206,26 @@ class TestConfigValidation:
     def test_bad_sample_count(self):
         with pytest.raises(ss.ConfigurationError):
             ss.GreedyConfig(sample_count="plenty")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("sample_count", 2.5),
+            ("sample_count", True),
+            ("seed", 1.5),
+            ("seed", True),
+            ("delta", True),
+            ("delta", "0.5"),
+        ],
+    )
+    def test_badly_typed_values(self, field, value):
+        with pytest.raises(ss.ConfigurationError, match=field):
+            ss.GreedyConfig(weight_mode="sampled", **{field: value})
+
+    def test_integer_and_real_values_pass(self):
+        config = ss.GreedyConfig(delta=1, sample_count=3, seed=7)
+        assert config.rounds == 1
+        assert config.resolved_sample_count(2) == 3
 
 
 class TestCertificate:

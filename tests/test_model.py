@@ -1,11 +1,14 @@
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import stosub as ss
+from stosub.model import _evaluator
 from conftest import make_modular, make_single_item
 from helpers import direct_set_value, direct_state_value, loop_validate_utility
 
@@ -380,6 +383,92 @@ class TestInducedSetFunction:
                         continue
                     bigger = base | {f}
                     assert value(bigger | {e}) - value(bigger) <= gain + 1e-12
+
+
+def _loop_values(weights, codes) -> list[float]:
+    """Each code row's covered weights, added left to right in target order."""
+    totals = []
+    for row in codes.tolist():
+        total = 0.0
+        for covered, weight in zip(row, weights):
+            if covered:
+                total += weight
+        totals.append(total)
+    return totals
+
+
+def _every_code(n):
+    return np.array(list(itertools.product([False, True], repeat=n)))
+
+
+def _coverage_instance(weights, probabilities=(0.1, 0.2, 0.3, 0.4)):
+    """Two items, two states, seeded coverage; one probability per world
+    (a, b) in ("x", "y")**2 order, given as decimal strings or Fractions."""
+    targets = tuple(f"t{k}" for k in range(len(weights)))
+    rng = random.Random(len(weights))
+    coverage = {
+        (i, s): tuple(t for t in targets if rng.random() < 0.6)
+        for i in ("a", "b")
+        for s in ("x", "y")
+    }
+    utility = ss.WeightedCoverage.build(targets, dict(zip(targets, weights)), coverage)
+    worlds = itertools.product("xy", repeat=2)
+    dist = ss.JointDistribution(
+        tuple(
+            (ss.Realization.from_dict({"a": sa, "b": sb}), Fraction(str(p)))
+            for (sa, sb), p in zip(worlds, probabilities)
+        )
+    )
+    return ss.Instance(("a", "b"), ("x", "y"), dist, utility)
+
+
+class TestExactSumGuards:
+    """Coverage values and the float view take their vectorised paths only
+    where those are exact, and equal the scalar loops everywhere."""
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            (1.0, 4.0, 2.0, 5.0, 3.0),
+            (0.125, 2.5, 3.75, 0.5, 1.0, 7.875),
+            (2.0**52, 2.0**51, 1.0),
+        ],
+    )
+    def test_narrow_weights_take_the_product(self, weights):
+        inst = _coverage_instance(weights)
+        utility = inst.utility
+        assert utility._product is not None
+        codes = _every_code(len(weights))
+        assert utility._values(codes).tolist() == _loop_values(weights, codes)
+        table = _evaluator(inst).values()
+        for mask in range(4):
+            chosen = [item for k, item in enumerate(inst.items) if mask >> k & 1]
+            assert table[mask] == float(direct_set_value(inst, chosen))
+
+    @pytest.mark.parametrize(
+        "weights", [(2.0**53, 1.0, 1.0), (0.1, 0.2, 0.7), (1e300, 1.0)]
+    )
+    def test_wide_weights_take_the_loop(self, weights):
+        # 2.0**53 + 1.0 == 2.0**53: a sum in another order could differ.
+        utility = _coverage_instance(weights).utility
+        assert utility._product is None
+        codes = _every_code(len(weights))
+        assert utility._values(codes).tolist() == _loop_values(weights, codes)
+
+    def test_float_view_near_and_above_2_53(self):
+        third = Fraction(1, 3)
+        inst = _coverage_instance((0.25, 1.5, 3.0), (third, third, third, 0))
+        ev = _evaluator(inst)
+        assert ev.denominator == 3 * 4
+        below = [0, 1, 7, 2**52 + 1, 2**53 - 12, 2**53 - 1]
+        above = [2**53, 2**53 + 1, 2**53 + 3, 2**62 + 5]
+        for numerators in (below, above, below + above):
+            array = np.array(numerators, dtype=np.int64)
+            want = [n / ev.denominator for n in numerators]
+            assert ev._floats(array).tolist() == want
+            assert ev._floats(np.array(numerators, dtype=object)).tolist() == want
+        # One float division would round 2**53 + 1 first and miss by an ulp.
+        assert float(2**53 + 1) / 12 != (2**53 + 1) / 12
 
 
 @given(st.integers(min_value=0, max_value=10_000))

@@ -15,6 +15,7 @@ import pytest
 
 import stosub as ss
 from stosub.model import _evaluator
+from conftest import make_single_item
 from helpers import (
     direct_set_value,
     direct_state_value,
@@ -34,6 +35,12 @@ def _cached_oracles(instance):
         return float(direct_state_value(instance, subset, item, state))
 
     return value, state_value
+
+
+def _loop_weights(instance, coords, value):
+    return tuple(
+        loop_optimistic_weight(instance, coords, item, value) for item in instance.items
+    )
 
 
 def _dense_point(instance, seed, low=0.05, high=0.95):
@@ -56,8 +63,9 @@ class TestBitIdentity:
         x = _dense_point(cc8, seed)
         coords = x.as_dict()
         assert ss.multilinear_value(cc8, x) == loop_multilinear(cc8, coords, value)
-        for item in cc8.items:
-            opt = loop_optimistic_weight(cc8, coords, item, value)
+        weights = _loop_weights(cc8, coords, value)
+        assert ss.optimistic_weights(cc8, x) == weights
+        for item, opt in zip(cc8.items, weights):
             assert ss.optimistic_weight(cc8, x, item) == opt
             assert ss.standard_weight(cc8, x, item) == (1.0 - coords[item]) * opt
         for item, state in [("e1", "s1"), ("e4", "s2"), ("e8", "s3")]:
@@ -73,10 +81,28 @@ class TestBitIdentity:
         coords.update(e2=0.0, e5=1.0, e7=0.0)
         x = ss.FractionalPoint.from_dict(coords)
         assert ss.multilinear_value(cc8, x) == loop_multilinear(cc8, coords, value)
+        assert ss.optimistic_weights(cc8, x) == _loop_weights(cc8, coords, value)
         for item in ("e1", "e2", "e5"):
             assert ss.optimistic_weight(cc8, x, item) == loop_optimistic_weight(
                 cc8, coords, item, value
             )
+
+    def test_vertex_point(self, cc8):
+        value, _ = _cached_oracles(cc8)
+        coords = {item: float(k % 3 == 0) for k, item in enumerate(cc8.items)}
+        x = ss.FractionalPoint.from_dict(coords)
+        assert ss.optimistic_weights(cc8, x) == _loop_weights(cc8, coords, value)
+
+    @pytest.mark.parametrize("coord", [0.0, 0.3, 1.0])
+    def test_single_item(self, coord):
+        inst = make_single_item(
+            {"hi": 3.5, "lo": 1.25}, {"hi": Fraction(1, 3), "lo": Fraction(2, 3)}
+        )
+        value, _ = _cached_oracles(inst)
+        x = ss.FractionalPoint(("e",), (coord,))
+        weights = _loop_weights(inst, {"e": coord}, value)
+        assert ss.optimistic_weights(inst, x) == weights
+        assert ss.optimistic_weight(inst, x, "e") == weights[0]
 
 
 def _subsets(items):
@@ -133,10 +159,10 @@ class TestExplicitTableUtility:
         x = _dense_point(inst, 3)
         coords = x.as_dict()
         assert ss.multilinear_value(inst, x) == loop_multilinear(inst, coords, value)
-        for item in inst.items:
-            assert ss.optimistic_weight(inst, x, item) == loop_optimistic_weight(
-                inst, coords, item, value
-            )
+        weights = _loop_weights(inst, coords, value)
+        assert ss.optimistic_weights(inst, x) == weights
+        for item, want in zip(inst.items, weights):
+            assert ss.optimistic_weight(inst, x, item) == want
 
 
 def _fractional_coverage(items, states, seed):
