@@ -97,6 +97,6 @@ from .policies import (
     policy_pick_probabilities,
     virtual_nonadaptive_value,
 )
-from .rounding import exact_distribution, independent_round, pipage_round
+from .rounding import exact_distribution, pipage_round
 
 __version__ = "0.1.0"

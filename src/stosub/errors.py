@@ -76,3 +76,12 @@ def nonnegative(value, what: str, whole: bool = False):
         kind = "whole number" if whole else "number"
         raise InputError(f"{what} must be a finite nonnegative {kind}, got {value!r}")
     return int(value) if whole else float(value)
+
+
+def integer(value, what: str, least: int = 0) -> int:
+    """An integer no smaller than ``least``; bools never pass."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        raise InputError(f"{what} must be at least {least}, got {value!r}")
+    return int(value)

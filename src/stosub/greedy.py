@@ -8,7 +8,8 @@ estimates; either way a run is a pure function of (instance, constraint,
 config).
 
 A sampled round draws its inclusion masks once, from the stream
-``(round_index,)``, and estimates every item's weight from that draw:
+``(seed, (round_index,))`` of the counter-based generator in
+:mod:`stosub.multilinear`, and estimates every item's weight from that draw:
 clearing item e's bit in each mask is exactly a draw at the point with
 x_e = 0.  The ascent's guarantee rests on a bound per estimate and a union
 bound over items and rounds, and a union bound needs no independence

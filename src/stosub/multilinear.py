@@ -27,24 +27,52 @@ and then takes a union bound over items and rounds, which needs no
 independence between the items' estimates, so common draws keep it.  One
 draw holds at most ``SAMPLE_CAP`` uniforms (n times m); a larger request is
 a ``CapacityError`` before anything is drawn.
+
+Every random draw of the package, here and in swap rounding, comes from one
+counter-based generator (Salmon et al., "Parallel random numbers: as easy as
+1, 2, 3", SC 2011) built on SplitMix64 (Steele, Lea and Flood, OOPSLA 2014).
+:func:`_key` chains the seed, the stream's length and each stream element,
+each spelled as its count of 64-bit limbs and then the limbs, through the
+SplitMix64 output function :func:`_mix`; the spelling is unambiguous, so
+distinct ``(seed, stream)`` pairs get unrelated 64-bit keys.  Draw i (from 1)
+of a key is ``j = _mix(key + i * gamma) >> 11``, the uniform j * 2**-53, which
+is output i of SplitMix64 started at the key.  Draws are thus a pure function
+of ``(seed, stream)`` and of i alone, whatever block they are computed in.
+Two streams share a state only if their keys differ by k * gamma modulo
+2**64 with |k| below the draw lengths; gamma is odd, so each k names one
+difference, and for unrelated keys and draws within ``SAMPLE_CAP`` that is
+a chance of about 2**-38.
+
+Item e of sample r is draw r * m + e + 1, and it is included when
+j < ceil(x_e * 2**53); x_e * 2**53 is an exact float, so this integer test
+is exactly j * 2**-53 < x_e.  The draw runs in blocks of ``_BLOCK``
+uniforms, which keeps its temporaries cache-sized and its peak below 10
+bytes per uniform; the blocks cannot show in the result.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import CapacityError, InputError
+from .errors import CapacityError, InputError, integer
 from .model import EXACT_CAP, Instance, _evaluator
 
 _COORD_TOL = 1e-9
 
-# Uniforms in one inclusion draw (samples times items): 2**25 float64 is
-# 256 MiB, and the draw peaks at 10 bytes per uniform with its masks.
+# Uniforms in one inclusion draw (samples times items).  The draw runs in
+# blocks of _BLOCK uniforms, so only its int64 masks, one per sample, grow
+# with it: it peaks below 10 bytes per uniform, under 320 MiB at the cap.
 SAMPLE_CAP = 1 << 25
+_BLOCK = 1 << 14
+
+_MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's counter increment, 2**64 / golden ratio
 
 
 @dataclass(frozen=True)
@@ -206,29 +234,88 @@ def state_weight(
 def estimation_sample_count(delta: float, m: int) -> int:
     """Number of samples per round the estimation schedule prescribes for step
     size delta; one draw of that many sets serves every item's estimate."""
-    if not 0 < delta <= 1:
-        raise InputError(f"delta must lie in (0, 1], got {delta}")
-    if m < 1:
-        raise InputError("m must be at least 1")
+    if isinstance(delta, bool) or not isinstance(delta, numbers.Real) or not (
+        0 < delta <= 1
+    ):
+        raise InputError(f"delta must lie in (0, 1], got {delta!r}")
+    m = integer(m, "m", least=1)
     return math.ceil(10.0 / delta**2 * (1.0 + math.log(m)))
 
 
-def _stream_rng(seed: int, stream: tuple[int, ...]) -> np.random.Generator:
-    # spawn_key makes (seed, stream) -> draws a pure function, so parallel and
-    # serial runs agree.
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=stream))
+def _mix(z):
+    """The SplitMix64 output function, a bijection of [0, 2**64).  Its
+    operators work alike on a Python int and on a uint64 array, which is
+    mixed in place."""
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z &= _MASK
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z &= _MASK
+    z ^= z >> 31
+    return z
 
 
-def _sample_masks(rng: np.random.Generator, xv: list[float], n: int) -> np.ndarray:
+def _limbs(n: int) -> list[int]:
+    limbs = [n & _MASK]
+    while n := n >> 64:
+        limbs.append(n & _MASK)
+    return [len(limbs), *limbs]
+
+
+def _key(seed: int, stream: tuple[int, ...]) -> int:
+    """The key of the draws of ``(seed, stream)`` (module docstring); every
+    draw starts here."""
+    if not isinstance(stream, tuple):
+        raise InputError(f"stream must be a tuple of integers, got {stream!r}")
+    words = [*_limbs(integer(seed, "seed")), len(stream)]
+    for element in stream:
+        words += _limbs(integer(element, "stream element"))
+    key = 0
+    for word in words:
+        key = _mix((key + word + _GAMMA) & _MASK)
+    return key
+
+
+def _draws(key: int, start: int, count: int) -> np.ndarray:
+    """Draws ``start + 1`` to ``start + count`` of ``key`` as uint64 j, each
+    the uniform j * 2**-53."""
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z *= _GAMMA
+    z += key
+    z = _mix(z)
+    z >>= 11
+    return z
+
+
+def _uniforms(seed: int, stream: tuple[int, ...] = ()):
+    """Draws 1, 2, ... of ``(seed, stream)`` as floats in [0, 1), one at a
+    time; the key is derived (and the seed checked) at once."""
+    key = _key(seed, stream)
+    return (
+        (_mix((key + i * _GAMMA) & _MASK) >> 11) * 2.0**-53
+        for i in itertools.count(1)
+    )
+
+
+def _sample_masks(xv: list[float], n: int, seed: int, stream: tuple) -> np.ndarray:
+    """``n`` inclusion masks at coordinates ``xv`` from ``(seed, stream)``,
+    drawn a block at a time (module docstring)."""
+    key = _key(seed, stream)
     m = len(xv)
     if n * m > SAMPLE_CAP:
         raise CapacityError(
             f"{n} samples over {m} items need {n * m} uniform draws, "
             f"above the cap {SAMPLE_CAP}"
         )
-    include = rng.random((n, m)) < np.asarray(xv)
+    limits = np.ceil(np.asarray(xv) * 2.0**53).astype(np.uint64)
     weights = 1 << np.arange(m, dtype=np.int64)
-    return include @ weights
+    rows = max(1, _BLOCK // m)
+    masks = np.empty(n, dtype=np.int64)
+    for start in range(0, n, rows):
+        j = _draws(key, start * m, min(rows, n - start) * m)
+        masks[start : start + rows] = (j.reshape(-1, m) < limits) @ weights
+    return masks
 
 
 def _summarize(values: np.ndarray, seed: int) -> Estimate:
@@ -249,13 +336,9 @@ def multilinear_estimate(
     stream: tuple[int, ...] = (),
 ) -> Estimate:
     """Monte-Carlo estimate of the multilinear value via independent draws."""
-    if sample_count < 1:
-        raise InputError("sample_count must be at least 1")
-    ev = _evaluator(instance)
-    xv = _aligned(instance, x)
-    rng = _stream_rng(seed, stream)
-    masks = _sample_masks(rng, xv, sample_count)
-    return _summarize(ev.values(masks), seed)
+    sample_count = integer(sample_count, "sample_count", least=1)
+    masks = _sample_masks(_aligned(instance, x), sample_count, seed, stream)
+    return _summarize(_evaluator(instance).values(masks), seed)
 
 
 def _paired_estimates(
@@ -267,12 +350,10 @@ def _paired_estimates(
     stream: tuple[int, ...],
 ) -> tuple[Estimate, ...]:
     """Optimistic weight estimates of ``items`` from one shared draw at ``x``."""
-    if sample_count < 1:
-        raise InputError("sample_count must be at least 1")
+    sample_count = integer(sample_count, "sample_count", least=1)
     ev = _evaluator(instance)
-    xv = _aligned(instance, x)
     bits = [1 << instance.item_index(item) for item in items]
-    masks = _sample_masks(_stream_rng(seed, stream), xv, sample_count)
+    masks = _sample_masks(_aligned(instance, x), sample_count, seed, stream)
     # masks & ~bit is the draw at x with the item's coordinate zeroed.
     return tuple(
         _summarize(ev.values(masks | bit) - ev.values(masks & ~bit), seed)

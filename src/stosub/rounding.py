@@ -10,6 +10,9 @@ in single coordinates, so the expected value of the rounded set is at least
 the extension's value at the input point, and block sums never exceed their
 caps.
 
+The k-th random move of :func:`pipage_round` uses draw k of the stream
+``(seed, ())`` of the counter-based generator in :mod:`stosub.multilinear`.
+
 Each random move has exactly two outcomes, so :func:`exact_distribution`
 can run the same moves in ``Fraction`` arithmetic and enumerate every output
 set of :func:`pipage_round` with its exact probability.  The experiment
@@ -20,30 +23,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
-
 from .constraints import Constraint, point_in_polytope
 from .errors import InputError, UnsupportedKindError
 from .model import Instance
-from .multilinear import FractionalPoint
+from .multilinear import FractionalPoint, _uniforms
 
 _SNAP = 1e-12
-
-
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed))
-
-
-def independent_round(y: FractionalPoint, seed: int) -> frozenset[str]:
-    """Include each item independently with its coordinate's probability.
-
-    Feasibility is not guaranteed; this is the raw sampling step.
-    """
-    rng = _rng(seed)
-    draws = rng.random(len(y.items))
-    return frozenset(
-        item for item, v, u in zip(y.items, y.values, draws) if u < v
-    )
 
 
 def _snap(v: float) -> float:
@@ -127,17 +112,16 @@ def pipage_round(
 ) -> frozenset[str]:
     """Round ``y`` to a feasible set of a uniform or partition matroid.
 
-    The generator is built on the first draw, so an integral point costs no
-    randomness.
+    ``seed`` is a nonnegative integer.  Only a move with two possible
+    outcomes takes a draw, the k-th such move draw k of ``(seed, ())``, so
+    an integral point costs no randomness.
     """
     groups, vals = _start(instance, constraint, y)
-    rng = None
+    draws = _uniforms(seed)
     for move, group, cap in _phases(groups):
         while (outcomes := move(vals, group, cap)) is not None:
             p, first, second = outcomes
-            if p and rng is None:
-                rng = _rng(seed)
-            vals = tuple(map(_snap, first if p and rng.random() < p else second))
+            vals = tuple(map(_snap, first if p and next(draws) < p else second))
     return _chosen(instance, vals)
 
 

@@ -428,24 +428,34 @@ def loop_state_weight(instance, coords, item, state, state_value, value) -> floa
 
 
 def per_item_weight_estimate(instance, x, item, sample_count, seed, stream=()):
-    """The per-item optimistic weight sampler the shared-draw estimator
-    replaced: its own ``(seed, stream)`` generator, an n x m uniform draw
-    compared with the coordinates with the item's set to 0, and the paired
-    difference of float set values (here exact ``Fraction``s rounded once,
-    memoised per mask), summarised as ``Estimate`` does."""
+    """A per-item optimistic weight sampler: its own draw of ``(seed, stream)``
+    at the coordinates with the item's set to 0, one uniform u = j * 2**-53
+    per sample and item from the kernel's scalar SplitMix64 output (draw
+    r * m + e + 1 for sample r and item e), included when u < x_e as a float
+    comparison, and the paired difference of float set values (here exact
+    ``Fraction``s rounded once, memoised per mask), summarised as
+    ``Estimate`` does."""
     import math
 
     import numpy as np
 
     from stosub import Estimate
+    from stosub.multilinear import _GAMMA, _MASK, _key, _mix
 
     items = instance.items
+    m = len(items)
     e = items.index(item)
-    probs = np.array([x.value_of(i) for i in items])
+    probs = [x.value_of(i) for i in items]
     probs[e] = 0.0
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=stream))
-    include = rng.random((sample_count, len(items))) < probs
-    masks = include @ (1 << np.arange(len(items), dtype=np.int64))
+    key = _key(seed, stream)
+    masks = []
+    for r in range(sample_count):
+        mask = 0
+        for j, p in enumerate(probs):
+            u = (_mix((key + (r * m + j + 1) * _GAMMA) & _MASK) >> 11) * 2.0**-53
+            if u < p:
+                mask |= 1 << j
+        masks.append(mask)
     memo = {}
 
     def value(mask):
@@ -454,7 +464,7 @@ def per_item_weight_estimate(instance, x, item, sample_count, seed, stream=()):
             memo[mask] = float(direct_set_value(instance, chosen))
         return memo[mask]
 
-    values = np.array([value(int(k) | 1 << e) - value(int(k)) for k in masks])
+    values = np.array([value(k | 1 << e) - value(k) for k in masks])
     if (values == values[0]).all():
         return Estimate(float(values[0]), sample_count, 0.0, seed)
     se = float(values.std(ddof=1) / math.sqrt(sample_count))

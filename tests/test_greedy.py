@@ -107,15 +107,15 @@ class TestRun:
         assert traj.final.as_dict() == {"a": 1.0, "b": 0.0, "c": 0.0}
 
     def test_sampled_round_draws_once(self, cc2, monkeypatch):
-        """One generator (one shared draw) per round, not one per item."""
+        """One key derivation (one shared draw) per round, not one per item."""
         streams = []
-        original = multilinear._stream_rng
+        original = multilinear._key
 
         def counting(seed, stream):
             streams.append(stream)
             return original(seed, stream)
 
-        monkeypatch.setattr(multilinear, "_stream_rng", counting)
+        monkeypatch.setattr(multilinear, "_key", counting)
         config = ss.GreedyConfig(
             delta=0.25, weight_mode="sampled", sample_count=16, seed=2
         )

@@ -9,29 +9,6 @@ from conftest import make_modular
 from helpers import direct_set_value
 
 
-class TestIndependentRound:
-    def test_zero_point_always_empty(self):
-        y = ss.FractionalPoint(("a", "b"), (0.0, 0.0))
-        assert all(ss.independent_round(y, s) == frozenset() for s in range(20))
-
-    def test_ones_point_always_full(self):
-        y = ss.FractionalPoint(("a", "b"), (1.0, 1.0))
-        assert all(
-            ss.independent_round(y, s) == frozenset({"a", "b"}) for s in range(20)
-        )
-
-    def test_inclusion_frequencies(self):
-        y = ss.FractionalPoint(("a", "b", "c"), (0.3, 0.3, 0.3))
-        n = 10_000
-        counts = {item: 0 for item in y.items}
-        for seed in range(n):
-            for item in ss.independent_round(y, seed):
-                counts[item] += 1
-        sigma = math.sqrt(0.3 * 0.7 / n)
-        for item in y.items:
-            assert abs(counts[item] / n - 0.3) <= 4 * sigma
-
-
 class TestPipageRound:
     def test_integral_point_unchanged(self, cc2):
         y = ss.FractionalPoint(cc2.items, (1.0, 0.0))
