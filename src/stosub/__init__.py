@@ -22,7 +22,6 @@ from .constraints import (
 )
 from .errors import (
     CapacityError,
-    ConditioningError,
     ConfigurationError,
     DegenerateBoundError,
     InputError,
@@ -35,7 +34,6 @@ from .greedy import (
     CertificateReport,
     GreedyConfig,
     Trajectory,
-    faithful_config,
     format_trajectory,
     lower_bound_certificate,
     run,
@@ -47,25 +45,18 @@ from .independence import (
     KappaWitness,
     adaptivity_gap_bound,
     gamma,
-    gamma_ratio,
     kappa,
-    kappa_ratio,
     ratio_bound,
 )
 from .model import (
-    ConditionalDistribution,
     ExplicitTable,
     Instance,
     JointDistribution,
     Realization,
     UtilityReport,
     WeightedCoverage,
-    condition,
-    evaluate,
     expected_set_value,
     expected_set_value_exact,
-    marginal,
-    state_marginal,
     validate_utility,
 )
 from .multilinear import (
@@ -79,7 +70,6 @@ from .multilinear import (
     optimistic_weight_estimates,
     optimistic_weights,
     standard_weight,
-    state_weight,
 )
 from .policies import (
     Pick,

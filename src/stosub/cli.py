@@ -16,8 +16,8 @@ from . import fileio, harness
 from .constraints import Constraint, UniformMatroid
 from .errors import CapacityError, InputError, StosubError
 from .generators import generate_common_cause, generate_product
-from .greedy import GreedyConfig, format_trajectory, run
-from .independence import adaptivity_gap_bound, gamma, kappa
+from .greedy import WEIGHT_MODES, WEIGHT_VARIANTS, GreedyConfig, format_trajectory, run
+from .independence import ENUMERATION_CAP, adaptivity_gap_bound, gamma, kappa
 from .model import Instance, validate_utility
 from .multilinear import SAMPLE_CAP
 from .policies import best_nonadaptive, optimal_adaptive
@@ -190,20 +190,21 @@ def build_parser() -> _Parser:
     for name, fn in (("kappa", _cmd_kappa), ("gamma", _cmd_gamma)):
         p = sub.add_parser(name, help=f"degree of independence ({name} form)")
         p.add_argument("instance")
-        p.add_argument("--cap", type=int, default=6)
+        p.add_argument("--cap", type=int, default=ENUMERATION_CAP)
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("greedy", help="run the continuous greedy ascent")
+    default = GreedyConfig()
     p.add_argument("instance")
     _add_constraint_flag(p)
-    p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--mode", choices=["exact", "sampled"], default="exact")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--delta", type=float, default=default.delta)
+    p.add_argument("--mode", choices=WEIGHT_MODES, default=default.weight_mode)
+    p.add_argument("--seed", type=int, default=default.seed)
     p.add_argument("--samples", type=int, default=None,
                    help="per-round sample count in sampled mode (default: "
                    f"schedule); samples x items is capped at {SAMPLE_CAP}")
-    p.add_argument("--variant", choices=["optimistic", "standard"],
-                   default="optimistic")
+    p.add_argument("--variant", choices=WEIGHT_VARIANTS,
+                   default=default.weight_variant)
     p.add_argument("--output", help="write the trajectory table here")
     p.set_defaults(fn=_cmd_greedy)
 
@@ -216,7 +217,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gap", help="adaptivity-gap diagnostics for an instance")
     p.add_argument("instance")
     _add_constraint_flag(p)
-    p.add_argument("--cap", type=int, default=6)
+    p.add_argument("--cap", type=int, default=ENUMERATION_CAP)
     p.set_defaults(fn=_cmd_gap)
 
     p = sub.add_parser("generate", help="write a seeded instance")

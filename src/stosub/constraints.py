@@ -25,6 +25,7 @@ from typing import Iterable, Mapping
 
 from .errors import ConfigurationError, InputError, UnsupportedKindError
 from .errors import nonnegative, require_field, require_list
+from .model import EXACT_TOL
 from .multilinear import FractionalPoint
 
 
@@ -67,7 +68,7 @@ class Constraint:
     alpha: float | None = 1.0
     downward_closed = True
 
-    def in_polytope(self, x: FractionalPoint, tol: float) -> bool:
+    def in_polytope(self, x: FractionalPoint) -> bool:
         raise UnsupportedKindError(
             f"no closed-form polytope membership for kind {self.kind!r}"
         )
@@ -95,8 +96,8 @@ class UniformMatroid(Constraint):
         chosen = _greedy_pick(order, weights, self.rank)
         return _integral(order, chosen, sum(weights[i] for i in chosen))
 
-    def in_polytope(self, x, tol):
-        return sum(x.values) <= self.rank + tol
+    def in_polytope(self, x):
+        return sum(x.values) <= self.rank + EXACT_TOL
 
     def rounding_groups(self, items):
         return [(list(range(len(items))), self.rank)]
@@ -152,11 +153,11 @@ class PartitionMatroid(Constraint):
         self._check_covered(order)
         return _integral(order, chosen, sum(weights[i] for i in chosen))
 
-    def in_polytope(self, x, tol):
+    def in_polytope(self, x):
         coords = x.as_dict()
         self._check_covered(coords)
         return all(
-            sum(coords.get(i, 0.0) for i in block) <= cap + tol
+            sum(coords.get(i, 0.0) for i in block) <= cap + EXACT_TOL
             for block, cap in zip(self.blocks, self.capacities)
         )
 
@@ -246,10 +247,10 @@ class Knapsack(Constraint):
         point = FractionalPoint(tuple(order), tuple(coords[it] for it in order))
         return LPSolution(point=point, objective=objective, vertex_set=None)
 
-    def in_polytope(self, x, tol):
+    def in_polytope(self, x):
         return (
             sum(self.cost_of(i) * v for i, v in x.as_dict().items())
-            <= self.budget + tol
+            <= self.budget + EXACT_TOL
         )
 
     def to_dict(self):
@@ -407,14 +408,12 @@ def alpha_for(constraint: Constraint) -> float:
     return constraint.alpha
 
 
-def point_in_polytope(
-    constraint: Constraint, x: FractionalPoint, tol: float = 1e-9
-) -> bool:
+def point_in_polytope(constraint: Constraint, x: FractionalPoint) -> bool:
     """Closed-form membership test in the relaxation polytope.
 
     Explicit families have no closed form here; testing hull membership for
     them requires an LP solver and is out of scope.
     """
-    if any(v < -tol or v > 1 + tol for v in x.values):
+    if any(v < -EXACT_TOL or v > 1 + EXACT_TOL for v in x.values):
         return False
-    return constraint.in_polytope(x, tol)
+    return constraint.in_polytope(x)

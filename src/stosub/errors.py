@@ -21,10 +21,6 @@ class CapacityError(StosubError):
     """Instance size exceeds a configured exact-computation cap."""
 
 
-class ConditioningError(InputError):
-    """Conditioning on an observation that has probability zero."""
-
-
 class PolicyError(InputError):
     """Policy tree is malformed or does not cover a reachable observation."""
 

@@ -78,7 +78,6 @@ def generate_product(
     per_item_marginals: Sequence[Sequence[tuple[str, Fraction]]] | None = None,
     states_per_item: int = 2,
     seed: int = 0,
-    support_cap: int = PRODUCT_SUPPORT_CAP,
 ) -> Instance:
     """Independent items: the support is the full product of state marginals.
 
@@ -110,9 +109,9 @@ def generate_product(
     support_size = 1
     for marg in marginals:
         support_size *= len(marg)
-    if support_size > support_cap:
+    if support_size > PRODUCT_SUPPORT_CAP:
         raise CapacityError(
-            f"product support of {support_size} exceeds the cap {support_cap}"
+            f"product support of {support_size} exceeds the cap {PRODUCT_SUPPORT_CAP}"
         )
     entries = []
     for combo in itertools.product(*marginals):

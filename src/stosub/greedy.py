@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from typing import Union
 
 from .constraints import Constraint, LPSolution, is_feasible, lp_maximize
-from .errors import ConfigurationError, InputError, StosubError
-from .model import Instance
+from .errors import ConfigurationError, DegenerateBoundError, InputError, StosubError
+from .model import EXACT_TOL, Instance
 from .multilinear import (
     FractionalPoint,
     estimation_sample_count,
@@ -49,8 +49,8 @@ class GreedyConfig:
 
     ``sample_count`` may be the sentinel "auto", which resolves to the
     schedule count for the configured step size.  The conservative default
-    step 0.05 keeps desk-scale runs exact and fast; callers wanting the
-    published schedule can use :func:`faithful_config`.
+    step 0.05 keeps desk-scale runs exact and fast; the paper's own schedule
+    is delta = 1/(9 m^2) in sampled mode.
     """
 
     delta: float = 0.05
@@ -86,13 +86,6 @@ class GreedyConfig:
         if self.sample_count == "auto":
             return estimation_sample_count(self.delta, m)
         return int(self.sample_count)
-
-
-def faithful_config(m: int, seed: int = 0) -> GreedyConfig:
-    """Sampled-mode config with the schedule's own step size 1/(9 m^2)."""
-    return GreedyConfig(
-        delta=1.0 / (9 * m * m), weight_mode="sampled", sample_count="auto", seed=seed
-    )
 
 
 @dataclass(frozen=True)
@@ -202,7 +195,6 @@ def lower_bound_certificate(
     trajectory: Trajectory,
     optimal_value: float,
     kappa,
-    tol: float = 1e-9,
 ) -> CertificateReport:
     """Evaluate the per-round ascent inequality along a trajectory.
 
@@ -213,7 +205,7 @@ def lower_bound_certificate(
     """
     kappa = float(kappa)
     if kappa <= 0:
-        raise StosubError("certificate is undefined for kappa = 0")
+        raise DegenerateBoundError("certificate is undefined for kappa = 0")
     for record in trajectory.rounds:
         if record.lp.vertex_set is not None and not is_feasible(
             constraint, record.lp.vertex_set
@@ -233,7 +225,7 @@ def lower_bound_certificate(
             * kappa
             * ((1.0 - (kappa + 2.0) * m * d / kappa) * optimal_value - value)
         )
-        holds = gain >= required - tol
+        holds = gain >= required - EXACT_TOL
         if not holds:
             violations += 1
         rounds.append(

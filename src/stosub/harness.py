@@ -32,7 +32,7 @@ from .independence import (
     kappa,
     ratio_bound,
 )
-from .model import Instance, expected_set_value_exact
+from .model import EXACT_TOL, Instance, expected_set_value_exact
 from .multilinear import multilinear_value
 from .policies import (
     best_nonadaptive,
@@ -47,8 +47,6 @@ EXPERIMENT_KINDS = (
     "independence-profile",
     "certificate",
 )
-
-EXACT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -141,7 +139,9 @@ def oracle_values(instance: Instance, constraint: Constraint) -> tuple:
 
 
 def run_pipeline(scenario: Scenario, base_dir: Path | None = None) -> ReportRow:
-    """Execute one scenario end to end; stage failures land in ``notes``."""
+    """Execute one scenario end to end.  kappa = 0 makes the inner and
+    rounding flags "vacuous" with the note "degenerate kappa"; gamma = 0
+    notes the gap bound as undefined.  Any other failure raises."""
     instance = scenario.instance.resolve(base_dir)
     row: dict = {"name": scenario.name, "kind": scenario.kind, "m": instance.m}
     notes: list[str] = []
@@ -179,6 +179,10 @@ def run_pipeline(scenario: Scenario, base_dir: Path | None = None) -> ReportRow:
     row["fractional_value"] = fractional
 
     if scenario.kind == "certificate":
+        if kappa_clamped <= 0:
+            row["flag_inner"] = "vacuous"
+            notes.append("degenerate kappa")
+            return ReportRow(**row, notes=";".join(notes))
         certificate = lower_bound_certificate(
             instance, scenario.constraint, trajectory, opt_value, kappa_clamped
         )
@@ -273,26 +277,28 @@ def scenario_from_dict(doc: dict) -> Scenario:
     path = instance_doc.get("path")
     if path is not None and not isinstance(path, str):
         raise InputError(f"{context} field 'path' must be a string, got {path!r}")
+    spec_default = InstanceSpec()
     spec = InstanceSpec(
         generator=instance_doc.get("generator"),
         path=path,
-        m=number(instance_doc, "m", 2),
-        states=number(instance_doc, "states", 2),
-        worlds=number(instance_doc, "worlds", 2),
-        seed=number(instance_doc, "seed", 0),
+        m=number(instance_doc, "m", spec_default.m),
+        states=number(instance_doc, "states", spec_default.states),
+        worlds=number(instance_doc, "worlds", spec_default.worlds),
+        seed=number(instance_doc, "seed", spec_default.seed),
     )
     greedy_doc = doc.get("greedy", {})
     if not isinstance(greedy_doc, dict):
         raise InputError(f"{context} field 'greedy' must be an object")
-    sample_count = greedy_doc.get("sample_count", "auto")
+    greedy_default = GreedyConfig()
+    sample_count = greedy_doc.get("sample_count", greedy_default.sample_count)
     if sample_count != "auto":
         sample_count = number(greedy_doc, "sample_count", None)
     config = GreedyConfig(
-        delta=number(greedy_doc, "delta", 0.05, whole=False),
-        weight_mode=greedy_doc.get("weight_mode", "exact"),
+        delta=number(greedy_doc, "delta", greedy_default.delta, whole=False),
+        weight_mode=greedy_doc.get("weight_mode", greedy_default.weight_mode),
         sample_count=sample_count,
-        seed=number(greedy_doc, "seed", 0),
-        weight_variant=greedy_doc.get("weight_variant", "optimistic"),
+        seed=number(greedy_doc, "seed", greedy_default.seed),
+        weight_variant=greedy_doc.get("weight_variant", greedy_default.weight_variant),
     )
     constraint_doc = doc.get("constraint")
     if constraint_doc is None:

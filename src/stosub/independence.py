@@ -171,12 +171,6 @@ def _first_min(x: np.ndarray, y: np.ndarray) -> tuple[int, tuple[int, int]] | No
     return int(index[0]), (int(x[0]), int(y[0]))
 
 
-def _fraction(num, den) -> Fraction | None:
-    """One ratio under the minimisation's conventions; None when skipped."""
-    hit = _first_min(np.array([int(num)], object), np.array([int(den)], object))
-    return None if hit is None else Fraction(*hit[1])
-
-
 def _best(winners: list) -> tuple[tuple[int, int], tuple]:
     """The first strict minimum among the items' (ratio, where) winners."""
     ratios = np.array([ratio for ratio, _ in winners], dtype=object)
@@ -195,20 +189,6 @@ def _ordered_pairs(sizes: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray
     first = np.repeat(np.cumsum(squares) - squares, squares)
     row, col = np.divmod(np.arange(squares.sum()) - first, width)
     return start + row, start + col, first + col * width + row
-
-
-def _row_of(instance: Instance, ev, vmask: int, observation) -> int:
-    """The row of ``observation`` in ``ev.observations(vmask)``."""
-    if ev.mask_of(observation.domain) != vmask:
-        raise InputError("observation must assign exactly the observed items")
-    key = tuple(
-        instance.state_index(s)
-        for _, s in sorted((instance.item_index(i), s) for i, s in observation.pairs)
-    )
-    try:
-        return ev.observations(vmask)[0].index(key)
-    except ValueError:
-        raise InputError("observation has probability zero") from None
 
 
 def _realization_of(instance: Instance, vmask: int, key) -> Realization:
@@ -269,27 +249,6 @@ def kappa(instance: Instance, cap: int = ENUMERATION_CAP) -> IndependenceReport:
     return _report(best, witness, examined)
 
 
-def kappa_ratio(
-    instance: Instance,
-    item: str,
-    base: tuple[str, ...],
-    observed_items: tuple[str, ...],
-    observation: Realization,
-) -> Fraction | None:
-    """Re-evaluate one ratio from the kappa minimization; None when unbounded."""
-    ev = _evaluator(instance)
-    e = instance.item_index(item)
-    smask = ev.mask_of(base)
-    if smask >> e & 1 or any(instance.item_index(v) == e for v in observed_items):
-        raise InputError("base and observed sets must avoid the item itself")
-    vmask = ev.mask_of(observed_items)
-    weights = ev.observations(vmask)[1][_row_of(instance, ev, vmask, observation), e]
-    base = ev.numerator(smask)
-    gains = [ev.numerator(smask, (e, o)) - base for o in range(len(instance.states))]
-    num = ev.numerator(smask | 1 << e) - base
-    return _fraction(weights.sum() * num, weights @ np.array(gains, dtype=object))
-
-
 def gamma(instance: Instance, cap: int = ENUMERATION_CAP) -> IndependenceReport:
     """Second-form degree of independence.
 
@@ -330,32 +289,6 @@ def gamma(instance: Instance, cap: int = ENUMERATION_CAP) -> IndependenceReport:
         observation_alt=_realization_of(instance, vmask, key_b),
     )
     return _report(best, witness, examined)
-
-
-def gamma_ratio(
-    instance: Instance,
-    item: str,
-    observed_items: tuple[str, ...],
-    observation: Realization,
-    observation_alt: Realization,
-) -> Fraction | None:
-    """Re-evaluate one ratio from the gamma minimization; None when unbounded."""
-    ev = _evaluator(instance)
-    e = instance.item_index(item)
-    vmask = ev.mask_of(observed_items)
-    if vmask >> e & 1:
-        raise InputError("observed set must avoid the item itself")
-    a, b = (_row_of(instance, ev, vmask, obs) for obs in (observation, observation_alt))
-    keys, weights = ev.observations(vmask)
-    bits = [i for i in range(instance.m) if vmask >> i & 1]
-    union = {*zip(bits, keys[a]), *zip(bits, keys[b])}
-    base = ev.scaled_value(union)
-    gains = np.array(
-        [ev.scaled_value(union | {(e, o)}) - base for o in range(len(instance.states))],
-        dtype=object,
-    )
-    w_a, w_b = weights[a, e], weights[b, e]
-    return _fraction(w_b.sum() * (w_a @ gains), w_a.sum() * (w_b @ gains))
 
 
 def ratio_bound(kappa: float, m: int, alpha: float = 1.0) -> float:

@@ -3,11 +3,10 @@
 An :class:`Instance` bundles a ground set of items, a finite state alphabet,
 an explicit joint distribution over full state realizations, and a monotone
 submodular utility defined on sets of (item, state) pairs.  Probabilities are
-exact rationals throughout so that conditioning and the independence
-diagnostics can distinguish true zeros from rounding; utility values are
-plain floats.
+exact rationals throughout so that the independence diagnostics can
+distinguish true zeros from rounding; utility values are plain floats.
 
-Expected values exposed here (``expected_set_value`` and friends) are
+Expected values exposed here (``expected_set_value`` and its exact twin) are
 computed in exact rational arithmetic internally and rounded once on the way
 out, which makes algebraically equal expectations compare equal as floats.
 
@@ -36,23 +35,22 @@ targets (or the explicit table's ground-pair index) of all 2**m masks by
 doubling over the item bits.  A table may pin one (item, state) pair into
 every set; ``tables(pins)`` builds every requested table not yet cached in
 the same pass, one ``_values`` call per world on the stacked codes, so its
-extra memory is O(#pins * 2**m) whatever the support size, and a caller
-that needs one pin pays for one.  Full tables exist up to ``EXACT_CAP``
-items, built on first use; above it only the requested masks are valued.
+extra memory is O(#pins * 2**m) whatever the support size.  The unpinned
+table exists in full up to ``EXACT_CAP`` items, built on first use; above
+it only the requested masks are valued.
 ``gains`` caches the float table's differences across each item's bit, the
 2**(m-1) x m matrix the multilinear weight kernel contracts.
 
-The independence measures condition on observations.  ``observations(V)``
+The independence measures weigh states by observation.  ``observations(V)``
 groups the worlds by the states of the items in V once per mask and caches
-the groups, which every item's kappa and gamma ratios (and ``kappa_ratio``
-and ``gamma_ratio``) share: sorted keys, and per key the weight of each
-(item, state), int64 when L**2 * 2**k * max f < 2**63 (so every ratio
-product fits) and Python ints otherwise.  ``union_gains`` values pair sets
-that are not item masks (the unions of two observations, which gamma needs)
-through the same codes and scaling, every requested pair in one batch, and
-``scaled_value`` gives 2**k f of one pair set, so callers that do their own
-exact sums over ``worlds`` (the policy oracles and ``gamma_ratio``) never see
-the scale.
+the groups, which every item's kappa and gamma ratios share: sorted keys,
+and per key the weight of each (item, state), int64 when L**2 * 2**k * max
+f < 2**63 (so every ratio product fits) and Python ints otherwise.
+``union_gains`` values pair sets that are not item masks (the unions of two
+observations, which gamma needs) through the same codes and scaling, every
+requested pair in one batch, and ``scaled_value`` gives 2**k f of one pair
+set, so the policy oracles, which do their own exact sums over ``worlds``,
+never see the scale.
 """
 
 from __future__ import annotations
@@ -66,7 +64,6 @@ import numpy as np
 
 from .errors import (
     CapacityError,
-    ConditioningError,
     InputError,
     nonnegative,
     require_field,
@@ -84,6 +81,10 @@ _FLOAT_EXACT = 1 << 53
 # Slack of the monotonicity and submodularity checks: float-built tables
 # (modular or budget-additive sums) miss exact equalities by an ulp or so.
 VALIDITY_TOL = 1e-12
+
+# Slack of every float comparison against a bound: polytope membership, the
+# ascent certificate, the optimal-value upper bound and the report flags.
+EXACT_TOL = 1e-9
 
 
 def _as_fraction(value) -> Fraction:
@@ -131,20 +132,8 @@ class Realization:
                 f"item {item!r} not assigned in this realization"
             ) from None
 
-    def restrict(self, items: Iterable[str]) -> "Realization":
-        keep = set(items)
-        missing = keep - self.domain
-        if missing:
-            raise InputError(f"cannot restrict to unassigned items {sorted(missing)}")
-        return Realization(tuple(p for p in self.pairs if p[0] in keep))
-
     def as_dict(self) -> dict[str, str]:
         return dict(self.pairs)
-
-    def consistent_with(self, partial: "Realization") -> bool:
-        """True when this realization agrees with ``partial`` on its domain."""
-        own = self._state_map
-        return all(own.get(item) == state for item, state in partial.pairs)
 
 
 @dataclass(frozen=True)
@@ -178,65 +167,6 @@ class JointDistribution:
     @property
     def domain(self) -> frozenset[str]:
         return self.entries[0][0].domain
-
-    def support(self) -> tuple[Realization, ...]:
-        return tuple(r for r, _ in self.entries)
-
-    def probability_of(self, partial: Realization) -> Fraction:
-        """Exact probability that the random realization agrees with ``partial``."""
-        return sum(
-            (p for r, p in self.entries if r.consistent_with(partial)), Fraction(0)
-        )
-
-
-@dataclass(frozen=True)
-class ConditionalDistribution:
-    """Marginal of one item's state given a positive-probability partial observation."""
-
-    item: str
-    conditioning: Realization
-    marginal: tuple[tuple[str, Fraction], ...]
-
-    def __post_init__(self):
-        total = sum((p for _, p in self.marginal), Fraction(0))
-        if total != 1:
-            raise InputError("conditional marginal must sum to exactly 1")
-
-    def probability(self, state: str) -> Fraction:
-        for s, p in self.marginal:
-            if s == state:
-                return p
-        return Fraction(0)
-
-
-def condition(
-    distribution: JointDistribution, item: str, observed: Realization
-) -> ConditionalDistribution:
-    """Bayes-restrict the support to ``observed`` and marginalize onto ``item``.
-
-    Raises :class:`ConditioningError` when the observation has probability
-    zero, which signals an unreachable branch rather than a bad instance.
-    """
-    if item in observed.domain:
-        raise InputError(f"cannot condition {item!r} on an observation of itself")
-    if item not in distribution.domain:
-        raise InputError(f"unknown item {item!r}")
-    weights: dict[str, Fraction] = {}
-    total = Fraction(0)
-    for realization, prob in distribution.entries:
-        if prob == 0 or not realization.consistent_with(observed):
-            continue
-        state = realization.state_of(item)
-        weights[state] = weights.get(state, Fraction(0)) + prob
-        total += prob
-    if total == 0:
-        raise ConditioningError(
-            f"observation {observed.as_dict()} has probability zero"
-        )
-    marginal = tuple(
-        (state, weights[state] / total) for state in sorted(weights) if weights[state]
-    )
-    return ConditionalDistribution(item=item, conditioning=observed, marginal=marginal)
 
 
 @dataclass(frozen=True)
@@ -559,11 +489,6 @@ def _dyadic_shift(values: Iterable[float]) -> int:
     return max((v.as_integer_ratio()[1].bit_length() - 1 for v in values), default=0)
 
 
-def evaluate(utility: UtilityFunction, pairs: Iterable[Pair]) -> float:
-    """Value of a set of (item, state) pairs. Duplicate items union their coverage."""
-    return utility.evaluate(pairs)
-
-
 def validate_utility(utility: UtilityFunction) -> UtilityReport:
     """Monotonicity and submodularity of ``utility``, from its own ``validity``.
 
@@ -710,17 +635,18 @@ class _Evaluator:
                 self._tables[pin] = (row, self._floats(row))
         return np.stack([self._tables[pin][0] for pin in pins])
 
-    def _table(self, pin=None) -> tuple[np.ndarray, np.ndarray]:
-        if pin not in self._tables:
-            self.tables([pin])
-        return self._tables[pin]
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Numerators and floats of the unpinned table, built on first use."""
+        if None not in self._tables:
+            self.tables([None])
+        return self._tables[None]
 
-    def values(self, masks: np.ndarray | None = None, pin=None) -> np.ndarray:
+    def values(self, masks: np.ndarray | None = None) -> np.ndarray:
         """Float E[f] of each mask, or of every mask in order when None."""
         if self.m <= EXACT_CAP:
-            floats = self._table(pin)[1]
+            floats = self._table()[1]
             return floats if masks is None else floats[masks]
-        return self._floats(self._numerators(masks, (pin,))[0])
+        return self._floats(self._numerators(masks)[0])
 
     def gains(self) -> np.ndarray:
         """The 2**(m-1) x m gain matrix, built once: column e lists the float
@@ -783,11 +709,11 @@ class _Evaluator:
         scaled = self._scaled(stacked).reshape(1 + len(pins), len(base))
         return (scaled[1:] - scaled[0]).T
 
-    def numerator(self, mask: int, pin=None) -> int:
-        """E[f] of ``mask`` (plus the pinned pair) times ``denominator``."""
+    def numerator(self, mask: int) -> int:
+        """E[f] of ``mask`` times ``denominator``."""
         if self.m <= EXACT_CAP:
-            return int(self._table(pin)[0][mask])
-        return int(self._numerators(np.array([mask], dtype=object), (pin,))[0, 0])
+            return int(self._table()[0][mask])
+        return int(self._numerators(np.array([mask], dtype=object))[0, 0])
 
     def scaled_value(self, pairs: Iterable[tuple[int, int]]) -> int:
         """2**k times the utility of the (item index, state index) pairs."""
@@ -821,25 +747,3 @@ def expected_set_value_exact(instance: Instance, items: Iterable[str]) -> Fracti
     ev = _evaluator(instance)
     return Fraction(ev.numerator(ev.mask_of(items)), ev.denominator)
 
-
-def marginal(instance: Instance, base: Iterable[str], item: str) -> float:
-    """Expected gain of adding ``item`` to the picked set ``base``."""
-    ev = _evaluator(instance)
-    base_mask = ev.mask_of(base)
-    bit = 1 << instance.item_index(item)
-    if base_mask & bit:
-        raise InputError(f"item {item!r} already in the base set")
-    return (ev.numerator(base_mask | bit) - ev.numerator(base_mask)) / ev.denominator
-
-
-def state_marginal(
-    instance: Instance, base: Iterable[str], item: str, state: str
-) -> float:
-    """Expected gain of adding ``item`` pinned to ``state``, the base still random."""
-    ev = _evaluator(instance)
-    base_mask = ev.mask_of(base)
-    i = instance.item_index(item)
-    if base_mask >> i & 1:
-        raise InputError(f"item {item!r} already in the base set")
-    pin = (i, instance.state_index(state))
-    return (ev.numerator(base_mask, pin) - ev.numerator(base_mask)) / ev.denominator

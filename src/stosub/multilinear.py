@@ -108,27 +108,12 @@ class FractionalPoint:
     def as_dict(self) -> dict[str, float]:
         return dict(zip(self.items, self.values))
 
-    def _index(self, item: str) -> int:
+    def value_of(self, item: str) -> float:
         try:
-            return self._pos[item]
+            return self.values[self._pos[item]]
         except (KeyError, TypeError):
             raise InputError(f"unknown item {item!r}") from None
 
-    def value_of(self, item: str) -> float:
-        return self.values[self._index(item)]
-
-    def replace(self, item: str, value: float) -> "FractionalPoint":
-        i = self._index(item)
-        vals = list(self.values)
-        vals[i] = value
-        return FractionalPoint(self.items, tuple(vals))
-
-    def zero_out(self, item: str) -> "FractionalPoint":
-        """Copy with the coordinate of ``item`` forced to 0."""
-        return self.replace(item, 0.0)
-
-    def with_one(self, item: str) -> "FractionalPoint":
-        return self.replace(item, 1.0)
 
 
 @dataclass(frozen=True)
@@ -218,17 +203,6 @@ def standard_weight(instance: Instance, x: FractionalPoint, item: str) -> float:
     identity of the two enumerations.
     """
     return optimistic_weight(instance, x, item) * (1.0 - x.value_of(item))
-
-
-def state_weight(
-    instance: Instance, x: FractionalPoint, item: str, state: str
-) -> float:
-    """Expected gain of pinning ``item`` to ``state`` on top of a draw at ``x``."""
-    _check_cap(instance)
-    ev = _evaluator(instance)
-    pin = (instance.item_index(item), instance.state_index(state))
-    gains = ev.values(pin=pin) - ev.values()
-    return float(_column_sums(_inclusion_probabilities(_aligned(instance, x)) * gains))
 
 
 def estimation_sample_count(delta: float, m: int) -> int:

@@ -26,8 +26,14 @@ from typing import Mapping, Union
 
 from .constraints import Constraint, is_feasible, is_prefix_feasible
 from .errors import CapacityError, DegenerateBoundError, InputError, PolicyError
-from .model import Instance, Realization, _evaluator
+from .model import EXACT_TOL, Instance, Realization, _evaluator
 from .multilinear import FractionalPoint, multilinear_value, optimistic_weights
+
+# Exact-oracle caps: items and support size of the adaptive oracle, items of
+# the fixed-set enumeration.  Each is checked before any work.
+ADAPTIVE_ITEM_CAP = 5
+ADAPTIVE_SUPPORT_CAP = 64
+NONADAPTIVE_ITEM_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -78,15 +84,6 @@ class Policy:
                 walk(child, seen | {node.item})
 
         walk(self.root, frozenset())
-
-    @property
-    def depth(self) -> int:
-        def deep(node) -> int:
-            if isinstance(node, Stop):
-                return 0
-            return 1 + max((deep(c) for _, c in node.branches), default=0)
-
-        return deep(self.root)
 
     def item_sequences(self) -> list[tuple[str, ...]]:
         """Every root-to-leaf pick sequence (branch-complete paths)."""
@@ -145,10 +142,7 @@ def policy_is_feasible(policy: Policy, constraint: Constraint) -> bool:
 
 
 def optimal_adaptive(
-    instance: Instance,
-    constraint: Constraint,
-    max_items: int = 5,
-    max_support: int = 64,
+    instance: Instance, constraint: Constraint
 ) -> tuple[Policy, float]:
     """Exact optimal adaptive policy by backward induction over histories.
 
@@ -157,14 +151,15 @@ def optimal_adaptive(
     families that are not downward-closed.  Ties prefer picking over
     stopping and lower item index among picks.
     """
-    if instance.m > max_items:
+    if instance.m > ADAPTIVE_ITEM_CAP:
         raise CapacityError(
-            f"adaptive oracle over {instance.m} items exceeds the cap {max_items}"
+            f"adaptive oracle over {instance.m} items exceeds the cap "
+            f"{ADAPTIVE_ITEM_CAP}"
         )
-    if len(instance.distribution.entries) > max_support:
+    if len(instance.distribution.entries) > ADAPTIVE_SUPPORT_CAP:
         raise CapacityError(
             f"support of {len(instance.distribution.entries)} exceeds the cap "
-            f"{max_support}"
+            f"{ADAPTIVE_SUPPORT_CAP}"
         )
     ev = _evaluator(instance)
     by_sequence = not constraint.downward_closed
@@ -205,12 +200,13 @@ def optimal_adaptive(
 
 
 def best_nonadaptive(
-    instance: Instance, constraint: Constraint, max_items: int = 20
+    instance: Instance, constraint: Constraint
 ) -> tuple[frozenset[str], float]:
     """Best feasible fixed set by exhaustive enumeration."""
-    if instance.m > max_items:
+    if instance.m > NONADAPTIVE_ITEM_CAP:
         raise CapacityError(
-            f"enumeration over {instance.m} items exceeds the cap {max_items}"
+            f"enumeration over {instance.m} items exceeds the cap "
+            f"{NONADAPTIVE_ITEM_CAP}"
         )
     ev = _evaluator(instance)
     best_value: int | None = None
@@ -277,7 +273,6 @@ def optimal_upper_bound_check(
     policy: Policy,
     x: FractionalPoint,
     kappa,
-    tol: float = 1e-9,
 ) -> UpperBoundCheck:
     """Check that the policy value is at most the multilinear value at ``x``
     plus 1/kappa times the pick-probability-weighted optimistic weights."""
@@ -290,4 +285,4 @@ def optimal_upper_bound_check(
     rhs = multilinear_value(instance, x) + (1.0 / kappa) * sum(
         picks.value_of(item) * w for item, w in zip(instance.items, weights)
     )
-    return UpperBoundCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs + tol)
+    return UpperBoundCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs + EXACT_TOL)

@@ -192,6 +192,34 @@ def _conditional_mean(instance, item, observation, gain) -> Fraction:
     )
 
 
+def kappa_ratio_at(instance, witness) -> Fraction | None:
+    """The kappa ratio at ``witness``, by the definition; None when skipped."""
+    e, base = witness.item, tuple(witness.base)
+    value = direct_set_value(instance, base)
+    gain = {
+        s: direct_state_value(instance, base, e, s) - value for s in instance.states
+    }
+    return _fraction_ratio(
+        direct_set_value(instance, base + (e,)) - value,
+        _conditional_mean(instance, e, witness.observation.as_dict(), gain),
+    )
+
+
+def gamma_pair_ratio(instance, item, obs_a: dict, obs_b: dict) -> Fraction | None:
+    """The gamma ratio of two observations, by the definition, on the gains
+    over the union of their pair sets; None when skipped."""
+    base = set(obs_a.items()) | set(obs_b.items())
+    base_value = direct_value(instance, base)
+    gain = {
+        s: direct_value(instance, base | {(item, s)}) - base_value
+        for s in instance.states
+    }
+    return _fraction_ratio(
+        _conditional_mean(instance, item, obs_a, gain),
+        _conditional_mean(instance, item, obs_b, gain),
+    )
+
+
 def _report(best, witness, examined):
     return IndependenceReport(best, min(best, Fraction(1)), witness, examined)
 
@@ -245,16 +273,7 @@ def loop_gamma(instance) -> IndependenceReport:
                     if obs_a == obs_b:
                         ratio = Fraction(1)
                     else:
-                        base = set(obs_a.items()) | set(obs_b.items())
-                        base_value = direct_value(instance, base)
-                        gain = {
-                            s: direct_value(instance, base | {(e, s)}) - base_value
-                            for s in instance.states
-                        }
-                        ratio = _fraction_ratio(
-                            _conditional_mean(instance, e, obs_a, gain),
-                            _conditional_mean(instance, e, obs_b, gain),
-                        )
+                        ratio = gamma_pair_ratio(instance, e, obs_a, obs_b)
                         if ratio is None:
                             continue
                     if best is None or ratio < best:
@@ -421,10 +440,6 @@ def loop_optimistic_weight(instance, coords, item, value) -> float:
         lambda s: value(s | {item}) - value(s),
         skip=instance.items.index(item),
     )
-
-
-def loop_state_weight(instance, coords, item, state, state_value, value) -> float:
-    return _loop_sum(instance, coords, lambda s: state_value(s) - value(s))
 
 
 def per_item_weight_estimate(instance, x, item, sample_count, seed, stream=()):

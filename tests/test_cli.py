@@ -4,7 +4,7 @@ import pytest
 
 import stosub as ss
 from stosub import fileio
-from stosub.cli import main
+from stosub.cli import build_parser, main
 
 
 @pytest.fixture
@@ -76,6 +76,18 @@ class TestIndependenceCommands:
     def test_cap_below_one_is_a_usage_error(self, cc2_path, command, cap, capsys):
         assert main([command[0], cc2_path, *command[1:], "--cap", cap]) == 1
         assert "cap must be at least 1" in capsys.readouterr().err
+
+
+def test_parser_defaults_come_from_their_sources():
+    parser = build_parser()
+    config = ss.GreedyConfig()
+    greedy = parser.parse_args(["greedy", "x.json"])
+    assert (greedy.delta, greedy.mode, greedy.seed, greedy.variant) == (
+        config.delta, config.weight_mode, config.seed, config.weight_variant
+    )
+    for command in ("kappa", "gamma", "gap"):
+        args = parser.parse_args([command, "x.json"])
+        assert args.cap == ss.independence.ENUMERATION_CAP
 
 
 class TestGreedyCommand:

@@ -141,10 +141,12 @@ class TestRun:
         assert config.resolved_sample_count(2) == ss.estimation_sample_count(0.5, 2)
 
     def test_faithful_config_step(self):
-        config = ss.faithful_config(2)
-        assert config.delta == 1.0 / 36.0
+        # The paper's schedule, delta = 1/(9 m^2) in sampled mode, at m = 2.
+        config = ss.GreedyConfig(delta=1.0 / (9 * 2 * 2), weight_mode="sampled")
         assert config.rounds == 36
-        assert config.weight_mode == "sampled"
+        assert config.resolved_sample_count(2) == ss.estimation_sample_count(
+            1.0 / 36.0, 2
+        )
 
 
 class TestStep:
@@ -269,7 +271,7 @@ class TestCertificate:
     def test_degenerate_kappa(self, cc2):
         constraint = ss.UniformMatroid(rank=1)
         traj = ss.run(cc2, constraint, ss.GreedyConfig(delta=0.5))
-        with pytest.raises(ss.StosubError):
+        with pytest.raises(ss.DegenerateBoundError):
             ss.lower_bound_certificate(cc2, constraint, traj, 2.0, 0.0)
 
 

@@ -74,6 +74,17 @@ class TestRunPipeline:
         assert row.flag_inner == "pass"
         assert "certificate_rounds=20" in row.notes
 
+    def test_certificate_row_with_degenerate_kappa(self):
+        row = harness.run_pipeline(
+            scenario(
+                kind="certificate", generator="common-cause", m=5, states=3,
+                worlds=16, seed=0, constraint=ss.UniformMatroid(rank=2),
+            )
+        )
+        assert row.kappa == 0.0
+        assert row.flag_inner == "vacuous"
+        assert row.notes == "degenerate kappa"
+
     def test_non_matroid_ratio_check_skips_rounding(self):
         row = harness.run_pipeline(
             scenario(
@@ -227,6 +238,15 @@ class TestScenarioFiles:
         }
         legacy = {**doc, "rounding_seeds": "20", "rounding_base_seed": -4}
         assert harness.scenario_from_dict(legacy) == harness.scenario_from_dict(doc)
+
+    def test_defaults_come_from_the_config_types(self):
+        doc = {
+            "instance": {"generator": "common-cause"},
+            "constraint": {"kind": "uniform", "k": 1},
+        }
+        parsed = harness.scenario_from_dict(doc)
+        assert parsed.greedy == ss.GreedyConfig()
+        assert parsed.instance == harness.InstanceSpec(generator="common-cause")
 
     def test_scenario_must_be_an_object(self):
         with pytest.raises(ss.InputError):

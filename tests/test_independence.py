@@ -5,7 +5,7 @@ import pytest
 
 import stosub as ss
 from conftest import make_single_item
-from helpers import brute_gamma, brute_kappa
+from helpers import brute_gamma, brute_kappa, gamma_pair_ratio, kappa_ratio_at
 
 
 class TestKappa:
@@ -26,14 +26,7 @@ class TestKappa:
         report = ss.kappa(cc2)
         assert report.value == Fraction(1, 2)
         assert report.value == brute_kappa(cc2)
-        reproduced = ss.kappa_ratio(
-            cc2,
-            report.witness.item,
-            report.witness.base,
-            report.witness.observed_items,
-            report.witness.observation,
-        )
-        assert reproduced == report.value
+        assert kappa_ratio_at(cc2, report.witness) == report.value
 
     @pytest.mark.parametrize("seed", [0, 2, 5, 7])
     def test_matches_brute_force(self, seed):
@@ -45,16 +38,7 @@ class TestKappa:
         for seed in range(4):
             inst = ss.generate_common_cause(3, 2, 4, seed)
             report = ss.kappa(inst)
-            assert (
-                ss.kappa_ratio(
-                    inst,
-                    report.witness.item,
-                    report.witness.base,
-                    report.witness.observed_items,
-                    report.witness.observation,
-                )
-                == report.value
-            )
+            assert kappa_ratio_at(inst, report.witness) == report.value
 
     def test_examined_count_cc2(self, cc2):
         # 2 items x (V = empty: 1 observation, V = other: 2) x 2 base sets.
@@ -140,16 +124,11 @@ class TestGamma:
         inst = ss.generate_common_cause(3, 2, 4, seed=5)
         report = ss.gamma(inst)
         assert report.value == Fraction(2, 5)
-        assert (
-            ss.gamma_ratio(
-                inst,
-                report.witness.item,
-                report.witness.observed_items,
-                report.witness.observation,
-                report.witness.observation_alt,
-            )
-            == report.value
+        w = report.witness
+        ratio = gamma_pair_ratio(
+            inst, w.item, w.observation.as_dict(), w.observation_alt.as_dict()
         )
+        assert ratio == report.value
 
     def test_never_exceeds_one(self):
         # Swapping the two observations inverts a ratio, so the minimum over

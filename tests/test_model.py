@@ -10,7 +10,12 @@ from hypothesis import given, settings, strategies as st
 import stosub as ss
 from stosub.model import _evaluator
 from conftest import make_modular, make_single_item
-from helpers import direct_set_value, direct_state_value, loop_validate_utility
+from helpers import (
+    direct_conditional,
+    direct_set_value,
+    direct_state_value,
+    loop_validate_utility,
+)
 
 
 def coverage_abc():
@@ -28,21 +33,21 @@ def coverage_abc():
 
 class TestEvaluate:
     def test_empty_set_is_zero(self):
-        assert ss.evaluate(coverage_abc(), []) == 0.0
+        assert coverage_abc().evaluate([]) == 0.0
 
     def test_single_pair_sums_its_weights(self):
-        assert ss.evaluate(coverage_abc(), [("a", "good")]) == 2.0
+        assert coverage_abc().evaluate([("a", "good")]) == 2.0
 
     def test_union_coverage(self):
-        assert ss.evaluate(coverage_abc(), [("a", "good"), ("b", "good")]) == 3.0
+        assert coverage_abc().evaluate([("a", "good"), ("b", "good")]) == 3.0
 
     def test_duplicate_item_states_union(self):
         # The pipeline never produces conflicting states, but the oracle is total.
-        assert ss.evaluate(coverage_abc(), [("a", "good"), ("a", "bad")]) == 2.0
+        assert coverage_abc().evaluate([("a", "good"), ("a", "bad")]) == 2.0
 
     def test_unknown_pair_rejected(self):
         with pytest.raises(ss.InputError):
-            ss.evaluate(coverage_abc(), [("a", "unknown")])
+            coverage_abc().evaluate([("a", "unknown")])
 
 
 class TestExpectedSetValue:
@@ -66,22 +71,53 @@ class TestExpectedSetValue:
             ss.expected_set_value(cc2, {"zz"})
 
 
+def pinned_gain(instance, base, item, state) -> Fraction:
+    """E[f(base + (item, state))] - E[f(base)], exact, from the evaluator's
+    pinned table (the one kappa reads)."""
+    ev = _evaluator(instance)
+    pin = (instance.item_index(item), instance.state_index(state))
+    plain, pinned = ev.tables([None, pin])
+    mask = ev.mask_of(base)
+    return Fraction(int(pinned[mask] - plain[mask]), ev.denominator)
+
+
+def observed_conditionals(instance, item, observed_items) -> dict:
+    """The evaluator's ``observations`` as conditionals: each positive
+    observation of ``observed_items`` (its (item, state) pairs in item order)
+    maps to ``item``'s states with their conditional probabilities, sorted
+    by state, as ``direct_conditional`` lists them."""
+    ev = _evaluator(instance)
+    vmask = ev.mask_of(observed_items)
+    bits = [i for i in range(instance.m) if vmask >> i & 1]
+    keys, weights = ev.observations(vmask)
+    out = {}
+    for key, row in zip(keys, weights[:, instance.item_index(item)].tolist()):
+        observation = tuple(
+            (instance.items[i], instance.states[s]) for i, s in zip(bits, key)
+        )
+        total = sum(row)
+        out[observation] = sorted(
+            (instance.states[o], Fraction(w, total)) for o, w in enumerate(row) if w
+        )
+    return out
+
+
+def _gain(instance, base, item) -> Fraction:
+    """Exact expected gain of adding ``item`` to the picked set ``base``."""
+    value = ss.expected_set_value_exact
+    return value(instance, set(base) | {item}) - value(instance, base)
+
+
 class TestMarginal:
     def test_modular_marginal_is_weight(self, modular3):
-        assert ss.marginal(modular3, {"b", "c"}, "a") == 5.0
+        assert _gain(modular3, {"b", "c"}, "a") == 5
 
     def test_empty_base_definition(self, cc2):
-        assert ss.marginal(cc2, set(), "b") == ss.expected_set_value(cc2, {"b"})
+        assert _gain(cc2, set(), "b") == ss.expected_set_value_exact(cc2, {"b"})
 
     def test_cc2_via_set_value_oracle(self, cc2):
-        expected = ss.expected_set_value(cc2, {"a", "b"}) - ss.expected_set_value(
-            cc2, {"a"}
-        )
-        assert ss.marginal(cc2, {"a"}, "b") == expected
-
-    def test_item_already_in_base(self, cc2):
-        with pytest.raises(ss.InputError):
-            ss.marginal(cc2, {"a"}, "a")
+        expected = direct_set_value(cc2, {"a", "b"}) - direct_set_value(cc2, {"a"})
+        assert _gain(cc2, {"a"}, "b") == expected
 
     def test_never_negative(self, cc2, product3):
         for inst in (cc2, product3):
@@ -89,24 +125,23 @@ class TestMarginal:
                 others = [i for i in inst.items if i != e]
                 for mask in range(1 << len(others)):
                     base = {others[i] for i in range(len(others)) if mask >> i & 1}
-                    assert ss.marginal(inst, base, e) >= 0.0
+                    assert _gain(inst, base, e) >= 0
 
 
 class TestStateMarginal:
+    """The pinned tables kappa reads: E[f(S + (e, o))] - E[f(S)]."""
+
     def test_empty_base(self, cc2):
-        assert ss.state_marginal(cc2, set(), "a", "good") == 2.0
+        assert pinned_gain(cc2, set(), "a", "good") == 2
 
     def test_deterministic_matches_marginal(self, modular3):
-        assert ss.state_marginal(modular3, {"b"}, "a", "on") == ss.marginal(
-            modular3, {"b"}, "a"
-        )
+        assert pinned_gain(modular3, {"b"}, "a", "on") == _gain(modular3, {"b"}, "a")
 
     def test_cc2_brute_force(self, cc2):
-        got = ss.state_marginal(cc2, {"a"}, "b", "good")
         want = direct_state_value(cc2, {"a"}, "b", "good") - direct_set_value(
             cc2, {"a"}
         )
-        assert got == pytest.approx(float(want), abs=0)
+        assert pinned_gain(cc2, {"a"}, "b", "good") == want
 
     def test_averaging_identity_for_independent_items(self, product3):
         # With a product prior, mixing the state marginals with the item's own
@@ -114,60 +149,63 @@ class TestStateMarginal:
         for e in product3.items:
             base = {i for i in product3.items if i != e}
             mixed = sum(
-                float(q) * ss.state_marginal(product3, base, e, s)
-                for s, q in ss.condition(
-                    product3.distribution, e, ss.Realization(())
-                ).marginal
+                q * pinned_gain(product3, base, e, s)
+                for s, q in direct_conditional(product3, e, {})
             )
-            assert mixed == pytest.approx(ss.marginal(product3, base, e), abs=1e-12)
+            assert mixed == _gain(product3, base, e)
+
+
+def _observation_weight(instance, observation) -> Fraction:
+    """Probability that the realization agrees with ``observation``."""
+    return sum(
+        (p for r, p in instance.distribution.entries
+         if all(r.state_of(i) == s for i, s in observation)),
+        Fraction(0),
+    )
 
 
 class TestCondition:
+    """The conditional state weights of ``observations``, which kappa and
+    gamma read, against the definition in ``helpers.direct_conditional``."""
+
     def test_product_conditional_equals_marginal(self, product3):
-        dist = product3.distribution
-        unconditional = ss.condition(dist, "e1", ss.Realization(()))
-        conditioned = ss.condition(
-            dist, "e1", ss.Realization((("e2", "s1"), ("e3", "s2")))
-        )
-        assert unconditional.marginal == conditioned.marginal
+        (unconditional,) = observed_conditionals(product3, "e1", ()).values()
+        conditioned = observed_conditionals(product3, "e1", ("e2", "e3"))
+        assert len(conditioned) == 4
+        assert all(c == unconditional for c in conditioned.values())
 
     def test_vacuous_conditioning(self, cc2):
-        cond = ss.condition(cc2.distribution, "b", ss.Realization(()))
-        assert cond.marginal == (("bad", Fraction(1, 2)), ("good", Fraction(1, 2)))
+        assert observed_conditionals(cc2, "b", ()) == {
+            (): [("bad", Fraction(1, 2)), ("good", Fraction(1, 2))]
+        }
 
     def test_cc2_world_reveal(self, cc2):
-        cond = ss.condition(cc2.distribution, "b", ss.Realization((("a", "good"),)))
-        assert cond.marginal == (("good", Fraction(1)),)
+        cond = observed_conditionals(cc2, "b", ("a",))
+        assert cond[(("a", "good"),)] == [("good", Fraction(1))]
 
-    def test_zero_probability_observation(self, cc2):
-        with pytest.raises(ss.ConditioningError):
-            ss.condition(cc2.distribution, "b", ss.Realization((("a", "weird"),)))
-
-    def test_conditioning_on_item_itself(self, cc2):
-        with pytest.raises(ss.InputError):
-            ss.condition(cc2.distribution, "a", ss.Realization((("a", "good"),)))
+    def test_zero_probability_observation(self):
+        # Two worlds, so at most two of the four observations of two items.
+        inst = ss.generate_common_cause(3, 2, 2, seed=0)
+        observed = ("e2", "e3")
+        cond = observed_conditionals(inst, "e1", observed)
+        every = itertools.product(*[[(i, s) for s in inst.states] for i in observed])
+        positive = {o for o in every if _observation_weight(inst, o) > 0}
+        assert set(cond) == positive and len(positive) < 4
 
     def test_law_of_total_probability(self, cc2, product3):
         # Re-mixing conditionals with observation probabilities reconstructs
         # the unconditional marginal exactly.
         for inst in (cc2, product3):
-            dist = inst.distribution
             for e in inst.items:
-                others = [i for i in inst.items if i != e]
-                target = dict(ss.condition(dist, e, ss.Realization(())).marginal)
+                others = tuple(i for i in inst.items if i != e)
+                (target,) = observed_conditionals(inst, e, ()).values()
                 mixed: dict = {}
-                seen = set()
-                for realization, _ in dist.entries:
-                    obs = realization.restrict(others)
-                    if obs in seen:
-                        continue
-                    seen.add(obs)
-                    weight = dist.probability_of(obs)
-                    if weight == 0:
-                        continue
-                    for s, q in ss.condition(dist, e, obs).marginal:
+                for obs, cond in observed_conditionals(inst, e, others).items():
+                    assert cond == direct_conditional(inst, e, dict(obs))
+                    weight = _observation_weight(inst, obs)
+                    for s, q in cond:
                         mixed[s] = mixed.get(s, Fraction(0)) + weight * q
-                assert mixed == target
+                assert sorted(mixed.items()) == target
 
 
 def _float_sum(weights, subset) -> float:

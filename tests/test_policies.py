@@ -76,7 +76,7 @@ class TestOptimalAdaptive:
     def test_modular_independent_top_k(self, modular3):
         policy, value = ss.optimal_adaptive(modular3, ss.UniformMatroid(rank=2))
         assert value == 8.0
-        assert policy.depth == 2
+        assert {len(seq) for seq in policy.item_sequences()} == {2}
 
     def test_value_matches_policy_evaluation(self, cc2):
         for rank in (1, 2):
@@ -116,11 +116,15 @@ class TestOptimalAdaptive:
         assert isinstance(policy.root, ss.Pick) and policy.root.item == "a"
         assert value == pytest.approx(2.5)
 
-    def test_caps(self, cc2):
-        with pytest.raises(ss.CapacityError):
-            ss.optimal_adaptive(cc2, ss.UniformMatroid(rank=1), max_items=1)
-        with pytest.raises(ss.CapacityError):
-            ss.optimal_adaptive(cc2, ss.UniformMatroid(rank=1), max_support=1)
+    def test_caps(self):
+        # Above ADAPTIVE_ITEM_CAP (5 items), then ADAPTIVE_SUPPORT_CAP (64 worlds).
+        many_items = ss.generate_product(6, states_per_item=2, seed=0)
+        with pytest.raises(ss.CapacityError, match="6 items"):
+            ss.optimal_adaptive(many_items, ss.UniformMatroid(rank=1))
+        many_worlds = ss.generate_product(4, states_per_item=3, seed=0)
+        assert len(many_worlds.distribution.entries) == 81
+        with pytest.raises(ss.CapacityError, match="support of 81"):
+            ss.optimal_adaptive(many_worlds, ss.UniformMatroid(rank=1))
 
 
 class TestBestNonadaptive:

@@ -21,20 +21,19 @@ from helpers import (
     direct_state_value,
     loop_multilinear,
     loop_optimistic_weight,
-    loop_state_weight,
 )
 
 
-def _cached_oracles(instance):
+def _cached_oracle(instance):
     @lru_cache(maxsize=None)
     def value(subset):
         return float(direct_set_value(instance, subset))
 
-    @lru_cache(maxsize=None)
-    def state_value(subset, item, state):
-        return float(direct_state_value(instance, subset, item, state))
+    return value
 
-    return value, state_value
+
+def _members(instance, mask: int) -> list:
+    return [item for k, item in enumerate(instance.items) if mask >> k & 1]
 
 
 def _loop_weights(instance, coords, value):
@@ -59,7 +58,7 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_dense_point(self, cc8, seed):
-        value, state_value = _cached_oracles(cc8)
+        value = _cached_oracle(cc8)
         x = _dense_point(cc8, seed)
         coords = x.as_dict()
         assert ss.multilinear_value(cc8, x) == loop_multilinear(cc8, coords, value)
@@ -68,15 +67,18 @@ class TestBitIdentity:
         for item, opt in zip(cc8.items, weights):
             assert ss.optimistic_weight(cc8, x, item) == opt
             assert ss.standard_weight(cc8, x, item) == (1.0 - coords[item]) * opt
+        ev = _evaluator(cc8)
         for item, state in [("e1", "s1"), ("e4", "s2"), ("e8", "s3")]:
-            want = loop_state_weight(
-                cc8, coords, item, state,
-                lambda s: state_value(s, item, state), value,
-            )
-            assert ss.state_weight(cc8, x, item, state) == want
+            pin = (cc8.item_index(item), cc8.state_index(state))
+            want = [
+                direct_state_value(cc8, _members(cc8, mask), item, state)
+                * ev.denominator
+                for mask in range(1 << cc8.m)
+            ]
+            assert ev.tables([None, pin])[1].tolist() == want
 
     def test_point_with_zero_and_one_coordinates(self, cc8):
-        value, _ = _cached_oracles(cc8)
+        value = _cached_oracle(cc8)
         coords = _dense_point(cc8, 2).as_dict()
         coords.update(e2=0.0, e5=1.0, e7=0.0)
         x = ss.FractionalPoint.from_dict(coords)
@@ -88,7 +90,7 @@ class TestBitIdentity:
             )
 
     def test_vertex_point(self, cc8):
-        value, _ = _cached_oracles(cc8)
+        value = _cached_oracle(cc8)
         coords = {item: float(k % 3 == 0) for k, item in enumerate(cc8.items)}
         x = ss.FractionalPoint.from_dict(coords)
         assert ss.optimistic_weights(cc8, x) == _loop_weights(cc8, coords, value)
@@ -98,7 +100,7 @@ class TestBitIdentity:
         inst = make_single_item(
             {"hi": 3.5, "lo": 1.25}, {"hi": Fraction(1, 3), "lo": Fraction(2, 3)}
         )
-        value, _ = _cached_oracles(inst)
+        value = _cached_oracle(inst)
         x = ss.FractionalPoint(("e",), (coord,))
         weights = _loop_weights(inst, {"e": coord}, value)
         assert ss.optimistic_weights(inst, x) == weights
@@ -145,17 +147,21 @@ class TestExplicitTableUtility:
             assert ss.expected_set_value(inst, subset) == float(want)
 
     def test_state_marginals(self, inst):
+        ev = _evaluator(inst)
+        den = ev.denominator
         for item in inst.items:
             rest = [i for i in inst.items if i != item]
             for base in _subsets(rest):
                 for state in inst.states:
-                    want = direct_state_value(inst, base, item, state) - (
-                        direct_set_value(inst, base)
-                    )
-                    assert ss.state_marginal(inst, base, item, state) == float(want)
+                    pin = (inst.item_index(item), inst.state_index(state))
+                    want = direct_state_value(inst, base, item, state)
+                    numerators = ev.tables([None, pin])
+                    mask = ev.mask_of(base)
+                    assert numerators[0, mask] == direct_set_value(inst, base) * den
+                    assert numerators[1, mask] == want * den
 
     def test_extension_and_weights(self, inst):
-        value, _ = _cached_oracles(inst)
+        value = _cached_oracle(inst)
         x = _dense_point(inst, 3)
         coords = x.as_dict()
         assert ss.multilinear_value(inst, x) == loop_multilinear(inst, coords, value)
