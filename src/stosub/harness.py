@@ -267,6 +267,12 @@ def scenario_from_dict(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise InputError(f"a scenario must be an object, got {doc!r}")
     context = f"scenario {doc.get('name')!r}"
+    name = doc.get("name", "unnamed")
+    # A tab or line break in a name would split its report row.
+    if not isinstance(name, str) or any(c in name for c in "\t\r\n"):
+        raise InputError(
+            f"{context} field 'name' must be a string without tabs or line breaks"
+        )
 
     def number(mapping: dict, key: str, default, whole: bool = True):
         return nonnegative(mapping.get(key, default), f"{context} field {key!r}", whole)
@@ -304,7 +310,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     if constraint_doc is None:
         raise InputError(f"{context} needs a constraint")
     return Scenario(
-        name=str(doc.get("name", "unnamed")),
+        name=name,
         kind=str(doc.get("kind", "ratio-check")),
         instance=spec,
         constraint=fileio.constraint_from_dict(constraint_doc),

@@ -19,27 +19,40 @@ those in which item e has state o, so e's conditional marginal is W_o / T.
   | {(e, o)}) - f(A | B)), A and B the observed pair sets,
   ratio = T_b * sum_o W_{a,o} * g_o / (T_a * sum_o W_{b,o} * g_o).
 
-For one item e both are a few integer array operations.  kappa stacks the
-observations of every V avoiding e, V ascending and keys sorted, into W
-(observations x states) and T, takes n and G for every S avoiding e from the
-evaluator's value tables (built for every pin in one pass), and forms the
-denominators ``W @ G.T`` and the numerators ``outer(T, n)``: ratios in
-(V, observation, S) order.  gamma values the union of each observation pair
-a < b of every V once, in one evaluator batch, and contracts both
-observations' W with the pair's gains at once.  The ratios are laid out
-row-major per V over every ordered pair: (a, b) is T_b * d_a / (T_a * d_b),
-with d the two contractions, and (b, a) is the same pair swapped.  On the
-diagonal numerator and denominator are equal, so the ratio is 1/1.
+Both read the evaluator's observation table, one row per observation of
+every V, V ascending and keys sorted (see ``model``), and skip what cannot
+change the report:
+
+- kappa, per item e, stacks the rows whose mask avoids e, takes n and G for
+  every S avoiding e from the evaluator's value tables (built for every pin
+  in one pass), and forms the denominators ``W @ G.T`` and the numerators
+  ``outer(T, n)``: ratios in (V, observation, S) order.  Two rows whose
+  W[., e] are proportional, W' = c * W with c > 0, are twins: T' = c * T, so
+  every ratio of the later one is the earlier one's with both terms times
+  c, and equal under every convention below (0/0, x/0 and sign flips
+  included).  The first strict minimum therefore never lies on a later
+  twin, and only the first row of each conditional of e is valued.
+- gamma, per item e, values the union of each pair a < b of rows of one V
+  once, in one evaluator batch, and contracts both rows' W with the pair's
+  gains.  (a, b) is T_b * d_a / (T_a * d_b), with d the two contractions,
+  and (b, a) is the same pair swapped.  When a and b are twins both terms
+  equal c * T_a * d_a, so the ratio is 1, as on the diagonal.  Position 0
+  of the enumeration, item 0's V = {} diagonal, is 1 as well, so no other
+  ratio-1 entry can be the first strict minimum: only pairs with distinct
+  conditionals are valued (none on a product prior), behind a 1/1 that
+  stands for position 0.  ``ratios_examined`` still counts every ordered
+  pair, as it counts every row for kappa.
 
 The arrays are int64 when L**2 * 2**k * max f < 2**63, which bounds every
 numerator and denominator (a weight sum of at most L times a gain of at most
-L * 2**k * max f), and Python-int object arrays otherwise.  ``_first_min``
-finds the minimum of each item's ratios: a float pre-filter keeps the ratios
-within a relative window of the smallest float quotient, a window wider than
-the rounding of x, y and x / y, and a tournament of exact integer
-cross-multiplications (x / y < x' / y' exactly when x * y' < x' * y, with
-y, y' > 0) picks the first minimum among them.  The items' winners go
-through the same helper, and one ``Fraction`` is built at the end.
+L * 2**k * max f), and Python-int object arrays otherwise.  ``_near_min``
+keeps, per item, the ratios that can be its first strict minimum: a float
+pre-filter keeps those within a relative window of the smallest float
+quotient, a window wider than the rounding of x, y and x / y.  One
+``_first_min`` per measure then runs over every item's candidates, in
+enumeration order, a tournament of exact integer cross-multiplications (x /
+y < x' / y' exactly when x * y' < x' * y, with y, y' > 0), and one
+``Fraction`` is built at the end.
 
 Conventions for degenerate ratios follow the definitions: 0/0 counts as 1,
 a zero numerator over a positive denominator counts as 0, a negative
@@ -133,15 +146,17 @@ def _submasks(full: int):
         sub = (sub | ~full) + 1 & full
 
 
-def _first_min(x: np.ndarray, y: np.ndarray) -> tuple[int, tuple[int, int]] | None:
-    """Flat position and value of the first strict minimum of the ratios x / y.
+def _near_min(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Flat positions and values of the ratios x / y that can be the first
+    strict minimum, in order.
 
-    ``x`` and ``y`` are int64 or object arrays of one shape.  The value is a
-    pair (num, den) of Python ints in lowest terms with den > 0, under the
-    module's conventions; None when every ratio is skipped.  The float
-    quotients are those of the ratios clipped into [-1, 1], so none
+    ``x`` and ``y`` are int64 or object arrays of one shape.  The values are
+    object arrays of Python ints, in lowest terms with y > 0 under the
+    module's conventions; all three are empty when every ratio is skipped.
+    The float quotients are those of the ratios clipped into [-1, 1], so none
     overflows, and the clip is monotone, so every minimum stays within the
-    window.
+    window.  The window grows with its low end, so the positions kept from a
+    part of an array include every one the whole array's window keeps there.
     """
     x, y = x.ravel(), y.ravel()
     x = np.where(y < 0, -x, x)
@@ -150,7 +165,7 @@ def _first_min(x: np.ndarray, y: np.ndarray) -> tuple[int, tuple[int, int]] | No
     x, y = np.where(undefined, 1, x), np.where(undefined, 1, y)
     live = np.flatnonzero(y)
     if not len(live):
-        return None
+        return live, np.array([], object), np.array([], object)
     x, y = x[live], y[live]
     quotients = (np.clip(x, -y, y) / y).astype(float)
     low = quotients.min()
@@ -162,7 +177,19 @@ def _first_min(x: np.ndarray, y: np.ndarray) -> tuple[int, tuple[int, int]] | No
     x, y = x // common, y // common
     rest = (x != x[0]) | (y != y[0])
     rest[0] = True
-    index, x, y = index[rest], x[rest].astype(object), y[rest].astype(object)
+    return index[rest], x[rest].astype(object), y[rest].astype(object)
+
+
+def _first_min(x: np.ndarray, y: np.ndarray) -> tuple[int, tuple[int, int]] | None:
+    """Flat position and value of the first strict minimum of the ratios x / y.
+
+    The value is a pair (num, den) of Python ints in lowest terms with den >
+    0; None when every ratio is skipped.  A tournament of exact
+    cross-multiplications runs over the candidates of ``_near_min``.
+    """
+    index, x, y = _near_min(x, y)
+    if not len(index):
+        return None
     while len(index) > 1:  # the later of two wins only when strictly smaller
         if len(index) % 2:  # (1, 0) lies above every ratio, so it never wins
             index, x, y = np.append(index, -1), np.append(x, 1), np.append(y, 0)
@@ -171,18 +198,10 @@ def _first_min(x: np.ndarray, y: np.ndarray) -> tuple[int, tuple[int, int]] | No
     return int(index[0]), (int(x[0]), int(y[0]))
 
 
-def _best(winners: list) -> tuple[tuple[int, int], tuple]:
-    """The first strict minimum among the items' (ratio, where) winners."""
-    ratios = np.array([ratio for ratio, _ in winners], dtype=object)
-    index, best = _first_min(ratios[:, 0], ratios[:, 1])
-    return best, winners[index][1]
-
-
-def _ordered_pairs(sizes: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _ordered_pairs(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows a, b of every ordered pair within each block of ``sizes`` rows, the
     blocks laid end to end: block by block, row-major; and the position of
     each pair's mirror (b, a) in that order."""
-    sizes = np.array(sizes)
     squares = sizes * sizes
     start = np.repeat(np.cumsum(sizes) - sizes, squares)
     width = np.repeat(sizes, squares)
@@ -191,10 +210,16 @@ def _ordered_pairs(sizes: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return start + row, start + col, first + col * width + row
 
 
-def _realization_of(instance: Instance, vmask: int, key) -> Realization:
-    bits = [i for i in range(instance.m) if vmask >> i & 1]
+def _realization_of(instance: Instance, ev, row: int) -> Realization:
+    """Observation ``row`` of the evaluator's table, by item and state name."""
+    obs = ev.observations()
+    mask, states = int(obs.masks[row]), ev.worlds[obs.worlds[row]][0]
     return Realization(
-        tuple((instance.items[i], instance.states[s]) for i, s in zip(bits, key))
+        tuple(
+            (item, instance.states[states[i]])
+            for i, item in enumerate(instance.items)
+            if mask >> i & 1
+        )
     )
 
 
@@ -223,28 +248,30 @@ def kappa(instance: Instance, cap: int = ENUMERATION_CAP) -> IndependenceReport:
     full = (1 << m) - 1
     # Row 0 holds N; row 1 + e * states + o holds N with (e, o) pinned.
     tables = ev.tables([None, *itertools.product(range(m), range(states))])
+    obs = ev.observations()
+    rows = np.arange(len(obs.masks))
 
-    winners, examined = [], 0
+    near, where, examined = [], [], 0
     for e in range(m):
-        masks = _submasks(full & ~(1 << e))
-        smasks = np.array(masks)
-        groups = [ev.observations(vmask) for vmask in masks]
-        weights = np.concatenate([w[:, e] for _, w in groups])
-        rows = [(v, key) for v, (keys, _) in zip(masks, groups) for key in keys]
+        smasks = np.array(_submasks(full & ~(1 << e)))
+        # Only the first row of each conditional of e: its twins repeat its ratios.
+        first = np.flatnonzero(obs.twins[:, e] == rows)
+        weights = obs.weights[first, e]
         base = tables[0, smasks]
         pinned = tables[1 + e * states : 1 + (e + 1) * states, smasks]
         num = np.outer(weights.sum(axis=1), tables[0, smasks | 1 << e] - base)
-        den = weights @ (pinned - base)
-        examined += den.size
-        index, ratio = _first_min(num, den)
-        row, col = divmod(index, len(masks))
-        winners.append((ratio, (e, masks[col], *rows[row])))
-    best, (e, smask, vmask, key) = _best(winners)
+        index, x, y = _near_min(num, weights @ (pinned - base))
+        row, col = np.divmod(index, len(smasks))
+        near.append((x, y))
+        where.append(np.stack([np.full(len(index), e), first[row], smasks[col]]))
+        examined += int(np.count_nonzero(obs.twins[:, e] >= 0)) * len(smasks)
+    index, best = _first_min(*np.concatenate(near, axis=1))
+    e, row, smask = (int(v) for v in np.concatenate(where, axis=1)[:, index])
     witness = KappaWitness(
         item=instance.items[e],
         base=_names(instance, smask),
-        observed_items=_names(instance, vmask),
-        observation=_realization_of(instance, vmask, key),
+        observed_items=_names(instance, int(obs.masks[row])),
+        observation=_realization_of(instance, ev, row),
     )
     return _report(best, witness, examined)
 
@@ -258,35 +285,41 @@ def gamma(instance: Instance, cap: int = ENUMERATION_CAP) -> IndependenceReport:
     """
     _check_cap(instance, cap)
     ev = _evaluator(instance)
+    obs = ev.observations()
     full = (1 << instance.m) - 1
+    totals, sizes = obs.weights.sum(axis=-1), np.bincount(obs.masks)  # rows per mask
 
-    winners, examined = [], 0
+    # First item 0's V = {} diagonal, ratio 1/1 at flat position 0, which
+    # stands for every ratio-1 pair of equal conditionals (module docstring).
+    near, where, examined = [np.ones((2, 1), object)], [np.zeros((3, 1), int)], 0
     for e in range(instance.m):
-        vmasks = _submasks(full & ~(1 << e))
-        groups = [ev.observations(vmask) for vmask in vmasks]
-        weights = np.concatenate([w[:, e] for _, w in groups])
-        rows = [(v, key) for v, (keys, _) in zip(vmasks, groups) for key in keys]
-        totals = weights.sum(axis=1)
-        a, b, mirror = _ordered_pairs([len(keys) for keys, _ in groups])
-        # For a < b: dots[0] = W_a . g and dots[1] = W_b . g, g the pair's
-        # union gains, which (a, b) and (b, a) share.
-        upper = np.flatnonzero(a < b)
-        pairs = np.stack([a[upper], b[upper]])
-        dots = (weights[pairs] * ev.union_gains(e, vmasks, *pairs)).sum(axis=-1)
-        # Rows num, den; the diagonal keeps 1/1, as there num equals den.
-        ratios = np.ones((2, len(a)), weights.dtype)
-        ratios[:, upper] = totals[pairs[::-1]] * dots
-        ratios[:, mirror[upper]] = ratios[::-1, upper]
+        rows = np.flatnonzero(obs.twins[:, e] >= 0)
+        a, b, mirror = _ordered_pairs(sizes[_submasks(full & ~(1 << e))])
         examined += len(a)
-        index, ratio = _first_min(*ratios)
-        (vmask, key_a), (_, key_b) = rows[a[index]], rows[b[index]]
-        winners.append((ratio, (e, vmask, key_a, key_b)))
-    best, (e, vmask, key_a, key_b) = _best(winners)
+        a, b = rows[a], rows[b]
+        differ = obs.twins[a, e] != obs.twins[b, e]
+        at = np.cumsum(differ) - 1  # position among the valued pairs
+        upper = np.flatnonzero(differ & (a < b))
+        ratios = np.empty((2, np.count_nonzero(differ)), obs.weights.dtype)
+        if len(upper):
+            # For a < b: dots[0] = W_a . g and dots[1] = W_b . g, g the pair's
+            # union gains, which (a, b) and (b, a) share.
+            pairs = np.stack([a[upper], b[upper]])
+            gains = ev.union_gains(e, *pairs)
+            dots = np.einsum("pus,us->pu", obs.weights[pairs, e], gains)
+            ratios[:, at[upper]] = totals[pairs[::-1], e] * dots
+            ratios[:, at[mirror[upper]]] = ratios[::-1, at[upper]]
+        index, x, y = _near_min(*ratios)
+        near.append((x, y))
+        a, b = a[differ][index], b[differ][index]
+        where.append(np.stack([np.full(len(index), e), a, b]))
+    index, best = _first_min(*np.concatenate(near, axis=1))
+    e, a, b = (int(v) for v in np.concatenate(where, axis=1)[:, index])
     witness = GammaWitness(
         item=instance.items[e],
-        observed_items=_names(instance, vmask),
-        observation=_realization_of(instance, vmask, key_a),
-        observation_alt=_realization_of(instance, vmask, key_b),
+        observed_items=_names(instance, int(obs.masks[a])),
+        observation=_realization_of(instance, ev, a),
+        observation_alt=_realization_of(instance, ev, b),
     )
     return _report(best, witness, examined)
 

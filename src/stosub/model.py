@@ -41,16 +41,31 @@ it only the requested masks are valued.
 ``gains`` caches the float table's differences across each item's bit, the
 2**(m-1) x m matrix the multilinear weight kernel contracts.
 
-The independence measures weigh states by observation.  ``observations(V)``
-groups the worlds by the states of the items in V once per mask and caches
-the groups, which every item's kappa and gamma ratios share: sorted keys,
-and per key the weight of each (item, state), int64 when L**2 * 2**k * max
-f < 2**63 (so every ratio product fits) and Python ints otherwise.
+The independence measures weigh states by observation.  ``observations()``
+lists every positive-probability observation of every item set in one table,
+built in one vectorised pass the first time kappa or gamma asks and shared
+by both.  A world's key under a mask is a mixed-radix code of the masked
+items' states, item 0 most significant, so within a mask the numeric order
+of the keys is the sorted order of the state tuples.  One stable sort of
+each row of the 2**m x worlds key matrix groups the worlds, and one
+``add.reduceat`` sums their weights.  The rows run mask-ascending, then
+key-ascending, and row r carries:
+
+- its mask, and the index of one world that agrees with it (its first);
+- W[r, i, o], the total weight of the worlds that agree with row r and give
+  item i state o, so ``W[r, i].sum()`` is the row's weight T for any i.  W
+  is int64 when L**2 * 2**k * max f < 2**63, so that every ratio product
+  fits, and Python ints otherwise;
+- twins[r, i], the first row whose mask avoids i and whose W[., i] is a
+  positive multiple of W[r, i], that is, the first row with the same
+  conditional of item i; -1 when row r observes i;
+- the code of its observed pair set, kept inside the evaluator.
+
 ``union_gains`` values pair sets that are not item masks (the unions of two
-observations, which gamma needs) through the same codes and scaling, every
-requested pair in one batch, and ``scaled_value`` gives 2**k f of one pair
-set, so the policy oracles, which do their own exact sums over ``worlds``,
-never see the scale.
+observations, which gamma needs) through those codes and the same scaling,
+every requested pair in one batch, and ``scaled_value`` gives 2**k f of one
+pair set, so the policy oracles, which do their own exact sums over
+``worlds``, never see the scale.
 """
 
 from __future__ import annotations
@@ -58,7 +73,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, NamedTuple, Union
 
 import numpy as np
 
@@ -546,6 +561,17 @@ class Instance:
             raise InputError(f"unknown state {state!r}") from None
 
 
+class Observations(NamedTuple):
+    """The evaluator's observation table (module docstring), one row per
+    observation: ``masks`` and ``worlds`` have shape (rows,), ``weights``
+    (rows, items, states) and ``twins`` (rows, items)."""
+
+    masks: np.ndarray
+    worlds: np.ndarray
+    weights: np.ndarray
+    twins: np.ndarray
+
+
 class _Evaluator:
     """Per-instance exact value tables over item bitmasks (module docstring).
     Table writes are pure functions of their keys, so threads at worst race."""
@@ -573,13 +599,13 @@ class _Evaluator:
         # they are int64 only when L**2 * 2**k * top < 2**63.
         dtype = np.int64 if lcd * lcd * scaled_top < 1 << 63 else object
         worlds = len(self.worlds)
-        self._columns = list(zip(*(states for states, _ in self.worlds)))
         self._spread = np.zeros((worlds, self.m, len(instance.states)), dtype)
         self._spread[
             np.arange(worlds)[:, None], np.arange(self.m), [s for s, _ in self.worlds]
         ] = np.array([a for _, a in self.worlds], dtype)[:, None]
         self._tables: dict = {}
-        self._groups: dict = {}
+        self._observations = None
+        self._row_codes = None
         self._gains = None
 
     def _numerators(self, masks: np.ndarray | None, pins=(None,)) -> np.ndarray:
@@ -660,50 +686,59 @@ class _Evaluator:
                 self._gains[:, e] = (halves[:, 1] - halves[:, 0]).ravel()
         return self._gains
 
-    def _group(self, vmask: int) -> tuple[list, np.ndarray, np.ndarray]:
-        """The observations of ``vmask`` (see ``observations``) and the code of
-        each one's pair set, built once per mask."""
-        hit = self._groups.get(vmask)
-        if hit is None:
-            bits = [i for i in range(self.m) if vmask >> i & 1]
-            # Each world's key; zip() of no columns is empty, so V = {} gives ().
-            seen = list(zip(*(self._columns[i] for i in bits)))
-            seen = seen or [()] * len(self.worlds)
-            keys = sorted(set(seen))
-            rank = {key: g for g, key in enumerate(keys)}
-            spread = self._spread
-            weights = np.zeros((len(keys),) + spread.shape[1:], spread.dtype)
-            np.add.at(weights, list(map(rank.__getitem__, seen)), spread)
-            states = np.array(keys, dtype=np.intp).reshape(len(keys), len(bits))
-            picked = self._codes[np.array(bits, dtype=np.intp), states]
-            codes = np.bitwise_or.reduce(picked, axis=1)
-            hit = self._groups[vmask] = (keys, weights, codes)
-        return hit
+    def observations(self) -> Observations:
+        """Every positive-probability observation of every item set, in one
+        table built on first use (see the module docstring).  The weights
+        are int64 or Python ints by the ratio rule in ``__init__``, so
+        products with them are exact."""
+        if self._observations is None:
+            self._observations, self._row_codes = self._observe()
+        return self._observations
 
-    def observations(self, vmask: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
-        """Positive-probability observations of the items in ``vmask``, sorted.
+    def _observe(self) -> tuple[Observations, np.ndarray]:
+        """The observation table, and the pair-set code of each row."""
+        m, radix = self.m, len(self.instance.states)
+        states = np.array([s for s, _ in self.worlds], dtype=np.intp).reshape(-1, m)
+        # Mixed-radix keys with item 0 most significant: within one mask their
+        # numeric order is the order of the observed state tuples.
+        dtype = np.int64 if radix**m < 1 << 63 else object
+        place = np.array([radix ** (m - 1 - i) for i in range(m)], dtype)
+        bits = (np.arange(1 << m)[:, None] >> np.arange(m) & 1).astype(dtype)
+        keys = bits @ (states * place).T
+        order = np.argsort(keys, axis=1, kind="stable")
+        keys = np.take_along_axis(keys, order, axis=1)
+        fresh = np.ones(keys.shape, dtype=bool)
+        fresh[:, 1:] = keys[:, 1:] != keys[:, :-1]
+        starts = np.flatnonzero(fresh)
+        order = order.ravel()
+        masks, worlds = starts // len(states), order[starts]
+        weights = np.add.reduceat(self._spread[order], starts, axis=0)
 
-        Each key lists the observed items' state indices in item order.  Row g
-        of the weights holds W[g, i, o], the total weight of the worlds that
-        agree with key g and give item i state o, so ``W[g, i].sum()`` is the
-        key's weight T for any i.  The weights are int64 or Python ints by the
-        ratio rule in ``__init__``, so products with them are exact.
-        """
-        return self._group(vmask)[:2]
+        # A row's conditional of item i, in lowest terms, names it among the
+        # rows that leave i free; its first such row is every twin's twins[., i].
+        reduced = weights // np.gcd.reduce(weights, axis=-1)[..., None]
+        twins = np.full((len(masks), m), -1)
+        codes = np.zeros((len(masks),) + self._codes.shape[2:], self._codes.dtype)
+        for i in range(m):
+            free = (masks >> i & 1) == 0
+            first: dict = {}
+            conditionals = map(tuple, reduced[free, i].tolist())
+            rows = np.flatnonzero(free).tolist()
+            named = zip(rows, conditionals)
+            twins[free, i] = [first.setdefault(c, r) for r, c in named]
+            codes[~free] |= self._codes[i, states[worlds[~free], i]]
+        return Observations(masks, worlds, weights, twins), codes
 
-    def union_gains(
-        self, item: int, vmasks: Iterable[int], a: np.ndarray, b: np.ndarray
-    ) -> np.ndarray:
+    def union_gains(self, item: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Gains of ``item``'s states on top of the union of two observations.
 
-        ``a`` and ``b`` index the observations of the masks in ``vmasks``, laid
-        end to end in the given order.  Row r lists 2**k * (f(A | B | {(item,
-        o)}) - f(A | B)) for each state o, exact integers, where A and B are
-        the pair sets of observations a[r] and b[r].  Every pair is valued in
-        one batch.
+        ``a`` and ``b`` index rows of ``observations()``.  Row r lists 2**k *
+        (f(A | B | {(item, o)}) - f(A | B)) for each state o, exact integers,
+        where A and B are the pair sets of observations a[r] and b[r].  Every
+        pair is valued in one batch.
         """
-        codes = np.concatenate([self._group(vmask)[2] for vmask in vmasks])
-        base = codes[a] | codes[b]
+        self.observations()
+        base = self._row_codes[a] | self._row_codes[b]
         pins = self._codes[item]
         stacked = np.concatenate([base] + [base | pin for pin in pins])
         scaled = self._scaled(stacked).reshape(1 + len(pins), len(base))

@@ -381,6 +381,32 @@ class TestUsageErrors:
         assert main(["experiment", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "name, code",
+        [("a b", 0), (5, 1), (None, 1), ("a\tb", 1), ("a\nb", 1), ("a\rb", 1)],
+    )
+    def test_scenario_name_is_one_tsv_cell(self, tmp_path, capsys, name, code):
+        doc = {
+            "scenarios": [
+                {
+                    "name": name,
+                    "kind": "independence-profile",
+                    "instance": {"generator": "common-cause", "m": 3},
+                    "constraint": {"kind": "uniform", "k": 1},
+                }
+            ]
+        }
+        path = tmp_path / "suite.json"
+        path.write_text(fileio.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["experiment", str(path), "--out-dir", str(out)]) == code
+        if code:
+            assert capsys.readouterr().err.startswith("error: ")
+            assert not out.exists()
+        else:
+            header, row = (out / "report.tsv").read_text().splitlines()
+            assert len(row.split("\t")) == len(header.split("\t"))
+
     @pytest.mark.parametrize("command", ["validate", "kappa", "gamma"])
     def test_weights_whose_sum_overflows(self, cc2, tmp_path, capsys, command):
         doc = fileio.instance_to_dict(cc2)

@@ -7,13 +7,17 @@ minimum) and ``ratios_examined`` must all agree.  The cases cover ties at 0,
 single-state items, an explicit table and a non-monotone one (negative
 denominators), non-dyadic weights whose scale forces Python-int numerators,
 a prior whose LCD is about 10**60, one whose numerators fit int64 but whose
-ratio products do not, and a common-cause prior at m=5.
+ratio products do not, a common-cause prior at m=5, and twin observations
+(proportional, unequal weight rows) in int64 and in Python ints.  The
+benchmark's m=6 instances are pinned to the reports the per-item kernel gave.
 """
 
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,6 +97,31 @@ def _moved_product(seed, denominators, weights):
     )
 
 
+def _copied_state(seed, denominators):
+    """Four items: e3 takes e1's state with probability 3/4, and e2 and e4,
+    whose marginals have the prime ``denominators``, are independent of the
+    rest.  So observations that differ only in e2 or e4 are twins: their
+    weight rows are proportional, scaled by those marginals, and unequal."""
+    rng = random.Random(seed)
+    marginals = []
+    for q in (2, *denominators, 2):
+        a = rng.randrange(1, q)
+        marginals.append([("s1", Fraction(a, q)), ("s2", Fraction(q - a, q))])
+    product = ss.generate_product(4, per_item_marginals=marginals, seed=seed)
+    entries = []
+    for realization, p in product.distribution.entries:
+        state = realization.as_dict()
+        marginal = dict(marginals[2])[state["e3"]]
+        copied = Fraction(3, 4) if state["e3"] == state["e1"] else Fraction(1, 4)
+        entries.append((realization, p / marginal * copied))
+    return ss.Instance(
+        items=product.items,
+        states=product.states,
+        distribution=ss.JointDistribution(tuple(entries)),
+        utility=product.utility,
+    )
+
+
 CASES = {
     "cc-m4": lambda: ss.generate_common_cause(4, 3, 8, seed=0),
     "cc-m4-ties": lambda: ss.generate_common_cause(4, 2, 6, seed=0),
@@ -112,6 +141,8 @@ CASES = {
     ),
     "wide-products": lambda: _moved_product(3, (1000003, 1000033, 1009), [0.5, 2.0]),
     "cc-m5": lambda: ss.generate_common_cause(5, 3, 8, seed=0),
+    "twins-int64": lambda: _copied_state(7, (5, 7)),
+    "twins-python-ints": lambda: _copied_state(8, (10**20 + 39, 10**20 + 129)),
 }
 
 
@@ -142,16 +173,20 @@ def test_gamma_ratio_on_every_ordered_pair(instances, name):
     reciprocal of (a, b), the symmetry the mirroring relies on."""
     inst = instances[name]
     ev = _evaluator(inst)
+    table = ev.observations()
     report = ss.gamma(inst)
     ratios = []
     for e, item in enumerate(inst.items):
         for vmask in range(1 << inst.m):
             if vmask >> e & 1:
                 continue
-            observed = tuple(i for j, i in enumerate(inst.items) if vmask >> j & 1)
             obs = [
-                dict(zip(observed, (inst.states[s] for s in key)))
-                for key in ev.observations(vmask)[0]
+                {
+                    item: inst.states[ev.worlds[w][0][j]]
+                    for j, item in enumerate(inst.items)
+                    if vmask >> j & 1
+                }
+                for w in table.worlds[table.masks == vmask].tolist()
             ]
             for a, b in itertools.product(range(len(obs)), repeat=2):
                 forward = gamma_pair_ratio(inst, item, obs[a], obs[b])
@@ -186,7 +221,30 @@ def test_cases_reach_ties_and_python_ints(instances):
     ]:
         ev = _evaluator(instances[name])
         assert ev._table()[0].dtype == tables
-        assert ev.observations(0)[1].dtype == ratios
+        assert ev.observations().weights.dtype == ratios
+
+
+@pytest.mark.parametrize(
+    "name, dtype", [("twins-int64", np.int64), ("twins-python-ints", object)]
+)
+def test_twin_cases_have_proportional_unequal_rows(instances, name, dtype):
+    """Some observation's weight row for an item is a proper multiple of an
+    earlier one's of the same mask, and some pair of the same mask is not
+    proportional, so kappa and gamma drop some rows and pairs but not all."""
+    table = _evaluator(instances[name]).observations()
+    assert table.weights.dtype == dtype
+    rows = table.weights.tolist()
+    unequal_twins = distinct = 0
+    for r, s in itertools.combinations(range(len(rows)), 2):
+        for e in range(4):
+            if table.masks[r] != table.masks[s] or table.masks[r] >> e & 1:
+                continue
+            a, b = rows[r][e], rows[s][e]
+            twins = a[0] * b[1] == a[1] * b[0]  # two states
+            assert (table.twins[r, e] == table.twins[s, e]) == twins
+            unequal_twins += twins and a != b
+            distinct += not twins
+    assert unequal_twins > 0 and distinct > 0
 
 
 def test_non_monotone_table_reaches_negative_denominators(instances):
@@ -200,3 +258,77 @@ def test_non_monotone_table_reaches_negative_denominators(instances):
         for s, q in direct_conditional(inst, w.item, w.observation.as_dict())
     )
     assert report.value < 0 and denominator < 0
+
+
+def _counting_union_gains(monkeypatch, inst) -> list:
+    """Record the pairs each ``union_gains`` call values on ``inst``."""
+    ev = _evaluator(inst)
+    calls, union_gains = [], ev.union_gains
+
+    def counted(item, a, b):
+        calls.append(len(a))
+        return union_gains(item, a, b)
+
+    monkeypatch.setattr(ev, "union_gains", counted)
+    return calls
+
+
+def test_gamma_values_no_union_on_a_product_prior(instances, monkeypatch):
+    """Every pair of observations of a product prior has one conditional, so
+    every ratio is 1 and no union is valued; the count still covers every
+    ordered pair, (1 + 3**2)**2 per item of three."""
+    inst = instances["product"]
+    calls = _counting_union_gains(monkeypatch, inst)
+    report = ss.gamma(inst)
+    assert calls == []
+    assert report == loop_gamma(inst)
+    assert report.value == 1 and report.ratios_examined == 3 * 10**2
+
+
+def test_gamma_values_each_pair_of_distinct_conditionals_once(instances, monkeypatch):
+    """The unions valued are those of the unordered pairs of one mask's
+    observations whose weight rows for the item are not proportional."""
+    inst = instances["twins-int64"]
+    table = _evaluator(inst).observations()
+    rows = table.weights.tolist()
+    distinct = sum(
+        a[0] * b[1] != a[1] * b[0]  # two states
+        for e in range(4)
+        for r, s in itertools.combinations(range(len(rows)), 2)
+        if table.masks[r] == table.masks[s] and not table.masks[r] >> e & 1
+        for a, b in [(rows[r][e], rows[s][e])]
+    )
+    calls = _counting_union_gains(monkeypatch, inst)
+    report = ss.gamma(inst)
+    assert report == loop_gamma(inst)
+    assert 0 < sum(calls) == distinct < report.ratios_examined // 2
+
+
+PINNED = Path(__file__).parent / "data" / "pinned_independence.json"
+
+
+def _pinned_cases():
+    return json.loads(PINNED.read_text())["cases"]
+
+
+@pytest.mark.parametrize(
+    "case",
+    _pinned_cases(),
+    ids=lambda c: f"{c['instance']['generator']}-seed{c['instance']['seed']}",
+)
+def test_benchmark_instances_keep_their_reports(case):
+    """The exact-oracles benchmark's m=6 instances at seeds 0-2, against the
+    reports of the kernel that valued every observation row."""
+    spec = case["instance"]
+    m, states, seed = spec["m"], spec["states"], spec["seed"]
+    if spec["generator"] == "product":
+        inst = ss.generate_product(m, states_per_item=states, seed=seed)
+    else:
+        inst = ss.generate_common_cause(m, states, spec["worlds"], seed)
+    for name, measure in (("kappa", ss.kappa), ("gamma", ss.gamma)):
+        report, want = measure(inst), case[name]
+        assert str(report.value) == want["value"]
+        assert str(report.clamped) == want["clamped"]
+        assert report.witness.to_dict() == want["witness"]
+        assert type(report.ratios_examined) is int
+        assert report.ratios_examined == want["ratios_examined"]

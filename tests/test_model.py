@@ -89,12 +89,13 @@ def observed_conditionals(instance, item, observed_items) -> dict:
     ev = _evaluator(instance)
     vmask = ev.mask_of(observed_items)
     bits = [i for i in range(instance.m) if vmask >> i & 1]
-    keys, weights = ev.observations(vmask)
+    table = ev.observations()
+    rows = table.masks == vmask
+    weights = table.weights[rows, instance.item_index(item)]
     out = {}
-    for key, row in zip(keys, weights[:, instance.item_index(item)].tolist()):
-        observation = tuple(
-            (instance.items[i], instance.states[s]) for i, s in zip(bits, key)
-        )
+    for w, row in zip(table.worlds[rows].tolist(), weights.tolist()):
+        states = [instance.states[s] for s in ev.worlds[w][0]]
+        observation = tuple((instance.items[i], states[i]) for i in bits)
         total = sum(row)
         out[observation] = sorted(
             (instance.states[o], Fraction(w, total)) for o, w in enumerate(row) if w
@@ -162,6 +163,67 @@ def _observation_weight(instance, observation) -> Fraction:
          if all(r.state_of(i) == s for i, s in observation)),
         Fraction(0),
     )
+
+
+def brute_observation_table(ev) -> list:
+    """(mask, first world, W, twins) per observation, mask by mask and keys
+    sorted, straight off the evaluator's worlds."""
+    m, s = ev.m, len(ev.instance.states)
+    rows = []
+    for mask in range(1 << m):
+        groups: dict = {}
+        for w, (states, _) in enumerate(ev.worlds):
+            key = tuple(states[i] for i in range(m) if mask >> i & 1)
+            groups.setdefault(key, []).append(w)
+        for key in sorted(groups):
+            members = [ev.worlds[w] for w in groups[key]]
+            weights = []
+            for i in range(m):
+                row = [0] * s
+                for states, a in members:
+                    row[states[i]] += a
+                weights.append(row)
+            rows.append((mask, groups[key][0], weights))
+    firsts: dict = {}
+    table = []
+    for r, (mask, world, weights) in enumerate(rows):
+        twins = []
+        for i, row in enumerate(weights):
+            total = sum(row)
+            conditional = tuple((o, Fraction(w, total)) for o, w in enumerate(row) if w)
+            free = not mask >> i & 1
+            twins.append(firsts.setdefault((i, conditional), r) if free else -1)
+        table.append((mask, world, weights, twins))
+    return table
+
+
+class TestObservationTable:
+    """The one-pass grouping against a per-mask grouping by tuples, including
+    a state alphabet wide enough (520**7 > 2**63) for Python-int keys."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ss.common_cause_2(),
+            lambda: ss.generate_common_cause(4, 3, 8, seed=0),
+            lambda: ss.generate_common_cause(3, 1, 3, seed=1),
+            lambda: ss.generate_product(3, states_per_item=3, seed=2),
+            lambda: ss.generate_common_cause(7, 520, 4, seed=3),
+        ],
+        ids=["cc2", "cc-m4", "single-state", "product", "wide-alphabet"],
+    )
+    def test_table_equals_per_mask_grouping(self, build):
+        ev = _evaluator(build())
+        table = ev.observations()
+        got = list(
+            zip(
+                table.masks.tolist(),
+                table.worlds.tolist(),
+                table.weights.tolist(),
+                table.twins.tolist(),
+            )
+        )
+        assert got == [tuple(row) for row in brute_observation_table(ev)]
 
 
 class TestCondition:
