@@ -14,9 +14,7 @@ from .constraints import (
     LPSolution,
     PartitionMatroid,
     UniformMatroid,
-    alpha_for,
     is_feasible,
-    is_prefix_feasible,
     lp_maximize,
     point_in_polytope,
 )
@@ -74,7 +72,6 @@ from .multilinear import (
 from .policies import (
     Pick,
     Policy,
-    PolicyValue,
     STOP,
     Stop,
     UpperBoundCheck,

@@ -9,12 +9,12 @@ listed set.
 
 Explicit families are downward-closed by default.  Passing
 ``downward_closed=False`` admits prefix-closed families that are not
-downward-closed (feasibility of a sequence then means every prefix's item
-set is listed), which the adaptive-policy oracles support as well.
+downward-closed, which the adaptive-policy oracles support as well: there a
+pick sequence is feasible when the item set of each of its prefixes is listed.
 
 Each kind is one :class:`Constraint` subclass that carries its own behaviour:
-``feasible``, ``lp_vertex``, ``in_polytope``, ``rounding_groups``, ``alpha``
-and its JSON form.  A new kind is one class plus one entry in :data:`KINDS`.
+``feasible``, ``lp_vertex``, ``in_polytope``, ``rounding_groups`` and its
+JSON form.  A new kind is one class plus one entry in :data:`KINDS`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import ConfigurationError, InputError, UnsupportedKindError
+from .errors import InputError, UnsupportedKindError
 from .errors import nonnegative, require_field, require_list
 from .model import EXACT_TOL
 from .multilinear import FractionalPoint
@@ -65,7 +65,6 @@ def _greedy_pick(order: list[str], weights: dict[str, float], cap: int) -> list[
 class Constraint:
     """Base of the constraint kinds, with the defaults most kinds share."""
 
-    alpha: float | None = 1.0
     downward_closed = True
 
     def in_polytope(self, x: FractionalPoint) -> bool:
@@ -191,14 +190,12 @@ class Knapsack(Constraint):
     """Sets whose total cost stays within the budget.
 
     The relaxation polytope is the box intersected with the budget halfspace,
-    whose vertices may have one fractional coordinate.  ``alpha`` is the
-    declared rounding-loss factor used in bound formulas; no rounding scheme
+    whose vertices may have one fractional coordinate.  No rounding scheme
     for knapsacks is implemented here.
     """
 
     costs: tuple[tuple[str, float], ...]
     budget: float
-    alpha: float | None = None
 
     kind = "knapsack"
 
@@ -211,8 +208,6 @@ class Knapsack(Constraint):
         object.__setattr__(self, "costs", tuple(costs.items()))
         object.__setattr__(self, "_cost", costs)
         object.__setattr__(self, "budget", nonnegative(self.budget, "budget"))
-        if self.alpha is not None and not 0 < nonnegative(self.alpha, "alpha") <= 1:
-            raise InputError("alpha must lie in (0, 1]")
 
     def cost_of(self, item: str) -> float:
         try:
@@ -254,10 +249,7 @@ class Knapsack(Constraint):
         )
 
     def to_dict(self):
-        doc = {"kind": self.kind, "costs": dict(self.costs), "budget": self.budget}
-        if self.alpha is not None:
-            doc["alpha"] = self.alpha
-        return doc
+        return {"kind": self.kind, "costs": dict(self.costs), "budget": self.budget}
 
     @classmethod
     def from_dict(cls, doc):
@@ -267,7 +259,6 @@ class Knapsack(Constraint):
         return cls(
             costs=tuple(costs.items()),
             budget=require_field(doc, "budget", "knapsack constraint"),
-            alpha=doc.get("alpha"),
         )
 
 
@@ -277,7 +268,6 @@ class ExplicitFamily(Constraint):
 
     feasible_sets: tuple[tuple[str, ...], ...]
     downward_closed: bool = True
-    alpha: float | None = None
 
     kind = "explicit"
 
@@ -296,8 +286,6 @@ class ExplicitFamily(Constraint):
                             f"family is not downward-closed: {sorted(s - {item})} "
                             f"missing below {sorted(s)}"
                         )
-        if self.alpha is not None and not 0 < nonnegative(self.alpha, "alpha") <= 1:
-            raise InputError("alpha must lie in (0, 1]")
 
     def feasible(self, chosen):
         return frozenset(chosen) in self._members
@@ -319,8 +307,6 @@ class ExplicitFamily(Constraint):
         doc = {"kind": self.kind, "feasible_sets": [list(s) for s in self.feasible_sets]}
         if not self.downward_closed:
             doc["downward_closed"] = False
-        if self.alpha is not None:
-            doc["alpha"] = self.alpha
         return doc
 
     @classmethod
@@ -334,7 +320,6 @@ class ExplicitFamily(Constraint):
         return cls(
             feasible_sets=_name_lists(doc, "feasible_sets", "explicit constraint"),
             downward_closed=closed,
-            alpha=doc.get("alpha"),
         )
 
 
@@ -356,24 +341,6 @@ def is_feasible(constraint: Constraint, items: Iterable[str]) -> bool:
     return constraint.feasible(set(items))
 
 
-def is_prefix_feasible(constraint: Constraint, sequence: Iterable[str]) -> bool:
-    """True when every prefix of the pick sequence is a feasible set.
-
-    For downward-closed kinds this coincides with feasibility of the full
-    set; for non-downward-closed explicit families the prefixes genuinely
-    matter.
-    """
-    seq = list(sequence)
-    if len(set(seq)) != len(seq):
-        raise InputError("sequence repeats an item")
-    prefix: set[str] = set()
-    for item in seq:
-        prefix.add(item)
-        if not is_feasible(constraint, prefix):
-            return False
-    return True
-
-
 def _clamped(weights: Mapping[str, float]) -> dict[str, float]:
     # Negative estimated weights never help in a down-monotone polytope.
     out = {}
@@ -393,19 +360,6 @@ def lp_maximize(constraint: Constraint, weights: Mapping[str, float]) -> LPSolut
     """
     weights = _clamped(weights)
     return constraint.lp_vertex(list(weights), weights)
-
-
-def alpha_for(constraint: Constraint) -> float:
-    """Rounding-loss factor for the constraint kind.
-
-    Matroid kinds round losslessly.  Knapsack and explicit kinds carry a
-    declared factor because no rounding scheme for them is implemented.
-    """
-    if constraint.alpha is None:
-        raise ConfigurationError(
-            f"{constraint.kind} constraints need a configured alpha"
-        )
-    return constraint.alpha
 
 
 def point_in_polytope(constraint: Constraint, x: FractionalPoint) -> bool:

@@ -8,8 +8,10 @@ against oracle values.
 
 The rounding flag is decided exactly: ``rounded_mean`` is the mean of the
 exact swap-rounding distribution (:func:`rounding.exact_distribution`),
-rounded to a float once.  ``rounded_se`` is always 0.0; the column stays
-only so that the report layout does not change.
+rounded to a float once.  ``rounded_se`` is always 0.0, and ``alpha`` (the
+rounding-loss factor) is 1.0 on every row that rounds, because only the
+matroid kinds round and swap rounding on a matroid is lossless; both columns
+stay only so that the report layout does not change.
 
 Reports are reproducible byte for byte from (scenario file, seeds): rows
 keep declaration order, floats use shortest-round-trip repr, and wall-clock
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import fileio
-from .constraints import Constraint, alpha_for
+from .constraints import Constraint
 from .errors import InputError, nonnegative
 from .generators import common_cause_2, generate_common_cause, generate_product
 from .greedy import GreedyConfig, lower_bound_certificate, run
@@ -212,8 +214,9 @@ def run_pipeline(scenario: Scenario, base_dir: Path | None = None) -> ReportRow:
             )
 
     if scenario.constraint.rounding_groups(instance.items) is not None:
-        alpha = alpha_for(scenario.constraint)
-        row["alpha"] = alpha
+        # Only the matroid kinds have a rounding scheme, and swap rounding
+        # loses nothing in expectation on a matroid, so alpha is 1.
+        row["alpha"] = 1.0
         mean = float(sum(
             weight * expected_set_value_exact(instance, chosen)
             for chosen, weight in exact_distribution(
@@ -225,7 +228,7 @@ def run_pipeline(scenario: Scenario, base_dir: Path | None = None) -> ReportRow:
             row["flag_rounding"] = "vacuous"
         else:
             row["flag_rounding"] = (
-                "pass" if mean >= alpha * inner * opt_value - EXACT_TOL else "fail"
+                "pass" if mean >= inner * opt_value - EXACT_TOL else "fail"
             )
     else:
         notes.append("no rounding scheme for this constraint kind")

@@ -16,24 +16,30 @@ worlds.  One node compares the U of its options as it would compare V (T
 and 2**k are shared), and the root value is U / D with D = L * 2**k, the
 correctly rounded float of the exact rational.  The induction returns each
 history's subtree with its U, so the tree is built in the same pass.
+
+Every read of a given policy walks ``ev.worlds`` once, in order, for the
+pick mask of each world, and sums integers: its value is sum_w a_w * 2**k
+f(picked pairs) / D, an item's pick probability is the weight of the worlds
+that pick it over L, and the virtual value is sum_v a_v * N(mask_v) / (L * D)
+with N a mask's numerator in the value table.  Each is one int/int division,
+correctly rounded.  The fixed-set enumeration reads that table, so it stops
+at the evaluator's ``EXACT_CAP``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Union
 
-from .constraints import Constraint, is_feasible, is_prefix_feasible
+from .constraints import Constraint, is_feasible
 from .errors import CapacityError, DegenerateBoundError, InputError, PolicyError
-from .model import EXACT_TOL, Instance, Realization, _evaluator
+from .model import EXACT_CAP, EXACT_TOL, Instance, _evaluator
 from .multilinear import FractionalPoint, multilinear_value, optimistic_weights
 
-# Exact-oracle caps: items and support size of the adaptive oracle, items of
-# the fixed-set enumeration.  Each is checked before any work.
+# Adaptive-oracle caps on items and support size; the fixed-set enumeration
+# stops at the evaluator's EXACT_CAP.  Each is checked before any work.
 ADAPTIVE_ITEM_CAP = 5
 ADAPTIVE_SUPPORT_CAP = 64
-NONADAPTIVE_ITEM_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -85,60 +91,50 @@ class Policy:
 
         walk(self.root, frozenset())
 
-    def item_sequences(self) -> list[tuple[str, ...]]:
-        """Every root-to-leaf pick sequence (branch-complete paths)."""
-        out: list[tuple[str, ...]] = []
 
-        def walk(node, prefix):
-            if isinstance(node, Stop) or not node.branches:
-                out.append(prefix + ((node.item,) if isinstance(node, Pick) else ()))
-                return
-            for _, child in node.branches:
-                walk(child, prefix + (node.item,))
-
-        walk(self.root, ())
-        return out
-
-
-@dataclass(frozen=True)
-class PolicyValue:
-    value: float
-    per_realization: tuple[tuple[Realization, frozenset[str], float], ...]
-
-
-def _walk(policy: Policy, realization: Realization) -> tuple[str, ...]:
-    node = policy.root
-    picked: list[str] = []
-    while isinstance(node, Pick):
-        state = realization.state_of(node.item)
-        child = node.child(state)
-        if child is None:
-            raise PolicyError(
-                f"policy has no branch for {node.item!r} in state {state!r}"
-            )
-        picked.append(node.item)
-        node = child
-    return tuple(picked)
+def _pick_masks(ev, policy: Policy) -> list[int]:
+    """The pick mask of each world of ``ev.worlds``, in order."""
+    instance = ev.instance
+    masks = []
+    for states, _ in ev.worlds:
+        node, mask = policy.root, 0
+        while isinstance(node, Pick):
+            e = instance.item_index(node.item)
+            state = instance.states[states[e]]
+            child = node.child(state)
+            if child is None:
+                raise PolicyError(
+                    f"policy has no branch for {node.item!r} in state {state!r}"
+                )
+            mask |= 1 << e
+            node = child
+        masks.append(mask)
+    return masks
 
 
-def evaluate_policy(instance: Instance, policy: Policy) -> PolicyValue:
-    """Exact expected utility of a policy over the support."""
-    total = Fraction(0)
-    rows = []
-    for realization, prob in instance.distribution.entries:
-        if prob == 0:
-            continue
-        picked = _walk(policy, realization)
-        raw = instance.utility.evaluate((i, realization.state_of(i)) for i in picked)
-        total += prob * Fraction(raw)
-        rows.append((realization, frozenset(picked), raw))
-    return PolicyValue(value=float(total), per_realization=tuple(rows))
+def evaluate_policy(instance: Instance, policy: Policy) -> float:
+    """Exact expected utility of a policy: sum_w a_w * 2**k f(picked pairs) / D."""
+    ev = _evaluator(instance)
+    total = 0
+    for (states, weight), mask in zip(ev.worlds, _pick_masks(ev, policy)):
+        pairs = [(i, s) for i, s in enumerate(states) if mask >> i & 1]
+        total += weight * ev.scaled_value(pairs)
+    return total / ev.denominator
 
 
 def policy_is_feasible(policy: Policy, constraint: Constraint) -> bool:
-    return all(
-        is_prefix_feasible(constraint, seq) for seq in policy.item_sequences()
-    )
+    """True when the set picked at every node of the tree is feasible, so
+    that every prefix of every pick sequence is."""
+
+    def feasible(node: PolicyNode, picked: frozenset) -> bool:
+        if isinstance(node, Stop):
+            return True
+        picked = picked | {node.item}
+        return is_feasible(constraint, picked) and all(
+            feasible(child, picked) for _, child in node.branches
+        )
+
+    return feasible(policy.root, frozenset())
 
 
 def optimal_adaptive(
@@ -202,11 +198,10 @@ def optimal_adaptive(
 def best_nonadaptive(
     instance: Instance, constraint: Constraint
 ) -> tuple[frozenset[str], float]:
-    """Best feasible fixed set by exhaustive enumeration."""
-    if instance.m > NONADAPTIVE_ITEM_CAP:
+    """Best feasible fixed set by exhaustive enumeration of the value table."""
+    if instance.m > EXACT_CAP:
         raise CapacityError(
-            f"enumeration over {instance.m} items exceeds the cap "
-            f"{NONADAPTIVE_ITEM_CAP}"
+            f"enumeration over {instance.m} items exceeds the cap {EXACT_CAP}"
         )
     ev = _evaluator(instance)
     best_value: int | None = None
@@ -240,25 +235,24 @@ def virtual_nonadaptive_value(
     if not policy_is_feasible(policy, constraint):
         raise PolicyError("policy has an infeasible pick sequence")
     ev = _evaluator(instance)
-    total = Fraction(0)
-    for virtual, p_virtual in instance.distribution.entries:
-        if p_virtual:
-            total += p_virtual * ev.numerator(ev.mask_of(_walk(policy, virtual)))
-    return float(total / ev.denominator)
+    total = sum(
+        weight * ev.numerator(mask)
+        for (_, weight), mask in zip(ev.worlds, _pick_masks(ev, policy))
+    )
+    return total / (sum(weight for _, weight in ev.worlds) * ev.denominator)
 
 
 def policy_pick_probabilities(instance: Instance, policy: Policy) -> FractionalPoint:
     """Per-item probability of being picked; a point in the constraint polytope
     whenever the policy is feasible."""
-    probs = {item: Fraction(0) for item in instance.items}
-    for realization, prob in instance.distribution.entries:
-        if prob == 0:
-            continue
-        for item in _walk(policy, realization):
-            probs[item] += prob
-    return FractionalPoint(
-        tuple(instance.items), tuple(float(probs[i]) for i in instance.items)
-    )
+    ev = _evaluator(instance)
+    picked = [0] * instance.m
+    for (_, weight), mask in zip(ev.worlds, _pick_masks(ev, policy)):
+        for e in range(instance.m):
+            if mask >> e & 1:
+                picked[e] += weight
+    total = sum(weight for _, weight in ev.worlds)
+    return FractionalPoint(tuple(instance.items), tuple(a / total for a in picked))
 
 
 @dataclass(frozen=True)
@@ -279,7 +273,7 @@ def optimal_upper_bound_check(
     kappa = float(kappa)
     if kappa <= 0:
         raise DegenerateBoundError("check is undefined for kappa = 0")
-    lhs = evaluate_policy(instance, policy).value
+    lhs = evaluate_policy(instance, policy)
     picks = policy_pick_probabilities(instance, policy)
     weights = optimistic_weights(instance, x)
     rhs = multilinear_value(instance, x) + (1.0 / kappa) * sum(

@@ -311,19 +311,70 @@ def enumerate_rank2_policies(instance, constraint):
     return policies
 
 
-def direct_policy_value(instance, policy) -> Fraction:
-    """Evaluate a policy straight off the support without library caches."""
+def direct_picks(policy, realization) -> list:
+    """Items the policy picks in one realization, walked by item name."""
     from stosub import Pick
 
+    node = policy.root
+    picked = []
+    while isinstance(node, Pick):
+        picked.append(node.item)
+        node = node.child(realization.state_of(node.item))
+    return picked
+
+
+def direct_policy_value(instance, policy) -> Fraction:
+    """Evaluate a policy straight off the support without library caches."""
     total = Fraction(0)
     for realization, prob in instance.distribution.entries:
-        node = policy.root
-        picked = []
-        while isinstance(node, Pick):
-            picked.append(node.item)
-            node = node.child(realization.state_of(node.item))
+        picked = direct_picks(policy, realization)
         total += prob * direct_value(instance, pairs_of(realization, picked))
     return total
+
+
+def direct_pick_probabilities(instance, policy) -> dict:
+    """Per-item probability of being picked, as exact rationals."""
+    probs = {item: Fraction(0) for item in instance.items}
+    for realization, prob in instance.distribution.entries:
+        if prob:
+            for item in direct_picks(policy, realization):
+                probs[item] += prob
+    return probs
+
+
+def direct_virtual_value(instance, policy) -> Fraction:
+    """The tree steered by one draw, scored by the exact expected value of the
+    set it picks there."""
+    return sum(
+        (
+            prob * direct_set_value(instance, direct_picks(policy, realization))
+            for realization, prob in instance.distribution.entries
+            if prob
+        ),
+        Fraction(0),
+    )
+
+
+def sequence_feasible(policy, constraint) -> bool:
+    """Every prefix of every root-to-leaf pick sequence is a feasible set,
+    by listing the sequences."""
+    from stosub import Pick
+
+    sequences = []
+
+    def walk(node, prefix):
+        if not isinstance(node, Pick) or not node.branches:
+            sequences.append(prefix + ((node.item,) if isinstance(node, Pick) else ()))
+            return
+        for _, child in node.branches:
+            walk(child, prefix + (node.item,))
+
+    walk(policy.root, ())
+    return all(
+        is_feasible(constraint, seq[:n])
+        for seq in sequences
+        for n in range(1, len(seq) + 1)
+    )
 
 
 def loop_optimal_adaptive(instance, constraint):

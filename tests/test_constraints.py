@@ -3,6 +3,7 @@ import random
 import pytest
 
 import stosub as ss
+from stosub import fileio, harness
 from helpers import lp_vertex_oracle
 
 
@@ -16,6 +17,14 @@ def partition_ab_cd():
 
 def knapsack_345():
     return ss.Knapsack(costs=(("a", 3.0), ("b", 4.0), ("c", 5.0)), budget=7.0)
+
+
+def chain(*items):
+    """The policy that picks ``items`` in order, whatever it observes."""
+    node = ss.STOP
+    for item in reversed(items):
+        node = ss.pick(item, {"on": node})
+    return ss.Policy(root=node)
 
 
 class TestFeasibility:
@@ -70,25 +79,27 @@ class TestDownwardClosure:
 
 
 class TestPrefixFeasibility:
+    """Feasibility of a policy: every prefix of every pick sequence."""
+
     def test_empty_sequence(self):
-        assert ss.is_prefix_feasible(uniform2(), ())
+        assert ss.policy_is_feasible(chain(), uniform2())
 
     def test_downward_closed_equals_full_set(self):
         c = knapsack_345()
         for seq in [("a",), ("b", "a"), ("c", "b")]:
-            assert ss.is_prefix_feasible(c, seq) == ss.is_feasible(c, set(seq))
+            assert ss.policy_is_feasible(chain(*seq), c) == ss.is_feasible(c, seq)
 
     def test_listed_prefix_family(self):
         c = ss.ExplicitFamily(
             feasible_sets=((), ("a",), ("a", "b")), downward_closed=False
         )
-        assert ss.is_prefix_feasible(c, ("a", "b"))
-        assert not ss.is_prefix_feasible(c, ("b",))
-        assert not ss.is_prefix_feasible(c, ("b", "a"))
+        assert ss.policy_is_feasible(chain("a", "b"), c)
+        assert not ss.policy_is_feasible(chain("b"), c)
+        assert not ss.policy_is_feasible(chain("b", "a"), c)
 
     def test_duplicates_rejected(self):
-        with pytest.raises(ss.InputError):
-            ss.is_prefix_feasible(uniform2(), ("a", "a"))
+        with pytest.raises(ss.PolicyError):
+            chain("a", "a")
 
 
 class TestLpMaximize:
@@ -193,19 +204,28 @@ class TestLpMaximize:
 
 
 class TestAlpha:
+    """The rounding-loss factor is no constraint field: the kinds that round
+    are the matroids, and they round losslessly."""
+
     def test_matroids_round_losslessly(self):
-        assert ss.alpha_for(uniform2()) == 1.0
-        assert ss.alpha_for(partition_ab_cd()) == 1.0
+        for constraint in (ss.UniformMatroid(rank=1), ss.PartitionMatroid(
+            blocks=(("e1",), ("e2",)), capacities=(1, 1)
+        )):
+            row = harness.run_pipeline(harness.Scenario(
+                name="matroid",
+                kind="ratio-check",
+                instance=harness.InstanceSpec(generator="common-cause"),
+                constraint=constraint,
+                greedy=ss.GreedyConfig(delta=0.25),
+            ))
+            assert row.alpha == 1.0
+            assert row.rounded_mean is not None
 
     def test_configured_knapsack(self):
-        c = ss.Knapsack(costs=(("a", 1.0),), budget=1.0, alpha=0.38)
-        assert ss.alpha_for(c) == 0.38
-
-    def test_unconfigured_raises(self):
-        with pytest.raises(ss.ConfigurationError):
-            ss.alpha_for(knapsack_345())
-        with pytest.raises(ss.ConfigurationError):
-            ss.alpha_for(ss.ExplicitFamily(feasible_sets=((),)))
+        doc = {"kind": "knapsack", "costs": {"a": 1.0}, "budget": 1.0}
+        c = fileio.constraint_from_dict({**doc, "alpha": 0.38})
+        assert c == fileio.constraint_from_dict(doc)
+        assert c.to_dict() == doc
 
 
 class TestPolytopeMembership:
@@ -247,8 +267,12 @@ class TestConstruction:
             ss.Knapsack(costs=(("a", -1.0),), budget=1.0)
 
     def test_bad_alpha(self):
-        with pytest.raises(ss.InputError):
-            ss.Knapsack(costs=(("a", 1.0),), budget=1.0, alpha=1.5)
+        # No kind reads alpha, so not even an out-of-range one is rejected.
+        for doc in (
+            {"kind": "knapsack", "costs": {"a": 1.0}, "budget": 1.0, "alpha": 1.5},
+            {"kind": "explicit", "feasible_sets": [[]], "alpha": "x"},
+        ):
+            assert "alpha" not in fileio.constraint_from_dict(doc).to_dict()
 
     @pytest.mark.parametrize("rank", [1.5, True, "1", -1, float("inf")])
     def test_rank_must_be_a_whole_number(self, rank):
@@ -267,8 +291,6 @@ class TestConstruction:
             lambda: ss.PartitionMatroid(blocks=(("a",),), capacities=(False,)),
             lambda: ss.Knapsack(costs=(("a", "1"),), budget=1.0),
             lambda: ss.Knapsack(costs=(("a", 1.0),), budget="x"),
-            lambda: ss.Knapsack(costs=(("a", 1.0),), budget=1.0, alpha="x"),
-            lambda: ss.ExplicitFamily(feasible_sets=((),), alpha=True),
         ],
         ids=[
             "fractional-capacity",
@@ -276,8 +298,6 @@ class TestConstruction:
             "bool-capacity",
             "string-cost",
             "string-budget",
-            "string-alpha",
-            "bool-alpha",
         ],
     )
     def test_non_numeric_fields_rejected(self, make):

@@ -200,7 +200,7 @@ class TestConstraintRoundTrip:
         [
             ss.UniformMatroid(rank=2),
             ss.PartitionMatroid(blocks=(("a",), ("b", "c")), capacities=(1, 1)),
-            ss.Knapsack(costs=(("a", 3.0), ("b", 4.0)), budget=7.0, alpha=0.38),
+            ss.Knapsack(costs=(("a", 3.0), ("b", 4.0)), budget=7.0),
             ss.ExplicitFamily(feasible_sets=((), ("a",))),
             ss.ExplicitFamily(
                 feasible_sets=((), ("a",), ("a", "b")), downward_closed=False
@@ -239,7 +239,6 @@ class TestConstraintRoundTrip:
             {"kind": "knapsack", "costs": {"a": 1.0}, "budget": "x"},
             {"kind": "knapsack", "costs": [1], "budget": 1.0},
             {"kind": "knapsack", "costs": {"a": "1"}, "budget": 1.0},
-            {"kind": "knapsack", "costs": {"a": 1.0}, "budget": 1.0, "alpha": "x"},
             {"kind": "explicit", "feasible_sets": "a"},
             {"kind": "explicit", "feasible_sets": [[], 5]},
             {"kind": "partition", "blocks": [5], "capacities": [1]},
@@ -257,7 +256,6 @@ class TestConstraintRoundTrip:
             "string-budget",
             "costs-not-a-mapping",
             "string-cost",
-            "string-alpha",
             "feasible-sets-not-a-list",
             "feasible-set-not-a-list",
             "block-not-a-list",

@@ -88,9 +88,7 @@ class TestRunPipeline:
     def test_non_matroid_ratio_check_skips_rounding(self):
         row = harness.run_pipeline(
             scenario(
-                constraint=ss.Knapsack(
-                    costs=(("a", 1.0), ("b", 1.0)), budget=1.0, alpha=0.38
-                )
+                constraint=ss.Knapsack(costs=(("a", 1.0), ("b", 1.0)), budget=1.0)
             )
         )
         assert row.rounded_mean is None

@@ -5,8 +5,9 @@ Python loop over ``range(1 << m)`` there would bring back the per-mask
 kernels the table replaced.  Only ``model`` may touch the evaluator's
 underscore attributes; everyone else goes through its public methods.
 The kappa and gamma enumerations compare integer pairs and build a
-``Fraction`` only once they are done, never once per ratio; the adaptive
-oracle's backward induction builds none per history.
+``Fraction`` only once they are done, never once per ratio; the policy
+oracles and reads build none per history or world.  No module but ``model``
+values a set through a utility's ``evaluate``: the rest read the evaluator.
 """
 
 import ast
@@ -166,9 +167,41 @@ def test_independence_builds_no_fraction_per_ratio():
     assert fractions_per_ratio((PACKAGE / "independence.py").read_text()) == []
 
 
+POLICY_ROOTS = (
+    "optimal_adaptive",
+    "evaluate_policy",
+    "policy_pick_probabilities",
+    "virtual_nonadaptive_value",
+    "best_nonadaptive",
+)
+
+
 def test_adaptive_oracle_builds_no_fraction_per_history():
     source = (PACKAGE / "policies.py").read_text()
-    assert fractions_per_ratio(source, roots=("optimal_adaptive",)) == []
+    assert fractions_per_ratio(source, roots=POLICY_ROOTS) == []
+
+
+def evaluate_calls(source: str) -> list[str]:
+    return [
+        f"line {node.lineno}: utility evaluate call"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "evaluate"
+    ]
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in PACKAGE.glob("*.py") if p.name != "model.py"),
+    ids=lambda p: p.name,
+)
+def test_set_values_go_through_the_evaluator(path):
+    assert evaluate_calls(path.read_text()) == []
+
+
+def test_guard_catches_evaluate_calls():
+    assert evaluate_calls("raw = instance.utility.evaluate(pairs)")
 
 
 GAMMA_STUB = "\ndef gamma(i):\n    pass"

@@ -1,9 +1,11 @@
-"""The integer adaptive oracle agrees exactly with a Fraction reference.
+"""The integer policy oracles agree exactly with Fraction references.
 
 ``optimal_adaptive`` runs its backward induction on the evaluator's integer
 numerators; ``helpers.loop_optimal_adaptive`` runs it on exact rationals
 straight off the support.  Their values must be equal floats and their
-trees equal documents, ties included, under every constraint kind.
+trees equal documents, ties included, under every constraint kind.  The
+reads of a given policy (its value, pick probabilities and virtual value),
+the best fixed set, and tree feasibility are checked the same way.
 """
 
 import itertools
@@ -13,8 +15,17 @@ import pytest
 
 import stosub as ss
 from stosub import fileio
+from stosub import harness
+from stosub.cli import BUNDLED_SUITE
 from conftest import make_modular
-from helpers import loop_optimal_adaptive
+from helpers import (
+    direct_pick_probabilities,
+    direct_policy_value,
+    direct_set_value,
+    direct_virtual_value,
+    loop_optimal_adaptive,
+    sequence_feasible,
+)
 
 
 def _table_instance(seed):
@@ -103,4 +114,74 @@ def test_ties_prefer_picking_and_the_first_item():
     assert policy.root.item == "b"
     policy, value = ss.optimal_adaptive(instance, ss.UniformMatroid(3))
     assert value == 2.0
-    assert policy.item_sequences() == [("a", "b", "c")]
+    chain = {"item": "c", "branches": {"on": "stop"}}
+    for item in ("b", "a"):
+        chain = {"item": item, "branches": {"on": chain}}
+    assert fileio.policy_to_obj(policy) == chain
+
+
+def _assert_reads_match(instance, constraint, label):
+    policy, _ = ss.optimal_adaptive(instance, constraint)
+    want = float(direct_policy_value(instance, policy))
+    assert ss.evaluate_policy(instance, policy) == want, label
+    probs = direct_pick_probabilities(instance, policy)
+    got = ss.policy_pick_probabilities(instance, policy)
+    assert got.values == tuple(float(probs[i]) for i in instance.items), label
+    want = float(direct_virtual_value(instance, policy))
+    assert ss.virtual_nonadaptive_value(instance, constraint, policy) == want, label
+    values = {
+        s: direct_set_value(instance, s)
+        for r in range(instance.m + 1)
+        for s in itertools.combinations(instance.items, r)
+        if ss.is_feasible(constraint, s)
+    }
+    best = max(values.values())
+    chosen, value = ss.best_nonadaptive(instance, constraint)
+    assert value == float(best), label
+    assert chosen == frozenset(min(s for s, v in values.items() if v == best)), label
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_policy_reads_match_fraction_references(name):
+    instance = INSTANCES[name]()
+    for label, constraint in _constraints(instance, name).items():
+        _assert_reads_match(instance, constraint, label)
+
+
+BUNDLED = [
+    s for s in harness.load_scenarios(BUNDLED_SUITE) if s.kind != "independence-profile"
+]
+
+
+@pytest.mark.parametrize("scenario", BUNDLED, ids=[s.name for s in BUNDLED])
+def test_policy_reads_match_on_bundled_instances(scenario):
+    instance = scenario.instance.resolve()
+    _assert_reads_match(instance, scenario.constraint, scenario.name)
+
+
+def _random_tree(rng, items, states, depth):
+    """A tree with random picks, missing branches and early stops."""
+    if depth == 0 or rng.random() < 0.2:
+        return ss.STOP
+    item = rng.choice(items)
+    rest = [i for i in items if i != item]
+    branches = {
+        s: _random_tree(rng, rest, states, depth - 1)
+        for s in states
+        if rng.random() < 0.8
+    }
+    return ss.pick(item, branches)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_tree_feasibility_matches_sequence_enumeration(seed):
+    rng = random.Random(seed)
+    instance = ss.generate_common_cause(5, 2, 2, seed=seed)
+    constraints = _constraints(instance, seed)
+    for _ in range(100):
+        policy = ss.Policy(
+            root=_random_tree(rng, list(instance.items), instance.states, 4)
+        )
+        for label, constraint in constraints.items():
+            want = sequence_feasible(policy, constraint)
+            assert ss.policy_is_feasible(policy, constraint) == want, label

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 import stosub as ss
+from stosub import fileio, model
+from stosub.cli import main
 from conftest import make_modular, make_single_item
 from helpers import (
     direct_policy_value,
@@ -18,26 +20,41 @@ def pick_then_stop(instance, item):
 
 class TestEvaluatePolicy:
     def test_stop_only(self, cc2):
-        assert ss.evaluate_policy(cc2, ss.Policy(root=ss.STOP)).value == 0.0
+        assert ss.evaluate_policy(cc2, ss.Policy(root=ss.STOP)) == 0.0
 
     def test_depth_one_equals_set_value(self, cc2):
         policy = pick_then_stop(cc2, "b")
-        assert ss.evaluate_policy(cc2, policy).value == ss.expected_set_value(
+        assert ss.evaluate_policy(cc2, policy) == ss.expected_set_value(
             cc2, {"b"}
         )
 
-    def test_per_realization_records(self, cc2):
-        policy = pick_then_stop(cc2, "a")
-        value = ss.evaluate_policy(cc2, policy)
-        assert len(value.per_realization) == 2
-        for _, picked, utility in value.per_realization:
-            assert picked == frozenset({"a"})
-            assert utility in (1.0, 2.0)
-
     def test_missing_branch_raises(self, cc2):
         policy = ss.Policy(root=ss.Pick(item="a", branches=(("good", ss.STOP),)))
-        with pytest.raises(ss.PolicyError):
+        with pytest.raises(
+            ss.PolicyError, match="no branch for 'a' in state 'bad'"
+        ):
             ss.evaluate_policy(cc2, policy)
+
+    def test_missing_branch_on_a_zero_probability_world(self):
+        inst = make_single_item(
+            {"hi": 4.0, "lo": 2.0}, {"hi": Fraction(1), "lo": Fraction(0)}
+        )
+        policy = ss.Policy(root=ss.Pick(item="e", branches=(("hi", ss.STOP),)))
+        assert ss.evaluate_policy(inst, policy) == 4.0
+        assert ss.policy_pick_probabilities(inst, policy).values == (1.0,)
+        constraint = ss.UniformMatroid(rank=1)
+        assert ss.virtual_nonadaptive_value(inst, constraint, policy) == 4.0
+
+    def test_unknown_item_raises(self, cc2):
+        policy = pick_then_stop(cc2, "z")
+        constraint = ss.UniformMatroid(rank=1)
+        for read in (
+            lambda: ss.evaluate_policy(cc2, policy),
+            lambda: ss.policy_pick_probabilities(cc2, policy),
+            lambda: ss.virtual_nonadaptive_value(cc2, constraint, policy),
+        ):
+            with pytest.raises(ss.InputError, match="'z'"):
+                read()
 
     def test_adaptive_branching(self, cc2):
         # Pick a; in the good world also pick b, otherwise stop.
@@ -47,7 +64,7 @@ class TestEvaluatePolicy:
                       "bad": ss.STOP}
             )
         )
-        got = ss.evaluate_policy(cc2, policy).value
+        got = ss.evaluate_policy(cc2, policy)
         assert got == float(direct_policy_value(cc2, policy))
         assert got == 2.0  # half worlds: {a,b} good = 3, half: {a} bad = 1
 
@@ -76,12 +93,14 @@ class TestOptimalAdaptive:
     def test_modular_independent_top_k(self, modular3):
         policy, value = ss.optimal_adaptive(modular3, ss.UniformMatroid(rank=2))
         assert value == 8.0
-        assert {len(seq) for seq in policy.item_sequences()} == {2}
+        # Whatever it sees first, the policy picks a second item and stops.
+        for _, second in fileio.policy_to_obj(policy)["branches"].items():
+            assert all(leaf == "stop" for leaf in second["branches"].values())
 
     def test_value_matches_policy_evaluation(self, cc2):
         for rank in (1, 2):
             policy, value = ss.optimal_adaptive(cc2, ss.UniformMatroid(rank=rank))
-            assert ss.evaluate_policy(cc2, policy).value == value
+            assert ss.evaluate_policy(cc2, policy) == value
 
     @pytest.mark.parametrize("seed", [0, 3, 7])
     def test_matches_exhaustive_tree_enumeration(self, seed):
@@ -166,6 +185,27 @@ class TestBestNonadaptive:
         )
         assert fixed >= rounded - 1e-12
 
+    def test_exact_cap_checked_before_any_work(self, monkeypatch, tmp_path):
+        inst = ss.generate_common_cause(17, 2, 2, seed=0)
+        path = tmp_path / "m17.json"
+        fileio.save_instance(inst, path)
+
+        def refuse(self, instance):
+            raise AssertionError("value table built above the exact cap")
+
+        monkeypatch.setattr(model._Evaluator, "__init__", refuse)
+        with pytest.raises(ss.CapacityError, match="17 items exceeds the cap 16"):
+            ss.best_nonadaptive(inst, ss.UniformMatroid(rank=1))
+        assert main(["oracle", "nonadaptive", str(path)]) == 2
+
+    def test_sixteen_items_still_answer(self):
+        inst = ss.generate_common_cause(16, 2, 2, seed=0)
+        chosen, value = ss.best_nonadaptive(inst, ss.UniformMatroid(rank=1))
+        values = {s: direct_set_value(inst, s) for s in [()] + [(i,) for i in inst.items]}
+        best = max(values.values())
+        assert value == float(best)
+        assert chosen == frozenset(min(s for s, v in values.items() if v == best))
+
 
 class TestVirtualNonadaptive:
     def test_depth_one_equals_policy_value_for_independent_pick(self, cc2):
@@ -174,7 +214,7 @@ class TestVirtualNonadaptive:
         constraint = ss.UniformMatroid(rank=1)
         assert ss.virtual_nonadaptive_value(
             cc2, constraint, policy
-        ) == ss.evaluate_policy(cc2, policy).value
+        ) == ss.evaluate_policy(cc2, policy)
 
     def test_deterministic_world_collapses(self, modular3):
         constraint = ss.UniformMatroid(rank=2)
