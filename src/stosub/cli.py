@@ -15,7 +15,6 @@ from pathlib import Path
 from . import fileio, harness
 from .constraints import Constraint, UniformMatroid
 from .errors import CapacityError, InputError, StosubError
-from .generators import generate_common_cause, generate_product
 from .greedy import WEIGHT_MODES, WEIGHT_VARIANTS, GreedyConfig, format_trajectory, run
 from .independence import ENUMERATION_CAP, adaptivity_gap_bound, gamma, kappa
 from .model import Instance, validate_utility
@@ -42,8 +41,6 @@ def _fmt_fraction(value: Fraction) -> str:
 
 def _print_independence(label: str, report):
     print(f"{label} = {_fmt_fraction(report.clamped)}")
-    if report.value != report.clamped:
-        print(f"raw minimum = {_fmt_fraction(report.value)} (clamped to 1)")
     print(f"ratios examined: {report.ratios_examined}")
     print("witness: " + json.dumps(
         fileio.independence_report_to_dict(report)["witness"], sort_keys=True
@@ -151,10 +148,10 @@ def _cmd_gap(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    if args.family == "common-cause":
-        instance = generate_common_cause(args.m, args.states, args.worlds, args.seed)
-    else:
-        instance = generate_product(args.m, states_per_item=args.states, seed=args.seed)
+    instance = harness.InstanceSpec(
+        generator=args.family, m=args.m, states=args.states, worlds=args.worlds,
+        seed=args.seed,
+    ).resolve()
     if args.out:
         fileio.save_instance(instance, args.out)
         print(f"wrote {args.out}")

@@ -65,8 +65,6 @@ def _greedy_pick(order: list[str], weights: dict[str, float], cap: int) -> list[
 class Constraint:
     """Base of the constraint kinds, with the defaults most kinds share."""
 
-    downward_closed = True
-
     def in_polytope(self, x: FractionalPoint) -> bool:
         raise UnsupportedKindError(
             f"no closed-form polytope membership for kind {self.kind!r}"

@@ -25,7 +25,7 @@ from .model import (
     _as_fraction,
     utility_from_dict,
 )
-from .policies import Pick, Policy, PolicyNode, STOP
+from .policies import Pick, Policy, PolicyNode
 
 
 def instance_to_dict(instance: Instance) -> dict:
@@ -66,22 +66,6 @@ def policy_to_obj(policy: Policy):
         }
 
     return encode(policy.root)
-
-
-def policy_from_obj(obj) -> Policy:
-    def decode(node) -> PolicyNode:
-        if node == "stop":
-            return STOP
-        item = require_field(node, "item", "policy node")
-        if not isinstance(item, str):
-            raise InputError(f"policy node item must be a string, got {item!r}")
-        branches = require_object(node, "branches", "policy node")
-        return Pick(
-            item=item,
-            branches=tuple((state, decode(child)) for state, child in branches.items()),
-        )
-
-    return Policy(root=decode(obj))
 
 
 def independence_report_to_dict(report: IndependenceReport) -> dict:

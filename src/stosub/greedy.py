@@ -18,13 +18,12 @@ between items, so sharing the draw keeps it.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 from typing import Union
 
 from .constraints import Constraint, LPSolution, is_feasible, lp_maximize
-from .errors import ConfigurationError, DegenerateBoundError, InputError, StosubError
+from .errors import ConfigurationError, DegenerateBoundError, InputError
 from .model import EXACT_TOL, Instance
 from .multilinear import (
     FractionalPoint,
@@ -121,20 +120,15 @@ def _round(
     if d <= 0 or t + d > 1.0 + 1e-12:
         raise InputError(f"round at t={t} would overshoot the time horizon")
     if config.weight_mode == "exact":
-        optimistic = optimistic_weights(instance, y)
+        weights = optimistic_weights(instance, y)
     else:
         n = config.resolved_sample_count(instance.m)
         estimates = optimistic_weight_estimates(
             instance, y, n, config.seed, stream=(round_index,)
         )
-        optimistic = [estimate.mean for estimate in estimates]
-    weights = []
-    for item, w in zip(instance.items, optimistic):
-        if config.weight_variant == "standard":  # the standard_weight identity
-            w *= 1.0 - y.value_of(item)
-        if not math.isfinite(w):
-            raise StosubError(f"non-finite weight for item {item!r}")
-        weights.append(w)
+        weights = [estimate.mean for estimate in estimates]
+    if config.weight_variant == "standard":  # the standard_weight identity
+        weights = [w * (1.0 - y.value_of(i)) for i, w in zip(instance.items, weights)]
     lp = lp_maximize(constraint, dict(zip(instance.items, weights)))
     moved = [
         min(1.0, v + d * lp.point.value_of(item))

@@ -140,6 +140,14 @@ def oracle_values(instance: Instance, constraint: Constraint) -> tuple:
     return opt, best, virtual_nonadaptive_value(instance, constraint, policy)
 
 
+def _verdict(value: float, bound: float | None, opt: float) -> str:
+    """Whether ``value`` reaches ``bound`` times ``opt``; "vacuous" when there
+    is no positive bound."""
+    if bound is None or bound <= 0:
+        return "vacuous"
+    return "pass" if value >= bound * opt - EXACT_TOL else "fail"
+
+
 def run_pipeline(scenario: Scenario, base_dir: Path | None = None) -> ReportRow:
     """Execute one scenario end to end.  kappa = 0 makes the inner and
     rounding flags "vacuous" with the note "degenerate kappa"; gamma = 0
@@ -180,11 +188,11 @@ def run_pipeline(scenario: Scenario, base_dir: Path | None = None) -> ReportRow:
     fractional = multilinear_value(instance, trajectory.final)
     row["fractional_value"] = fractional
 
-    if scenario.kind == "certificate":
-        if kappa_clamped <= 0:
-            row["flag_inner"] = "vacuous"
-            notes.append("degenerate kappa")
-            return ReportRow(**row, notes=";".join(notes))
+    inner = None
+    if kappa_clamped <= 0:
+        row["flag_inner"] = "vacuous"
+        notes.append("degenerate kappa")
+    elif scenario.kind == "certificate":
         certificate = lower_bound_certificate(
             instance, scenario.constraint, trajectory, opt_value, kappa_clamped
         )
@@ -194,25 +202,13 @@ def run_pipeline(scenario: Scenario, base_dir: Path | None = None) -> ReportRow:
         notes.append(f"certificate_rounds={len(certificate.rounds)}")
         if certificate.sampled and certificate.violations:
             notes.append(f"sampled_violations={certificate.violations}")
+    else:
+        inner = row["bound_inner"] = ratio_bound(kappa_clamped, instance.m)
+        row["flag_inner"] = _verdict(fractional, inner, opt_value)
+    if scenario.kind == "certificate":
         return ReportRow(**row, notes=";".join(notes))
 
-    # ratio-check: inner bound, rounding bound, and the virtual-policy bound.
-    if kappa_clamped <= 0:
-        row["flag_inner"] = "vacuous"
-        notes.append("degenerate kappa")
-        inner = None
-    else:
-        inner = ratio_bound(kappa_clamped, instance.m, alpha=1.0)
-        row["bound_inner"] = inner
-        if inner <= 0:
-            row["flag_inner"] = "vacuous"
-        else:
-            row["flag_inner"] = (
-                "pass"
-                if fractional >= inner * opt_value - EXACT_TOL
-                else "fail"
-            )
-
+    # ratio-check: the rounding bound.
     if scenario.constraint.rounding_groups(instance.items) is not None:
         # Only the matroid kinds have a rounding scheme, and swap rounding
         # loses nothing in expectation on a matroid, so alpha is 1.
@@ -224,12 +220,7 @@ def run_pipeline(scenario: Scenario, base_dir: Path | None = None) -> ReportRow:
             )
         ))
         row.update(rounded_mean=mean, rounded_se=0.0)
-        if inner is None or inner <= 0:
-            row["flag_rounding"] = "vacuous"
-        else:
-            row["flag_rounding"] = (
-                "pass" if mean >= inner * opt_value - EXACT_TOL else "fail"
-            )
+        row["flag_rounding"] = _verdict(mean, inner, opt_value)
     else:
         notes.append("no rounding scheme for this constraint kind")
 

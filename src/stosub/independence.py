@@ -118,7 +118,13 @@ class GammaWitness:
 
 @dataclass(frozen=True)
 class IndependenceReport:
-    """Raw minimum ratio, its clamp into [0, 1], and the minimizing witness."""
+    """Raw minimum ratio, its minimum with 1, and the minimizing witness.
+
+    A ratio of 1 is always enumerated (kappa at S = V = {}, gamma at position
+    0), so the raw value never exceeds 1 and ``clamped`` equals it; a
+    negative raw value, possible for a utility that is not monotone, stays
+    as it is in both.
+    """
 
     value: Fraction
     clamped: Fraction
@@ -133,17 +139,6 @@ def _check_cap(instance: Instance, cap: int):
         raise CapacityError(
             f"exhaustive enumeration over {instance.m} items exceeds the cap {cap}"
         )
-
-
-def _submasks(full: int):
-    """All submasks of ``full`` in ascending order, including 0."""
-    out = []
-    sub = 0
-    while True:
-        out.append(sub)
-        if sub == full:
-            return out
-        sub = (sub | ~full) + 1 & full
 
 
 def _near_min(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -245,15 +240,14 @@ def kappa(instance: Instance, cap: int = ENUMERATION_CAP) -> IndependenceReport:
     _check_cap(instance, cap)
     ev = _evaluator(instance)
     m, states = instance.m, len(instance.states)
-    full = (1 << m) - 1
     # Row 0 holds N; row 1 + e * states + o holds N with (e, o) pinned.
     tables = ev.tables([None, *itertools.product(range(m), range(states))])
     obs = ev.observations()
-    rows = np.arange(len(obs.masks))
+    rows, masks = np.arange(len(obs.masks)), np.arange(1 << m)
 
     near, where, examined = [], [], 0
     for e in range(m):
-        smasks = np.array(_submasks(full & ~(1 << e)))
+        smasks = np.flatnonzero((masks >> e & 1) == 0)  # ascending, as in _observe
         # Only the first row of each conditional of e: its twins repeat its ratios.
         first = np.flatnonzero(obs.twins[:, e] == rows)
         weights = obs.weights[first, e]
@@ -286,7 +280,7 @@ def gamma(instance: Instance, cap: int = ENUMERATION_CAP) -> IndependenceReport:
     _check_cap(instance, cap)
     ev = _evaluator(instance)
     obs = ev.observations()
-    full = (1 << instance.m) - 1
+    masks = np.arange(1 << instance.m)
     totals, sizes = obs.weights.sum(axis=-1), np.bincount(obs.masks)  # rows per mask
 
     # First item 0's V = {} diagonal, ratio 1/1 at flat position 0, which
@@ -294,7 +288,7 @@ def gamma(instance: Instance, cap: int = ENUMERATION_CAP) -> IndependenceReport:
     near, where, examined = [np.ones((2, 1), object)], [np.zeros((3, 1), int)], 0
     for e in range(instance.m):
         rows = np.flatnonzero(obs.twins[:, e] >= 0)
-        a, b, mirror = _ordered_pairs(sizes[_submasks(full & ~(1 << e))])
+        a, b, mirror = _ordered_pairs(sizes[np.flatnonzero((masks >> e & 1) == 0)])
         examined += len(a)
         a, b = rows[a], rows[b]
         differ = obs.twins[a, e] != obs.twins[b, e]

@@ -47,12 +47,12 @@ Item e of sample r is draw r * m + e + 1, and it is included when
 j < ceil(x_e * 2**53); x_e * 2**53 is an exact float, so this integer test
 is exactly j * 2**-53 < x_e.  The draw runs in blocks of ``_BLOCK``
 uniforms, which keeps its temporaries cache-sized and its peak below 10
-bytes per uniform; the blocks cannot show in the result.
+bytes per uniform; the blocks cannot show in the result.  Swap rounding
+takes its draws from the same block routine, :func:`_draws`, in one block.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -115,13 +115,11 @@ class FractionalPoint:
             raise InputError(f"unknown item {item!r}") from None
 
 
-
 @dataclass(frozen=True)
 class Estimate:
     mean: float
     sample_count: int
     std_error: float
-    seed: int
 
 
 def _aligned(instance: Instance, x: FractionalPoint) -> list[float]:
@@ -262,16 +260,6 @@ def _draws(key: int, start: int, count: int) -> np.ndarray:
     return z
 
 
-def _uniforms(seed: int, stream: tuple[int, ...] = ()):
-    """Draws 1, 2, ... of ``(seed, stream)`` as floats in [0, 1), one at a
-    time; the key is derived (and the seed checked) at once."""
-    key = _key(seed, stream)
-    return (
-        (_mix((key + i * _GAMMA) & _MASK) >> 11) * 2.0**-53
-        for i in itertools.count(1)
-    )
-
-
 def _sample_masks(xv: list[float], n: int, seed: int, stream: tuple) -> np.ndarray:
     """``n`` inclusion masks at coordinates ``xv`` from ``(seed, stream)``,
     drawn a block at a time (module docstring)."""
@@ -292,14 +280,14 @@ def _sample_masks(xv: list[float], n: int, seed: int, stream: tuple) -> np.ndarr
     return masks
 
 
-def _summarize(values: np.ndarray, seed: int) -> Estimate:
+def _summarize(values: np.ndarray) -> Estimate:
     n = len(values)
     first = float(values[0])
     if (values == first).all():
-        return Estimate(mean=first, sample_count=n, std_error=0.0, seed=seed)
+        return Estimate(mean=first, sample_count=n, std_error=0.0)
     mean = float(values.mean())
     se = float(values.std(ddof=1) / math.sqrt(n))
-    return Estimate(mean=mean, sample_count=n, std_error=se, seed=seed)
+    return Estimate(mean=mean, sample_count=n, std_error=se)
 
 
 def multilinear_estimate(
@@ -312,7 +300,7 @@ def multilinear_estimate(
     """Monte-Carlo estimate of the multilinear value via independent draws."""
     sample_count = integer(sample_count, "sample_count", least=1)
     masks = _sample_masks(_aligned(instance, x), sample_count, seed, stream)
-    return _summarize(_evaluator(instance).values(masks), seed)
+    return _summarize(_evaluator(instance).values(masks))
 
 
 def _paired_estimates(
@@ -330,7 +318,7 @@ def _paired_estimates(
     masks = _sample_masks(_aligned(instance, x), sample_count, seed, stream)
     # masks & ~bit is the draw at x with the item's coordinate zeroed.
     return tuple(
-        _summarize(ev.values(masks | bit) - ev.values(masks & ~bit), seed)
+        _summarize(ev.values(masks | bit) - ev.values(masks & ~bit))
         for bit in bits
     )
 

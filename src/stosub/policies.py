@@ -7,9 +7,12 @@ induction over observation histories, the best non-adaptive set, and the
 virtual non-adaptive value obtained by steering the tree with a fresh draw
 while scoring the true one.
 
-The oracles work on the evaluator's integers.  A history's node has the
-total weight T of the worlds that agree with it (a_w = p_w * L, summing to
-L at the root) and value V; it is stored as U = T * 2**k * V, an integer.
+The oracles work on the evaluator's integers.  A history is keyed by the
+set of (item, state) pairs it observed, not by their order (Golovin and
+Krause, JAIR 2011): its worlds are those that agree with the pairs, and a
+pick extends it when the extended item set is feasible.  Its node has the
+total weight T of those worlds (a_w = p_w * L, summing to L at the root)
+and value V; it is stored as U = T * 2**k * V, an integer.
 Stopping gives U = T * g with g = 2**k f(observed pairs); picking e gives
 the sum of its children's U, because a child's T is the weight of its
 worlds.  One node compares the U of its options as it would compare V (T
@@ -142,10 +145,10 @@ def optimal_adaptive(
 ) -> tuple[Policy, float]:
     """Exact optimal adaptive policy by backward induction over histories.
 
-    Histories are keyed by the observed (item, state) pairs for
-    downward-closed kinds, and by the full pick sequence for explicit
-    families that are not downward-closed.  Ties prefer picking over
-    stopping and lower item index among picks.
+    Histories are keyed by their observed (item, state) pairs, whatever the
+    order of the picks: a history's worlds and the sets reachable from it
+    depend on those pairs alone.  Ties prefer picking over stopping and
+    lower item index among picks.
     """
     if instance.m > ADAPTIVE_ITEM_CAP:
         raise CapacityError(
@@ -158,40 +161,35 @@ def optimal_adaptive(
             f"{ADAPTIVE_SUPPORT_CAP}"
         )
     ev = _evaluator(instance)
-    by_sequence = not constraint.downward_closed
     memo: dict = {}
 
-    def solve(sequence: tuple, observed: frozenset, worlds: list) -> tuple:
+    def solve(observed: frozenset, worlds: list) -> tuple:
         """(U, subtree) of the history; ``worlds`` are those that agree with it."""
-        key = (sequence, observed) if by_sequence else observed
-        hit = memo.get(key)
+        hit = memo.get(observed)
         if hit is not None:
             return hit
         best = (sum(a for _, a in worlds) * ev.scaled_value(observed), STOP)
-        picked_items = {i for i, _ in observed}
-        for e in range(instance.m):
-            if e in picked_items:
-                continue
-            # Prefixes of the current sequence were checked on earlier
-            # extensions, so feasibility of the extended set suffices.
-            names = [instance.items[i] for i in sequence] + [instance.items[e]]
-            if not is_feasible(constraint, set(names)):
+        picked = [instance.items[i] for i, _ in observed]
+        for e, item in enumerate(instance.items):
+            # Each prefix of the picks was checked when it was picked, so
+            # feasibility of the extended set suffices.
+            if item in picked or not is_feasible(constraint, [*picked, item]):
                 continue
             split: dict[int, list] = {}
             for states, weight in worlds:
                 split.setdefault(states[e], []).append((states, weight))
             children = {
-                state: solve(sequence + (e,), observed | {(e, state)}, split[state])
+                state: solve(observed | {(e, state)}, split[state])
                 for state in sorted(split)
             }
             value = sum(u for u, _ in children.values())
             if value > best[0] or (value == best[0] and best[1] is STOP):
                 branches = {instance.states[s]: n for s, (_, n) in children.items()}
                 best = (value, pick(instance.items[e], branches))
-        memo[key] = best
+        memo[observed] = best
         return best
 
-    value, root = solve((), frozenset(), ev.worlds)
+    value, root = solve(frozenset(), ev.worlds)
     return Policy(root=root), value / ev.denominator
 
 

@@ -11,7 +11,10 @@ the extension's value at the input point, and block sums never exceed their
 caps.
 
 The k-th random move of :func:`pipage_round` uses draw k of the stream
-``(seed, ())`` of the counter-based generator in :mod:`stosub.multilinear`.
+``(seed, ())`` of the counter-based generator in :mod:`stosub.multilinear`,
+all taken in one block by its :func:`~stosub.multilinear._draws`.  Every
+random move leaves one more coordinate integral, and an integral coordinate
+never moves again, so a run takes at most one draw per coordinate.
 
 Each random move has exactly two outcomes, so :func:`exact_distribution`
 can run the same moves in ``Fraction`` arithmetic and enumerate every output
@@ -26,7 +29,7 @@ from fractions import Fraction
 from .constraints import Constraint, point_in_polytope
 from .errors import InputError, UnsupportedKindError
 from .model import Instance
-from .multilinear import FractionalPoint, _uniforms
+from .multilinear import FractionalPoint, _draws, _key
 
 _SNAP = 1e-12
 
@@ -117,7 +120,7 @@ def pipage_round(
     an integral point costs no randomness.
     """
     groups, vals = _start(instance, constraint, y)
-    draws = _uniforms(seed)
+    draws = iter(_draws(_key(seed, ()), 0, len(vals)) * 2.0**-53)
     for move, group, cap in _phases(groups):
         while (outcomes := move(vals, group, cap)) is not None:
             p, first, second = outcomes

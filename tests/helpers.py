@@ -355,6 +355,19 @@ def direct_virtual_value(instance, policy) -> Fraction:
     )
 
 
+def policy_from_obj(obj):
+    """Decode the policy document that ``fileio.policy_to_obj`` writes."""
+    from stosub import STOP, Pick, Policy
+
+    def decode(node):
+        if node == "stop":
+            return STOP
+        branches = node["branches"].items()
+        return Pick(node["item"], tuple((s, decode(c)) for s, c in branches))
+
+    return Policy(root=decode(obj))
+
+
 def sequence_feasible(policy, constraint) -> bool:
     """Every prefix of every root-to-leaf pick sequence is a feasible set,
     by listing the sequences."""
@@ -381,15 +394,16 @@ def loop_optimal_adaptive(instance, constraint):
     """(policy, value) of the best adaptive policy, by a ``Fraction`` backward
     induction over histories straight off the support and ``utility.evaluate``.
 
-    Histories are keyed like the library's: by the observed pairs, plus the
-    pick sequence for families that are not downward-closed.  Ties follow
+    Histories are keyed by the observed pairs, plus the pick sequence for
+    families that are not downward-closed, where the library keys every
+    history by its observed pairs alone; the two must agree.  Ties follow
     the library's rules: at an equal value picking beats stopping, and the
     first item in instance order wins among picks.
     """
     from stosub import STOP, Policy, pick
 
     worlds = [(r, p) for r, p in instance.distribution.entries if p]
-    by_sequence = not constraint.downward_closed
+    by_sequence = not getattr(constraint, "downward_closed", True)
     memo = {}
 
     def solve(sequence, observed):
@@ -532,9 +546,9 @@ def per_item_weight_estimate(instance, x, item, sample_count, seed, stream=()):
 
     values = np.array([value(k | 1 << e) - value(k) for k in masks])
     if (values == values[0]).all():
-        return Estimate(float(values[0]), sample_count, 0.0, seed)
+        return Estimate(float(values[0]), sample_count, 0.0)
     se = float(values.std(ddof=1) / math.sqrt(sample_count))
-    return Estimate(float(values.mean()), sample_count, se, seed)
+    return Estimate(float(values.mean()), sample_count, se)
 
 
 def loop_validate_utility(utility, tol: float = 1e-12) -> UtilityReport:

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -21,6 +22,26 @@ def product_path(tmp_path):
     return str(path)
 
 
+def _dip_table():
+    """Two correlated items under f = 2 - #hi + #lo / 2 over the observed
+    pairs: not monotone, f({}) = 2, kappa = -1/2 and gamma = -1."""
+    pairs = [(i, s) for i in ("a", "b") for s in ("hi", "lo")]
+    worlds = [(("hi", "hi"), 2), (("lo", "lo"), 1), (("hi", "lo"), 1)]
+    return ss.Instance(
+        items=("a", "b"),
+        states=("hi", "lo"),
+        distribution=ss.JointDistribution(
+            tuple(
+                (ss.Realization((("a", x), ("b", y))), Fraction(w, 4))
+                for (x, y), w in worlds
+            )
+        ),
+        utility=ss.ExplicitTable.from_function(
+            pairs, lambda s: 2.0 - sum(1.0 if p == "hi" else -0.5 for _, p in s)
+        ),
+    )
+
+
 class TestValidate:
     def test_well_formed_instance(self, cc2_path, capsys):
         assert main(["validate", cc2_path]) == 0
@@ -29,6 +50,14 @@ class TestValidate:
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.json")]) == 1
+
+    def test_non_monotone_table_exits_one_with_a_witness(self, tmp_path, capsys):
+        path = tmp_path / "dip.json"
+        fileio.save_instance(_dip_table(), path)
+        assert main(["validate", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "monotone: False" in out
+        assert "witness: " in out
 
 
 class TestIndependenceCommands:
@@ -44,6 +73,18 @@ class TestIndependenceCommands:
     def test_gamma(self, cc2_path, capsys):
         assert main(["gamma", cc2_path]) == 0
         assert "gamma = 1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["kappa", "gamma"])
+    def test_negative_minimum_prints_once(self, tmp_path, capsys, command):
+        """The raw minimum never exceeds 1, so the clamped value is the only
+        one printed, negative or not."""
+        path = tmp_path / "dip.json"
+        fileio.save_instance(_dip_table(), path)
+        assert main([command, str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        want = {"kappa": "-1/2 (~-0.5)", "gamma": "-1"}[command]
+        assert lines[0] == f"{command} = {want}"
+        assert lines[1].startswith("ratios examined: ")
 
     def test_capacity_exit_code(self, tmp_path):
         inst = ss.Instance(
@@ -164,6 +205,15 @@ class TestGapCommand:
         assert "gamma = 1" in out
         assert "gap bound: 2.0" in out
         assert "empirical gap:" in out
+
+    def test_gap_bound_undefined_at_gamma_zero(self, tmp_path, capsys):
+        path = tmp_path / "cc4.json"
+        fileio.save_instance(ss.generate_common_cause(4, 2, 6, 0), path)
+        code = main(["gap", str(path), "--constraint", '{"kind": "uniform", "k": 2}'])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("gamma = 0\n")
+        assert out.endswith("gap bound: undefined (gamma = 0)\n")
 
 
 class TestGenerateCommand:

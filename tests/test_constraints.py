@@ -148,6 +148,17 @@ class TestLpMaximize:
         assert sol.vertex_set == ("a", "b")
         assert sol.objective == 3.0
 
+    def test_explicit_skips_sets_with_unweighted_items(self):
+        c = ss.ExplicitFamily(feasible_sets=((), ("a",), ("a", "z"), ("z",)))
+        sol = ss.lp_maximize(c, {"a": 1.0, "b": 2.0})
+        assert sol.vertex_set == ("a",)
+        assert sol.point.as_dict() == {"a": 1.0, "b": 0.0}
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(ss.InputError, match="weight of 'b' is not finite"):
+            ss.lp_maximize(uniform2(), {"a": 1.0, "b": bad})
+
     def test_tie_break_is_stable(self):
         sol = ss.lp_maximize(ss.UniformMatroid(rank=1), {"a": 2.0, "b": 2.0})
         assert sol.vertex_set == ("a",)
@@ -244,6 +255,15 @@ class TestPolytopeMembership:
         assert not ss.point_in_polytope(
             c, ss.FractionalPoint(("a", "b", "c", "d"), (0.9, 0.5, 1.0, 0.0))
         )
+
+    def test_knapsack(self):
+        c = knapsack_345()
+        on_budget = ss.FractionalPoint(("a", "b", "c"), (1.0, 0.5, 0.4))
+        over = ss.FractionalPoint(("a", "b", "c"), (1.0, 0.5, 0.41))
+        assert ss.point_in_polytope(c, on_budget)
+        assert not ss.point_in_polytope(c, over)
+        with pytest.raises(ss.InputError, match="no cost declared for item 'z'"):
+            ss.point_in_polytope(c, ss.FractionalPoint(("a", "z"), (0.0, 0.0)))
 
     def test_greedy_vertex_lies_in_polytope(self):
         sol = ss.lp_maximize(uniform2(), {"a": 5.0, "b": 3.0, "c": 1.0})

@@ -1,9 +1,9 @@
 """Mutated documents load or fail with a typed, exit-1 error.
 
-Each example takes a valid instance, constraint, scenario or policy
-document, applies a few JSON-shaped mutations (replace a node with an
-arbitrary JSON value, delete a key or list entry, insert one) and feeds the
-result to its reader.  It must return the reader's object or raise a
+Each example takes a valid instance, constraint or scenario document,
+applies a few JSON-shaped mutations (replace a node with an arbitrary JSON
+value, delete a key or list entry, insert one) and feeds the result to its
+reader.  It must return the reader's object or raise a
 ``StosubError`` the CLI maps to exit code 1 (anything but
 ``CapacityError``); any other exception is a defect.  Examples are
 derandomized so the suite stays reproducible.
@@ -128,18 +128,9 @@ SCENARIO_BASES = [
     },
 ]
 
-POLICY_BASES = ["stop"] + [
-    fileio.policy_to_obj(ss.optimal_adaptive(instance, ss.UniformMatroid(k))[0])
-    for instance, k in (
-        (ss.common_cause_2(), 2),
-        (ss.generate_common_cause(3, 2, 4, seed=0), 3),
-    )
-]
-
 READERS = {
     "constraint": (fileio.constraint_from_dict, ss.Constraint, CONSTRAINT_BASES),
     "scenario": (harness.scenario_from_dict, harness.Scenario, SCENARIO_BASES),
-    "policy": (fileio.policy_from_obj, ss.Policy, POLICY_BASES),
 }
 
 DOCUMENT_WORDS = WORDS + [

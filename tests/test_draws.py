@@ -45,8 +45,8 @@ class TestKernel:
         expected = [_mix((key + i * _GAMMA) & _MASK) >> 11 for i in range(1, 65)]
         assert _draws(key, 0, 64).tolist() == expected
         assert _draws(key, 40, 24).tolist() == expected[40:]
-        uniforms = multilinear._uniforms(7, (3,))
-        assert [next(uniforms) for _ in expected] == [j * 2.0**-53 for j in expected]
+        uniforms = _draws(key, 0, 64) * 2.0**-53
+        assert uniforms.tolist() == [j * 2.0**-53 for j in expected]
 
     def test_block_size_is_invisible(self, monkeypatch):
         xv = [0.1, 0.5, 0.9, 0.3, 0.7]
@@ -88,19 +88,17 @@ class TestKernel:
     def test_same_draws_in_two_interpreters(self):
         code = """
             import hashlib
-            from stosub.multilinear import _sample_masks, _uniforms
+            from stosub.multilinear import _draws, _key, _sample_masks
             masks = _sample_masks([0.2, 0.5, 0.7], 5000, 11, (4,))
-            uniforms = _uniforms(11)
             print(hashlib.sha256(masks.tobytes()).hexdigest())
-            print([next(uniforms) for _ in range(3)])
+            print(_draws(_key(11, ()), 0, 3).tolist())
         """
         first = fresh_python(code, PYTHONHASHSEED="1")
         assert fresh_python(code, PYTHONHASHSEED="2") == first
         masks = _sample_masks([0.2, 0.5, 0.7], 5000, 11, (4,))
-        uniforms = multilinear._uniforms(11)
         assert first.split("\n")[:2] == [
             hashlib.sha256(masks.tobytes()).hexdigest(),
-            repr([next(uniforms) for _ in range(3)]),
+            repr(_draws(_key(11, ()), 0, 3).tolist()),
         ]
 
     def test_chi_square_over_sixteen_bins(self):

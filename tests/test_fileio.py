@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import stosub as ss
+from helpers import policy_from_obj
 from stosub import fileio
 
 
@@ -299,10 +300,10 @@ class TestPolicyRoundTrip:
     def test_tree(self, cc2):
         policy, _ = ss.optimal_adaptive(cc2, ss.UniformMatroid(rank=2))
         obj = fileio.policy_to_obj(policy)
-        assert fileio.policy_from_obj(obj) == policy
+        assert policy_from_obj(obj) == policy
 
     def test_stop(self):
-        assert fileio.policy_from_obj("stop") == ss.Policy(root=ss.STOP)
+        assert policy_from_obj("stop") == ss.Policy(root=ss.STOP)
 
 
 class TestIndependenceReportSerialization:

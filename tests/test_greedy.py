@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import stosub as ss
-from stosub import multilinear
+from stosub import greedy, multilinear
 from conftest import make_modular, make_single_item
 
 
@@ -187,6 +187,17 @@ class TestStep:
                 1.0,
                 config,
             )
+
+    @pytest.mark.parametrize("variant", ["optimistic", "standard"])
+    def test_non_finite_weight_is_an_input_error(self, cc2, monkeypatch, variant):
+        """The LP's weight check is the ascent's only one."""
+        monkeypatch.setattr(
+            greedy, "optimistic_weights", lambda instance, y: (float("nan"), 1.0)
+        )
+        config = ss.GreedyConfig(delta=0.5, weight_variant=variant)
+        y = ss.FractionalPoint.zeros(cc2.items)
+        with pytest.raises(ss.InputError, match="weight of 'a' is not finite"):
+            ss.step(cc2, ss.UniformMatroid(rank=1), y, 0.0, config)
 
     def test_zero_base_weights_are_singletons(self, cc2):
         config = ss.GreedyConfig(delta=0.5)

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -84,6 +85,63 @@ class TestRunPipeline:
         assert row.kappa == 0.0
         assert row.flag_inner == "vacuous"
         assert row.notes == "degenerate kappa"
+
+    def test_ratio_check_row_with_degenerate_kappa(self):
+        row = harness.run_pipeline(
+            scenario(
+                generator="common-cause", m=4, worlds=6, seed=0,
+                constraint=ss.UniformMatroid(rank=2),
+            )
+        )
+        assert row.kappa_raw == "0" and row.bound_inner is None
+        assert (row.flag_inner, row.flag_rounding) == ("vacuous", "vacuous")
+        assert row.rounded_mean is not None and row.alpha == 1.0
+        assert row.notes == "degenerate kappa"
+
+    def test_adaptivity_gap_row_with_degenerate_gamma(self):
+        row = harness.run_pipeline(
+            scenario(kind="adaptivity-gap", generator="common-cause", m=4, worlds=6)
+        )
+        assert row.gamma_raw == "0"
+        assert row.flag_virtual == "pass"
+        assert row.notes == "gap bound undefined (gamma = 0)"
+
+    def test_sampled_certificate_violations_are_vacuous(self, tmp_path):
+        """Items a and b cover the same target, so a one-sample estimate of
+        either weight is 0 when the draw holds the other item; at seed 27
+        both are 0 in one round, the LP picks nothing and that round's
+        gain is 0 below a positive requirement."""
+        instance = ss.Instance(
+            items=("a", "b"),
+            states=("on",),
+            distribution=ss.JointDistribution(
+                ((ss.Realization((("a", "on"), ("b", "on"))), Fraction(1)),)
+            ),
+            utility=ss.WeightedCoverage.build(
+                targets=("t",),
+                weights={"t": 1.0},
+                coverage={("a", "on"): ("t",), ("b", "on"): ("t",)},
+            ),
+        )
+        fileio.save_instance(instance, tmp_path / "twins.json")
+        rows = {}
+        for mode in ("sampled", "exact"):
+            rows[mode] = harness.run_pipeline(
+                harness.Scenario(
+                    name=mode,
+                    kind="certificate",
+                    instance=harness.InstanceSpec(path="twins.json"),
+                    constraint=ss.UniformMatroid(rank=2),
+                    greedy=ss.GreedyConfig(
+                        delta=0.1, weight_mode=mode, sample_count=1, seed=27
+                    ),
+                ),
+                base_dir=tmp_path,
+            )
+        assert rows["sampled"].flag_inner == "vacuous"
+        assert rows["sampled"].notes == "certificate_rounds=10;sampled_violations=1"
+        assert rows["exact"].flag_inner == "pass"
+        assert rows["exact"].notes == "certificate_rounds=10"
 
     def test_non_matroid_ratio_check_skips_rounding(self):
         row = harness.run_pipeline(

@@ -202,6 +202,26 @@ def test_gamma_ratio_on_every_ordered_pair(instances, name):
     assert min(r for r in ratios if r is not None) == report.value
 
 
+def test_raw_minimum_never_exceeds_one(instances):
+    """Both enumerations hold a ratio of exactly 1 (kappa at S = V = {}, where
+    numerator and denominator are equal; gamma at position 0), so the raw
+    minimum is at most 1 and ``clamped`` equals it, on monotone instances
+    and on non-monotone tables with f({}) > 0, whose negative minima stay
+    negative."""
+    tables = [
+        _table(seed, (0.0, 0.5, 1.0, 1.25, 2.0), shape)
+        for seed in range(20)
+        for shape in (lambda t: abs(t - 1.5), lambda t: 1 + math.sin(2 * t))
+    ]
+    negative = 0
+    for inst in [*instances.values(), *tables]:
+        for measure in (ss.kappa, ss.gamma):
+            report = measure(inst)
+            assert report.value <= 1 and report.clamped == report.value
+            negative += report.value < 0
+    assert negative > 0
+
+
 def test_cases_reach_ties_and_python_ints(instances):
     """The cases above exercise what they claim to."""
     assert ss.kappa(instances["cc-m4-ties"]).value == 0

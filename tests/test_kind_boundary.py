@@ -1,7 +1,7 @@
 """Constraint kinds and utility kinds are each decided in one module.
 
-Feasibility, the LP vertex, polytope membership, rounding groups, alpha and
-the JSON form of each constraint kind live on its class in
+Feasibility, the LP vertex, polytope membership, rounding groups and the
+JSON form of each constraint kind live on its class in
 ``stosub.constraints``; the pair check, the validity report and the JSON
 form of each utility kind live on its class in ``stosub.model``.  The tests
 below fail when a package module branches on a concrete kind again: an

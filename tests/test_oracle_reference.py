@@ -185,3 +185,37 @@ def test_tree_feasibility_matches_sequence_enumeration(seed):
         for label, constraint in constraints.items():
             want = sequence_feasible(policy, constraint)
             assert ss.policy_is_feasible(policy, constraint) == want, label
+
+
+def _prefix_closed_family(rng, items, size):
+    """A random family grown from {} by adding one item to a listed set, so
+    every listed set is reached by a chain of listed sets."""
+    family = {()}
+    while len(family) < size:
+        base = rng.choice(sorted(family))
+        rest = [i for i in items if i not in base]
+        if rest:
+            family.add(tuple(sorted(base + (rng.choice(rest),))))
+    return ss.ExplicitFamily(feasible_sets=tuple(family), downward_closed=False)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_prefix_closed_families_match_the_sequence_keyed_reference(seed):
+    """The library keys a history by its observed pairs; the reference keys
+    it by its pick sequence too, so a set reached in several orders is solved
+    once per order there.  Both must give the same value and tree."""
+    rng = random.Random(seed)
+    m = 2 + seed % 4
+    instances = [
+        ss.generate_common_cause(m, 2, 2 + seed % 3, seed=seed),
+        ss.generate_product(m, states_per_item=2, seed=seed),
+    ]
+    for instance in instances:
+        for _ in range(3):
+            constraint = _prefix_closed_family(
+                rng, instance.items, rng.randint(2, min(12, 1 << m))
+            )
+            policy, value = ss.optimal_adaptive(instance, constraint)
+            want_policy, want_value = loop_optimal_adaptive(instance, constraint)
+            assert value == want_value
+            assert fileio.policy_to_obj(policy) == fileio.policy_to_obj(want_policy)

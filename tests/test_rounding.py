@@ -1,12 +1,17 @@
+import json
 import math
 import statistics
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import stosub as ss
 from conftest import make_modular
 from helpers import direct_set_value
+from stosub import fileio, harness
+
+PINNED = Path(__file__).parent / "data" / "pinned_rounding.json"
 
 
 class TestPipageRound:
@@ -204,3 +209,26 @@ class TestExactDistribution:
         y = ss.FractionalPoint(cc2.items, (0.5, 0.0))
         with pytest.raises(ss.UnsupportedKindError):
             ss.exact_distribution(cc2, constraint, y)
+
+
+PINNED_CASES = json.loads(PINNED.read_text())["cases"]
+
+
+@pytest.mark.parametrize(
+    "case",
+    PINNED_CASES,
+    ids=[
+        f"m{c['instance']['m']}-{c['constraint']['kind']}-{i}"
+        for i, c in enumerate(PINNED_CASES)
+    ],
+)
+def test_pinned_rounded_sets(case):
+    """``pipage_round`` keeps the sets it drew when each draw was taken one
+    at a time from the scalar SplitMix64 output: 25 seeds per point, the
+    points random, on a matroid face, on a 0.05 grid, or within 1e-12 of 0
+    and 1, over uniform and partition matroids at m = 2-6."""
+    inst = harness.InstanceSpec(**case["instance"]).resolve()
+    constraint = fileio.constraint_from_dict(case["constraint"])
+    y = ss.FractionalPoint(inst.items, tuple(case["point"]))
+    got = [sorted(ss.pipage_round(inst, constraint, y, s)) for s in case["seeds"]]
+    assert got == case["sets"]
