@@ -292,10 +292,10 @@ class ExplicitFamily(Constraint):
         best_set: tuple[str, ...] = ()
         best_value = 0.0
         for candidate in self.feasible_sets:
-            unknown = [i for i in candidate if i not in weights]
-            if unknown:
-                continue
-            value = sum(weights[i] for i in candidate)
+            try:
+                value = sum(weights[i] for i in candidate)
+            except KeyError as exc:
+                raise InputError(f"unknown family item {exc.args[0]!r}") from None
             if value > best_value or (value == best_value and candidate < best_set):
                 best_value = value
                 best_set = candidate

@@ -27,17 +27,33 @@ and in Python ints otherwise; the float view is the correctly rounded N / D,
 the float ``float(Fraction(N, D))`` gives (one numpy division when N and D
 are below 2**53, so both are exact floats).  Coverage sums its weights left
 to right in ascending target order, in ``WeightedCoverage.evaluate`` and in
-the kernel alike; the kernel takes that sum as one product ``codes @
-weights`` when 2**k times the weights' total is below 2**53, because every
-subset sum is then an exact float in any order (each coverage utility
-decides this once).  The kernel runs world by world, building the covered
-targets (or the explicit table's ground-pair index) of all 2**m masks by
-doubling over the item bits.  A table may pin one (item, state) pair into
-every set; ``tables(pins)`` builds every requested table not yet cached in
-the same pass, one ``_values`` call per world on the stacked codes, so its
-extra memory is O(#pins * 2**m) whatever the support size.  The unpinned
-table exists in full up to ``EXACT_CAP`` items, built on first use; above
-it only the requested masks are valued.
+the world kernel below alike; that kernel takes the sum as one product
+``codes @ weights`` when 2**k times the weights' total is below 2**53,
+because every subset sum is then an exact float in any order (each coverage
+utility decides this once).  A table may pin one (item, state) pair into every
+set.  Full tables come from one of two kernels, and ``tables(pins)`` builds
+every requested table not yet cached in one call:
+
+- Coverage whose subset sums are exact floats (the one-product case) takes
+  a superset-sum (fast zeta) transform, as in Bjorklund, Husfeldt, Kaski
+  and Koivisto, "Fourier meets Mobius: fast subset convolution" (STOC
+  2007).  With c_t = 2**k w_t summing to C, set S leaves target t uncovered
+  in world w exactly when S avoids every item whose state in w covers t,
+  so N[S] = L * C minus the sum of a_w * c_t over the (w, t) with S inside
+  that complement (and t outside the pinned pair's targets).  One
+  scatter-add of those |support| * #targets terms and one m-step superset
+  sum give a whole table: O(|support| * #targets + m * 2**m) time per
+  table and O(#tables * 2**m + |support| * #targets) memory.
+- Explicit tables, and coverage whose float sums round (weights such as
+  0.1, 0.2 and 0.3, where each world's left-to-right order decides f),
+  take the world kernel: world by world, the covered targets (or the
+  explicit table's ground-pair index) of all 2**m masks by doubling over
+  the item bits, one ``_values`` call per world on the stacked codes of all
+  pins, so O(|support| * #tables * 2**m * #targets) time and O(#tables *
+  2**m) extra memory.
+
+The unpinned table exists in full up to ``EXACT_CAP`` items, built on first
+use; above it only the requested masks are valued, by the world kernel.
 ``gains`` caches the float table's differences across each item's bit, the
 2**(m-1) x m matrix the multilinear weight kernel contracts.
 
@@ -348,6 +364,9 @@ class ExplicitTable:
 
     kind = "explicit-table"
 
+    # No target sums to transform: the evaluator values it world by world.
+    _product = None
+
     CONSTRUCTION_CAP = 16
 
     def __post_init__(self):
@@ -593,20 +612,16 @@ class _Evaluator:
         scaled_top = max(1, int(Fraction(top) * (1 << self._shift)))
         self._int64 = lcd * scaled_top < 1 << 63
         self.denominator = lcd << self._shift
-        # The world weights spread over (item, state): row w holds a_w at the
-        # state each item takes in w.  A ratio multiplies a sum of these (at
-        # most L) by a difference of numerators (at most L * 2**k * top), so
-        # they are int64 only when L**2 * 2**k * top < 2**63.
-        dtype = np.int64 if lcd * lcd * scaled_top < 1 << 63 else object
-        worlds = len(self.worlds)
-        self._spread = np.zeros((worlds, self.m, len(instance.states)), dtype)
-        self._spread[
-            np.arange(worlds)[:, None], np.arange(self.m), [s for s, _ in self.worlds]
-        ] = np.array([a for _, a in self.worlds], dtype)[:, None]
+        # The dtype rule of the observation weights (``_observe``).
+        self._ratio_int64 = lcd * lcd * scaled_top < 1 << 63
         self._tables: dict = {}
         self._observations = None
         self._row_codes = None
         self._gains = None
+
+    def _states(self) -> np.ndarray:
+        """The state index of every item in every world, one row per world."""
+        return np.array([s for s, _ in self.worlds], dtype=np.intp).reshape(-1, self.m)
 
     def _numerators(self, masks: np.ndarray | None, pins=(None,)) -> np.ndarray:
         """Numerators of the given masks (all 2^m in order when None), one row
@@ -625,8 +640,36 @@ class _Evaluator:
                 codes = np.repeat(base[:, None], len(masks), axis=1)
                 for i, row in enumerate(rows):
                     codes[:, (masks >> i) & 1 == 1] |= row
-            total = total + weight * self._scaled(codes.reshape((-1,) + zero.shape))
+            flat = codes.reshape((codes.shape[0] * codes.shape[1],) + zero.shape)
+            total = total + weight * self._scaled(flat)
         return total.reshape(len(pins), -1)
+
+    def _transform(self, pins) -> np.ndarray:
+        """``_numerators(None, pins)`` for a coverage utility whose subset sums
+        are exact floats, by one superset-sum transform per pin.
+
+        With c_t = 2**k w_t and C their sum, S leaves target t uncovered in
+        world w exactly when S lies inside M, the items whose state in w
+        does not cover t, so N[S] = L C - sum over M >= S of G[M], where
+        G[M] sums a_w c_t over those (w, t) with that M whose t the pinned
+        pair does not cover.  Every partial sum is at most L C, so the int64
+        rule of ``__init__`` holds throughout."""
+        m, states = self.m, self._states()
+        units = self._scaled(np.eye(self._codes.shape[-1], dtype=bool))  # c_t
+        a = np.array([weight for _, weight in self.worlds], units.dtype)
+        free = 0  # M of each (world, target): bit i when item i's state misses t
+        for i in range(m):
+            free = free | (~self._codes[i, states[:, i]]).astype(np.int64) << i
+        free = free.ravel()
+        terms = a[:, None] * units  # a_w c_t
+        sums = np.zeros((len(pins), 1 << m), units.dtype)
+        for row, pin in zip(sums, pins):
+            kept = terms if pin is None else terms * ~self._codes[pin]
+            np.add.at(row, free, kept.ravel())
+        for i in range(m):  # superset sums, one item bit at a time
+            halves = sums.reshape(len(pins), -1, 2, 1 << i)
+            halves[:, :, 0] += halves[:, :, 1]
+        return (self.denominator >> self._shift) * int(units.sum()) - sums
 
     def _scaled(self, codes: np.ndarray) -> np.ndarray:
         """2**k times the utility of each pair-set code, as exact integers."""
@@ -652,12 +695,18 @@ class _Evaluator:
     def tables(self, pins) -> np.ndarray:
         """Numerators of every mask, one row of 2**m per pin (None for no pin,
         else an (item index, state index) pair).  The rows not yet cached are
-        built together in one pass over the worlds, so a caller that needs
-        several pins asks for them at once.  Full tables at any m: callers
-        above ``EXACT_CAP`` bound m themselves."""
+        built together: by ``_transform`` for coverage whose subset sums are
+        exact floats (``_product``), else in one pass of ``_numerators`` over
+        the worlds, so a caller that needs several pins asks for them at
+        once.  Full tables at any m: callers above ``EXACT_CAP`` bound m
+        themselves."""
         missing = [pin for pin in dict.fromkeys(pins) if pin not in self._tables]
         if missing:
-            for pin, row in zip(missing, self._numerators(None, missing)):
+            if self.instance.utility._product is None:
+                rows = self._numerators(None, missing)
+            else:
+                rows = self._transform(missing)
+            for pin, row in zip(missing, rows):
                 self._tables[pin] = (row, self._floats(row))
         return np.stack([self._tables[pin][0] for pin in pins])
 
@@ -697,8 +746,7 @@ class _Evaluator:
 
     def _observe(self) -> tuple[Observations, np.ndarray]:
         """The observation table, and the pair-set code of each row."""
-        m, radix = self.m, len(self.instance.states)
-        states = np.array([s for s, _ in self.worlds], dtype=np.intp).reshape(-1, m)
+        m, radix, states = self.m, len(self.instance.states), self._states()
         # Mixed-radix keys with item 0 most significant: within one mask their
         # numeric order is the order of the observed state tuples.
         dtype = np.int64 if radix**m < 1 << 63 else object
@@ -712,7 +760,17 @@ class _Evaluator:
         starts = np.flatnonzero(fresh)
         order = order.ravel()
         masks, worlds = starts // len(states), order[starts]
-        weights = np.add.reduceat(self._spread[order], starts, axis=0)
+        # The world weights spread over (item, state): row w holds a_w at the
+        # state each item takes in w.  A ratio multiplies a sum of these (at
+        # most L) by a difference of numerators (at most L * 2**k * top), so
+        # they are int64 only when L**2 * 2**k * top < 2**63.
+        spread = np.zeros(
+            states.shape + (radix,), np.int64 if self._ratio_int64 else object
+        )
+        spread[np.arange(len(states))[:, None], np.arange(m), states] = np.array(
+            [a for _, a in self.worlds], spread.dtype
+        )[:, None]
+        weights = np.add.reduceat(spread[order], starts, axis=0)
 
         # A row's conditional of item i, in lowest terms, names it among the
         # rows that leave i free; its first such row is every twin's twins[., i].

@@ -156,6 +156,13 @@ class TestGreedyCommand:
         assert code == 0
 
 
+    def test_explicit_family_with_unknown_item_exits_1(self, cc2_path, capsys):
+        doc = '{"kind": "explicit", "feasible_sets": [[], ["a"], ["z"], ["a", "z"]]}'
+        assert main(["greedy", cc2_path, "--constraint", doc]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "unknown family item 'z'" in err
+        assert "Traceback" not in err
+
     def test_sample_cap_is_a_capacity_error(self, cc2_path, capsys):
         code = main(
             ["greedy", cc2_path, "--mode", "sampled", "--samples", "100000000000",

@@ -148,11 +148,10 @@ class TestLpMaximize:
         assert sol.vertex_set == ("a", "b")
         assert sol.objective == 3.0
 
-    def test_explicit_skips_sets_with_unweighted_items(self):
+    def test_explicit_rejects_sets_with_unknown_items(self):
         c = ss.ExplicitFamily(feasible_sets=((), ("a",), ("a", "z"), ("z",)))
-        sol = ss.lp_maximize(c, {"a": 1.0, "b": 2.0})
-        assert sol.vertex_set == ("a",)
-        assert sol.point.as_dict() == {"a": 1.0, "b": 0.0}
+        with pytest.raises(ss.InputError, match="unknown family item 'z'"):
+            ss.lp_maximize(c, {"a": 1.0, "b": 2.0})
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_weight_rejected(self, bad):
