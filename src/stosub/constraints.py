@@ -74,6 +74,10 @@ class Constraint:
         """Swap-rounding groups as (item positions, cap); None without a scheme."""
         return None
 
+    def check_items(self, items: Iterable[str]):
+        """Raise unless every item whose name decides feasibility is one of
+        ``items``; only a listed family names items that way."""
+
 
 @dataclass(frozen=True)
 class UniformMatroid(Constraint):
@@ -288,14 +292,18 @@ class ExplicitFamily(Constraint):
     def feasible(self, chosen):
         return frozenset(chosen) in self._members
 
+    def check_items(self, items):
+        known = set(items)
+        for item in (item for s in self.feasible_sets for item in s):
+            if item not in known:
+                raise InputError(f"unknown family item {item!r}")
+
     def lp_vertex(self, order, weights):
+        self.check_items(order)
         best_set: tuple[str, ...] = ()
         best_value = 0.0
         for candidate in self.feasible_sets:
-            try:
-                value = sum(weights[i] for i in candidate)
-            except KeyError as exc:
-                raise InputError(f"unknown family item {exc.args[0]!r}") from None
+            value = sum(weights[i] for i in candidate)
             if value > best_value or (value == best_value and candidate < best_set):
                 best_value = value
                 best_set = candidate

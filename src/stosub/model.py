@@ -74,14 +74,21 @@ key-ascending, and row r carries:
   fits, and Python ints otherwise;
 - twins[r, i], the first row whose mask avoids i and whose W[., i] is a
   positive multiple of W[r, i], that is, the first row with the same
-  conditional of item i; -1 when row r observes i;
+  conditional of item i (its class); -1 when row r observes i;
 - the code of its observed pair set, kept inside the evaluator.
 
-``union_gains`` values pair sets that are not item masks (the unions of two
-observations, which gamma needs) through those codes and the same scaling,
-every requested pair in one batch, and ``scaled_value`` gives 2**k f of one
-pair set, so the policy oracles, which do their own exact sums over
-``worlds``, never see the scale.
+gamma compares two observations of one mask through the gains of an item on
+the union of their pair sets, contracted with each one's W.  ``union_keys``
+names what those gains read of a row, so that rows of one mask with one
+class and one key are interchangeable, and ``union_dots`` gives both
+contractions of each requested pair in one batch.  For coverage whose subset
+sums are exact it needs no union: a gain is an integer sum over the targets
+neither row covers, and the key is the targets the item can cover that the
+row leaves uncovered.  Explicit tables, and coverage whose float sums round,
+key each row by its whole pair set and value the unions through
+``union_gains``, the codes and the same scaling.  ``scaled_value`` gives
+2**k f of one pair set, so the policy oracles, which do their own exact sums
+over ``worlds``, never see the scale.
 """
 
 from __future__ import annotations
@@ -402,20 +409,6 @@ class ExplicitTable:
         object.__setattr__(self, "_bit", bit)
         object.__setattr__(self, "_mask_cache", by_mask)
 
-    @classmethod
-    def from_function(cls, ground: Iterable[Pair], fn) -> "ExplicitTable":
-        """Tabulate ``fn`` over every subset of ``ground``.
-
-        ``fn`` receives each subset as a tuple of pairs in sorted order, so a
-        ``fn`` that sums floats over it builds the same table in every process.
-        """
-        ground = tuple(sorted(set(ground)))
-        entries = []
-        for mask in range(1 << len(ground)):
-            subset = tuple(g for i, g in enumerate(ground) if mask >> i & 1)
-            entries.append((subset, fn(subset)))
-        return cls(ground=ground, entries=tuple(entries))
-
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,
@@ -615,8 +608,10 @@ class _Evaluator:
         # The dtype rule of the observation weights (``_observe``).
         self._ratio_int64 = lcd * lcd * scaled_top < 1 << 63
         self._tables: dict = {}
+        self._float_table = None
         self._observations = None
         self._row_codes = None
+        self._row_words = None
         self._gains = None
 
     def _states(self) -> np.ndarray:
@@ -707,14 +702,17 @@ class _Evaluator:
             else:
                 rows = self._transform(missing)
             for pin, row in zip(missing, rows):
-                self._tables[pin] = (row, self._floats(row))
-        return np.stack([self._tables[pin][0] for pin in pins])
+                self._tables[pin] = row
+        return np.stack([self._tables[pin] for pin in pins])
 
     def _table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Numerators and floats of the unpinned table, built on first use."""
-        if None not in self._tables:
+        """Numerators and floats of the unpinned table, built on first use.
+        Pinned tables keep their numerators only, all that kappa reads."""
+        if self._float_table is None:
             self.tables([None])
-        return self._tables[None]
+            row = self._tables[None]
+            self._float_table = (row, self._floats(row))
+        return self._float_table
 
     def values(self, masks: np.ndarray | None = None) -> np.ndarray:
         """Float E[f] of each mask, or of every mask in order when None."""
@@ -787,20 +785,76 @@ class _Evaluator:
             codes[~free] |= self._codes[i, states[worlds[~free], i]]
         return Observations(masks, worlds, weights, twins), codes
 
-    def union_gains(self, item: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Gains of ``item``'s states on top of the union of two observations.
+    def union_gains(
+        self, items: np.ndarray, a: np.ndarray, b: np.ndarray
+    ) -> np.ndarray:
+        """Gains of each item's states on top of the union of two observations.
 
         ``a`` and ``b`` index rows of ``observations()``.  Row r lists 2**k *
-        (f(A | B | {(item, o)}) - f(A | B)) for each state o, exact integers,
-        where A and B are the pair sets of observations a[r] and b[r].  Every
-        pair is valued in one batch.
+        (f(A | B | {(items[r], o)}) - f(A | B)) for each state o, exact
+        integers, where A and B are the pair sets of observations a[r] and
+        b[r].  Every pair is valued in one batch.
         """
         self.observations()
         base = self._row_codes[a] | self._row_codes[b]
-        pins = self._codes[item]
-        stacked = np.concatenate([base] + [base | pin for pin in pins])
-        scaled = self._scaled(stacked).reshape(1 + len(pins), len(base))
+        pins = self._codes[items]
+        states = pins.shape[1]
+        stacked = np.concatenate([base] + [base | pins[:, o] for o in range(states)])
+        scaled = self._scaled(stacked).reshape(1 + states, len(base))
         return (scaled[1:] - scaled[0]).T
+
+    def union_keys(self, items: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Words naming, for each (item, observation row), all that the item's
+        union gains read of the row's pair set.
+
+        Two rows of one mask with equal words have equal gains on top of
+        their union with any third row.  For coverage whose subset sums are
+        exact (``union_dots``) that is the set of targets the item can cover
+        and the row leaves uncovered; otherwise it is the whole pair-set
+        code.  The codes are packed into words once, on first use.
+        """
+        if self._row_words is None:
+            self.observations()
+            self._row_words = _words(self._row_codes)
+        words = self._row_words[rows]
+        if self.instance.utility._product is not None:
+            words = ~words & _words(self._codes.any(axis=1))[items]
+        return words
+
+    def union_dots(
+        self, items: np.ndarray, rows: np.ndarray, a: np.ndarray, b: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The pairs of observations with a nonzero contraction, and their
+        contractions (W_a[e] . g, W_b[e] . g), exact integers.
+
+        ``items`` and ``rows`` list (item, observation row) groups, and pair
+        p joins groups a[p] and b[p], two rows of one mask that avoids their
+        common item e; g lists 2**k times e's gains on their union and W is
+        the observation weights.  The first array indexes the pairs kept,
+        in order; every other pair has both contractions 0.
+
+        Coverage whose subset sums are exact needs no union: with c_t = 2**k
+        w_t, g_o sums c_t over the targets state o of e covers and neither
+        row does, in integers.  It vanishes unless the rows' ``union_keys``
+        meet, and few pairs' do, so only those are valued.  Other utilities
+        value the unions through ``union_gains``.  Each contraction is at
+        most L * 2**k * max f, so under the int64 rule of the observation
+        weights it fits, and so does its product with a row weight.
+        """
+        weights = self.observations().weights[rows, items]
+        kept = np.arange(len(a))
+        if self.instance.utility._product is None:
+            gains = self.union_gains(items[a], rows[a], rows[b])
+        else:
+            keys = self.union_keys(items, rows)
+            kept = np.flatnonzero((keys[a] & keys[b]).any(axis=1))
+            a, b = a[kept], b[kept]
+            units = self._scaled(np.eye(self._codes.shape[-1], dtype=bool))  # c_t
+            neither = ~(self._row_codes[rows[a]] | self._row_codes[rows[b]])
+            gains = np.einsum("pt,pst->ps", units * neither, self._codes[items[a]])
+        da, db = (np.einsum("ps,ps->p", weights[x], gains) for x in (a, b))
+        live = (da != 0) | (db != 0)
+        return kept[live], da[live], db[live]
 
     def numerator(self, mask: int) -> int:
         """E[f] of ``mask`` times ``denominator``."""
@@ -820,6 +874,18 @@ class _Evaluator:
         for item in items:
             mask |= 1 << self.instance.item_index(item)
         return mask
+
+
+def _words(codes: np.ndarray) -> np.ndarray:
+    """Pair-set codes as rows of integer words that are equal exactly when
+    the codes are: an explicit table's bitmask as it is, coverage flags
+    packed eight to a byte and eight bytes to a word."""
+    if codes.ndim == 1:
+        return codes[:, None]
+    packed = np.packbits(codes, axis=-1)
+    words = np.zeros(packed.shape[:-1] + (-(-packed.shape[-1] // 8) * 8,), np.uint8)
+    words[..., : packed.shape[-1]] = packed
+    return words.view(np.uint64)
 
 
 def _evaluator(instance: Instance) -> _Evaluator:

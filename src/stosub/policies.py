@@ -150,6 +150,7 @@ def optimal_adaptive(
     depend on those pairs alone.  Ties prefer picking over stopping and
     lower item index among picks.
     """
+    constraint.check_items(instance.items)
     if instance.m > ADAPTIVE_ITEM_CAP:
         raise CapacityError(
             f"adaptive oracle over {instance.m} items exceeds the cap "
@@ -197,6 +198,7 @@ def best_nonadaptive(
     instance: Instance, constraint: Constraint
 ) -> tuple[frozenset[str], float]:
     """Best feasible fixed set by exhaustive enumeration of the value table."""
+    constraint.check_items(instance.items)
     if instance.m > EXACT_CAP:
         raise CapacityError(
             f"enumeration over {instance.m} items exceeds the cap {EXACT_CAP}"

@@ -14,6 +14,7 @@ import numpy as np
 from stosub import (
     Estimate,
     ExplicitFamily,
+    ExplicitTable,
     GammaWitness,
     IndependenceReport,
     KappaWitness,
@@ -25,6 +26,20 @@ from stosub import (
     WeightedCoverage,
     is_feasible,
 )
+
+
+def table_from_function(ground, fn) -> ExplicitTable:
+    """An explicit table of ``fn`` over every subset of ``ground``.
+
+    ``fn`` receives each subset as a tuple of pairs in sorted order, so a
+    ``fn`` that sums floats over it builds the same table in every process.
+    """
+    ground = tuple(sorted(set(ground)))
+    entries = []
+    for mask in range(1 << len(ground)):
+        subset = tuple(g for i, g in enumerate(ground) if mask >> i & 1)
+        entries.append((subset, fn(subset)))
+    return ExplicitTable(ground=ground, entries=tuple(entries))
 
 
 def pairs_of(realization, items):
@@ -170,7 +185,7 @@ def _ascending_subsets(instance, item):
     ]
 
 
-def _indexed_observations(instance, observed_items):
+def indexed_observations(instance, observed_items):
     """Positive-probability observations, ordered by state index in item order."""
     rank = {s: k for k, s in enumerate(instance.states)}
     return sorted(
@@ -245,7 +260,7 @@ def loop_kappa(instance) -> IndependenceReport:
             }
             pieces.append((base, num, gain))
         for observed in subsets:
-            for observation in _indexed_observations(instance, observed):
+            for observation in indexed_observations(instance, observed):
                 for base, num, gain in pieces:
                     examined += 1
                     ratio = _fraction_ratio(
@@ -266,7 +281,7 @@ def loop_gamma(instance) -> IndependenceReport:
     examined = 0
     for e in instance.items:
         for observed in _ascending_subsets(instance, e):
-            observations = _indexed_observations(instance, observed)
+            observations = indexed_observations(instance, observed)
             for obs_a in observations:
                 for obs_b in observations:
                     examined += 1

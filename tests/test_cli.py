@@ -6,6 +6,7 @@ import pytest
 import stosub as ss
 from stosub import fileio
 from stosub.cli import build_parser, main
+from helpers import table_from_function
 
 
 @pytest.fixture
@@ -36,7 +37,7 @@ def _dip_table():
                 for (x, y), w in worlds
             )
         ),
-        utility=ss.ExplicitTable.from_function(
+        utility=table_from_function(
             pairs, lambda s: 2.0 - sum(1.0 if p == "hi" else -0.5 for _, p in s)
         ),
     )
@@ -194,6 +195,16 @@ class TestOracleCommands:
         out = capsys.readouterr().out
         assert "best non-adaptive value: 2.0" in out
         assert "['b']" in out
+
+    @pytest.mark.parametrize("oracle", ["nonadaptive", "adaptive"])
+    def test_explicit_family_with_unknown_item_exits_1(self, cc2_path, capsys, oracle):
+        """A listed set that names an item the instance lacks is an input
+        error, as it is for the ascent's LP, not a set the oracle skips."""
+        doc = '{"kind": "explicit", "feasible_sets": [[], ["a"], ["z"], ["a", "z"]]}'
+        assert main(["oracle", oracle, cc2_path, "--constraint", doc]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "unknown family item 'z'" in err
+        assert "Traceback" not in err
 
     def test_embedded_constraint_used(self, cc2, tmp_path, capsys):
         doc = fileio.instance_to_dict(cc2)
@@ -394,7 +405,7 @@ class TestUsageErrors:
                     distribution=ss.JointDistribution(
                         ((ss.Realization((("a", "x"),)), 1),)
                     ),
-                    utility=ss.ExplicitTable.from_function([("a", "x")], len),
+                    utility=table_from_function([("a", "x")], len),
                 )
             )
         else:

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 import stosub as ss
 from stosub import fileio, harness
 from stosub.cli import BUNDLED_SUITE
+from helpers import table_from_function
 
 BASES = [
     fileio.instance_to_dict(ss.common_cause_2()),
@@ -32,7 +33,7 @@ BASES = [
                     (ss.Realization((("a", "y"), ("b", "y"))), "2/3"),
                 )
             ),
-            utility=ss.ExplicitTable.from_function(
+            utility=table_from_function(
                 [(i, s) for i in "ab" for s in "xy"], lambda pairs: len(pairs) ** 0.5
             ),
         )

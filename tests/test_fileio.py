@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import stosub as ss
-from helpers import policy_from_obj
+from helpers import policy_from_obj, table_from_function
 from stosub import fileio
 
 
@@ -39,7 +39,7 @@ class TestInstanceRoundTrip:
         assert loaded.utility.weights[0] == 0.1 + 0.2
 
     def test_table_utility_round_trip(self, tmp_path):
-        table = ss.ExplicitTable.from_function(
+        table = table_from_function(
             [("a", "x"), ("a", "y")], lambda key: float(len(key)) / 3.0
         )
         inst = ss.Instance(

@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,8 +30,10 @@ from helpers import (
     direct_set_value,
     direct_state_value,
     gamma_pair_ratio,
+    indexed_observations,
     loop_gamma,
     loop_kappa,
+    table_from_function,
 )
 
 
@@ -55,7 +58,7 @@ def _table(seed, choices=(0.0, 1.0, 1 / 3, 2.5, 0.1), shape=math.sqrt):
     items, states = ("a", "b", "c"), ("lo", "hi")
     ground = [(i, s) for i in items for s in states]
     weight = {pair: rng.choice(choices) for pair in ground}
-    utility = ss.ExplicitTable.from_function(
+    utility = table_from_function(
         ground, lambda subset: shape(sum(weight[p] for p in sorted(subset)))
     )
     worlds = {}
@@ -167,10 +170,10 @@ def test_gamma_matches_fraction_loop(instances, name):
 
 @pytest.mark.parametrize("name", ["cc-m4", "cc-m3", "cc2", "non-monotone-table"])
 def test_gamma_ratio_on_every_ordered_pair(instances, name):
-    """gamma values each union of two observations once and mirrors it into
-    (b, a).  Valued one pair at a time by the definition, the ordered pairs
-    give the report's count and minimum, 1 on the diagonal, and (b, a) the
-    reciprocal of (a, b), the symmetry the mirroring relies on."""
+    """gamma values each unordered pair of groups once, in both orientations.
+    Valued one pair at a time by the definition, the ordered pairs give the
+    report's count and minimum, 1 on the diagonal, and (b, a) the reciprocal
+    of (a, b), the symmetry the two orientations rely on."""
     inst = instances[name]
     ev = _evaluator(inst)
     table = ev.observations()
@@ -280,48 +283,100 @@ def test_non_monotone_table_reaches_negative_denominators(instances):
     assert report.value < 0 and denominator < 0
 
 
-def _counting_union_gains(monkeypatch, inst) -> list:
-    """Record the pairs each ``union_gains`` call values on ``inst``."""
+def _counting(monkeypatch, inst, name) -> list:
+    """Record the pairs each call of the evaluator method ``name`` values on
+    ``inst``: the length of its last argument."""
     ev = _evaluator(inst)
-    calls, union_gains = [], ev.union_gains
+    calls, method = [], getattr(ev, name)
 
-    def counted(item, a, b):
-        calls.append(len(a))
-        return union_gains(item, a, b)
+    def counted(*args):
+        calls.append(len(args[-1]))
+        return method(*args)
 
-    monkeypatch.setattr(ev, "union_gains", counted)
+    monkeypatch.setattr(ev, name, counted)
     return calls
 
 
-def test_gamma_values_no_union_on_a_product_prior(instances, monkeypatch):
-    """Every pair of observations of a product prior has one conditional, so
-    every ratio is 1 and no union is valued; the count still covers every
+def test_gamma_values_no_pair_on_a_product_prior(instances, monkeypatch):
+    """Every observation of a product prior has one conditional per item, so
+    every ratio is 1 and no pair is valued; the count still covers every
     ordered pair, (1 + 3**2)**2 per item of three."""
     inst = instances["product"]
-    calls = _counting_union_gains(monkeypatch, inst)
+    calls = _counting(monkeypatch, inst, "union_dots")
     report = ss.gamma(inst)
-    assert calls == []
+    assert sum(calls) == 0
     assert report == loop_gamma(inst)
     assert report.value == 1 and report.ratios_examined == 3 * 10**2
 
 
-def test_gamma_values_each_pair_of_distinct_conditionals_once(instances, monkeypatch):
-    """The unions valued are those of the unordered pairs of one mask's
-    observations whose weight rows for the item are not proportional."""
+def _group_pairs(inst) -> int:
+    """Unordered pairs of groups of one mask's observations, over the items
+    they avoid, whose conditionals of the item differ.  A group is the
+    observations with one conditional (weight rows proportional) and one
+    set of covered targets among those the item can cover; counted from the
+    support and the coverage map, not from the library's table."""
+    cover = dict(inst.utility.coverage)
+    pairs = 0
+    for e, item in enumerate(inst.items):
+        reach = {t for s in inst.states for t in cover[(item, s)]}
+        for vmask in range(1 << inst.m):
+            if vmask >> e & 1:
+                continue
+            observed = [i for j, i in enumerate(inst.items) if vmask >> j & 1]
+            groups = set()
+            for obs in indexed_observations(inst, observed):
+                conditional = tuple(direct_conditional(inst, item, obs))
+                covered = {t for i, s in obs.items() for t in cover[(i, s)]}
+                groups.add((conditional, frozenset(covered & reach)))
+            pairs += sum(a[0] != b[0] for a, b in itertools.combinations(groups, 2))
+    return pairs
+
+
+def test_gamma_values_each_pair_of_distinct_groups_once(instances, monkeypatch):
+    """The pairs valued are the unordered pairs of groups of one mask's
+    observations with different conditionals, and no union is built, since
+    the case's coverage sums are exact; twin observations and observations
+    that differ only in targets the item cannot cover share a group."""
     inst = instances["twins-int64"]
-    table = _evaluator(inst).observations()
-    rows = table.weights.tolist()
-    distinct = sum(
-        a[0] * b[1] != a[1] * b[0]  # two states
-        for e in range(4)
-        for r, s in itertools.combinations(range(len(rows)), 2)
-        if table.masks[r] == table.masks[s] and not table.masks[r] >> e & 1
-        for a, b in [(rows[r][e], rows[s][e])]
-    )
-    calls = _counting_union_gains(monkeypatch, inst)
+    union_gains = _counting(monkeypatch, inst, "union_gains")
+    calls = _counting(monkeypatch, inst, "union_dots")
     report = ss.gamma(inst)
     assert report == loop_gamma(inst)
-    assert 0 < sum(calls) == distinct < report.ratios_examined // 2
+    assert union_gains == []
+    assert 0 < sum(calls) == _group_pairs(inst) < report.ratios_examined // 2
+
+
+@pytest.mark.parametrize(
+    "name", ["explicit-table", "non-monotone-table", "third-weights", "huge-lcd"]
+)
+def test_gamma_values_unions_where_sums_round(instances, monkeypatch, name):
+    """Explicit tables, and coverage whose float sums round, value each
+    valued pair's union through ``union_gains``, one union per pair."""
+    inst = instances[name]
+    unions = _counting(monkeypatch, inst, "union_gains")
+    calls = _counting(monkeypatch, inst, "union_dots")
+    report = ss.gamma(inst)
+    assert report == loop_gamma(inst)
+    assert 0 < sum(unions) == sum(calls)
+
+
+def test_gamma_lists_no_ordered_pair():
+    """gamma's working memory at common-cause m = 9 (3 states, 24 worlds,
+    seed 0; 10,264 observations, 875,548 ordered pairs), with the
+    observation table built beforehand.  The kernel that listed every
+    ordered pair peaked at 20.06 MiB under ``tracemalloc`` there; one that
+    lists only the pairs of distinct groups, a batch of items at a time,
+    stays below a third of that."""
+    inst = ss.generate_common_cause(9, 3, 24, 0)
+    _evaluator(inst).observations()
+    tracemalloc.start()
+    try:
+        report = ss.gamma(inst, cap=9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ratios_examined == 875548
+    assert peak < 20.06 * 2**20 / 3
 
 
 PINNED = Path(__file__).parent / "data" / "pinned_independence.json"
@@ -347,6 +402,64 @@ def test_benchmark_instances_keep_their_reports(case):
         inst = ss.generate_common_cause(m, states, spec["worlds"], seed)
     for name, measure in (("kappa", ss.kappa), ("gamma", ss.gamma)):
         report, want = measure(inst), case[name]
+        assert str(report.value) == want["value"]
+        assert str(report.clamped) == want["clamped"]
+        assert report.witness.to_dict() == want["witness"]
+        assert type(report.ratios_examined) is int
+        assert report.ratios_examined == want["ratios_examined"]
+
+
+PINNED_M8 = Path(__file__).parent / "data" / "pinned_independence_m8.json"
+
+
+def _tabulated(instance, seed):
+    """The instance's prior under an explicit table: the square root of the
+    summed seeded weights of the picked pairs."""
+    rng = random.Random(seed)
+    ground = [(i, s) for i in instance.items for s in instance.states]
+    weight = {pair: rng.choice((0.0, 1.0, 1 / 3, 2.5, 0.1)) for pair in ground}
+    return ss.Instance(
+        items=instance.items,
+        states=instance.states,
+        distribution=instance.distribution,
+        utility=table_from_function(
+            ground, lambda subset: math.sqrt(sum(weight[p] for p in subset))
+        ),
+    )
+
+
+def pinned_m8_instance(spec):
+    """A common-cause instance, with its target weights cycled from
+    ``spec["weights"]`` or its utility replaced by ``_tabulated`` when the
+    spec says so."""
+    inst = ss.generate_common_cause(
+        spec["m"], spec["states"], spec["worlds"], spec["seed"]
+    )
+    if "weights" in spec:
+        return _reweighted(inst, spec["weights"])
+    if spec.get("table"):
+        return _tabulated(inst, spec["seed"])
+    return inst
+
+
+@pytest.mark.parametrize(
+    "case",
+    json.loads(PINNED_M8.read_text())["cases"],
+    ids=lambda c: "{}-m{}-seed{}".format(
+        "table" if c["instance"].get("table")
+        else "rounding" if "weights" in c["instance"] else "cc",
+        c["instance"]["m"],
+        c["instance"]["seed"],
+    ),
+)
+def test_larger_instances_keep_their_reports(case):
+    """Common-cause m = 7 and 8 (3 states, 24 worlds, seeds 0-1), and at
+    m = 5 one coverage instance whose float sums round and one explicit
+    table, against the reports of the kernel that listed every ordered pair
+    of observations for gamma and valued kappa item by item."""
+    inst = pinned_m8_instance(case["instance"])
+    for name, measure in (("kappa", ss.kappa), ("gamma", ss.gamma)):
+        report, want = measure(inst, cap=inst.m), case[name]
         assert str(report.value) == want["value"]
         assert str(report.clamped) == want["clamped"]
         assert report.witness.to_dict() == want["witness"]

@@ -15,6 +15,7 @@ from helpers import (
     direct_set_value,
     direct_state_value,
     loop_validate_utility,
+    table_from_function,
 )
 
 
@@ -286,16 +287,16 @@ def _seeded_tables(per_kind: int = 80):
         n = 1 + k % 8
         ground = [("e", f"s{i:02d}") for i in range(n)]
         w = {p: rng.uniform(0.0, 10.0) for p in ground}
-        yield ss.ExplicitTable.from_function(ground, lambda s: _float_sum(w, s))
+        yield table_from_function(ground, lambda s: _float_sum(w, s))
 
         budget = rng.uniform(0.3, 0.9) * _float_sum(w, ground)
-        yield ss.ExplicitTable.from_function(
+        yield table_from_function(
             ground, lambda s: min(budget, _float_sum(w, s))
         )
 
         half = {p: rng.randint(0, 6) / 2 for p in ground}
         curve = [rng.randint(0, 4) / 2 for _ in ground]
-        table = ss.ExplicitTable.from_function(
+        table = table_from_function(
             ground,
             lambda s: _float_sum(half, s) + sum(sorted(curve, reverse=True)[: len(s)]),
         )
@@ -308,7 +309,7 @@ def _seeded_tables(per_kind: int = 80):
 
         dyadic = {p: rng.randint(0, 8) / 4 for p in ground}
         noise = [1e-13, 3e-13, 6e-13, -1e-13, -3e-13, -6e-13]
-        yield ss.ExplicitTable.from_function(
+        yield table_from_function(
             ground,
             lambda s: _float_sum(dyadic, s)
             + (rng.choice(noise) if rng.random() < 0.3 else 0.0)
@@ -357,7 +358,7 @@ class TestValidateUtility:
         assert report.witness[0] == "submodular"
 
     def test_modular_table_valid(self):
-        table = ss.ExplicitTable.from_function(
+        table = table_from_function(
             [("e", "x"), ("e", "y"), ("f", "x")], lambda key: float(len(key))
         )
         report = ss.validate_utility(table)
@@ -423,7 +424,7 @@ class TestConstructionInvariants:
     def test_from_function_hands_fn_sorted_pairs(self):
         ground = [("b", "y"), ("a", "y"), ("b", "x"), ("a", "x")]
         seen = []
-        ss.ExplicitTable.from_function(ground, lambda key: seen.append(key) or 0.0)
+        table_from_function(ground, lambda key: seen.append(key) or 0.0)
         assert len(seen) == 16
         assert all(isinstance(key, tuple) and list(key) == sorted(key) for key in seen)
         assert {frozenset(key) for key in seen} == {

@@ -25,6 +25,7 @@ from helpers import (
     direct_virtual_value,
     loop_optimal_adaptive,
     sequence_feasible,
+    table_from_function,
 )
 
 
@@ -45,7 +46,7 @@ def _table_instance(seed):
         base.items,
         base.states,
         base.distribution,
-        ss.ExplicitTable.from_function(ground, capped_max_sum),
+        table_from_function(ground, capped_max_sum),
     )
 
 

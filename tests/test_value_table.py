@@ -21,6 +21,7 @@ from helpers import (
     direct_state_value,
     loop_multilinear,
     loop_optimistic_weight,
+    table_from_function,
 )
 
 
@@ -116,7 +117,7 @@ def _table_instance():
     items, states = ("a", "b", "c"), ("lo", "hi")
     ground = [(i, s) for i in items for s in states]
     weight = {pair: 1.0 + k * 0.37 for k, pair in enumerate(ground)}
-    utility = ss.ExplicitTable.from_function(
+    utility = table_from_function(
         ground, lambda subset: math.sqrt(sum(weight[p] for p in subset))
     )
     worlds = [
