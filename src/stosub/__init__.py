@@ -55,7 +55,6 @@ from .model import (
     WeightedCoverage,
     expected_set_value,
     expected_set_value_exact,
-    validate_utility,
 )
 from .multilinear import (
     Estimate,

@@ -17,7 +17,7 @@ from .constraints import Constraint, UniformMatroid
 from .errors import CapacityError, InputError, StosubError
 from .greedy import WEIGHT_MODES, WEIGHT_VARIANTS, GreedyConfig, format_trajectory, run
 from .independence import ENUMERATION_CAP, adaptivity_gap_bound, gamma, kappa
-from .model import Instance, validate_utility
+from .model import Instance
 from .multilinear import SAMPLE_CAP
 from .policies import best_nonadaptive, optimal_adaptive
 
@@ -42,9 +42,7 @@ def _fmt_fraction(value: Fraction) -> str:
 def _print_independence(label: str, report):
     print(f"{label} = {_fmt_fraction(report.clamped)}")
     print(f"ratios examined: {report.ratios_examined}")
-    print("witness: " + json.dumps(
-        fileio.independence_report_to_dict(report)["witness"], sort_keys=True
-    ))
+    print("witness: " + json.dumps(report.witness.to_dict(), sort_keys=True))
 
 
 def _load_constraint(instance: Instance, arg: str | None, embedded) -> Constraint:
@@ -69,7 +67,7 @@ def _add_constraint_flag(parser):
 
 def _cmd_validate(args) -> int:
     instance, _ = fileio.load_instance_and_constraint(args.instance)
-    report = validate_utility(instance.utility)
+    report = instance.utility.validity()
     print(f"items: {instance.m}, states: {len(instance.states)}, "
           f"support: {len(instance.distribution.entries)}")
     print(f"monotone: {report.monotone}, submodular: {report.submodular}")
@@ -81,15 +79,9 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _cmd_kappa(args) -> int:
+def _cmd_independence(args) -> int:
     instance, _ = fileio.load_instance_and_constraint(args.instance)
-    _print_independence("kappa", kappa(instance, cap=args.cap))
-    return 0
-
-
-def _cmd_gamma(args) -> int:
-    instance, _ = fileio.load_instance_and_constraint(args.instance)
-    _print_independence("gamma", gamma(instance, cap=args.cap))
+    _print_independence(args.command, args.measure(instance, cap=args.cap))
     return 0
 
 
@@ -184,11 +176,11 @@ def build_parser() -> _Parser:
     p.add_argument("instance")
     p.set_defaults(fn=_cmd_validate)
 
-    for name, fn in (("kappa", _cmd_kappa), ("gamma", _cmd_gamma)):
+    for name, measure in (("kappa", kappa), ("gamma", gamma)):
         p = sub.add_parser(name, help=f"degree of independence ({name} form)")
         p.add_argument("instance")
         p.add_argument("--cap", type=int, default=ENUMERATION_CAP)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=_cmd_independence, measure=measure)
 
     p = sub.add_parser("greedy", help="run the continuous greedy ascent")
     default = GreedyConfig()

@@ -62,6 +62,13 @@ def _greedy_pick(order: list[str], weights: dict[str, float], cap: int) -> list[
     return [it for it in ranked if weights[it] > 0][:cap]
 
 
+def _check_known(named: Iterable[str], items: Iterable[str], role: str):
+    known = set(items)
+    for item in named:
+        if item not in known:
+            raise InputError(f"unknown {role} item {item!r}")
+
+
 class Constraint:
     """Base of the constraint kinds, with the defaults most kinds share."""
 
@@ -71,12 +78,12 @@ class Constraint:
         )
 
     def rounding_groups(self, items: tuple[str, ...]) -> list | None:
-        """Swap-rounding groups as (item positions, cap); None without a scheme."""
+        """Swap-rounding groups as (item positions, cap), None without a
+        scheme; ``items`` must have passed :meth:`check_items`."""
         return None
 
     def check_items(self, items: Iterable[str]):
-        """Raise unless every item whose name decides feasibility is one of
-        ``items``; only a listed family names items that way."""
+        """Raise unless every item the constraint names is one of ``items``."""
 
 
 @dataclass(frozen=True)
@@ -134,6 +141,9 @@ class PartitionMatroid(Constraint):
         object.__setattr__(self, "capacities", caps)
         object.__setattr__(self, "_covered", frozenset(seen))
 
+    def check_items(self, items):
+        _check_known((i for block in self.blocks for i in block), items, "block")
+
     def _check_covered(self, items: Iterable[str]):
         uncovered = set(items) - self._covered
         if uncovered:
@@ -164,13 +174,10 @@ class PartitionMatroid(Constraint):
 
     def rounding_groups(self, items):
         index = {item: i for i, item in enumerate(items)}
-        try:
-            return [
-                ([index[item] for item in block], cap)
-                for block, cap in zip(self.blocks, self.capacities)
-            ]
-        except KeyError as exc:
-            raise InputError(f"unknown block item {exc.args[0]!r}") from None
+        return [
+            ([index[item] for item in block], cap)
+            for block, cap in zip(self.blocks, self.capacities)
+        ]
 
     def to_dict(self):
         return {
@@ -219,6 +226,9 @@ class Knapsack(Constraint):
 
     def feasible(self, chosen):
         return sum(self.cost_of(i) for i in chosen) <= self.budget
+
+    def check_items(self, items):
+        _check_known(self._cost, items, "cost")
 
     def lp_vertex(self, order, weights):
         cost = {it: self.cost_of(it) for it in order}
@@ -293,10 +303,7 @@ class ExplicitFamily(Constraint):
         return frozenset(chosen) in self._members
 
     def check_items(self, items):
-        known = set(items)
-        for item in (item for s in self.feasible_sets for item in s):
-            if item not in known:
-                raise InputError(f"unknown family item {item!r}")
+        _check_known((i for s in self.feasible_sets for i in s), items, "family")
 
     def lp_vertex(self, order, weights):
         self.check_items(order)
@@ -371,9 +378,9 @@ def lp_maximize(constraint: Constraint, weights: Mapping[str, float]) -> LPSolut
 def point_in_polytope(constraint: Constraint, x: FractionalPoint) -> bool:
     """Closed-form membership test in the relaxation polytope.
 
-    Explicit families have no closed form here; testing hull membership for
-    them requires an LP solver and is out of scope.
+    ``FractionalPoint`` already holds every coordinate in [0, 1], so only
+    the kind's own inequalities are left.  Explicit families have no closed
+    form here; testing hull membership for them requires an LP solver and
+    is out of scope.
     """
-    if any(v < -EXACT_TOL or v > 1 + EXACT_TOL for v in x.values):
-        return False
     return constraint.in_polytope(x)

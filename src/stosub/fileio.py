@@ -17,7 +17,6 @@ from .errors import (
     require_list,
     require_object,
 )
-from .independence import IndependenceReport
 from .model import (
     Instance,
     JointDistribution,
@@ -66,15 +65,6 @@ def policy_to_obj(policy: Policy):
         }
 
     return encode(policy.root)
-
-
-def independence_report_to_dict(report: IndependenceReport) -> dict:
-    return {
-        "value": str(report.value),
-        "clamped": str(report.clamped),
-        "ratios_examined": report.ratios_examined,
-        "witness": report.witness.to_dict(),
-    }
 
 
 def dumps(obj) -> str:

@@ -146,12 +146,14 @@ def step(
     config: GreedyConfig,
 ) -> tuple[FractionalPoint, LPSolution]:
     """One round at time ``t``, on the same step schedule :func:`run` uses."""
+    constraint.check_items(instance.items)
     record, moved = _round(instance, constraint, y, t, config)
     return moved, record.lp
 
 
 def run(instance: Instance, constraint: Constraint, config: GreedyConfig) -> Trajectory:
     """Full ascent from the all-zero point; records every round."""
+    constraint.check_items(instance.items)
     y = FractionalPoint.zeros(instance.items)
     t = 0.0
     records = []

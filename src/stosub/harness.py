@@ -8,10 +8,9 @@ against oracle values.
 
 The rounding flag is decided exactly: ``rounded_mean`` is the mean of the
 exact swap-rounding distribution (:func:`rounding.exact_distribution`),
-rounded to a float once.  ``rounded_se`` is always 0.0, and ``alpha`` (the
-rounding-loss factor) is 1.0 on every row that rounds, because only the
-matroid kinds round and swap rounding on a matroid is lossless; both columns
-stay only so that the report layout does not change.
+rounded to a float once, so it has no standard error.  Only the matroid
+kinds round, and swap rounding on a matroid loses nothing in expectation, so
+the rounded mean is held to the same bound as the fractional value.
 
 Reports are reproducible byte for byte from (scenario file, seeds): rows
 keep declaration order, floats use shortest-round-trip repr, and wall-clock
@@ -107,9 +106,7 @@ class ReportRow:
     best_nonadaptive: float | None = None
     fractional_value: float | None = None
     rounded_mean: float | None = None
-    rounded_se: float | None = None
     bound_inner: float | None = None
-    alpha: float | None = None
     virtual_value: float | None = None
     flag_inner: str | None = None
     flag_rounding: str | None = None
@@ -210,16 +207,12 @@ def run_pipeline(scenario: Scenario, base_dir: Path | None = None) -> ReportRow:
 
     # ratio-check: the rounding bound.
     if scenario.constraint.rounding_groups(instance.items) is not None:
-        # Only the matroid kinds have a rounding scheme, and swap rounding
-        # loses nothing in expectation on a matroid, so alpha is 1.
-        row["alpha"] = 1.0
-        mean = float(sum(
+        mean = row["rounded_mean"] = float(sum(
             weight * expected_set_value_exact(instance, chosen)
             for chosen, weight in exact_distribution(
                 instance, scenario.constraint, trajectory.final
             )
         ))
-        row.update(rounded_mean=mean, rounded_se=0.0)
         row["flag_rounding"] = _verdict(mean, inner, opt_value)
     else:
         notes.append("no rounding scheme for this constraint kind")

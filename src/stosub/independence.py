@@ -391,11 +391,13 @@ def gamma(instance: Instance, cap: int = ENUMERATION_CAP) -> IndependenceReport:
     return _report(best, witness, examined)
 
 
-def ratio_bound(kappa: float, m: int, alpha: float = 1.0) -> float:
+def ratio_bound(kappa: float, m: int) -> float:
     """Approximation factor of the two-stage pipeline for the given parameters.
 
-    May be negative for small m or small kappa; callers interpret negative
-    values as a vacuous guarantee.
+    The paper's factor carries the rounding loss alpha as a multiplier; swap
+    rounding on a matroid, the only rounding here, loses nothing in
+    expectation, so alpha is 1.  May be negative for small m or small kappa;
+    callers interpret negative values as a vacuous guarantee.
     """
     kappa = float(kappa)
     if kappa <= 0:
@@ -404,9 +406,7 @@ def ratio_bound(kappa: float, m: int, alpha: float = 1.0) -> float:
         raise InputError("kappa must lie in (0, 1]; clamp raw values first")
     if m < 1:
         raise InputError("m must be at least 1")
-    if not 0 < alpha <= 1:
-        raise InputError("alpha must lie in (0, 1]")
-    return alpha * (
+    return (
         1.0
         - math.exp(-kappa / 2.0 + kappa / (18.0 * m * m))
         - (kappa + 2.0) / (3.0 * m * kappa)

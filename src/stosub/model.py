@@ -37,13 +37,15 @@ every requested table not yet cached in one call:
 - Coverage whose subset sums are exact floats (the one-product case) takes
   a superset-sum (fast zeta) transform, as in Bjorklund, Husfeldt, Kaski
   and Koivisto, "Fourier meets Mobius: fast subset convolution" (STOC
-  2007).  With c_t = 2**k w_t summing to C, set S leaves target t uncovered
-  in world w exactly when S avoids every item whose state in w covers t,
-  so N[S] = L * C minus the sum of a_w * c_t over the (w, t) with S inside
-  that complement (and t outside the pinned pair's targets).  One
-  scatter-add of those |support| * #targets terms and one m-step superset
-  sum give a whole table: O(|support| * #targets + m * 2**m) time per
-  table and O(#tables * 2**m + |support| * #targets) memory.
+  2007).  The evaluator scales c_t = 2**k w_t, summing to C, once, and
+  whether it holds them picks the kernel here and for gamma's unions
+  below.  Set S leaves target t uncovered in world w exactly when S avoids
+  every item whose state in w covers t, so N[S] = L * C minus the sum of
+  a_w * c_t over the (w, t) with S inside that complement (and t outside
+  the pinned pair's targets).  One scatter-add of those |support| *
+  #targets terms and one m-step superset sum give a whole table:
+  O(|support| * #targets + m * 2**m) time per table and O(#tables * 2**m +
+  |support| * #targets) memory.
 - Explicit tables, and coverage whose float sums round (weights such as
   0.1, 0.2 and 0.3, where each world's left-to-right order decides f),
   take the world kernel: world by world, the covered targets (or the
@@ -516,16 +518,6 @@ def _dyadic_shift(values: Iterable[float]) -> int:
     return max((v.as_integer_ratio()[1].bit_length() - 1 for v in values), default=0)
 
 
-def validate_utility(utility: UtilityFunction) -> UtilityReport:
-    """Monotonicity and submodularity of ``utility``, from its own ``validity``.
-
-    Coverage utilities are monotone submodular by construction.  Explicit
-    tables are checked exhaustively, up to ``VALIDITY_TOL``, on every
-    (subset, pair) and (subset, pair, pair) combination of their ground set.
-    """
-    return utility.validity()
-
-
 @dataclass(frozen=True)
 class Instance:
     """Immutable problem instance: items, states, joint prior, and utility."""
@@ -607,6 +599,11 @@ class _Evaluator:
         self.denominator = lcd << self._shift
         # The dtype rule of the observation weights (``_observe``).
         self._ratio_int64 = lcd * lcd * scaled_top < 1 << 63
+        # c_t = 2**k w_t when the coverage subset sums are exact floats: the
+        # kernel choice of ``tables``, ``union_keys`` and ``union_dots``.
+        self._units = None
+        if instance.utility._product is not None:
+            self._units = self._scaled(np.eye(self._codes.shape[-1], dtype=bool))
         self._tables: dict = {}
         self._float_table = None
         self._observations = None
@@ -649,8 +646,7 @@ class _Evaluator:
         G[M] sums a_w c_t over those (w, t) with that M whose t the pinned
         pair does not cover.  Every partial sum is at most L C, so the int64
         rule of ``__init__`` holds throughout."""
-        m, states = self.m, self._states()
-        units = self._scaled(np.eye(self._codes.shape[-1], dtype=bool))  # c_t
+        m, states, units = self.m, self._states(), self._units
         a = np.array([weight for _, weight in self.worlds], units.dtype)
         free = 0  # M of each (world, target): bit i when item i's state misses t
         for i in range(m):
@@ -691,13 +687,13 @@ class _Evaluator:
         """Numerators of every mask, one row of 2**m per pin (None for no pin,
         else an (item index, state index) pair).  The rows not yet cached are
         built together: by ``_transform`` for coverage whose subset sums are
-        exact floats (``_product``), else in one pass of ``_numerators`` over
+        exact floats (``_units`` set), else in one pass of ``_numerators`` over
         the worlds, so a caller that needs several pins asks for them at
         once.  Full tables at any m: callers above ``EXACT_CAP`` bound m
         themselves."""
         missing = [pin for pin in dict.fromkeys(pins) if pin not in self._tables]
         if missing:
-            if self.instance.utility._product is None:
+            if self._units is None:
                 rows = self._numerators(None, missing)
             else:
                 rows = self._transform(missing)
@@ -817,7 +813,7 @@ class _Evaluator:
             self.observations()
             self._row_words = _words(self._row_codes)
         words = self._row_words[rows]
-        if self.instance.utility._product is not None:
+        if self._units is not None:
             words = ~words & _words(self._codes.any(axis=1))[items]
         return words
 
@@ -843,15 +839,16 @@ class _Evaluator:
         """
         weights = self.observations().weights[rows, items]
         kept = np.arange(len(a))
-        if self.instance.utility._product is None:
+        if self._units is None:
             gains = self.union_gains(items[a], rows[a], rows[b])
         else:
             keys = self.union_keys(items, rows)
             kept = np.flatnonzero((keys[a] & keys[b]).any(axis=1))
             a, b = a[kept], b[kept]
-            units = self._scaled(np.eye(self._codes.shape[-1], dtype=bool))  # c_t
             neither = ~(self._row_codes[rows[a]] | self._row_codes[rows[b]])
-            gains = np.einsum("pt,pst->ps", units * neither, self._codes[items[a]])
+            gains = np.einsum(
+                "pt,pst->ps", self._units * neither, self._codes[items[a]]
+            )
         da, db = (np.einsum("ps,ps->p", weights[x], gains) for x in (a, b))
         live = (da != 0) | (db != 0)
         return kept[live], da[live], db[live]

@@ -14,14 +14,13 @@ right from 0.0 in mask order (``np.sum`` would pair them up instead).
 ``optimistic_weights`` gives every item's weight from one contraction of
 the evaluator's cached gain matrix (column e: the table split by bit e)
 with one inclusion-probability column per item (x without x_e), summed down
-the columns in that same order; ``optimistic_weight`` is its one-column
-case, so the two agree bit for bit.
+the columns in that same order; ``optimistic_weight`` reads entry e of it.
 
 The sampled weights share one inclusion draw.  ``optimistic_weight_estimates``
 draws n masks at x once and estimates every item e from that draw: clearing
 bit e in every mask gives exactly the draw at x with x_e = 0 (a uniform is
 never below 0), and each sample is the paired difference f(S + e) - f(S).
-So the one-item ``optimistic_weight_estimate`` is the same code on one item.
+The one-item ``optimistic_weight_estimate`` reads entry e of those.
 The ascent's guarantee bounds each estimate separately (a Chernoff bound)
 and then takes a union bound over items and rounds, which needs no
 independence between the items' estimates, so common draws keep it.  One
@@ -164,24 +163,18 @@ def multilinear_value(instance: Instance, x: FractionalPoint) -> float:
     return float(_column_sums(_inclusion_probabilities(_aligned(instance, x)) * table))
 
 
-def _weights(instance: Instance, x: FractionalPoint, columns: slice):
-    """Optimistic weights of the items in the slice ``columns``, in one
+def optimistic_weights(instance: Instance, x: FractionalPoint) -> tuple[float, ...]:
+    """Every item's exact optimistic weight, in item order, from one
     contraction.  Column e of the evaluator's gain matrix lists f(S + e) -
     f(S) over the masks S without bit e; its inclusion probabilities come
     from x without x_e, so each column multiplies its factors in item order."""
     xv = np.array(_aligned(instance, x))
     _check_cap(instance)
     rest = np.arange(instance.m - 1)[:, None]
-    coords = xv[rest + (rest >= np.arange(instance.m)[columns])]  # x without x_e
+    coords = xv[rest + (rest >= np.arange(instance.m))]  # x without x_e
     terms = _inclusion_probabilities(coords)
-    terms *= _evaluator(instance).gains()[:, columns]
-    return _column_sums(terms)
-
-
-def optimistic_weights(instance: Instance, x: FractionalPoint) -> tuple[float, ...]:
-    """Every item's exact optimistic weight, in item order, from one
-    contraction; each equals :func:`optimistic_weight` bit for bit."""
-    return tuple(_weights(instance, x, slice(None)).tolist())
+    terms *= _evaluator(instance).gains()
+    return tuple(_column_sums(terms).tolist())
 
 
 def optimistic_weight(instance: Instance, x: FractionalPoint, item: str) -> float:
@@ -191,7 +184,7 @@ def optimistic_weight(instance: Instance, x: FractionalPoint, item: str) -> floa
     coordinate zeroed, and never falls below the standard weight.
     """
     e = instance.item_index(item)
-    return float(_weights(instance, x, slice(e, e + 1))[0])
+    return optimistic_weights(instance, x)[e]
 
 
 def standard_weight(instance: Instance, x: FractionalPoint, item: str) -> float:
@@ -303,26 +296,6 @@ def multilinear_estimate(
     return _summarize(_evaluator(instance).values(masks))
 
 
-def _paired_estimates(
-    instance: Instance,
-    x: FractionalPoint,
-    items: Iterable[str],
-    sample_count: int,
-    seed: int,
-    stream: tuple[int, ...],
-) -> tuple[Estimate, ...]:
-    """Optimistic weight estimates of ``items`` from one shared draw at ``x``."""
-    sample_count = integer(sample_count, "sample_count", least=1)
-    ev = _evaluator(instance)
-    bits = [1 << instance.item_index(item) for item in items]
-    masks = _sample_masks(_aligned(instance, x), sample_count, seed, stream)
-    # masks & ~bit is the draw at x with the item's coordinate zeroed.
-    return tuple(
-        _summarize(ev.values(masks | bit) - ev.values(masks & ~bit))
-        for bit in bits
-    )
-
-
 def optimistic_weight_estimates(
     instance: Instance,
     x: FractionalPoint,
@@ -337,7 +310,14 @@ def optimistic_weight_estimates(
     item, which keeps each estimator unbiased at lower variance than two
     independent value estimates.
     """
-    return _paired_estimates(instance, x, instance.items, sample_count, seed, stream)
+    sample_count = integer(sample_count, "sample_count", least=1)
+    ev = _evaluator(instance)
+    masks = _sample_masks(_aligned(instance, x), sample_count, seed, stream)
+    # masks & ~bit is the draw at x with the item's coordinate zeroed.
+    return tuple(
+        _summarize(ev.values(masks | bit) - ev.values(masks & ~bit))
+        for bit in (1 << e for e in range(instance.m))
+    )
 
 
 def optimistic_weight_estimate(
@@ -350,4 +330,5 @@ def optimistic_weight_estimate(
 ) -> Estimate:
     """Paired Monte-Carlo estimate of one item's optimistic weight; the draws
     equal those of a draw at x with the item's coordinate zeroed."""
-    return _paired_estimates(instance, x, [item], sample_count, seed, stream)[0]
+    e = instance.item_index(item)
+    return optimistic_weight_estimates(instance, x, sample_count, seed, stream)[e]

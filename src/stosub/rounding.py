@@ -46,6 +46,7 @@ def _start(
     instance: Instance, constraint: Constraint, y: FractionalPoint
 ) -> tuple[list, tuple[float, ...]]:
     """The rounding groups and the snapped coordinates in instance item order."""
+    constraint.check_items(instance.items)
     groups = constraint.rounding_groups(instance.items)
     if groups is None:
         raise UnsupportedKindError(

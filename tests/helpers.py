@@ -569,7 +569,7 @@ def per_item_weight_estimate(instance, x, item, sample_count, seed, stream=()):
 def loop_validate_utility(utility, tol: float = 1e-12) -> UtilityReport:
     """Monotonicity and submodularity by nested Python loops over
     ``utility.evaluate``; the witness is the first failure in (mask, i, j)
-    order, as ``validate_utility`` reports it."""
+    order, as ``utility.validity()`` reports it."""
     if isinstance(utility, WeightedCoverage):
         return UtilityReport(
             monotone=True,

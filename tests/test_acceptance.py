@@ -146,7 +146,7 @@ def test_acceptance_4_inner_bound_along_ascent():
         value = ss.multilinear_value(
             inst, ss.run(inst, scenario.constraint, config).final
         )
-        bound = ss.ratio_bound(clamped, inst.m, alpha=1.0)
+        bound = ss.ratio_bound(clamped, inst.m)
         if bound <= 0:
             vacuous += 1  # negative closed form: vacuously true, marked
         else:

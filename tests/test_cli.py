@@ -215,6 +215,32 @@ class TestOracleCommands:
         assert "2.0" in capsys.readouterr().out
 
 
+class TestUnknownConstraintItems:
+    """A partition block or a knapsack cost that names an item the instance
+    lacks is an input error for the ascent and both oracles, as it is for a
+    listed family, not a name they skip."""
+
+    CONSTRAINTS = {
+        "block": '{"kind": "partition", "blocks": [["a"], ["b", "z"]], '
+        '"capacities": [1, 1]}',
+        "cost": '{"kind": "knapsack", "costs": {"a": 1, "b": 1, "z": 5}, '
+        '"budget": 1}',
+    }
+
+    @pytest.mark.parametrize("role", ["block", "cost"])
+    @pytest.mark.parametrize(
+        "command",
+        [["greedy"], ["oracle", "adaptive"], ["oracle", "nonadaptive"]],
+        ids=["greedy", "adaptive", "nonadaptive"],
+    )
+    def test_exits_1(self, cc2_path, capsys, command, role):
+        doc = self.CONSTRAINTS[role]
+        assert main([*command, cc2_path, "--constraint", doc]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"unknown {role} item 'z'" in err
+        assert "Traceback" not in err
+
+
 class TestGapCommand:
     def test_gap_output(self, cc2_path, capsys):
         code = main(["gap", cc2_path, "--constraint", '{"kind": "uniform", "k": 2}'])

@@ -4,6 +4,7 @@ import pytest
 
 import stosub as ss
 from stosub import fileio, harness
+from stosub.model import EXACT_TOL
 from helpers import lp_vertex_oracle
 
 
@@ -214,8 +215,8 @@ class TestLpMaximize:
 
 
 class TestAlpha:
-    """The rounding-loss factor is no constraint field: the kinds that round
-    are the matroids, and they round losslessly."""
+    """The rounding-loss factor is no constraint field and no report column:
+    the kinds that round are the matroids, and they round losslessly."""
 
     def test_matroids_round_losslessly(self):
         for constraint in (ss.UniformMatroid(rank=1), ss.PartitionMatroid(
@@ -228,8 +229,8 @@ class TestAlpha:
                 constraint=constraint,
                 greedy=ss.GreedyConfig(delta=0.25),
             ))
-            assert row.alpha == 1.0
-            assert row.rounded_mean is not None
+            assert not hasattr(row, "alpha")
+            assert row.rounded_mean >= row.fractional_value - EXACT_TOL
 
     def test_configured_knapsack(self):
         doc = {"kind": "knapsack", "costs": {"a": 1.0}, "budget": 1.0}
@@ -274,6 +275,30 @@ class TestPolytopeMembership:
                 ss.ExplicitFamily(feasible_sets=((),)),
                 ss.FractionalPoint(("a",), (0.0,)),
             )
+
+
+class TestUnknownItems:
+    """A partition block or a knapsack cost that names an item the instance
+    lacks is rejected before the ascent, one step or the rounding starts."""
+
+    PARTITION = ss.PartitionMatroid(blocks=(("a",), ("b", "z")), capacities=(1, 1))
+    KNAPSACK = ss.Knapsack(costs=(("a", 1.0), ("b", 1.0), ("z", 5.0)), budget=1.0)
+    KINDS = [(PARTITION, "block"), (KNAPSACK, "cost")]
+
+    @pytest.mark.parametrize("constraint,role", KINDS, ids=["partition", "knapsack"])
+    def test_ascent_and_step(self, cc2, constraint, role):
+        y = ss.FractionalPoint(cc2.items, (0.25, 0.25))
+        with pytest.raises(ss.InputError, match=f"unknown {role} item 'z'"):
+            ss.run(cc2, constraint, ss.GreedyConfig())
+        with pytest.raises(ss.InputError, match=f"unknown {role} item 'z'"):
+            ss.step(cc2, constraint, y, 0.0, ss.GreedyConfig())
+
+    def test_rounding(self, cc2):
+        y = ss.FractionalPoint(cc2.items, (0.5, 0.5))
+        with pytest.raises(ss.InputError, match="unknown block item 'z'"):
+            ss.pipage_round(cc2, self.PARTITION, y, seed=0)
+        with pytest.raises(ss.InputError, match="unknown block item 'z'"):
+            ss.exact_distribution(cc2, self.PARTITION, y)
 
 
 class TestConstruction:

@@ -308,13 +308,13 @@ class TestPolicyRoundTrip:
 
 class TestIndependenceReportSerialization:
     def test_kappa_report(self, cc2):
-        doc = fileio.independence_report_to_dict(ss.kappa(cc2))
-        assert doc["value"] == "1/2"
-        assert doc["clamped"] == "1/2"
-        assert doc["witness"]["item"] == "a"
-        assert doc["witness"]["observation"] == {"b": "good"}
+        report = ss.kappa(cc2)
+        assert report.value == report.clamped == Fraction(1, 2)
+        doc = report.witness.to_dict()
+        assert doc["item"] == "a"
+        assert doc["observation"] == {"b": "good"}
 
     def test_gamma_report(self, cc2):
-        doc = fileio.independence_report_to_dict(ss.gamma(cc2))
-        assert doc["value"] == "1"
-        assert "observation_alt" in doc["witness"]
+        report = ss.gamma(cc2)
+        assert report.value == 1
+        assert "observation_alt" in report.witness.to_dict()

@@ -2,10 +2,12 @@
 reference files in ``tests/data``.
 
 The reference files were written by the code before the exact kappa and
-gamma kernels started skipping twin observations, so a change that moves any
-cell of the bundled report fails here, and the failure lists the moved
-cells.  A change that means to move cells rewrites the references and names
-each moved cell in CHANGES.md.
+gamma kernels started skipping twin observations; the ``alpha`` and
+``rounded_se`` columns were later cut out of those bytes by a script, not
+rewritten by the code under test.  So a change that moves any cell of the
+bundled report fails here, and the failure lists the moved cells.  A change
+that means to move cells rewrites the references and names each moved cell
+in CHANGES.md.
 """
 
 from pathlib import Path

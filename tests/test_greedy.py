@@ -125,16 +125,18 @@ class TestRun:
     def test_exact_round_calls_kernel_once(self, cc2, monkeypatch):
         """One all-item weight contraction per exact round, not one per item."""
         calls = []
-        original = multilinear._weights
+        original = greedy.optimistic_weights
 
-        def counting(instance, x, columns):
-            calls.append(columns)
-            return original(instance, x, columns)
+        def counting(instance, x):
+            calls.append(x)
+            return original(instance, x)
 
-        monkeypatch.setattr(multilinear, "_weights", counting)
+        # Under both names, so a per-item optimistic_weight round counts too.
+        monkeypatch.setattr(greedy, "optimistic_weights", counting)
+        monkeypatch.setattr(multilinear, "optimistic_weights", counting)
         config = ss.GreedyConfig(delta=0.25)
-        ss.run(cc2, ss.UniformMatroid(rank=1), config)
-        assert calls == [slice(None)] * config.rounds
+        trajectory = ss.run(cc2, ss.UniformMatroid(rank=1), config)
+        assert calls == [record.point for record in trajectory.rounds]
 
     def test_auto_sample_count_resolution(self):
         config = ss.GreedyConfig(delta=0.5, weight_mode="sampled")

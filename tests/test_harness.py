@@ -54,7 +54,7 @@ class TestRunPipeline:
         )
         assert row.opt_adaptive == row.best_nonadaptive
         assert row.rounded_mean == pytest.approx(row.opt_adaptive)
-        assert row.rounded_se == 0.0
+        assert not hasattr(row, "rounded_se")
 
     def test_independence_profile_rows_are_sparse(self):
         row = harness.run_pipeline(scenario(kind="independence-profile"))
@@ -95,7 +95,7 @@ class TestRunPipeline:
         )
         assert row.kappa_raw == "0" and row.bound_inner is None
         assert (row.flag_inner, row.flag_rounding) == ("vacuous", "vacuous")
-        assert row.rounded_mean is not None and row.alpha == 1.0
+        assert row.rounded_mean is not None and not hasattr(row, "alpha")
         assert row.notes == "degenerate kappa"
 
     def test_adaptivity_gap_row_with_degenerate_gamma(self):
@@ -166,7 +166,7 @@ class TestFractionalEndpoints:
         dist = ss.exact_distribution(inst, s.constraint, final)
         assert len(dist) > 1
         row = harness.run_pipeline(s)
-        assert row.rounded_se == 0.0
+        assert not hasattr(row, "rounded_se")
         assert row.rounded_mean == float(
             sum(w * direct_set_value(inst, chosen) for chosen, w in dist)
         )

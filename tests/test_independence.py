@@ -140,21 +140,15 @@ class TestGamma:
 
 class TestRatioBound:
     def test_large_m_limit(self):
-        value = ss.ratio_bound(1.0, 10**9, alpha=1.0)
+        value = ss.ratio_bound(1.0, 10**9)
         assert value == pytest.approx(1.0 - math.exp(-0.5), abs=1e-6)
 
     def test_four_items_full_independence(self):
-        # alpha (1 - exp(-k/2 + k/(18 m^2)) - (k+2)/(3 m k)) at k=1, m=4.
+        # 1 - exp(-k/2 + k/(18 m^2)) - (k+2)/(3 m k) at k=1, m=4.
         want = 1.0 - math.exp(-0.5 + 1.0 / 288.0) - 3.0 / 12.0
-        got = ss.ratio_bound(1.0, 4, alpha=1.0)
+        got = ss.ratio_bound(1.0, 4)
         assert got == pytest.approx(want, abs=0)
         assert got == pytest.approx(0.141360, abs=1e-6)
-
-    def test_alpha_scales_linearly(self):
-        base = ss.ratio_bound(1.0, 4, alpha=1.0)
-        assert ss.ratio_bound(1.0, 4, alpha=0.38) == pytest.approx(
-            0.38 * base, abs=1e-12
-        )
 
     def test_may_be_negative(self):
         assert ss.ratio_bound(0.5, 2) < 0

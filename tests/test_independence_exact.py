@@ -272,7 +272,7 @@ def test_twin_cases_have_proportional_unequal_rows(instances, name, dtype):
 
 def test_non_monotone_table_reaches_negative_denominators(instances):
     inst = instances["non-monotone-table"]
-    assert not ss.validate_utility(inst.utility).monotone
+    assert not inst.utility.validity().monotone
     report = ss.kappa(inst)
     w = report.witness
     base = direct_set_value(inst, w.base)

@@ -8,6 +8,7 @@ The kappa and gamma enumerations compare integer pairs and build a
 ``Fraction`` only once they are done, never once per ratio; the policy
 oracles and reads build none per history or world.  No module but ``model``
 values a set through a utility's ``evaluate``: the rest read the evaluator.
+Inside the evaluator only ``__init__`` reads which coverage kernel applies.
 """
 
 import ast
@@ -70,6 +71,45 @@ def private_reads(source: str) -> list[str]:
         for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.Attribute) and node.attr in PRIVATE
     ]
+
+
+def product_reads(source: str) -> dict[str, list[int]]:
+    """The lines of each ``_Evaluator`` method that read a utility's
+    ``_product``, the flag that picks the coverage kernels."""
+    tree = ast.parse(source)
+    cls = next(
+        n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_Evaluator"
+    )
+    reads = {}
+    for method in cls.body:
+        if isinstance(method, ast.FunctionDef):
+            lines = [
+                node.lineno
+                for node in ast.walk(method)
+                if isinstance(node, ast.Attribute) and node.attr == "_product"
+            ]
+            if lines:
+                reads[method.name] = lines
+    return reads
+
+
+def test_evaluator_decides_its_kernel_once():
+    """Only ``__init__`` reads ``_product``; every other method branches on
+    what it stored, so the kernel choice lives in one place."""
+    reads = product_reads((PACKAGE / "model.py").read_text())
+    assert list(reads) == ["__init__"]
+
+
+def test_guard_catches_product_reads():
+    source = (
+        "class _Evaluator:\n"
+        "    def __init__(self, instance):\n"
+        "        self._units = instance.utility._product\n"
+        "    def tables(self, pins):\n"
+        "        if self.instance.utility._product is None:\n"
+        "            pass\n"
+    )
+    assert list(product_reads(source)) == ["__init__", "tables"]
 
 
 def test_private_names_found():

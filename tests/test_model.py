@@ -321,7 +321,7 @@ class TestValidateUtility:
     def test_vectorised_check_equals_loop_reference(self):
         outcomes, tolerated = Counter(), 0
         for table in _seeded_tables():
-            report = ss.validate_utility(table)
+            report = table.validity()
             reference = loop_validate_utility(table)
             assert report == reference
             assert repr(report) == repr(reference)
@@ -338,7 +338,7 @@ class TestValidateUtility:
             ss.ExplicitTable(ground=ground, entries=())
 
     def test_coverage_trivially_valid(self):
-        report = ss.validate_utility(coverage_abc())
+        report = coverage_abc().validity()
         assert report.monotone and report.submodular
         assert "by construction" in report.note
 
@@ -352,7 +352,7 @@ class TestValidateUtility:
                 ((("e", "x"), ("e", "y")), 3.0),
             ),
         )
-        report = ss.validate_utility(table)
+        report = table.validity()
         assert report.monotone
         assert not report.submodular
         assert report.witness[0] == "submodular"
@@ -361,7 +361,7 @@ class TestValidateUtility:
         table = table_from_function(
             [("e", "x"), ("e", "y"), ("f", "x")], lambda key: float(len(key))
         )
-        report = ss.validate_utility(table)
+        report = table.validity()
         assert report.monotone and report.submodular and report.witness is None
 
     def test_non_monotone_table_flagged(self):
@@ -369,7 +369,7 @@ class TestValidateUtility:
             ground=(("e", "x"),),
             entries=(((), 1.0), ((("e", "x"),), 0.0)),
         )
-        report = ss.validate_utility(table)
+        report = table.validity()
         assert not report.monotone
         assert report.witness[0] == "monotone"
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -250,6 +251,61 @@ class TestOptimisticEstimate:
             assert estimate == ss.optimistic_weight_estimate(
                 inst, x, item, 64, seed=4, stream=(2,)
             )
+
+
+def _rounding_coverage(seed: int) -> ss.Instance:
+    """A common-cause prior under weights 0.1, 0.2 and 0.3, whose float sums
+    round, so the evaluator takes its world kernel."""
+    inst = ss.generate_common_cause(4, 2, 4, seed)
+    weights = tuple((0.1, 0.2, 0.3)[k % 3] for k in range(len(inst.utility.targets)))
+    utility = dataclasses.replace(inst.utility, weights=weights)
+    assert utility._product is None
+    return dataclasses.replace(inst, utility=utility)
+
+
+def _bits(estimate: ss.Estimate) -> tuple:
+    return estimate.mean.hex(), estimate.sample_count, estimate.std_error.hex()
+
+
+class TestOneItemReadsAllItems:
+    """``optimistic_weight`` and ``optimistic_weight_estimate`` are entry e of
+    their all-item kernels, bit for bit, on every kernel path."""
+
+    INSTANCES = {
+        "m1-common-cause": lambda: ss.generate_common_cause(1, 2, 3, 0),
+        "m1-product": lambda: ss.generate_product(1, states_per_item=3, seed=2),
+        "common-cause": lambda: ss.generate_common_cause(4, 3, 8, 5),
+        "product": lambda: ss.generate_product(3, states_per_item=2, seed=6),
+        "rounding-coverage": lambda: _rounding_coverage(7),
+    }
+
+    @pytest.mark.parametrize("name", INSTANCES)
+    def test_entry_of_the_all_item_kernel(self, name):
+        inst = self.INSTANCES[name]()
+        rng = random.Random(name)
+        for _ in range(6):
+            coords = [rng.choice([0.0, 1.0, rng.random()]) for _ in inst.items]
+            x = ss.FractionalPoint(inst.items, tuple(coords))
+            weights = ss.optimistic_weights(inst, x)
+            n, seed = rng.choice([1, 3, 40]), rng.randrange(50)
+            estimates = ss.optimistic_weight_estimates(inst, x, n, seed, (seed,))
+            for e, item in enumerate(inst.items):
+                got = ss.optimistic_weight(inst, x, item)
+                assert got.hex() == weights[e].hex()
+                estimate = ss.optimistic_weight_estimate(inst, x, item, n, seed, (seed,))
+                assert _bits(estimate) == _bits(estimates[e])
+
+    def test_unknown_item_raises_before_any_work(self, cc2, monkeypatch):
+        def fail(*args):
+            raise AssertionError("kernel ran for an unknown item")
+
+        monkeypatch.setattr(multilinear, "optimistic_weights", fail)
+        monkeypatch.setattr(multilinear, "optimistic_weight_estimates", fail)
+        x = ss.FractionalPoint(cc2.items, (0.5, 0.5))
+        with pytest.raises(ss.InputError, match="unknown item 'z'"):
+            ss.optimistic_weight(cc2, x, "z")
+        with pytest.raises(ss.InputError, match="unknown item 'z'"):
+            ss.optimistic_weight_estimate(cc2, x, "z", 10, seed=0)
 
 
 class TestSampleCap:
