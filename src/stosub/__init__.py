@@ -16,7 +16,6 @@ from .constraints import (
     UniformMatroid,
     is_feasible,
     lp_maximize,
-    point_in_polytope,
 )
 from .errors import (
     CapacityError,

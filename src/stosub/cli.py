@@ -40,7 +40,7 @@ def _fmt_fraction(value: Fraction) -> str:
 
 
 def _print_independence(label: str, report):
-    print(f"{label} = {_fmt_fraction(report.clamped)}")
+    print(f"{label} = {_fmt_fraction(report.value)}")
     print(f"ratios examined: {report.ratios_examined}")
     print("witness: " + json.dumps(report.witness.to_dict(), sort_keys=True))
 
@@ -96,9 +96,7 @@ def _cmd_greedy(args) -> int:
         seed=args.seed,
         weight_variant=args.variant,
     )
-    trajectory = run(instance, constraint, config)
-    include_value = args.mode == "exact"
-    table = format_trajectory(instance, trajectory, include_value=include_value)
+    table = format_trajectory(instance, run(instance, constraint, config))
     if args.output:
         fileio.write_text(args.output, table)
     else:
@@ -123,17 +121,18 @@ def _cmd_oracle(args) -> int:
 def _cmd_gap(args) -> int:
     instance, embedded = fileio.load_instance_and_constraint(args.instance)
     constraint = _load_constraint(instance, args.constraint, embedded)
+    # The oracles check the constraint and their caps; print only after all ran.
+    opt_value, best_fixed, virtual = harness.oracle_values(instance, constraint)
     gamma_report = gamma(instance, cap=args.cap)
     _print_independence("gamma", gamma_report)
-    opt_value, best_fixed, virtual = harness.oracle_values(instance, constraint)
     print(f"optimal adaptive value: {opt_value!r}")
     print(f"best non-adaptive value: {best_fixed!r}")
     print(f"virtual policy value: {virtual!r}")
     if best_fixed > 0:
         print(f"empirical gap: {opt_value / best_fixed!r}")
-    clamped = float(gamma_report.clamped)
-    if clamped > 0:
-        print(f"gap bound: {adaptivity_gap_bound(clamped)!r}")
+    g = float(gamma_report.value)
+    if g > 0:
+        print(f"gap bound: {adaptivity_gap_bound(g)!r}")
     else:
         print("gap bound: undefined (gamma = 0)")
     return 0

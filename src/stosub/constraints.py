@@ -13,8 +13,9 @@ downward-closed, which the adaptive-policy oracles support as well: there a
 pick sequence is feasible when the item set of each of its prefixes is listed.
 
 Each kind is one :class:`Constraint` subclass that carries its own behaviour:
-``feasible``, ``lp_vertex``, ``in_polytope``, ``rounding_groups`` and its
-JSON form.  A new kind is one class plus one entry in :data:`KINDS`.
+``feasible``, ``lp_vertex``, ``in_polytope`` (the one polytope membership
+test), ``rounding_groups`` and its JSON form.  A new kind is one class plus
+one entry in :data:`KINDS`.
 """
 
 from __future__ import annotations
@@ -73,6 +74,10 @@ class Constraint:
     """Base of the constraint kinds, with the defaults most kinds share."""
 
     def in_polytope(self, x: FractionalPoint) -> bool:
+        """Closed-form membership in the relaxation polytope.  A
+        ``FractionalPoint`` holds every coordinate in [0, 1], so only the
+        kind's own inequalities are left.  Explicit families have none: hull
+        membership for them needs an LP solver and is out of scope."""
         raise UnsupportedKindError(
             f"no closed-form polytope membership for kind {self.kind!r}"
         )
@@ -225,7 +230,10 @@ class Knapsack(Constraint):
             raise InputError(f"no cost declared for item {item!r}") from None
 
     def feasible(self, chosen):
-        return sum(self.cost_of(i) for i in chosen) <= self.budget
+        if missing := chosen - self._cost.keys():
+            self.cost_of(min(missing))  # raises: no cost declared
+        # Sum in the stored (sorted) order; a set's order follows the hash seed.
+        return sum(c for i, c in self.costs if i in chosen) <= self.budget
 
     def check_items(self, items):
         _check_known(self._cost, items, "cost")
@@ -373,14 +381,3 @@ def lp_maximize(constraint: Constraint, weights: Mapping[str, float]) -> LPSolut
     """
     weights = _clamped(weights)
     return constraint.lp_vertex(list(weights), weights)
-
-
-def point_in_polytope(constraint: Constraint, x: FractionalPoint) -> bool:
-    """Closed-form membership test in the relaxation polytope.
-
-    ``FractionalPoint`` already holds every coordinate in [0, 1], so only
-    the kind's own inequalities are left.  Explicit families have no closed
-    form here; testing hull membership for them requires an LP solver and
-    is out of scope.
-    """
-    return constraint.in_polytope(x)

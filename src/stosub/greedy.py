@@ -234,36 +234,23 @@ def lower_bound_certificate(
     )
 
 
-def format_trajectory(
-    instance: Instance, trajectory: Trajectory, include_value: bool = True
-) -> str:
-    """Tab-separated table, one row per round plus the final point."""
-    header = (
-        ["t"]
-        + [f"y:{item}" for item in instance.items]
-        + [f"w:{item}" for item in instance.items]
-        + ["lp_objective"]
-    )
-    if include_value:
-        header.append("value")
-    lines = ["\t".join(header)]
-    for record in trajectory.rounds:
-        row = (
-            [repr(record.t)]
-            + [repr(v) for v in record.point.values]
-            + [repr(w) for w in record.weights]
-            + [repr(record.lp.objective)]
-        )
-        if include_value:
-            row.append(repr(multilinear_value(instance, record.point)))
-        lines.append("\t".join(row))
-    final_row = (
-        ["1.0"]
-        + [repr(v) for v in trajectory.final.values]
-        + ["-"] * instance.m
-        + ["-"]
-    )
-    if include_value:
-        final_row.append(repr(multilinear_value(instance, trajectory.final)))
-    lines.append("\t".join(final_row))
+def format_trajectory(instance: Instance, trajectory: Trajectory) -> str:
+    """Tab-separated table, one row per round plus the final point; an exact
+    run adds the multilinear value column."""
+    exact = trajectory.config.weight_mode == "exact"
+
+    def line(cells: list[str], point: FractionalPoint) -> str:
+        if exact:
+            cells.append(repr(multilinear_value(instance, point)))
+        return "\t".join(cells)
+
+    items = instance.items
+    header = ["t", *(f"y:{i}" for i in items), *(f"w:{i}" for i in items)]
+    lines = ["\t".join(header + ["lp_objective"] + ["value"] * exact)]
+    for r in trajectory.rounds:
+        cells = (r.t, *r.point.values, *r.weights, r.lp.objective)
+        lines.append(line([repr(c) for c in cells], r.point))
+    final = trajectory.final
+    blank = ["-"] * (len(items) + 1)  # no weights or LP objective at the end
+    lines.append(line(["1.0", *map(repr, final.values), *blank], final))
     return "\n".join(lines) + "\n"

@@ -154,13 +154,13 @@ def run_pipeline(scenario: Scenario, base_dir: Path | None = None) -> ReportRow:
     notes: list[str] = []
 
     kappa_report, gamma_report = kappa(instance), gamma(instance)
-    kappa_clamped = float(kappa_report.clamped)
-    gamma_clamped = float(gamma_report.clamped)
+    kappa_value = float(kappa_report.value)
+    gamma_value = float(gamma_report.value)
     row.update(
         kappa_raw=str(kappa_report.value),
-        kappa=kappa_clamped,
+        kappa=kappa_value,
         gamma_raw=str(gamma_report.value),
-        gamma=gamma_clamped,
+        gamma=gamma_value,
     )
     if scenario.kind == "independence-profile":
         return ReportRow(**row, notes=";".join(notes))
@@ -169,14 +169,14 @@ def run_pipeline(scenario: Scenario, base_dir: Path | None = None) -> ReportRow:
     row.update(
         opt_adaptive=opt_value, best_nonadaptive=best_fixed, virtual_value=virtual
     )
-    threshold = gamma_clamped / (1.0 + gamma_clamped) if gamma_clamped > 0 else 0.0
+    threshold = gamma_value / (1.0 + gamma_value) if gamma_value > 0 else 0.0
     row["flag_virtual"] = (
         "pass" if virtual >= threshold * opt_value - EXACT_TOL else "fail"
     )
 
     if scenario.kind == "adaptivity-gap":
-        if gamma_clamped > 0:
-            notes.append(f"gap_bound={adaptivity_gap_bound(gamma_clamped)!r}")
+        if gamma_value > 0:
+            notes.append(f"gap_bound={adaptivity_gap_bound(gamma_value)!r}")
         else:
             notes.append("gap bound undefined (gamma = 0)")
         return ReportRow(**row, notes=";".join(notes))
@@ -186,12 +186,12 @@ def run_pipeline(scenario: Scenario, base_dir: Path | None = None) -> ReportRow:
     row["fractional_value"] = fractional
 
     inner = None
-    if kappa_clamped <= 0:
+    if kappa_value <= 0:
         row["flag_inner"] = "vacuous"
         notes.append("degenerate kappa")
     elif scenario.kind == "certificate":
         certificate = lower_bound_certificate(
-            instance, scenario.constraint, trajectory, opt_value, kappa_clamped
+            instance, scenario.constraint, trajectory, opt_value, kappa_value
         )
         row["flag_inner"] = "pass" if certificate.ok else (
             "vacuous" if certificate.sampled else "fail"
@@ -200,7 +200,7 @@ def run_pipeline(scenario: Scenario, base_dir: Path | None = None) -> ReportRow:
         if certificate.sampled and certificate.violations:
             notes.append(f"sampled_violations={certificate.violations}")
     else:
-        inner = row["bound_inner"] = ratio_bound(kappa_clamped, instance.m)
+        inner = row["bound_inner"] = ratio_bound(kappa_value, instance.m)
         row["flag_inner"] = _verdict(fractional, inner, opt_value)
     if scenario.kind == "certificate":
         return ReportRow(**row, notes=";".join(notes))

@@ -55,7 +55,8 @@ every requested table not yet cached in one call:
   2**m) extra memory.
 
 The unpinned table exists in full up to ``EXACT_CAP`` items, built on first
-use; above it only the requested masks are valued, by the world kernel.
+use; above it asking for it is a ``CapacityError``, and only requested masks
+are valued, by the world kernel.
 ``gains`` caches the float table's differences across each item's bit, the
 2**(m-1) x m matrix the multilinear weight kernel contracts.
 
@@ -689,8 +690,8 @@ class _Evaluator:
         built together: by ``_transform`` for coverage whose subset sums are
         exact floats (``_units`` set), else in one pass of ``_numerators`` over
         the worlds, so a caller that needs several pins asks for them at
-        once.  Full tables at any m: callers above ``EXACT_CAP`` bound m
-        themselves."""
+        once.  Full tables at any m: kappa, gamma and the fixed-set oracle
+        check their own caps."""
         missing = [pin for pin in dict.fromkeys(pins) if pin not in self._tables]
         if missing:
             if self._units is None:
@@ -702,17 +703,22 @@ class _Evaluator:
         return np.stack([self._tables[pin] for pin in pins])
 
     def _table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Numerators and floats of the unpinned table, built on first use.
-        Pinned tables keep their numerators only, all that kappa reads."""
+        """Numerators and floats of the unpinned table, built on first use (a
+        ``CapacityError`` above ``EXACT_CAP``).  Pinned tables keep their
+        numerators only, all that kappa reads."""
         if self._float_table is None:
+            if self.m > EXACT_CAP:
+                raise CapacityError(
+                    f"exact enumeration over {self.m} items exceeds the cap {EXACT_CAP}"
+                )
             self.tables([None])
             row = self._tables[None]
             self._float_table = (row, self._floats(row))
         return self._float_table
 
     def values(self, masks: np.ndarray | None = None) -> np.ndarray:
-        """Float E[f] of each mask, or of every mask in order when None."""
-        if self.m <= EXACT_CAP:
+        """Float E[f] of each mask, or the full table in mask order when None."""
+        if masks is None or self.m <= EXACT_CAP:
             floats = self._table()[1]
             return floats if masks is None else floats[masks]
         return self._floats(self._numerators(masks)[0])

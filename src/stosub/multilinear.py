@@ -3,8 +3,10 @@
 The extension of a set function w is sum over subsets S of w(S) times the
 probability that an independent inclusion draw with the given coordinates
 produces exactly S.  Below the exact cap everything is enumerated; the
-sampled estimators exist for larger ground sets and for exercising the
-estimation path of the ascent algorithm.
+evaluator's full table owns that cap, and a read above it is a
+``CapacityError`` before any table is built.  The sampled estimators exist
+for larger ground sets and for exercising the estimation path of the ascent
+algorithm.
 
 All expected set values come from the model module's exact tables, so an
 indicator vector reproduces ``expected_set_value`` bit for bit.  The exact
@@ -60,7 +62,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import CapacityError, InputError, integer
-from .model import EXACT_CAP, Instance, _evaluator
+from .model import Instance, _evaluator
 
 _COORD_TOL = 1e-9
 
@@ -128,13 +130,6 @@ def _aligned(instance: Instance, x: FractionalPoint) -> list[float]:
     return [coords[item] for item in instance.items]
 
 
-def _check_cap(instance: Instance):
-    if instance.m > EXACT_CAP:
-        raise CapacityError(
-            f"exact enumeration over {instance.m} items exceeds the cap {EXACT_CAP}"
-        )
-
-
 def _inclusion_probabilities(coords) -> np.ndarray:
     """Probability of each mask over the coordinates along axis 0, for each
     further index; doubling in place multiplies each mask's factors in
@@ -158,7 +153,6 @@ def _column_sums(terms: np.ndarray) -> np.ndarray:
 
 def multilinear_value(instance: Instance, x: FractionalPoint) -> float:
     """Exact multilinear extension value at ``x``."""
-    _check_cap(instance)
     table = _evaluator(instance).values()
     return float(_column_sums(_inclusion_probabilities(_aligned(instance, x)) * table))
 
@@ -169,11 +163,11 @@ def optimistic_weights(instance: Instance, x: FractionalPoint) -> tuple[float, .
     f(S) over the masks S without bit e; its inclusion probabilities come
     from x without x_e, so each column multiplies its factors in item order."""
     xv = np.array(_aligned(instance, x))
-    _check_cap(instance)
+    gains = _evaluator(instance).gains()
     rest = np.arange(instance.m - 1)[:, None]
     coords = xv[rest + (rest >= np.arange(instance.m))]  # x without x_e
     terms = _inclusion_probabilities(coords)
-    terms *= _evaluator(instance).gains()
+    terms *= gains
     return tuple(_column_sums(terms).tolist())
 
 

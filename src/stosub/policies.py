@@ -25,8 +25,8 @@ pick mask of each world, and sums integers: its value is sum_w a_w * 2**k
 f(picked pairs) / D, an item's pick probability is the weight of the worlds
 that pick it over L, and the virtual value is sum_v a_v * N(mask_v) / (L * D)
 with N a mask's numerator in the value table.  Each is one int/int division,
-correctly rounded.  The fixed-set enumeration reads that table, so it stops
-at the evaluator's ``EXACT_CAP``.
+correctly rounded.  The fixed-set enumeration reads that table once, as
+integers, so it stops at the evaluator's ``EXACT_CAP``.
 """
 
 from __future__ import annotations
@@ -204,23 +204,17 @@ def best_nonadaptive(
             f"enumeration over {instance.m} items exceeds the cap {EXACT_CAP}"
         )
     ev = _evaluator(instance)
-    best_value: int | None = None
-    candidates: list[tuple[str, ...]] = []
-    for mask in range(1 << instance.m):
-        items = frozenset(
-            instance.items[i] for i in range(instance.m) if mask >> i & 1
-        )
-        if not is_feasible(constraint, items):
-            continue
-        value = ev.numerator(mask)
-        if best_value is None or value > best_value:
-            best_value = value
-            candidates = [tuple(sorted(items))]
-        elif value == best_value:
-            candidates.append(tuple(sorted(items)))
-    if best_value is None:
+    table = ev.tables([None])[0].tolist()
+    sets = (
+        tuple(sorted(instance.items[i] for i in range(instance.m) if mask >> i & 1))
+        for mask in range(len(table))
+    )
+    # The largest value first, then the smallest sorted item tuple.
+    ranked = [(-v, s) for v, s in zip(table, sets) if is_feasible(constraint, s)]
+    if not ranked:
         raise InputError("constraint admits no feasible set, not even the empty one")
-    return frozenset(min(candidates)), best_value / ev.denominator
+    value, chosen = min(ranked)
+    return frozenset(chosen), -value / ev.denominator
 
 
 def virtual_nonadaptive_value(

@@ -10,6 +10,9 @@ in single coordinates, so the expected value of the rounded set is at least
 the extension's value at the input point, and block sums never exceed their
 caps.
 
+A point passes the multilinear extension's item check and the constraint's
+``in_polytope``; coordinates within ``_SNAP`` of 0 or 1 are then snapped.
+
 The k-th random move of :func:`pipage_round` uses draw k of the stream
 ``(seed, ())`` of the counter-based generator in :mod:`stosub.multilinear`,
 all taken in one block by its :func:`~stosub.multilinear._draws`.  Every
@@ -26,10 +29,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .constraints import Constraint, point_in_polytope
+from .constraints import Constraint
 from .errors import InputError, UnsupportedKindError
 from .model import Instance
-from .multilinear import FractionalPoint, _draws, _key
+from .multilinear import FractionalPoint, _aligned, _draws, _key
 
 _SNAP = 1e-12
 
@@ -52,12 +55,10 @@ def _start(
         raise UnsupportedKindError(
             f"swap rounding supports matroid kinds only, not {constraint.kind!r}"
         )
-    if set(y.items) != set(instance.items):
-        raise InputError("fractional point items do not match the instance")
-    if not point_in_polytope(constraint, y):
+    coords = _aligned(instance, y)
+    if not constraint.in_polytope(y):
         raise InputError("point lies outside the constraint polytope")
-    coords = y.as_dict()
-    return groups, tuple(_snap(coords[item]) for item in instance.items)
+    return groups, tuple(map(_snap, coords))
 
 
 def _moved(vals: tuple, changes: dict) -> tuple:

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +11,22 @@ import stosub as ss
 from stosub import fileio
 from stosub.cli import build_parser, main
 from helpers import table_from_function
+
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
+
+
+def fresh_cli(*args: str, hash_seed: str) -> str:
+    """Stdout of ``stosub ARGS`` run in a new interpreter that imports this
+    stosub under the given ``PYTHONHASHSEED``."""
+    result = subprocess.run(
+        [sys.executable, "-m", "stosub.cli", *args],
+        env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": hash_seed},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return result.stdout
 
 
 @pytest.fixture
@@ -155,6 +175,8 @@ class TestGreedyCommand:
              "--delta", "0.5", "--seed", "7"]
         )
         assert code == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert lines[0].split("\t")[-1] == "lp_objective"  # no value column
 
 
     def test_explicit_family_with_unknown_item_exits_1(self, cc2_path, capsys):
@@ -258,6 +280,60 @@ class TestGapCommand:
         out = capsys.readouterr().out
         assert out.startswith("gamma = 0\n")
         assert out.endswith("gap bound: undefined (gamma = 0)\n")
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ('{"kind": "partition", "blocks": [["a"]], "capacities": [1]}',
+             "not covered by any block"),
+            ('{"kind": "knapsack", "costs": {"a": 1}, "budget": 1}',
+             "no cost declared for item 'b'"),
+        ],
+        ids=["partition", "knapsack"],
+    )
+    def test_bad_constraint_prints_nothing(self, cc2_path, capsys, doc, message):
+        assert main(["gap", cc2_path, "--constraint", doc]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
+    def test_oracle_cap_prints_nothing(self, tmp_path, capsys):
+        path = tmp_path / "cc6.json"
+        fileio.save_instance(ss.generate_common_cause(6, 2, 4, 0), path)
+        assert main(["gap", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("capacity error: ")
+
+
+class TestHashSeedIndependence:
+    """Outputs must not follow the process's string hash seed, which orders
+    sets of item names; knapsack float cost sums once did."""
+
+    KNAPSACK = (
+        '{"kind": "knapsack", "costs": {"e1": 0.1, "e2": 0.2, "e3": 0.3}, '
+        '"budget": 0.6}'
+    )
+
+    def test_knapsack_oracle(self, tmp_path):
+        path = tmp_path / "cc3.json"
+        fileio.save_instance(ss.generate_common_cause(3, 2, 4, 0), path)
+        args = ("oracle", "nonadaptive", str(path), "--constraint", self.KNAPSACK)
+        first = fresh_cli(*args, hash_seed="0")
+        assert fresh_cli(*args, hash_seed="5") == first
+        # 0.1 + 0.2 + 0.3 > 0.6 in floats, and in exact rationals of them.
+        assert first.endswith("set: ['e1', 'e3']\n")
+
+    def test_experiment_report_bytes(self, tmp_path):
+        suite = str(TESTS / "data" / "hash_seed_suite.json")
+        reports = []
+        for seed in ("0", "5"):
+            out_dir = tmp_path / seed
+            fresh_cli("experiment", suite, "--out-dir", str(out_dir), hash_seed=seed)
+            reports.append(
+                [(out_dir / name).read_bytes() for name in ("report.tsv", "report.json")]
+            )
+        assert reports[0] == reports[1]
 
 
 class TestGenerateCommand:

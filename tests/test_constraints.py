@@ -55,6 +55,13 @@ class TestFeasibility:
         c = knapsack_345()
         assert ss.is_feasible(c, {"a", "b"})
         assert not ss.is_feasible(c, {"a", "b", "c"})
+        # 0.1 + 0.2 + 0.3 exceeds 0.6 summed in item order, and in exact
+        # rationals of the costs; a set's own order follows the hash seed.
+        c = ss.Knapsack(costs=(("c", 0.3), ("a", 0.1), ("b", 0.2)), budget=0.6)
+        assert not ss.is_feasible(c, {"a", "b", "c"})
+        assert ss.is_feasible(c, {"a", "c"})
+        with pytest.raises(ss.InputError, match="no cost declared for item 'x'"):
+            ss.is_feasible(c, {"a", "y", "x"})
 
     def test_explicit_membership(self):
         c = ss.ExplicitFamily(feasible_sets=((), ("a",), ("a", "b"), ("b",)))
@@ -244,36 +251,35 @@ class TestPolytopeMembership:
         c = uniform2()
         inside = ss.FractionalPoint(("a", "b", "c"), (0.9, 0.6, 0.5))
         outside = ss.FractionalPoint(("a", "b", "c"), (1.0, 1.0, 0.5))
-        assert ss.point_in_polytope(c, inside)
-        assert not ss.point_in_polytope(c, outside)
+        assert c.in_polytope(inside)
+        assert not c.in_polytope(outside)
 
     def test_partition(self):
         c = partition_ab_cd()
-        assert ss.point_in_polytope(
-            c, ss.FractionalPoint(("a", "b", "c", "d"), (0.5, 0.5, 1.0, 0.0))
+        assert c.in_polytope(
+            ss.FractionalPoint(("a", "b", "c", "d"), (0.5, 0.5, 1.0, 0.0))
         )
-        assert not ss.point_in_polytope(
-            c, ss.FractionalPoint(("a", "b", "c", "d"), (0.9, 0.5, 1.0, 0.0))
+        assert not c.in_polytope(
+            ss.FractionalPoint(("a", "b", "c", "d"), (0.9, 0.5, 1.0, 0.0))
         )
 
     def test_knapsack(self):
         c = knapsack_345()
         on_budget = ss.FractionalPoint(("a", "b", "c"), (1.0, 0.5, 0.4))
         over = ss.FractionalPoint(("a", "b", "c"), (1.0, 0.5, 0.41))
-        assert ss.point_in_polytope(c, on_budget)
-        assert not ss.point_in_polytope(c, over)
+        assert c.in_polytope(on_budget)
+        assert not c.in_polytope(over)
         with pytest.raises(ss.InputError, match="no cost declared for item 'z'"):
-            ss.point_in_polytope(c, ss.FractionalPoint(("a", "z"), (0.0, 0.0)))
+            c.in_polytope(ss.FractionalPoint(("a", "z"), (0.0, 0.0)))
 
     def test_greedy_vertex_lies_in_polytope(self):
         sol = ss.lp_maximize(uniform2(), {"a": 5.0, "b": 3.0, "c": 1.0})
-        assert ss.point_in_polytope(uniform2(), sol.point)
+        assert uniform2().in_polytope(sol.point)
 
     def test_explicit_unsupported(self):
         with pytest.raises(ss.UnsupportedKindError):
-            ss.point_in_polytope(
-                ss.ExplicitFamily(feasible_sets=((),)),
-                ss.FractionalPoint(("a",), (0.0,)),
+            ss.ExplicitFamily(feasible_sets=((),)).in_polytope(
+                ss.FractionalPoint(("a",), (0.0,))
             )
 
 

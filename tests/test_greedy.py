@@ -56,7 +56,7 @@ class TestRun:
                 ss.UniformMatroid(rank=2),
             ):
                 traj = ss.run(inst, constraint, ss.GreedyConfig(delta=0.05))
-                assert ss.point_in_polytope(constraint, traj.final)
+                assert constraint.in_polytope(traj.final)
 
     def test_variants_agree_before_any_saturation(self, modular3):
         # At y = 0 both weight definitions coincide, so the first round of the
@@ -298,6 +298,16 @@ class TestTrajectoryExport:
         ]
         assert len(lines) == 1 + 4 + 1
         assert table == ss.format_trajectory(cc2, traj)
+
+    def test_sampled_run_has_no_value_column(self, cc2):
+        config = ss.GreedyConfig(
+            delta=0.25, weight_mode="sampled", sample_count=16, seed=0
+        )
+        traj = ss.run(cc2, ss.UniformMatroid(rank=1), config)
+        table = ss.format_trajectory(cc2, traj)
+        rows = [line.split("\t") for line in table.strip().split("\n")]
+        assert rows[0] == ["t", "y:a", "y:b", "w:a", "w:b", "lp_objective"]
+        assert {len(row) for row in rows} == {6}
 
 
 class TestFinalGuarantee:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stosub as ss
-from stosub import multilinear
+from stosub import model, multilinear
 from conftest import make_modular
 from helpers import (
     direct_multilinear,
@@ -69,10 +69,22 @@ class TestExactValue:
             want = direct_multilinear(inst, x.as_dict())
             assert got == pytest.approx(want, abs=1e-12)
 
-    def test_capacity(self):
+    def test_capacity(self, monkeypatch):
+        """The evaluator's full table owns the cap: both exact kernels stop
+        before any table is built."""
         inst = make_modular({f"i{k:02d}": 1.0 for k in range(17)})
-        with pytest.raises(ss.CapacityError):
-            ss.multilinear_value(inst, ss.FractionalPoint.zeros(inst.items))
+
+        def refuse(self, pins):
+            raise AssertionError("value table built above the exact cap")
+
+        monkeypatch.setattr(model._Evaluator, "tables", refuse)
+        x = ss.FractionalPoint.zeros(inst.items)
+        for kernel in (ss.multilinear_value, ss.optimistic_weights):
+            with pytest.raises(
+                ss.CapacityError,
+                match="exact enumeration over 17 items exceeds the cap 16",
+            ):
+                kernel(inst, x)
 
     def test_monotone_in_each_coordinate(self, cc2):
         base = ss.FractionalPoint(cc2.items, (0.3, 0.6))

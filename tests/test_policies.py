@@ -258,7 +258,7 @@ class TestPickProbabilities:
         constraint = ss.UniformMatroid(rank=1)
         policy, _ = ss.optimal_adaptive(cc2, constraint)
         point = ss.policy_pick_probabilities(cc2, policy)
-        assert ss.point_in_polytope(constraint, point)
+        assert constraint.in_polytope(point)
 
 
 class TestUpperBoundCheck:
