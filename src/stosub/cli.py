@@ -19,7 +19,7 @@ from .greedy import WEIGHT_MODES, WEIGHT_VARIANTS, GreedyConfig, format_trajecto
 from .independence import ENUMERATION_CAP, adaptivity_gap_bound, gamma, kappa
 from .model import Instance
 from .multilinear import SAMPLE_CAP
-from .policies import best_nonadaptive, optimal_adaptive
+from .policies import ADAPTIVE_ITEM_CAP, best_nonadaptive, optimal_adaptive
 
 BUNDLED_SUITE = Path(__file__).parent / "data" / "verification_suite.json"
 
@@ -205,7 +205,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gap", help="adaptivity-gap diagnostics for an instance")
     p.add_argument("instance")
     _add_constraint_flag(p)
-    p.add_argument("--cap", type=int, default=ENUMERATION_CAP)
+    p.add_argument("--cap", type=int, default=ENUMERATION_CAP,
+                   help="item cap of gamma's enumeration only; the adaptive "
+                   f"oracle stops at {ADAPTIVE_ITEM_CAP} items whatever this says")
     p.set_defaults(fn=_cmd_gap)
 
     p = sub.add_parser("generate", help="write a seeded instance")

@@ -229,11 +229,14 @@ class Knapsack(Constraint):
         except KeyError:
             raise InputError(f"no cost declared for item {item!r}") from None
 
+    def _spent(self, chosen) -> float:
+        # Sum in the stored (sorted) order; a set's order follows the hash seed.
+        return sum(c for i, c in self.costs if i in chosen)
+
     def feasible(self, chosen):
         if missing := chosen - self._cost.keys():
             self.cost_of(min(missing))  # raises: no cost declared
-        # Sum in the stored (sorted) order; a set's order follows the hash seed.
-        return sum(c for i, c in self.costs if i in chosen) <= self.budget
+        return self._spent(chosen) <= self.budget
 
     def check_items(self, items):
         _check_known(self._cost, items, "cost")
@@ -242,18 +245,20 @@ class Knapsack(Constraint):
         cost = {it: self.cost_of(it) for it in order}
         coords = {it: 0.0 for it in order}
         objective = 0.0
-        remaining = self.budget
+        picked: set[str] = set()
         # Free items first, then by density; ties keep their order (stable sort).
         ranked = [it for it in order if weights[it] > 0]
         ranked.sort(key=lambda it: -weights[it] / cost[it] if cost[it] else -math.inf)
+        # An item is whole only if ``feasible`` accepts it: the same float sum.
         for it in ranked:
-            if cost[it] <= remaining:
+            if self.feasible(picked | {it}):
+                picked.add(it)
                 coords[it] = 1.0
                 objective += weights[it]
-                remaining -= cost[it]
             else:
-                if remaining > 0:
-                    frac = remaining / cost[it]
+                remaining = self.budget - self._spent(picked)
+                if remaining > 0:  # below 1: a whole item here would be infeasible
+                    frac = min(remaining / cost[it], math.nextafter(1.0, 0.0))
                     coords[it] = frac
                     objective += weights[it] * frac
                 break

@@ -55,8 +55,8 @@ every requested table not yet cached in one call:
   2**m) extra memory.
 
 The unpinned table exists in full up to ``EXACT_CAP`` items, built on first
-use; above it asking for it is a ``CapacityError``, and only requested masks
-are valued, by the world kernel.
+use; above it asking for it is a ``CapacityError``, and ``numerators`` values
+only the requested masks, in one pass of the world kernel.
 ``gains`` caches the float table's differences across each item's bit, the
 2**(m-1) x m matrix the multilinear weight kernel contracts.
 
@@ -716,12 +716,15 @@ class _Evaluator:
             self._float_table = (row, self._floats(row))
         return self._float_table
 
-    def values(self, masks: np.ndarray | None = None) -> np.ndarray:
-        """Float E[f] of each mask, or the full table in mask order when None."""
-        if masks is None or self.m <= EXACT_CAP:
-            floats = self._table()[1]
-            return floats if masks is None else floats[masks]
-        return self._floats(self._numerators(masks)[0])
+    def values(self) -> np.ndarray:
+        """Float E[f] of every mask, the full table in mask order."""
+        return self._table()[1]
+
+    def numerators(self, masks: np.ndarray) -> np.ndarray:
+        """Numerators N of an array of masks, exact (module docstring)."""
+        if self.m <= EXACT_CAP:
+            return self._table()[0][masks]
+        return self._numerators(masks.ravel())[0].reshape(masks.shape)
 
     def gains(self) -> np.ndarray:
         """The 2**(m-1) x m gain matrix, built once: column e lists the float
@@ -863,7 +866,7 @@ class _Evaluator:
         """E[f] of ``mask`` times ``denominator``."""
         if self.m <= EXACT_CAP:
             return int(self._table()[0][mask])
-        return int(self._numerators(np.array([mask], dtype=object))[0, 0])
+        return int(self.numerators(np.array([mask], dtype=object))[0])
 
     def scaled_value(self, pairs: Iterable[tuple[int, int]]) -> int:
         """2**k times the utility of the (item index, state index) pairs."""

@@ -29,6 +29,18 @@ independence between the items' estimates, so common draws keep it.  One
 draw holds at most ``SAMPLE_CAP`` uniforms (n times m); a larger request is
 a ``CapacityError`` before anything is drawn.
 
+A sampled estimate never sums floats.  The draw is reduced to its distinct
+masks u and their counts c (``np.bincount`` up to the evaluator's
+``EXACT_CAP``, where a 2^m count array is small, ``np.unique`` above it),
+and each sample's value is read once per distinct mask as an exact integer
+numerator g(u) = D * value, with D the evaluator's denominator: N(u | e) -
+N(u - e) for an item's weight, N(u) for the multilinear value.  The moments
+s1 = sum c g and s2 = sum c g^2 are exact (int64 while n * max g^2 < 2^63,
+Python ints beyond).  The mean is s1 / (n D), one correctly rounded integer
+division, and the standard error sqrt((n s2 - s1^2) / (n^2 (n - 1) D^2)),
+its radicand rounded once from the exact fraction; it is 0.0 exactly when
+n s2 = s1^2, that is, when every sample is equal, n = 1 included.
+
 Every random draw of the package, here and in swap rounding, comes from one
 counter-based generator (Salmon et al., "Parallel random numbers: as easy as
 1, 2, 3", SC 2011) built on SplitMix64 (Steele, Lea and Flood, OOPSLA 2014).
@@ -49,7 +61,8 @@ j < ceil(x_e * 2**53); x_e * 2**53 is an exact float, so this integer test
 is exactly j * 2**-53 < x_e.  The draw runs in blocks of ``_BLOCK``
 uniforms, which keeps its temporaries cache-sized and its peak below 10
 bytes per uniform; the blocks cannot show in the result.  Swap rounding
-takes its draws from the same block routine, :func:`_draws`, in one block.
+takes its draws from :func:`_draws`, in one block, through the same output
+step :func:`_output`.
 """
 
 from __future__ import annotations
@@ -57,12 +70,13 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import CapacityError, InputError, integer
-from .model import Instance, _evaluator
+from .model import EXACT_CAP, Instance, _evaluator
 
 _COORD_TOL = 1e-9
 
@@ -118,6 +132,12 @@ class FractionalPoint:
 
 @dataclass(frozen=True)
 class Estimate:
+    """A sample mean with its standard error, over ``sample_count`` samples
+    v_1..v_n: ``mean`` is the exact mean (sum v_r) / n, rounded once, and
+    ``std_error`` the square root of the exact sum (v_r - mean)^2 / (n (n - 1)),
+    rounded once before the root (module docstring); it is 0.0 exactly when
+    every sample is equal."""
+
     mean: float
     sample_count: int
     std_error: float
@@ -203,14 +223,17 @@ def estimation_sample_count(delta: float, m: int) -> int:
 
 def _mix(z):
     """The SplitMix64 output function, a bijection of [0, 2**64).  Its
-    operators work alike on a Python int and on a uint64 array, which is
-    mixed in place."""
+    operators work alike on a Python int, reduced modulo 2**64 after each
+    product, and on a uint64 array, which wraps and is mixed in place."""
+    wide = isinstance(z, int)
     z ^= z >> 30
     z *= 0xBF58476D1CE4E5B9
-    z &= _MASK
+    if wide:
+        z &= _MASK
     z ^= z >> 27
     z *= 0x94D049BB133111EB
-    z &= _MASK
+    if wide:
+        z &= _MASK
     z ^= z >> 31
     return z
 
@@ -242,6 +265,11 @@ def _draws(key: int, start: int, count: int) -> np.ndarray:
     z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     z *= _GAMMA
     z += key
+    return _output(z)
+
+
+def _output(z: np.ndarray) -> np.ndarray:
+    """The 53-bit draws of the SplitMix64 states ``z``, overwritten."""
     z = _mix(z)
     z >>= 11
     return z
@@ -249,7 +277,8 @@ def _draws(key: int, start: int, count: int) -> np.ndarray:
 
 def _sample_masks(xv: list[float], n: int, seed: int, stream: tuple) -> np.ndarray:
     """``n`` inclusion masks at coordinates ``xv`` from ``(seed, stream)``,
-    drawn a block at a time (module docstring)."""
+    drawn a block at a time (module docstring).  Each block's states are
+    the first block's plus its offset times gamma."""
     key = _key(seed, stream)
     m = len(xv)
     if n * m > SAMPLE_CAP:
@@ -260,21 +289,42 @@ def _sample_masks(xv: list[float], n: int, seed: int, stream: tuple) -> np.ndarr
     limits = np.ceil(np.asarray(xv) * 2.0**53).astype(np.uint64)
     weights = 1 << np.arange(m, dtype=np.int64)
     rows = max(1, _BLOCK // m)
+    first = np.arange(1, min(rows, n) * m + 1, dtype=np.uint64)
+    first *= _GAMMA
+    first += key
     masks = np.empty(n, dtype=np.int64)
     for start in range(0, n, rows):
-        j = _draws(key, start * m, min(rows, n - start) * m)
+        offset = np.uint64(start * m * _GAMMA & _MASK)
+        j = _output(first[: min(rows, n - start) * m] + offset)
         masks[start : start + rows] = (j.reshape(-1, m) < limits) @ weights
     return masks
 
 
-def _summarize(values: np.ndarray) -> Estimate:
-    n = len(values)
-    first = float(values[0])
-    if (values == first).all():
-        return Estimate(mean=first, sample_count=n, std_error=0.0)
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(n))
-    return Estimate(mean=mean, sample_count=n, std_error=se)
+def _histogram(masks: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct masks of a draw over m items, ascending, and their counts."""
+    if m > EXACT_CAP:
+        return np.unique(masks, return_counts=True)
+    counts = np.bincount(masks)
+    distinct = np.flatnonzero(counts)
+    return distinct, counts[distinct]
+
+
+def _estimate(gains: np.ndarray, counts: np.ndarray, denominator: int) -> Estimate:
+    """The estimate of samples with numerator ``gains[k]`` drawn ``counts[k]``
+    times, from exact integer moments (module docstring)."""
+    n = int(counts.sum())
+    if gains.dtype == np.int64 and n * int(np.abs(gains).max()) ** 2 < 1 << 63:
+        s1, s2 = int(counts @ gains), int(counts @ (gains * gains))
+    else:
+        pairs = list(zip(counts.tolist(), gains.tolist()))
+        s1 = sum(c * g for c, g in pairs)
+        s2 = sum(c * g * g for c, g in pairs)
+    spread = n * s2 - s1 * s1
+    if spread:
+        std_error = math.sqrt(Fraction(spread, n * n * (n - 1) * denominator**2))
+    else:
+        std_error = 0.0
+    return Estimate(mean=s1 / (n * denominator), sample_count=n, std_error=std_error)
 
 
 def multilinear_estimate(
@@ -287,7 +337,9 @@ def multilinear_estimate(
     """Monte-Carlo estimate of the multilinear value via independent draws."""
     sample_count = integer(sample_count, "sample_count", least=1)
     masks = _sample_masks(_aligned(instance, x), sample_count, seed, stream)
-    return _summarize(_evaluator(instance).values(masks))
+    distinct, counts = _histogram(masks, instance.m)
+    ev = _evaluator(instance)
+    return _estimate(ev.numerators(distinct), counts, ev.denominator)
 
 
 def optimistic_weight_estimates(
@@ -307,11 +359,13 @@ def optimistic_weight_estimates(
     sample_count = integer(sample_count, "sample_count", least=1)
     ev = _evaluator(instance)
     masks = _sample_masks(_aligned(instance, x), sample_count, seed, stream)
-    # masks & ~bit is the draw at x with the item's coordinate zeroed.
-    return tuple(
-        _summarize(ev.values(masks | bit) - ev.values(masks & ~bit))
-        for bit in (1 << e for e in range(instance.m))
-    )
+    distinct, counts = _histogram(masks, instance.m)
+    estimates = []
+    for bit in (1 << e for e in range(instance.m)):
+        # distinct & ~bit is the draw at x with the item's coordinate zeroed.
+        with_e, without = ev.numerators(np.stack([distinct | bit, distinct & ~bit]))
+        estimates.append(_estimate(with_e - without, counts, ev.denominator))
+    return tuple(estimates)
 
 
 def optimistic_weight_estimate(

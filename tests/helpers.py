@@ -527,13 +527,9 @@ def per_item_weight_estimate(instance, x, item, sample_count, seed, stream=()):
     at the coordinates with the item's set to 0, one uniform u = j * 2**-53
     per sample and item from the kernel's scalar SplitMix64 output (draw
     r * m + e + 1 for sample r and item e), included when u < x_e as a float
-    comparison, and the paired difference of float set values (here exact
-    ``Fraction``s rounded once, memoised per mask), summarised as
-    ``Estimate`` does."""
-    import math
-
-    import numpy as np
-
+    comparison, and the paired difference of exact ``Fraction`` set values
+    (memoised per mask), summarised by the definitions of ``Estimate``: the
+    exact mean and the exact standard error, each rounded once."""
     from stosub import Estimate
     from stosub.multilinear import _GAMMA, _MASK, _key, _mix
 
@@ -556,14 +552,14 @@ def per_item_weight_estimate(instance, x, item, sample_count, seed, stream=()):
     def value(mask):
         if mask not in memo:
             chosen = [i for j, i in enumerate(items) if mask >> j & 1]
-            memo[mask] = float(direct_set_value(instance, chosen))
+            memo[mask] = direct_set_value(instance, chosen)
         return memo[mask]
 
-    values = np.array([value(k | 1 << e) - value(k) for k in masks])
-    if (values == values[0]).all():
-        return Estimate(float(values[0]), sample_count, 0.0)
-    se = float(values.std(ddof=1) / math.sqrt(sample_count))
-    return Estimate(float(values.mean()), sample_count, se)
+    gains = [value(k | 1 << e) - value(k) for k in masks]
+    n = sample_count
+    mean = sum(gains) / n
+    variance = sum((g - mean) ** 2 for g in gains) / (n * (n - 1)) if n > 1 else 0
+    return Estimate(float(mean), n, math.sqrt(variance))
 
 
 def loop_validate_utility(utility, tol: float = 1e-12) -> UtilityReport:

@@ -297,6 +297,13 @@ class TestGapCommand:
         assert out == ""
         assert err.startswith("error: ") and message in err
 
+    def test_cap_help_names_the_adaptive_oracle_cap(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["gap", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "gamma's enumeration only" in help_text
+        assert f"stops at {ss.policies.ADAPTIVE_ITEM_CAP} items" in help_text
+
     def test_oracle_cap_prints_nothing(self, tmp_path, capsys):
         path = tmp_path / "cc6.json"
         fileio.save_instance(ss.generate_common_cause(6, 2, 4, 0), path)
@@ -323,6 +330,17 @@ class TestHashSeedIndependence:
         assert fresh_cli(*args, hash_seed="5") == first
         # 0.1 + 0.2 + 0.3 > 0.6 in floats, and in exact rationals of them.
         assert first.endswith("set: ['e1', 'e3']\n")
+
+    def test_sampled_greedy_trajectory(self, tmp_path):
+        """The sampled estimates and the whole trajectory, not only the masks,
+        are the same in every process."""
+        path = tmp_path / "cc4.json"
+        fileio.save_instance(ss.generate_common_cause(4, 2, 4, 0), path)
+        args = ("greedy", str(path), "--mode", "sampled", "--samples", "500",
+                "--seed", "3")
+        first = fresh_cli(*args, hash_seed="0")
+        assert fresh_cli(*args, hash_seed="5") == first
+        assert first.count("\n") > 10
 
     def test_experiment_report_bytes(self, tmp_path):
         suite = str(TESTS / "data" / "hash_seed_suite.json")

@@ -150,6 +150,24 @@ class TestLpMaximize:
         assert sol.vertex_set is None
         assert sol.objective == pytest.approx(2.0)
 
+    def test_knapsack_vertex_passes_its_own_feasibility_check(self):
+        # 0.6 - 0.1 - 0.2 leaves exactly 0.3, but 0.1 + 0.2 + 0.3 > 0.6 in
+        # floats: c may not be taken whole, only as a point of the polytope.
+        c = ss.Knapsack(costs=(("a", 0.1), ("b", 0.2), ("c", 0.3)), budget=0.6)
+        sol = ss.lp_maximize(c, {"a": 3.0, "b": 2.0, "c": 1.0})
+        assert sol.vertex_set is None
+        assert sol.point.value_of("a") == sol.point.value_of("b") == 1.0
+        assert 0.0 < sol.point.value_of("c") < 1.0
+        assert c.in_polytope(sol.point)
+        assert ss.is_feasible(c, ("a", "b"))
+        assert not ss.is_feasible(c, ("a", "b", "c"))
+        # 0.43 - 0.03 is exactly 0.4, yet 0.4 + 0.03 > 0.43: a stays below 1.
+        c = ss.Knapsack(costs=(("a", 0.4), ("b", 0.03)), budget=0.43)
+        sol = ss.lp_maximize(c, {"a": 1.0, "b": 1.0})
+        assert sol.vertex_set is None
+        assert sol.point.value_of("b") == 1.0 and sol.point.value_of("a") < 1.0
+        assert c.in_polytope(sol.point)
+
     def test_explicit_best_listed_set(self):
         c = ss.ExplicitFamily(feasible_sets=((), ("a",), ("b",), ("a", "b")))
         sol = ss.lp_maximize(c, {"a": 1.0, "b": 2.0})

@@ -281,6 +281,15 @@ class TestCertificate:
         report = ss.lower_bound_certificate(cc2, constraint, traj, opt, 0.5)
         assert report.sampled
 
+    def test_knapsack_vertices_pass_the_feasibility_check(self):
+        inst = ss.generate_common_cause(3, 2, 4, seed=0)
+        costs = (("e1", 0.1), ("e2", 0.2), ("e3", 0.3))
+        constraint = ss.Knapsack(costs=costs, budget=0.6)
+        traj = ss.run(inst, constraint, ss.GreedyConfig(delta=0.25))
+        _, opt = ss.optimal_adaptive(inst, constraint)
+        report = ss.lower_bound_certificate(inst, constraint, traj, opt, 0.5)
+        assert len(report.rounds) == 4
+
     def test_degenerate_kappa(self, cc2):
         constraint = ss.UniformMatroid(rank=1)
         traj = ss.run(cc2, constraint, ss.GreedyConfig(delta=0.5))

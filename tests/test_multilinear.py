@@ -1,8 +1,10 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +13,7 @@ from stosub import model, multilinear
 from conftest import make_modular
 from helpers import (
     direct_multilinear,
+    direct_set_value,
     per_item_weight_estimate,
 )
 
@@ -263,6 +266,56 @@ class TestOptimisticEstimate:
             assert estimate == ss.optimistic_weight_estimate(
                 inst, x, item, 64, seed=4, stream=(2,)
             )
+
+
+class TestExactMoments:
+    """A sampled estimate is the exact sample mean and standard error, each
+    rounded once, whichever path sums its moments."""
+
+    def test_equal_gains_give_an_exact_estimate(self):
+        inst = ss.generate_common_cause(12, 3, 3, 97)
+        coords = (0, 1, 0, 0, 0, 0, 1, 0, 0.5392234688708106, 0, 0.9409760010879991, 1)
+        x = ss.FractionalPoint(inst.items, coords)
+        estimates = ss.optimistic_weight_estimates(inst, x, 7, 2, (2,))
+        assert estimates[0] == ss.Estimate(float(Fraction(8, 17)), 7, 0.0)
+
+        # Python-int moments: on 59-bit numerators n * max gain**2 reaches 2**63.
+        wide = _rounding_coverage(7)
+        table = model._evaluator(wide).numerators(np.arange(16)).tolist()
+        assert 1000 * max(table[k | 1] - table[k] for k in range(16)) ** 2 >= 1 << 63
+        x = ss.FractionalPoint(wide.items, (0.3, 0.5, 0.6, 0.2))
+        estimates = ss.optimistic_weight_estimates(wide, x, 1000, 4, (1,))
+        for item, got in zip(wide.items, estimates):
+            assert got == per_item_weight_estimate(wide, x, item, 1000, 4, (1,))
+
+        # Above the cap: numerators of the drawn masks alone, no table.
+        big = ss.generate_common_cause(17, 2, 6, 1)
+        assert big.m > model.EXACT_CAP
+        x = ss.FractionalPoint(big.items, tuple(0.1 + 0.05 * (i % 5) for i in range(17)))
+        estimates = ss.optimistic_weight_estimates(big, x, 300, 0, (5,))
+        for e in (0, 8, 16):
+            want = per_item_weight_estimate(big, x, big.items[e], 300, 0, (5,))
+            assert estimates[e] == want
+        masks = multilinear._sample_masks(list(x.values), 300, 0, (5,)).tolist()
+        values = [
+            direct_set_value(big, [i for j, i in enumerate(big.items) if k >> j & 1])
+            for k in masks
+        ]
+        got = ss.multilinear_estimate(big, x, 300, 0, (5,))
+        assert got.mean == float(sum(values) / 300)
+
+    def test_estimates_peak_below_ten_bytes_per_sample(self):
+        inst = ss.generate_common_cause(6, 3, 24, 0)
+        x = ss.FractionalPoint(inst.items, (0.1, 0.3, 0.5, 0.7, 0.2, 0.9))
+        ss.optimistic_weights(inst, x)  # the value table, built once per instance
+        n = 1 << 20
+        tracemalloc.start()
+        try:
+            ss.optimistic_weight_estimates(inst, x, n, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * n
 
 
 def _rounding_coverage(seed: int) -> ss.Instance:
