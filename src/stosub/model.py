@@ -60,25 +60,37 @@ only the requested masks, in one pass of the world kernel.
 ``gains`` caches the float table's differences across each item's bit, the
 2**(m-1) x m matrix the multilinear weight kernel contracts.
 
-The independence measures weigh states by observation.  ``observations()``
-lists every positive-probability observation of every item set in one table,
-built in one vectorised pass the first time kappa or gamma asks and shared
-by both.  A world's key under a mask is a mixed-radix code of the masked
-items' states, item 0 most significant, so within a mask the numeric order
-of the keys is the sorted order of the state tuples.  One stable sort of
-each row of the 2**m x worlds key matrix groups the worlds, and one
-``add.reduceat`` sums their weights.  The rows run mask-ascending, then
-key-ascending, and row r carries:
+The independence measures weigh states by observation, and the adaptive
+oracle's histories are the same observations.  ``observations()`` lists
+every positive-probability observation of every item set in one table,
+built in one vectorised pass the first time kappa, gamma or the oracle asks
+and shared by all three.  A world's key under a mask is a mixed-radix code
+of the masked items' states, item 0 most significant, so within a mask the
+numeric order of the keys is the sorted order of the state tuples.  One
+stable sort of each row of the 2**m x worlds key matrix groups the worlds:
+the group ids, put back in world order, are the row map ``rows[mask, w]``
+(2**m * |support| ints), and one ``add.reduceat`` sums each group's weight
+T.  The rows run mask-ascending, then key-ascending, and row r carries:
 
 - its mask, and the index of one world that agrees with it (its first);
+- children[r, i, o], the row of mask | 1 << i that holds the worlds of row r
+  giving item i state o (row r itself when r observes i in state o), or the
+  number of rows, one past the last, when no world of r does;
 - W[r, i, o], the total weight of the worlds that agree with row r and give
-  item i state o, so ``W[r, i].sum()`` is the row's weight T for any i.  W
-  is int64 when L**2 * 2**k * max f < 2**63, so that every ratio product
-  fits, and Python ints otherwise;
+  item i state o, that is, T read through ``children`` (0 past the last
+  row), so ``W[r, i].sum()`` is the row's weight T for any i.  W is int64
+  when L**2 * 2**k * max f < 2**63, so that every ratio product fits, and
+  Python ints otherwise;
 - twins[r, i], the first row whose mask avoids i and whose W[., i] is a
   positive multiple of W[r, i], that is, the first row with the same
-  conditional of item i (its class); -1 when row r observes i;
-- the code of its observed pair set, kept inside the evaluator.
+  conditional of item i (its class); -1 when row r observes i.  Every free
+  (row, item) pair is named by one stable ``lexsort``, by item and then by
+  the conditional in lowest terms (``gcd`` chained over the state columns),
+  so each class's rows sit together in ascending order behind its first;
+- the code of its observed pair set, kept inside the evaluator: every
+  world's code under every mask, by doubling over the item bits as in the
+  world kernel, read at (mask, first world).  ``row_values`` scales them
+  all in one batch.
 
 gamma compares two observations of one mask through the gains of an item on
 the union of their pair sets, contracted with each one's W.  ``union_keys``
@@ -90,8 +102,8 @@ neither row covers, and the key is the targets the item can cover that the
 row leaves uncovered.  Explicit tables, and coverage whose float sums round,
 key each row by its whole pair set and value the unions through
 ``union_gains``, the codes and the same scaling.  ``scaled_value`` gives
-2**k f of one pair set, so the policy oracles, which do their own exact sums
-over ``worlds``, never see the scale.
+2**k f of one pair set and ``row_values`` that of every row, so the policy
+oracles, which do their own exact sums, never see the scale.
 """
 
 from __future__ import annotations
@@ -569,12 +581,16 @@ class Instance:
 class Observations(NamedTuple):
     """The evaluator's observation table (module docstring), one row per
     observation: ``masks`` and ``worlds`` have shape (rows,), ``weights``
-    (rows, items, states) and ``twins`` (rows, items)."""
+    (rows, items, states) and ``twins`` (rows, items); ``rows`` maps each
+    (mask, world of ``worlds``) to its row, shape (2**m, worlds), and
+    ``children`` has the shape of ``weights``."""
 
     masks: np.ndarray
     worlds: np.ndarray
     weights: np.ndarray
     twins: np.ndarray
+    rows: np.ndarray
+    children: np.ndarray
 
 
 class _Evaluator:
@@ -760,35 +776,58 @@ class _Evaluator:
         keys = np.take_along_axis(keys, order, axis=1)
         fresh = np.ones(keys.shape, dtype=bool)
         fresh[:, 1:] = keys[:, 1:] != keys[:, :-1]
+        # The row of each sorted (mask, world), put back in world order.
+        rows = np.empty(keys.shape, np.intp)
+        np.put_along_axis(rows, order, np.cumsum(fresh).reshape(keys.shape) - 1, 1)
         starts = np.flatnonzero(fresh)
         order = order.ravel()
         masks, worlds = starts // len(states), order[starts]
-        # The world weights spread over (item, state): row w holds a_w at the
-        # state each item takes in w.  A ratio multiplies a sum of these (at
-        # most L) by a difference of numerators (at most L * 2**k * top), so
-        # they are int64 only when L**2 * 2**k * top < 2**63.
-        spread = np.zeros(
-            states.shape + (radix,), np.int64 if self._ratio_int64 else object
-        )
-        spread[np.arange(len(states))[:, None], np.arange(m), states] = np.array(
-            [a for _, a in self.worlds], spread.dtype
-        )[:, None]
-        weights = np.add.reduceat(spread[order], starts, axis=0)
-
-        # A row's conditional of item i, in lowest terms, names it among the
-        # rows that leave i free; its first such row is every twin's twins[., i].
-        reduced = weights // np.gcd.reduce(weights, axis=-1)[..., None]
-        twins = np.full((len(masks), m), -1)
-        codes = np.zeros((len(masks),) + self._codes.shape[2:], self._codes.dtype)
+        # Row r's worlds that give item i state o make up one row of mask |
+        # 1 << i (row r itself when r observes i), so W is T read through
+        # these children, and T sums a_w over each row's worlds.  A ratio
+        # multiplies a sum of weights (at most L) by a difference of
+        # numerators (at most L * 2**k * top), so they are int64 only when
+        # L**2 * 2**k * top < 2**63.
+        children = np.full((len(masks), m, radix), len(masks))
         for i in range(m):
-            free = (masks >> i & 1) == 0
-            first: dict = {}
-            conditionals = map(tuple, reduced[free, i].tolist())
-            rows = np.flatnonzero(free).tolist()
-            named = zip(rows, conditionals)
-            twins[free, i] = [first.setdefault(c, r) for r, c in named]
-            codes[~free] |= self._codes[i, states[worlds[~free], i]]
-        return Observations(masks, worlds, weights, twins), codes
+            children[rows, i, states[:, i]] = rows[np.arange(len(rows)) | 1 << i]
+        a = np.array(
+            [weight for _, weight in self.worlds],
+            np.int64 if self._ratio_int64 else object,
+        )
+        weights = np.append(np.add.reduceat(a[order], starts), 0)[children]
+
+        # A free (row, item) pair's conditional, in lowest terms, names it
+        # among the rows that leave the item free.  One stable sort of every
+        # free pair by (item, conditional), listed item by item with rows
+        # ascending, puts each name's rows together, its first row at the head.
+        items, named = np.nonzero((masks[:, None] >> np.arange(m) & 1).T == 0)
+        conditionals = weights[named, items]
+        divisor = conditionals[:, 0]
+        for o in range(1, radix):
+            divisor = np.gcd(divisor, conditionals[:, o])
+        conditionals = conditionals // divisor[:, None]
+        sort = np.lexsort((*conditionals.T, items))
+        items, named, conditionals = items[sort], named[sort], conditionals[sort]
+        heads = np.ones(len(sort), dtype=bool)
+        heads[1:] = (items[1:] != items[:-1]) | (
+            conditionals[1:] != conditionals[:-1]
+        ).any(axis=1)
+        twins = np.full((len(masks), m), -1)
+        twins[named, items] = named[heads][np.cumsum(heads) - 1]
+        # Every world's pair-set code under every mask, by doubling over the
+        # item bits, read at each row's first world.
+        codes = np.zeros((1, len(states)) + self._codes.shape[2:], self._codes.dtype)
+        for i in range(m):
+            codes = np.concatenate([codes, codes | self._codes[i, states[:, i]]])
+        table = Observations(masks, worlds, weights, twins, rows, children)
+        return table, codes[masks, worlds]
+
+    def row_values(self) -> np.ndarray:
+        """2**k times the utility of each observation row's pair set, exact
+        integers: int64 when L * 2**k * max f < 2**63, as the value table."""
+        self.observations()
+        return self._scaled(self._row_codes)
 
     def union_gains(
         self, items: np.ndarray, a: np.ndarray, b: np.ndarray

@@ -26,8 +26,9 @@ The one-item ``optimistic_weight_estimate`` reads entry e of those.
 The ascent's guarantee bounds each estimate separately (a Chernoff bound)
 and then takes a union bound over items and rounds, which needs no
 independence between the items' estimates, so common draws keep it.  One
-draw holds at most ``SAMPLE_CAP`` uniforms (n times m); a larger request is
-a ``CapacityError`` before anything is drawn.
+draw holds at most ``SAMPLE_CAP`` uniforms (n times m) over at most 63
+items (a drawn set is one int64 mask); a larger request is a
+``CapacityError`` before anything is drawn.
 
 A sampled estimate never sums floats.  The draw is reduced to its distinct
 masks u and their counts c (``np.bincount`` up to the evaluator's
@@ -85,6 +86,10 @@ _COORD_TOL = 1e-9
 # with it: it peaks below 10 bytes per uniform, under 320 MiB at the cap.
 SAMPLE_CAP = 1 << 25
 _BLOCK = 1 << 14
+
+# Items in one inclusion draw: each drawn set is an int64 mask, bit e for
+# item e, so bit 63 would wrap to the sign.
+_MASK_BITS = 63
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's counter increment, 2**64 / golden ratio
@@ -281,6 +286,11 @@ def _sample_masks(xv: list[float], n: int, seed: int, stream: tuple) -> np.ndarr
     the first block's plus its offset times gamma."""
     key = _key(seed, stream)
     m = len(xv)
+    if m > _MASK_BITS:
+        raise CapacityError(
+            f"sampled draws over {m} items exceed the cap {_MASK_BITS}: "
+            "each drawn set is one int64 mask"
+        )
     if n * m > SAMPLE_CAP:
         raise CapacityError(
             f"{n} samples over {m} items need {n * m} uniform draws, "

@@ -9,16 +9,30 @@ while scoring the true one.
 
 The oracles work on the evaluator's integers.  A history is keyed by the
 set of (item, state) pairs it observed, not by their order (Golovin and
-Krause, JAIR 2011): its worlds are those that agree with the pairs, and a
-pick extends it when the extended item set is feasible.  Its node has the
-total weight T of those worlds (a_w = p_w * L, summing to L at the root)
-and value V; it is stored as U = T * 2**k * V, an integer.
-Stopping gives U = T * g with g = 2**k f(observed pairs); picking e gives
-the sum of its children's U, because a child's T is the weight of its
-worlds.  One node compares the U of its options as it would compare V (T
-and 2**k are shared), and the root value is U / D with D = L * 2**k, the
-correctly rounded float of the exact rational.  The induction returns each
-history's subtree with its U, so the tree is built in the same pass.
+Krause, JAIR 2011), so the histories are the rows of the evaluator's
+observation table (``model``): a row's worlds are those that agree with its
+pairs, and picking e at row r and seeing state o leads to the row
+``children[r, e, o]``.  A pick extends a history when e is unobserved and
+the extended item set is feasible, which ``is_feasible`` decides once per
+mask.  A row has the total weight T of its worlds (a_w = p_w * L, summing to
+L at the root) and value V; it is stored as U = T * 2**k * V, an integer.
+Stopping gives U = T * g with g = 2**k f(observed pairs), every row's g from
+one batched scaling (``row_values``); picking e gives the sum of its
+children's U, because a child's T is the weight of its worlds.  A row
+compares the U of its options as it would compare V (T and 2**k are
+shared), and the root value is U / D with D = L * 2**k, the correctly
+rounded float of the exact rational.
+
+The backward induction runs in m sweeps, each over every row at once: it
+sums U over each pick's children, puts a floor below every value on the
+picks a row may not make (the int64 minimum, or -inf on Python ints), takes
+the first best pick, and lets a row pick when that is at least its stop
+value.  So ties prefer picking over stopping and the lowest item index among
+picks, and after sweep j every row that observes m - j or more items holds
+its final value.  U takes the dtype of the row values, int64 when L *
+2**k * max f < 2**63: then T <= L and U <= L * 2**k * max f both fit, and a
+sum over children is the U of the same worlds.  The tree is built from row
+0 through the chosen picks, over the rows reached only.
 
 Every read of a given policy walks ``ev.worlds`` once, in order, for the
 pick mask of each world, and sums integers: its value is sum_w a_w * 2**k
@@ -31,8 +45,11 @@ integers, so it stops at the evaluator's ``EXACT_CAP``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Union
+
+import numpy as np
 
 from .constraints import Constraint, is_feasible
 from .errors import CapacityError, DegenerateBoundError, InputError, PolicyError
@@ -143,13 +160,9 @@ def policy_is_feasible(policy: Policy, constraint: Constraint) -> bool:
 def optimal_adaptive(
     instance: Instance, constraint: Constraint
 ) -> tuple[Policy, float]:
-    """Exact optimal adaptive policy by backward induction over histories.
-
-    Histories are keyed by their observed (item, state) pairs, whatever the
-    order of the picks: a history's worlds and the sets reachable from it
-    depend on those pairs alone.  Ties prefer picking over stopping and
-    lower item index among picks.
-    """
+    """Exact optimal adaptive policy by backward induction over the rows of
+    the evaluator's observation table (module docstring).  Ties prefer
+    picking over stopping and lower item index among picks."""
     constraint.check_items(instance.items)
     if instance.m > ADAPTIVE_ITEM_CAP:
         raise CapacityError(
@@ -162,36 +175,44 @@ def optimal_adaptive(
             f"{ADAPTIVE_SUPPORT_CAP}"
         )
     ev = _evaluator(instance)
-    memo: dict = {}
+    table, m = ev.observations(), instance.m
+    count, bits, child = len(table.masks), 1 << np.arange(m), table.children
+    picked = [()]  # the items of every mask, by doubling over the item bits
+    for item in instance.items:
+        picked += [p + (item,) for p in picked]
+    feasible = np.array([is_feasible(constraint, p) for p in picked])
+    # A pick needs an item the row has not observed and a feasible extended
+    # set; each prefix of the picks was checked when it was picked.
+    masks = table.masks[:, None]
+    allowed = (masks & bits == 0) & feasible[masks | bits]
+    values = ev.row_values()
+    stop = table.weights[:, 0].sum(axis=1).astype(values.dtype) * values
+    floor = np.iinfo(np.int64).min if stop.dtype == np.int64 else -math.inf
+    value = stop
+    for _ in range(m):  # after sweep j, rows observing m - j or more items are final
+        sums = np.append(value, 0)[child].sum(axis=2)
+        sums[~allowed] = floor
+        choice = sums.argmax(axis=1)
+        best = sums[np.arange(count), choice]
+        picks = best >= stop
+        value = np.where(picks, best, stop)
 
-    def solve(observed: frozenset, worlds: list) -> tuple:
-        """(U, subtree) of the history; ``worlds`` are those that agree with it."""
-        hit = memo.get(observed)
-        if hit is not None:
-            return hit
-        best = (sum(a for _, a in worlds) * ev.scaled_value(observed), STOP)
-        picked = [instance.items[i] for i, _ in observed]
-        for e, item in enumerate(instance.items):
-            # Each prefix of the picks was checked when it was picked, so
-            # feasibility of the extended set suffices.
-            if item in picked or not is_feasible(constraint, [*picked, item]):
-                continue
-            split: dict[int, list] = {}
-            for states, weight in worlds:
-                split.setdefault(states[e], []).append((states, weight))
-            children = {
-                state: solve(observed | {(e, state)}, split[state])
-                for state in sorted(split)
-            }
-            value = sum(u for u, _ in children.values())
-            if value > best[0] or (value == best[0] and best[1] is STOP):
-                branches = {instance.states[s]: n for s, (_, n) in children.items()}
-                best = (value, pick(instance.items[e], branches))
-        memo[observed] = best
-        return best
-
-    value, root = solve(frozenset(), ev.worlds)
-    return Policy(root=root), value / ev.denominator
+    # The tree over the rows reached from row 0, each level's picks marking
+    # the next level's rows; a child lies in a later row than its parent.
+    chosen, after = np.where(picks, choice, -1), child[np.arange(count), choice]
+    reached = np.zeros(count + 1, dtype=bool)
+    reached[0] = True
+    for _ in range(m):
+        reached[after[reached[:count] & picks]] = True
+    kept = np.flatnonzero(reached[:count])
+    nodes: dict[int, PolicyNode] = {}
+    built = zip(kept.tolist(), chosen[kept].tolist(), after[kept].tolist())
+    for r, e, children in reversed(list(built)):
+        nodes[r] = STOP if e < 0 else pick(
+            instance.items[e],
+            {s: nodes[c] for s, c in zip(instance.states, children) if c < count},
+        )
+    return Policy(root=nodes[0]), int(value[0]) / ev.denominator
 
 
 def best_nonadaptive(

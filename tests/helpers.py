@@ -194,6 +194,24 @@ def indexed_observations(instance, observed_items):
     )
 
 
+def loop_twins(masks, weights) -> list[list[int]]:
+    """The twins of an observation table from its masks and weight rows, by
+    a plain loop: for each row and each item its mask avoids, the first row
+    that avoids the item too and gives it the same conditional, compared as
+    ``Fraction`` vectors W[i] / T; -1 where the row observes the item."""
+    first: dict = {}
+    twins = []
+    for r, (mask, row) in enumerate(zip(masks, weights)):
+        twins.append([])
+        for i, counts in enumerate(row):
+            if mask >> i & 1:
+                twins[-1].append(-1)
+                continue
+            conditional = tuple(Fraction(c, sum(counts)) for c in counts)
+            twins[-1].append(first.setdefault((i, conditional), r))
+    return twins
+
+
 def _fraction_ratio(num: Fraction, den: Fraction):
     if den == 0:
         return Fraction(1) if num == 0 else None

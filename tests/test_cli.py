@@ -196,6 +196,17 @@ class TestGreedyCommand:
         assert err.startswith("capacity error:")
         assert "Traceback" not in err
 
+    def test_sampled_draw_over_64_items_is_a_capacity_error(self, tmp_path, capsys):
+        path = tmp_path / "cc64.json"
+        assert main(["generate", "common-cause", "--m", "64", "--worlds", "2",
+                     "--out", str(path)]) == 0
+        code = main(["greedy", str(path), "--mode", "sampled", "--samples", "5",
+                     "--delta", "0.5"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("capacity error:") and "cap 63" in err
+        assert "Traceback" not in err
+
 
 class TestOracleCommands:
     def test_adaptive(self, cc2_path, capsys):
@@ -330,6 +341,16 @@ class TestHashSeedIndependence:
         assert fresh_cli(*args, hash_seed="5") == first
         # 0.1 + 0.2 + 0.3 > 0.6 in floats, and in exact rationals of them.
         assert first.endswith("set: ['e1', 'e3']\n")
+
+    def test_knapsack_adaptive_oracle(self, tmp_path):
+        """The adaptive oracle decides feasibility from each mask's items in
+        instance order, so the tree is the same in every process."""
+        path = tmp_path / "cc3.json"
+        fileio.save_instance(ss.generate_common_cause(3, 2, 4, 0), path)
+        args = ("oracle", "adaptive", str(path), "--constraint", self.KNAPSACK)
+        first = fresh_cli(*args, hash_seed="0")
+        assert fresh_cli(*args, hash_seed="5") == first
+        assert first.startswith("optimal adaptive value: ") and '"item"' in first
 
     def test_sampled_greedy_trajectory(self, tmp_path):
         """The sampled estimates and the whole trajectory, not only the masks,

@@ -33,6 +33,7 @@ from helpers import (
     indexed_observations,
     loop_gamma,
     loop_kappa,
+    loop_twins,
     table_from_function,
 )
 
@@ -245,6 +246,47 @@ def test_cases_reach_ties_and_python_ints(instances):
         ev = _evaluator(instances[name])
         assert ev._table()[0].dtype == tables
         assert ev.observations().weights.dtype == ratios
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_observation_table_invariants(instances, name):
+    """Read back against the support by plain loops: the row map sends each
+    (mask, world) to a row of that mask whose first world agrees with it on
+    the mask's items, and every row is reached; a row's W sums a_w over the
+    worlds mapped to it by each item's state (so its T is their weight);
+    its children are the rows those worlds map to under each grown mask, the
+    number of rows where no world has the state; and twins equal the
+    reference, in int64 and in Python ints alike."""
+    inst = instances[name]
+    ev = _evaluator(inst)
+    table = ev.observations()
+    masks, firsts = table.masks.tolist(), table.worlds.tolist()
+    rows, children = table.rows.tolist(), table.children.tolist()
+    weights = table.weights.tolist()
+    count, radix = len(masks), len(inst.states)
+    members = [[] for _ in range(count)]
+    observed = set()
+    for mask, row_of in enumerate(rows):
+        for w, r in enumerate(row_of):
+            states, head = ev.worlds[w][0], ev.worlds[firsts[r]][0]
+            assert masks[r] == mask
+            key = [s for i, s in enumerate(states) if mask >> i & 1]
+            assert key == [s for i, s in enumerate(head) if mask >> i & 1]
+            observed.add((mask, tuple(key)))
+            members[r].append(w)
+    assert len(observed) == count  # one row per observation, none shared
+    for r, worlds in enumerate(members):
+        assert worlds
+        for i in range(inst.m):
+            by_state, grown = [0] * radix, [set() for _ in range(radix)]
+            for w in worlds:
+                states, a = ev.worlds[w]
+                by_state[states[i]] += a
+                grown[states[i]].add(rows[masks[r] | 1 << i][w])
+            assert weights[r][i] == by_state
+            assert all(len(g) <= 1 for g in grown)
+            assert children[r][i] == [min(g, default=count) for g in grown]
+    assert table.twins.tolist() == loop_twins(masks, weights)
 
 
 @pytest.mark.parametrize(

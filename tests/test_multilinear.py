@@ -390,6 +390,25 @@ class TestSampleCap:
         with pytest.raises(ss.CapacityError):
             ss.optimistic_weight_estimates(cc2, x, 7, seed=0)
 
+    @pytest.mark.parametrize("m", [64, 65])
+    def test_more_than_63_items_is_a_capacity_error(self, m):
+        """A drawn set is one int64 mask: over 64 items bit 63 would not fit,
+        and over 65 item 65's bit would wrap, so the estimate at x = e_65
+        would read 0.0 where its set value is positive."""
+        inst = ss.generate_common_cause(m, 2, 2, seed=0)
+        x = ss.FractionalPoint(inst.items, (0.0,) * (m - 1) + (1.0,))
+        with pytest.raises(ss.CapacityError, match="cap 63"):
+            ss.optimistic_weight_estimates(inst, x, 5, seed=0)
+        with pytest.raises(ss.CapacityError, match="cap 63"):
+            ss.multilinear_estimate(inst, x, 5, seed=0)
+
+    def test_63_items_still_draw(self):
+        inst = ss.generate_common_cause(63, 2, 2, seed=0)
+        x = ss.FractionalPoint(inst.items, (0.0,) * 62 + (1.0,))
+        estimate = ss.multilinear_estimate(inst, x, 5, seed=0)
+        assert estimate.mean == ss.expected_set_value(inst, [inst.items[-1]]) > 0
+        assert len(ss.optimistic_weight_estimates(inst, x, 5, seed=0)) == 63
+
     def test_cap_admits_the_faithful_schedule_up_to_six_items(self):
         for m in range(1, 7):
             config = ss.GreedyConfig(delta=1 / (9 * m * m), weight_mode="sampled")

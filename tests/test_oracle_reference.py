@@ -17,7 +17,9 @@ import stosub as ss
 from stosub import fileio
 from stosub import harness
 from stosub.cli import BUNDLED_SUITE
+from stosub.policies import ADAPTIVE_ITEM_CAP, ADAPTIVE_SUPPORT_CAP
 from conftest import make_modular
+from test_independence_exact import CASES as EXACT_CASES
 from helpers import (
     direct_pick_probabilities,
     direct_policy_value,
@@ -106,6 +108,23 @@ def test_optimal_adaptive_matches_fraction_reference(name):
         want_policy, want_value = loop_optimal_adaptive(instance, constraint)
         assert value == want_value, label
         assert fileio.policy_to_obj(policy) == fileio.policy_to_obj(want_policy), label
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_CASES))
+def test_optimal_adaptive_on_the_exact_independence_cases(name):
+    """The independence cases bring what ``INSTANCES`` lacks: Python-int
+    observation weights, an LCD near 10**60, a single state, twin rows and
+    a non-monotone table.  Each is within the adaptive caps, and the tree
+    and value equal the Fraction reference's under uniform k = 1, 2 and m."""
+    instance = EXACT_CASES[name]()
+    assert instance.m <= ADAPTIVE_ITEM_CAP
+    assert len(instance.distribution.entries) <= ADAPTIVE_SUPPORT_CAP
+    for k in sorted({1, 2, instance.m}):
+        constraint = ss.UniformMatroid(k)
+        policy, value = ss.optimal_adaptive(instance, constraint)
+        want_policy, want_value = loop_optimal_adaptive(instance, constraint)
+        assert value == want_value, k
+        assert fileio.policy_to_obj(policy) == fileio.policy_to_obj(want_policy), k
 
 
 def test_ties_prefer_picking_and_the_first_item():
