@@ -19,7 +19,7 @@ from .greedy import WEIGHT_MODES, WEIGHT_VARIANTS, GreedyConfig, format_trajecto
 from .independence import ENUMERATION_CAP, adaptivity_gap_bound, gamma, kappa
 from .model import Instance
 from .multilinear import SAMPLE_CAP
-from .policies import ADAPTIVE_ITEM_CAP, best_nonadaptive, optimal_adaptive
+from .policies import ADAPTIVE_TABLE_CAP, best_nonadaptive, optimal_adaptive
 
 BUNDLED_SUITE = Path(__file__).parent / "data" / "verification_suite.json"
 
@@ -207,7 +207,8 @@ def build_parser() -> _Parser:
     _add_constraint_flag(p)
     p.add_argument("--cap", type=int, default=ENUMERATION_CAP,
                    help="item cap of gamma's enumeration only; the adaptive "
-                   f"oracle stops at {ADAPTIVE_ITEM_CAP} items whatever this says")
+                   "oracle stops where 2**m x |support| exceeds "
+                   f"{ADAPTIVE_TABLE_CAP}")
     p.set_defaults(fn=_cmd_gap)
 
     p = sub.add_parser("generate", help="write a seeded instance")

@@ -60,10 +60,10 @@ L * 2**k * max f), and Python-int object arrays otherwise.  ``_near_min``
 keeps, per batch, the ratios that can be its first strict minimum: a float
 pre-filter keeps those within a relative window of the smallest float
 quotient, a window wider than the rounding of x, y and x / y.  One
-``_first_min`` per measure then runs over every batch's candidates, in
-enumeration order, a tournament of exact integer cross-multiplications (x /
-y < x' / y' exactly when x * y' < x' * y, with y, y' > 0), and one
-``Fraction`` is built at the end.
+``_first_min`` per measure then scans every batch's candidates once, in
+enumeration order, by exact integer cross-multiplications (x / y < x' / y'
+exactly when x * y' < x' * y, with y, y' > 0), and one ``Fraction`` is
+built at the end.  T is read from the table's ``totals``.
 
 Conventions for degenerate ratios follow the definitions: 0/0 counts as 1,
 a zero numerator over a positive denominator counts as 0, a negative
@@ -201,18 +201,17 @@ def _first_min(x: np.ndarray, y: np.ndarray) -> tuple[int, tuple[int, int]] | No
     """Flat position and value of the first strict minimum of the ratios x / y.
 
     The value is a pair (num, den) of Python ints in lowest terms with den >
-    0; None when every ratio is skipped.  A tournament of exact
+    0; None when every ratio is skipped.  One ordered scan of exact
     cross-multiplications runs over the candidates of ``_near_min``.
     """
     index, x, y = _near_min(x, y)
     if not len(index):
         return None
-    while len(index) > 1:  # the later of two wins only when strictly smaller
-        if len(index) % 2:  # (1, 0) lies above every ratio, so it never wins
-            index, x, y = np.append(index, -1), np.append(x, 1), np.append(y, 0)
-        later = x[1::2] * y[::2] < x[::2] * y[1::2]
-        index, x, y = (np.where(later, v[1::2], v[::2]) for v in (index, x, y))
-    return int(index[0]), (int(x[0]), int(y[0]))
+    x, y, best = x.tolist(), y.tolist(), 0
+    for k in range(1, len(x)):  # a later candidate wins only when strictly smaller
+        if x[k] * y[best] < x[best] * y[k]:
+            best = k
+    return int(index[best]), (x[best], y[best])
 
 
 def _batches(costs: np.ndarray):
@@ -265,7 +264,6 @@ def kappa(instance: Instance, cap: int = ENUMERATION_CAP) -> IndependenceReport:
     # Row 0 holds N; row 1 + e * states + o holds N with (e, o) pinned.
     tables = ev.tables([None, *itertools.product(range(m), range(states))])
     obs = ev.observations()
-    totals = obs.weights[:, 0].sum(axis=-1)
     # Row e: the masks without bit e, ascending (as in _observe), made from
     # 0 .. 2**(m-1) - 1 by moving the bits from e up one place; n and G there.
     low, bit = np.arange(1 << (m - 1)), 1 << np.arange(m)[:, None]
@@ -285,7 +283,7 @@ def kappa(instance: Instance, cap: int = ENUMERATION_CAP) -> IndependenceReport:
         den = weights[:, 0, None] * gains[items, 0]
         for o in range(1, states):
             den += weights[:, o, None] * gains[items, o]
-        index, x, y = _near_min(totals[rows, None] * n[items], den)
+        index, x, y = _near_min(obs.totals[rows, None] * n[items], den)
         k, col = np.divmod(index, smasks.shape[1])
         near.append((x, y))
         where.append(np.stack([items[k], rows[k], smasks[items[k], col]]))
@@ -320,7 +318,6 @@ def gamma(instance: Instance, cap: int = ENUMERATION_CAP) -> IndependenceReport:
     ev = _evaluator(instance)
     obs = ev.observations()
     m = instance.m
-    totals = obs.weights[:, 0].sum(axis=-1)
     sizes = np.bincount(obs.masks, minlength=1 << m)  # rows per mask
     starts = np.cumsum(sizes) - sizes
     # squares[e, V]: the ordered pairs of V's rows, for each V avoiding e;
@@ -369,7 +366,7 @@ def gamma(instance: Instance, cap: int = ENUMERATION_CAP) -> IndependenceReport:
         base = offset[e, v]
         position = np.concatenate([base + i * sizes[v] + j, base + j * sizes[v] + i])
         # (a, b) is T_b d_a / (T_a d_b), and (b, a) its reciprocal.
-        forward, backward = totals[rows[b]] * da, totals[rows[a]] * db
+        forward, backward = obs.totals[rows[b]] * da, obs.totals[rows[a]] * db
         index, x, y = _near_min(
             np.concatenate([forward, backward]),
             np.concatenate([backward, forward]),

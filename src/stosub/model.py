@@ -17,8 +17,8 @@ behaviour: its JSON form (``to_dict``, and ``from_dict`` through the
 branches on the kind.
 
 The value table: entry ``mask`` (bit i for item i) holds E[f(S)] as an
-integer numerator N over one denominator D = L * 2**k.  L is the LCD of the
-support's probabilities (p_w = a_w / L).  Utility values are floats, hence
+integer numerator N over one denominator D = L * 2**k, with L = ``lcd`` the
+support's LCD (p_w = a_w / L).  Utility values are floats, hence
 dyadic: 2**k times every weight or table value is an integer, and so is
 2**k times any left-to-right float sum of weights, because rounding a sum
 of nonnegative floats never drops below the finest bit of its terms.  So
@@ -67,20 +67,21 @@ built in one vectorised pass the first time kappa, gamma or the oracle asks
 and shared by all three.  A world's key under a mask is a mixed-radix code
 of the masked items' states, item 0 most significant, so within a mask the
 numeric order of the keys is the sorted order of the state tuples.  One
-stable sort of each row of the 2**m x worlds key matrix groups the worlds:
-the group ids, put back in world order, are the row map ``rows[mask, w]``
-(2**m * |support| ints), and one ``add.reduceat`` sums each group's weight
-T.  The rows run mask-ascending, then key-ascending, and row r carries:
+stable sort of each row of the 2**m x worlds key matrix groups the worlds,
+and one ``add.reduceat`` sums each group's weight.  The rows run
+mask-ascending, then key-ascending, and row r carries:
 
 - its mask, and the index of one world that agrees with it (its first);
+- totals[r], the weight T of the worlds that agree with it, the one store
+  of T that kappa, gamma and the adaptive oracle read;
 - children[r, i, o], the row of mask | 1 << i that holds the worlds of row r
   giving item i state o (row r itself when r observes i in state o), or the
   number of rows, one past the last, when no world of r does;
 - W[r, i, o], the total weight of the worlds that agree with row r and give
   item i state o, that is, T read through ``children`` (0 past the last
-  row), so ``W[r, i].sum()`` is the row's weight T for any i.  W is int64
-  when L**2 * 2**k * max f < 2**63, so that every ratio product fits, and
-  Python ints otherwise;
+  row), so ``W[r, i].sum()`` is ``totals[r]`` for any i.  W and the totals
+  are int64 when L**2 * 2**k * max f < 2**63, so that every ratio product
+  fits, and Python ints otherwise;
 - twins[r, i], the first row whose mask avoids i and whose W[., i] is a
   positive multiple of W[r, i], that is, the first row with the same
   conditional of item i (its class); -1 when row r observes i.  Every free
@@ -580,16 +581,15 @@ class Instance:
 
 class Observations(NamedTuple):
     """The evaluator's observation table (module docstring), one row per
-    observation: ``masks`` and ``worlds`` have shape (rows,), ``weights``
-    (rows, items, states) and ``twins`` (rows, items); ``rows`` maps each
-    (mask, world of ``worlds``) to its row, shape (2**m, worlds), and
-    ``children`` has the shape of ``weights``."""
+    observation: ``masks``, ``worlds`` and ``totals`` have shape (rows,),
+    ``weights`` and ``children`` (rows, items, states), and ``twins`` (rows,
+    items)."""
 
     masks: np.ndarray
     worlds: np.ndarray
+    totals: np.ndarray
     weights: np.ndarray
     twins: np.ndarray
-    rows: np.ndarray
     children: np.ndarray
 
 
@@ -601,15 +601,18 @@ class _Evaluator:
         self.instance = instance
         self.m = instance.m
         support = [
-            (tuple(instance.state_index(r.state_of(i)) for i in instance.items), p)
+            (tuple(instance._state_pos[r._state_map[i]] for i in instance.items), p)
             for r, p in instance.distribution.entries
         ]
         pairs = [(i, s) for i in instance.items for s in instance.states]
         codes = instance.utility._codes(pairs)
         self._codes = codes.reshape((self.m, len(instance.states)) + codes.shape[1:])
-        lcd = math.lcm(*(prob.denominator for _, prob in support))
-        # Positive-probability worlds with integer weights a_w = p_w * L.
-        self.worlds = [(states, int(p * lcd)) for states, p in support if p]
+        # L, the support's LCD: the worlds' integer weights a_w = p_w * L sum
+        # to it exactly, because the probabilities sum to exactly 1.
+        self.lcd = lcd = math.lcm(*(prob.denominator for _, prob in support))
+        self.worlds = [
+            (s, p.numerator * (lcd // p.denominator)) for s, p in support if p
+        ]
         top, self._shift = instance.utility._grid()
         scaled_top = max(1, int(Fraction(top) * (1 << self._shift)))
         self._int64 = lcd * scaled_top < 1 << 63
@@ -677,7 +680,7 @@ class _Evaluator:
         for i in range(m):  # superset sums, one item bit at a time
             halves = sums.reshape(len(pins), -1, 2, 1 << i)
             halves[:, :, 0] += halves[:, :, 1]
-        return (self.denominator >> self._shift) * int(units.sum()) - sums
+        return self.lcd * int(units.sum()) - sums
 
     def _scaled(self, codes: np.ndarray) -> np.ndarray:
         """2**k times the utility of each pair-set code, as exact integers."""
@@ -795,7 +798,8 @@ class _Evaluator:
             [weight for _, weight in self.worlds],
             np.int64 if self._ratio_int64 else object,
         )
-        weights = np.append(np.add.reduceat(a[order], starts), 0)[children]
+        totals = np.add.reduceat(a[order], starts)
+        weights = np.append(totals, 0)[children]
 
         # A free (row, item) pair's conditional, in lowest terms, names it
         # among the rows that leave the item free.  One stable sort of every
@@ -820,7 +824,7 @@ class _Evaluator:
         codes = np.zeros((1, len(states)) + self._codes.shape[2:], self._codes.dtype)
         for i in range(m):
             codes = np.concatenate([codes, codes | self._codes[i, states[:, i]]])
-        table = Observations(masks, worlds, weights, twins, rows, children)
+        table = Observations(masks, worlds, totals, weights, twins, children)
         return table, codes[masks, worlds]
 
     def row_values(self) -> np.ndarray:

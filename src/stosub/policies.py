@@ -14,14 +14,14 @@ observation table (``model``): a row's worlds are those that agree with its
 pairs, and picking e at row r and seeing state o leads to the row
 ``children[r, e, o]``.  A pick extends a history when e is unobserved and
 the extended item set is feasible, which ``is_feasible`` decides once per
-mask.  A row has the total weight T of its worlds (a_w = p_w * L, summing to
-L at the root) and value V; it is stored as U = T * 2**k * V, an integer.
-Stopping gives U = T * g with g = 2**k f(observed pairs), every row's g from
-one batched scaling (``row_values``); picking e gives the sum of its
-children's U, because a child's T is the weight of its worlds.  A row
-compares the U of its options as it would compare V (T and 2**k are
-shared), and the root value is U / D with D = L * 2**k, the correctly
-rounded float of the exact rational.
+mask.  A row has the total weight T of its worlds (``totals``, with a_w =
+p_w * L summing to L at the root) and value V; it is stored as U = T * 2**k
+* V, an integer.  Stopping gives U = T * g with g = 2**k f(observed pairs),
+every row's g from one batched scaling (``row_values``); picking e gives
+the sum of its children's U, because a child's T is the weight of its
+worlds.  A row compares the U of its options as it would compare V (T and
+2**k are shared), and the root value is U / D with D = L * 2**k, the
+correctly rounded float of the exact rational.
 
 The backward induction runs in m sweeps, each over every row at once: it
 sums U over each pick's children, puts a floor below every value on the
@@ -32,15 +32,16 @@ picks, and after sweep j every row that observes m - j or more items holds
 its final value.  U takes the dtype of the row values, int64 when L *
 2**k * max f < 2**63: then T <= L and U <= L * 2**k * max f both fit, and a
 sum over children is the U of the same worlds.  The tree is built from row
-0 through the chosen picks, over the rows reached only.
+0 through the chosen picks, over the rows reached only.  The cost follows
+the table's 2**m * |support| keys, the one count ``ADAPTIVE_TABLE_CAP`` bounds.
 
 Every read of a given policy walks ``ev.worlds`` once, in order, for the
 pick mask of each world, and sums integers: its value is sum_w a_w * 2**k
 f(picked pairs) / D, an item's pick probability is the weight of the worlds
-that pick it over L, and the virtual value is sum_v a_v * N(mask_v) / (L * D)
-with N a mask's numerator in the value table.  Each is one int/int division,
-correctly rounded.  The fixed-set enumeration reads that table once, as
-integers, so it stops at the evaluator's ``EXACT_CAP``.
+that pick it over L (``lcd``), and the virtual value is sum_v a_v *
+N(mask_v) / (L * D) with N a mask's numerator in the value table.  Each is
+one int/int division, correctly rounded.  The fixed-set enumeration reads
+that table once, as integers, so it stops at the evaluator's ``EXACT_CAP``.
 """
 
 from __future__ import annotations
@@ -56,10 +57,9 @@ from .errors import CapacityError, DegenerateBoundError, InputError, PolicyError
 from .model import EXACT_CAP, EXACT_TOL, Instance, _evaluator
 from .multilinear import FractionalPoint, multilinear_value, optimistic_weights
 
-# Adaptive-oracle caps on items and support size; the fixed-set enumeration
-# stops at the evaluator's EXACT_CAP.  Each is checked before any work.
-ADAPTIVE_ITEM_CAP = 5
-ADAPTIVE_SUPPORT_CAP = 64
+# The adaptive oracle's cap on 2**m * |support|, its table's keys; the
+# fixed-set enumeration stops at EXACT_CAP.  Each is checked before any work.
+ADAPTIVE_TABLE_CAP = 2**11
 
 
 @dataclass(frozen=True)
@@ -164,15 +164,12 @@ def optimal_adaptive(
     the evaluator's observation table (module docstring).  Ties prefer
     picking over stopping and lower item index among picks."""
     constraint.check_items(instance.items)
-    if instance.m > ADAPTIVE_ITEM_CAP:
+    support = len(instance.distribution.entries)
+    if support << instance.m > ADAPTIVE_TABLE_CAP:
         raise CapacityError(
-            f"adaptive oracle over {instance.m} items exceeds the cap "
-            f"{ADAPTIVE_ITEM_CAP}"
-        )
-    if len(instance.distribution.entries) > ADAPTIVE_SUPPORT_CAP:
-        raise CapacityError(
-            f"support of {len(instance.distribution.entries)} exceeds the cap "
-            f"{ADAPTIVE_SUPPORT_CAP}"
+            f"adaptive oracle over {instance.m} items and a support of {support} "
+            f"needs {support << instance.m} observation keys, above the cap "
+            f"{ADAPTIVE_TABLE_CAP}"
         )
     ev = _evaluator(instance)
     table, m = ev.observations(), instance.m
@@ -186,7 +183,7 @@ def optimal_adaptive(
     masks = table.masks[:, None]
     allowed = (masks & bits == 0) & feasible[masks | bits]
     values = ev.row_values()
-    stop = table.weights[:, 0].sum(axis=1).astype(values.dtype) * values
+    stop = table.totals.astype(values.dtype) * values
     floor = np.iinfo(np.int64).min if stop.dtype == np.int64 else -math.inf
     value = stop
     for _ in range(m):  # after sweep j, rows observing m - j or more items are final
@@ -254,7 +251,7 @@ def virtual_nonadaptive_value(
         weight * ev.numerator(mask)
         for (_, weight), mask in zip(ev.worlds, _pick_masks(ev, policy))
     )
-    return total / (sum(weight for _, weight in ev.worlds) * ev.denominator)
+    return total / (ev.lcd * ev.denominator)
 
 
 def policy_pick_probabilities(instance: Instance, policy: Policy) -> FractionalPoint:
@@ -266,8 +263,7 @@ def policy_pick_probabilities(instance: Instance, policy: Policy) -> FractionalP
         for e in range(instance.m):
             if mask >> e & 1:
                 picked[e] += weight
-    total = sum(weight for _, weight in ev.worlds)
-    return FractionalPoint(tuple(instance.items), tuple(a / total for a in picked))
+    return FractionalPoint(tuple(instance.items), tuple(a / ev.lcd for a in picked))
 
 
 @dataclass(frozen=True)

@@ -313,15 +313,33 @@ class TestGapCommand:
             main(["gap", "--help"])
         help_text = " ".join(capsys.readouterr().out.split())
         assert "gamma's enumeration only" in help_text
-        assert f"stops at {ss.policies.ADAPTIVE_ITEM_CAP} items" in help_text
+        cap = ss.policies.ADAPTIVE_TABLE_CAP
+        assert f"stops where 2**m x |support| exceeds {cap}" in help_text
 
     def test_oracle_cap_prints_nothing(self, tmp_path, capsys):
-        path = tmp_path / "cc6.json"
-        fileio.save_instance(ss.generate_common_cause(6, 2, 4, 0), path)
+        # Product m = 6: 64 entries, 4,096 observation keys.
+        path = tmp_path / "product6.json"
+        fileio.save_instance(ss.generate_product(6, states_per_item=2, seed=0), path)
         assert main(["gap", str(path)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("capacity error: ")
+        assert err.startswith("capacity error: adaptive oracle over 6 items")
+
+    def test_cap_flag_opens_gamma_from_m7(self, tmp_path, capsys):
+        """At m = 7 with at most 16 entries the oracle runs, so only gamma's
+        enumeration cap stops ``gap``, and ``--cap 7`` lifts it."""
+        instance = ss.generate_common_cause(7, 2, 12, 0)
+        assert len(instance.distribution.entries) <= 16
+        path = tmp_path / "cc7.json"
+        fileio.save_instance(instance, path)
+        assert main(["gap", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("capacity error: exhaustive enumeration over 7 items")
+        assert main(["gap", str(path), "--cap", "7"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("gamma = ")
+        assert "optimal adaptive value: " in out
 
 
 class TestHashSeedIndependence:

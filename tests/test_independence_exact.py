@@ -250,10 +250,11 @@ def test_cases_reach_ties_and_python_ints(instances):
 
 @pytest.mark.parametrize("name", CASES)
 def test_observation_table_invariants(instances, name):
-    """Read back against the support by plain loops: the row map sends each
-    (mask, world) to a row of that mask whose first world agrees with it on
-    the mask's items, and every row is reached; a row's W sums a_w over the
-    worlds mapped to it by each item's state (so its T is their weight);
+    """Read back against the support by plain loops: one row per
+    observation (mask, observed states), mask-ascending and then in sorted
+    state order, each named by its first world; the (mask, world) -> row
+    map, rebuilt from the support, reaches every row; a row's total is the
+    sum of a_w over its worlds and its W sums them by each item's state;
     its children are the rows those worlds map to under each grown mask, the
     number of rows where no world has the state; and twins equal the
     reference, in int64 and in Python ints alike."""
@@ -261,22 +262,28 @@ def test_observation_table_invariants(instances, name):
     ev = _evaluator(inst)
     table = ev.observations()
     masks, firsts = table.masks.tolist(), table.worlds.tolist()
-    rows, children = table.rows.tolist(), table.children.tolist()
+    totals, children = table.totals.tolist(), table.children.tolist()
     weights = table.weights.tolist()
     count, radix = len(masks), len(inst.states)
+    assert table.totals.dtype == table.weights.dtype
+
+    def observation(mask, w):
+        return mask, tuple(s for i, s in enumerate(ev.worlds[w][0]) if mask >> i & 1)
+
+    index = {observation(mask, w): r for r, (mask, w) in enumerate(zip(masks, firsts))}
+    assert len(index) == count  # one row per observation, none shared
+    assert list(index) == sorted(index)
+    rows = [
+        [index[observation(mask, w)] for w in range(len(ev.worlds))]
+        for mask in range(1 << inst.m)
+    ]
     members = [[] for _ in range(count)]
-    observed = set()
-    for mask, row_of in enumerate(rows):
+    for row_of in rows:
         for w, r in enumerate(row_of):
-            states, head = ev.worlds[w][0], ev.worlds[firsts[r]][0]
-            assert masks[r] == mask
-            key = [s for i, s in enumerate(states) if mask >> i & 1]
-            assert key == [s for i, s in enumerate(head) if mask >> i & 1]
-            observed.add((mask, tuple(key)))
             members[r].append(w)
-    assert len(observed) == count  # one row per observation, none shared
     for r, worlds in enumerate(members):
         assert worlds
+        assert totals[r] == sum(ev.worlds[w][1] for w in worlds)
         for i in range(inst.m):
             by_state, grown = [0] * radix, [set() for _ in range(radix)]
             for w in worlds:

@@ -9,6 +9,9 @@ The kappa and gamma enumerations compare integer pairs and build a
 oracles and reads build none per history or world.  No module but ``model``
 values a set through a utility's ``evaluate``: the rest read the evaluator.
 Inside the evaluator only ``__init__`` reads which coverage kernel applies.
+Every field of the observation table is read somewhere outside the build
+that fills it, and no module but ``model`` sums the table's weights, whose
+row totals the table stores once.
 """
 
 import ast
@@ -17,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import stosub
+from stosub.model import Observations
 
 PACKAGE = Path(stosub.__file__).parent
 
@@ -269,3 +273,134 @@ def test_guard_allows_one_fraction_after_the_loop():
         + GAMMA_STUB
     )
     assert fractions_per_ratio(source) == []
+
+
+def _is_table_call(node) -> bool:
+    """A call of ``observations()``, the evaluator's observation table."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "observations"
+    )
+
+
+def _bound_names(function, test) -> set[str]:
+    """Names the function binds, by plain or tuple assignment, to a value
+    that passes ``test``."""
+    names = set()
+    for node in ast.walk(function):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = [(target, node.value)]
+                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                    pairs = zip(target.elts, node.value.elts)
+                names |= {t.id for t, v in pairs if isinstance(t, ast.Name) and test(v)}
+    return names
+
+
+def _table_reads(function) -> list[ast.Attribute]:
+    """The ``x.field`` reads of a function whose ``x`` is an observation
+    table: a call of ``observations()``, or a name bound to one."""
+    tables = _bound_names(function, _is_table_call)
+    return [
+        node
+        for node in ast.walk(function)
+        if isinstance(node, ast.Attribute)
+        and (
+            _is_table_call(node.value)
+            or isinstance(node.value, ast.Name) and node.value.id in tables
+        )
+    ]
+
+
+def _functions(source: str) -> list[ast.FunctionDef]:
+    """Every function of the source but ``_observe``, which fills the table."""
+    return [
+        node
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef) and node.name != "_observe"
+    ]
+
+
+def observation_reads(source: str) -> set[str]:
+    return {node.attr for f in _functions(source) for node in _table_reads(f)}
+
+
+def _is_sum(node) -> bool:
+    return isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Name) and node.func.id == "sum"
+        or isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("sum", "reduce", "reduceat")
+    )
+
+
+def weight_sums(source: str) -> list[str]:
+    """Sum calls over the table's ``weights``, read directly or through a
+    name bound to an expression that reads them."""
+    found = []
+    for function in _functions(source):
+        reads = [node for node in _table_reads(function) if node.attr == "weights"]
+
+        def holds(node, reads=reads) -> bool:
+            return any(n in reads for n in ast.walk(node))
+
+        names = _bound_names(function, holds)
+        found += [
+            f"line {node.lineno}: observation weights summed"
+            for node in ast.walk(function)
+            if _is_sum(node)
+            and any(
+                n in reads or isinstance(n, ast.Name) and n.id in names
+                for n in ast.walk(node)
+            )
+        ]
+    return found
+
+
+def test_every_observation_field_is_read():
+    reads = set()
+    for path in PACKAGE.glob("*.py"):
+        reads |= observation_reads(path.read_text())
+    assert set(Observations._fields) - reads == set()
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in PACKAGE.glob("*.py") if p.name != "model.py"),
+    ids=lambda p: p.name,
+)
+def test_only_model_sums_observation_weights(path):
+    assert weight_sums(path.read_text()) == []
+
+
+def test_guard_reads_only_tables():
+    source = (
+        "def f(ev, report):\n"
+        "    obs, m = ev.observations(), 3\n"
+        "    return obs.masks, report.rows, ev.observations().twins\n"
+        "def _observe(self):\n"
+        "    return self.observations().rows\n"
+    )
+    assert observation_reads(source) == {"masks", "twins"}
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def f(ev):\n    obs = ev.observations()\n"
+        "    return obs.weights[:, 0].sum(axis=-1)",
+        "def f(ev):\n    table, m = ev.observations(), 3\n"
+        "    w = table.weights[:, 0]\n    return w.sum(axis=1)",
+        "def f(ev):\n    return sum(ev.observations().weights[0, 0])",
+    ],
+)
+def test_guard_catches_weight_sums(source):
+    assert weight_sums(source)
+
+
+def test_guard_allows_other_sums():
+    source = (
+        "def f(ev, weights):\n    obs = ev.observations()\n"
+        "    return obs.totals[0], obs.masks.sum(), weights.sum()\n"
+    )
+    assert weight_sums(source) == []

@@ -17,7 +17,7 @@ import stosub as ss
 from stosub import fileio
 from stosub import harness
 from stosub.cli import BUNDLED_SUITE
-from stosub.policies import ADAPTIVE_ITEM_CAP, ADAPTIVE_SUPPORT_CAP
+from stosub.policies import ADAPTIVE_TABLE_CAP
 from conftest import make_modular
 from test_independence_exact import CASES as EXACT_CASES
 from helpers import (
@@ -114,17 +114,47 @@ def test_optimal_adaptive_matches_fraction_reference(name):
 def test_optimal_adaptive_on_the_exact_independence_cases(name):
     """The independence cases bring what ``INSTANCES`` lacks: Python-int
     observation weights, an LCD near 10**60, a single state, twin rows and
-    a non-monotone table.  Each is within the adaptive caps, and the tree
+    a non-monotone table.  Each is within the adaptive cap, and the tree
     and value equal the Fraction reference's under uniform k = 1, 2 and m."""
     instance = EXACT_CASES[name]()
-    assert instance.m <= ADAPTIVE_ITEM_CAP
-    assert len(instance.distribution.entries) <= ADAPTIVE_SUPPORT_CAP
+    assert len(instance.distribution.entries) << instance.m <= ADAPTIVE_TABLE_CAP
     for k in sorted({1, 2, instance.m}):
         constraint = ss.UniformMatroid(k)
         policy, value = ss.optimal_adaptive(instance, constraint)
         want_policy, want_value = loop_optimal_adaptive(instance, constraint)
         assert value == want_value, k
         assert fileio.policy_to_obj(policy) == fileio.policy_to_obj(want_policy), k
+
+
+ADMITTED = {
+    "common-cause-m6": lambda: ss.generate_common_cause(6, 2, 20, seed=6),
+    "common-cause-m7": lambda: ss.generate_common_cause(7, 3, 12, seed=7),
+    "common-cause-m8": lambda: ss.generate_common_cause(8, 2, 8, seed=8),
+    "product-m4-3-states": lambda: ss.generate_product(4, states_per_item=3, seed=4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADMITTED))
+def test_optimal_adaptive_on_sizes_the_table_cap_admits(name):
+    """Sizes that one cap on 2**m * |support| admits and an item cap of 5
+    or a support cap of 64 did not: the tree and value equal the Fraction
+    reference's, ties included, under uniform k = 2, 3 and a partition."""
+    instance = ADMITTED[name]()
+    support, m, items = len(instance.distribution.entries), instance.m, instance.items
+    assert support << m <= ADAPTIVE_TABLE_CAP
+    assert m > 5 or support > 64
+    constraints = {
+        "uniform-2": ss.UniformMatroid(2),
+        "uniform-3": ss.UniformMatroid(3),
+        "partition": ss.PartitionMatroid(
+            blocks=(items[: m // 2], items[m // 2 :]), capacities=(1, 2)
+        ),
+    }
+    for label, constraint in constraints.items():
+        policy, value = ss.optimal_adaptive(instance, constraint)
+        want_policy, want_value = loop_optimal_adaptive(instance, constraint)
+        assert value == want_value, label
+        assert fileio.policy_to_obj(policy) == fileio.policy_to_obj(want_policy), label
 
 
 def test_ties_prefer_picking_and_the_first_item():

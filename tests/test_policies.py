@@ -136,14 +136,40 @@ class TestOptimalAdaptive:
         assert value == pytest.approx(2.5)
 
     def test_caps(self):
-        # Above ADAPTIVE_ITEM_CAP (5 items), then ADAPTIVE_SUPPORT_CAP (64 worlds).
-        many_items = ss.generate_product(6, states_per_item=2, seed=0)
-        with pytest.raises(ss.CapacityError, match="6 items"):
-            ss.optimal_adaptive(many_items, ss.UniformMatroid(rank=1))
-        many_worlds = ss.generate_product(4, states_per_item=3, seed=0)
-        assert len(many_worlds.distribution.entries) == 81
-        with pytest.raises(ss.CapacityError, match="support of 81"):
-            ss.optimal_adaptive(many_worlds, ss.UniformMatroid(rank=1))
+        # 2**m * |support| above ADAPTIVE_TABLE_CAP (2048): 32 * 243, 64 * 64.
+        wide = ss.generate_product(5, states_per_item=3, seed=0)
+        with pytest.raises(ss.CapacityError, match="7776 observation keys"):
+            ss.optimal_adaptive(wide, ss.UniformMatroid(rank=1))
+        deep = ss.generate_product(6, states_per_item=2, seed=0)
+        with pytest.raises(ss.CapacityError, match="6 items and a support of 64"):
+            ss.optimal_adaptive(deep, ss.UniformMatroid(rank=1))
+
+    @pytest.mark.parametrize(
+        "m, support, admitted",
+        [(6, 32, True), (11, 1, True), (6, 33, False), (12, 1, False)],
+    )
+    def test_table_cap_is_checked_before_any_work(self, m, support, admitted):
+        """The bound is 2**m * |support| <= 2048, checked on both sides of
+        it, and a rejected instance never gets an evaluator."""
+        if support == 1:
+            instance = make_modular({f"e{i:02d}": float(i % 3) for i in range(m)})
+        else:
+            base = ss.generate_product(m, states_per_item=2, seed=0)
+            first = base.distribution.entries[:support]
+            entries = tuple((r, Fraction(1, support)) for r, _ in first)
+            instance = ss.Instance(
+                base.items, base.states, ss.JointDistribution(entries), base.utility
+            )
+        assert (support << m <= ss.policies.ADAPTIVE_TABLE_CAP) == admitted
+        constraint = ss.UniformMatroid(rank=2)
+        if admitted:
+            _, value = ss.optimal_adaptive(instance, constraint)
+            if support == 1:  # one world: adaptivity gains nothing
+                assert value == ss.best_nonadaptive(instance, constraint)[1]
+        else:
+            with pytest.raises(ss.CapacityError, match="above the cap 2048"):
+                ss.optimal_adaptive(instance, constraint)
+            assert not hasattr(instance, "_evaluator_cache")
 
 
 class TestBestNonadaptive:
