@@ -16,10 +16,10 @@ from . import fileio, harness
 from .constraints import Constraint, UniformMatroid
 from .errors import CapacityError, InputError, StosubError
 from .greedy import WEIGHT_MODES, WEIGHT_VARIANTS, GreedyConfig, format_trajectory, run
-from .independence import ENUMERATION_CAP, adaptivity_gap_bound, gamma, kappa
+from .independence import adaptivity_gap_bound, gamma, kappa
 from .model import Instance
 from .multilinear import SAMPLE_CAP
-from .policies import ADAPTIVE_TABLE_CAP, best_nonadaptive, optimal_adaptive
+from .policies import best_nonadaptive, optimal_adaptive
 
 BUNDLED_SUITE = Path(__file__).parent / "data" / "verification_suite.json"
 
@@ -81,7 +81,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_independence(args) -> int:
     instance, _ = fileio.load_instance_and_constraint(args.instance)
-    _print_independence(args.command, args.measure(instance, cap=args.cap))
+    _print_independence(args.command, args.measure(instance))
     return 0
 
 
@@ -121,9 +121,9 @@ def _cmd_oracle(args) -> int:
 def _cmd_gap(args) -> int:
     instance, embedded = fileio.load_instance_and_constraint(args.instance)
     constraint = _load_constraint(instance, args.constraint, embedded)
-    # The oracles check the constraint and their caps; print only after all ran.
+    # The oracles check the constraint and the table's cap; print after all ran.
     opt_value, best_fixed, virtual = harness.oracle_values(instance, constraint)
-    gamma_report = gamma(instance, cap=args.cap)
+    gamma_report = gamma(instance)
     _print_independence("gamma", gamma_report)
     print(f"optimal adaptive value: {opt_value!r}")
     print(f"best non-adaptive value: {best_fixed!r}")
@@ -178,7 +178,6 @@ def build_parser() -> _Parser:
     for name, measure in (("kappa", kappa), ("gamma", gamma)):
         p = sub.add_parser(name, help=f"degree of independence ({name} form)")
         p.add_argument("instance")
-        p.add_argument("--cap", type=int, default=ENUMERATION_CAP)
         p.set_defaults(fn=_cmd_independence, measure=measure)
 
     p = sub.add_parser("greedy", help="run the continuous greedy ascent")
@@ -205,10 +204,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gap", help="adaptivity-gap diagnostics for an instance")
     p.add_argument("instance")
     _add_constraint_flag(p)
-    p.add_argument("--cap", type=int, default=ENUMERATION_CAP,
-                   help="item cap of gamma's enumeration only; the adaptive "
-                   "oracle stops where 2**m x |support| exceeds "
-                   f"{ADAPTIVE_TABLE_CAP}")
     p.set_defaults(fn=_cmd_gap)
 
     p = sub.add_parser("generate", help="write a seeded instance")

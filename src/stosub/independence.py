@@ -84,10 +84,8 @@ from typing import Union
 
 import numpy as np
 
-from .errors import CapacityError, DegenerateBoundError, InputError
+from .errors import DegenerateBoundError, InputError
 from .model import Instance, Realization, _evaluator
-
-ENUMERATION_CAP = 6
 
 # Relative width of the float pre-filter.  An int64 quotient is rounded three
 # times (x, y and x / y), less than 4 * 2**-53 in all; a Python-int quotient
@@ -147,15 +145,6 @@ class IndependenceReport:
     clamped: Fraction
     witness: Union[KappaWitness, GammaWitness]
     ratios_examined: int
-
-
-def _check_cap(instance: Instance, cap: int):
-    if cap < 1:
-        raise InputError(f"the enumeration cap must be at least 1, got {cap}")
-    if instance.m > cap:
-        raise CapacityError(
-            f"exhaustive enumeration over {instance.m} items exceeds the cap {cap}"
-        )
 
 
 def _near_min(
@@ -251,19 +240,17 @@ def _report(best: tuple[int, int], witness, examined: int) -> IndependenceReport
     )
 
 
-def kappa(instance: Instance, cap: int = ENUMERATION_CAP) -> IndependenceReport:
+def kappa(instance: Instance) -> IndependenceReport:
     """First-form degree of independence.
 
     Minimizes, over items e, base sets S, and positive observations of any
     V (both avoiding e), the ratio of the unconditional expected marginal of
     e on S to the conditional-state average of the same marginal.
     """
-    _check_cap(instance, cap)
     ev = _evaluator(instance)
-    m, states = instance.m, len(instance.states)
+    obs, m, states = ev.observations(), instance.m, len(instance.states)
     # Row 0 holds N; row 1 + e * states + o holds N with (e, o) pinned.
     tables = ev.tables([None, *itertools.product(range(m), range(states))])
-    obs = ev.observations()
     # Row e: the masks without bit e, ascending (as in _observe), made from
     # 0 .. 2**(m-1) - 1 by moving the bits from e up one place; n and G there.
     low, bit = np.arange(1 << (m - 1)), 1 << np.arange(m)[:, None]
@@ -307,17 +294,15 @@ def _runs(fresh: np.ndarray) -> np.ndarray:
     return np.repeat(ends, ends - starts)
 
 
-def gamma(instance: Instance, cap: int = ENUMERATION_CAP) -> IndependenceReport:
+def gamma(instance: Instance) -> IndependenceReport:
     """Second-form degree of independence.
 
     For two observations of the same item set, compares the expected gain of
     one item's conditional state under either observation, measured on top of
     the union of both observed pair sets.
     """
-    _check_cap(instance, cap)
     ev = _evaluator(instance)
-    obs = ev.observations()
-    m = instance.m
+    obs, m = ev.observations(), instance.m
     sizes = np.bincount(obs.masks, minlength=1 << m)  # rows per mask
     starts = np.cumsum(sizes) - sizes
     # squares[e, V]: the ordered pairs of V's rows, for each V avoiding e;

@@ -64,12 +64,20 @@ The independence measures weigh states by observation, and the adaptive
 oracle's histories are the same observations.  ``observations()`` lists
 every positive-probability observation of every item set in one table,
 built in one vectorised pass the first time kappa, gamma or the oracle asks
-and shared by all three.  A world's key under a mask is a mixed-radix code
-of the masked items' states, item 0 most significant, so within a mask the
-numeric order of the keys is the sorted order of the state tuples.  One
-stable sort of each row of the 2**m x worlds key matrix groups the worlds,
-and one ``add.reduceat`` sums each group's weight.  The rows run
-mask-ascending, then key-ascending, and row r carries:
+and shared by all three.  It is the one owner of their capacity rule: it
+raises ``CapacityError`` before any work when the 2**m * |support| keys it
+would sort exceed 2**EXACT_CAP.  The bound reuses the value table's, so
+every instance the table admits (2**m <= 2**m * |support|) has m <=
+``EXACT_CAP`` and a full value table for kappa's pins and the fixed-set
+oracle.  Nothing else checks it: an instance whose table would be too large
+still gets every value-table read.
+
+A world's key under a mask is a mixed-radix code of the masked items'
+states, item 0 most significant, so within a mask the numeric order of the
+keys is the sorted order of the state tuples.  One stable sort of each row
+of the 2**m x worlds key matrix groups the worlds, and one ``add.reduceat``
+sums each group's weight.  The rows run mask-ascending, then key-ascending,
+and row r carries:
 
 - its mask, and the index of one world that agrees with it (its first);
 - totals[r], the weight T of the worlds that agree with it, the one store
@@ -709,8 +717,8 @@ class _Evaluator:
         built together: by ``_transform`` for coverage whose subset sums are
         exact floats (``_units`` set), else in one pass of ``_numerators`` over
         the worlds, so a caller that needs several pins asks for them at
-        once.  Full tables at any m: kappa, gamma and the fixed-set oracle
-        check their own caps."""
+        once.  Full tables at any m: kappa asks for ``observations()`` first,
+        whose cap bounds m, and the fixed-set oracle checks ``EXACT_CAP``."""
         missing = [pin for pin in dict.fromkeys(pins) if pin not in self._tables]
         if missing:
             if self._units is None:
@@ -759,10 +767,18 @@ class _Evaluator:
 
     def observations(self) -> Observations:
         """Every positive-probability observation of every item set, in one
-        table built on first use (see the module docstring).  The weights
-        are int64 or Python ints by the ratio rule in ``__init__``, so
-        products with them are exact."""
+        table built on first use (see the module docstring), or a
+        ``CapacityError`` before any work when its 2**m * |support| keys
+        exceed 2**EXACT_CAP.  The weights are int64 or Python ints by the
+        ratio rule in ``__init__``, so products with them are exact."""
         if self._observations is None:
+            support = len(self.instance.distribution.entries)
+            if support << self.m > 1 << EXACT_CAP:
+                raise CapacityError(
+                    f"the observation table over {self.m} items and a support "
+                    f"of {support} needs {support << self.m} keys, above the "
+                    f"cap {1 << EXACT_CAP}"
+                )
             self._observations, self._row_codes = self._observe()
         return self._observations
 

@@ -32,8 +32,7 @@ picks, and after sweep j every row that observes m - j or more items holds
 its final value.  U takes the dtype of the row values, int64 when L *
 2**k * max f < 2**63: then T <= L and U <= L * 2**k * max f both fit, and a
 sum over children is the U of the same worlds.  The tree is built from row
-0 through the chosen picks, over the rows reached only.  The cost follows
-the table's 2**m * |support| keys, the one count ``ADAPTIVE_TABLE_CAP`` bounds.
+0 through the chosen picks, over the rows reached only.
 
 Every read of a given policy walks ``ev.worlds`` once, in order, for the
 pick mask of each world, and sums integers: its value is sum_w a_w * 2**k
@@ -56,10 +55,6 @@ from .constraints import Constraint, is_feasible
 from .errors import CapacityError, DegenerateBoundError, InputError, PolicyError
 from .model import EXACT_CAP, EXACT_TOL, Instance, _evaluator
 from .multilinear import FractionalPoint, multilinear_value, optimistic_weights
-
-# The adaptive oracle's cap on 2**m * |support|, its table's keys; the
-# fixed-set enumeration stops at EXACT_CAP.  Each is checked before any work.
-ADAPTIVE_TABLE_CAP = 2**11
 
 
 @dataclass(frozen=True)
@@ -164,13 +159,6 @@ def optimal_adaptive(
     the evaluator's observation table (module docstring).  Ties prefer
     picking over stopping and lower item index among picks."""
     constraint.check_items(instance.items)
-    support = len(instance.distribution.entries)
-    if support << instance.m > ADAPTIVE_TABLE_CAP:
-        raise CapacityError(
-            f"adaptive oracle over {instance.m} items and a support of {support} "
-            f"needs {support << instance.m} observation keys, above the cap "
-            f"{ADAPTIVE_TABLE_CAP}"
-        )
     ev = _evaluator(instance)
     table, m = ev.observations(), instance.m
     count, bits, child = len(table.masks), 1 << np.arange(m), table.children

@@ -59,6 +59,17 @@ def make_modular(weights: dict[str, float]) -> Instance:
     )
 
 
+def make_wide(m: int, support: int) -> Instance:
+    """m items with ``support`` equally likely worlds: one world of a modular
+    utility, or the first worlds of a seeded product prior (2 states)."""
+    if support == 1:
+        return make_modular({f"e{i:02d}": float(i % 3) for i in range(m)})
+    base = generate_product(m, states_per_item=2, seed=0)
+    first = base.distribution.entries[:support]
+    entries = tuple((r, Fraction(1, support)) for r, _ in first)
+    return Instance(base.items, base.states, JointDistribution(entries), base.utility)
+
+
 @pytest.fixture
 def modular3():
     return make_modular({"a": 5.0, "b": 3.0, "c": 1.0})

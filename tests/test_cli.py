@@ -108,13 +108,14 @@ class TestIndependenceCommands:
         assert lines[1].startswith("ratios examined: ")
 
     def test_capacity_exit_code(self, tmp_path):
+        # One world at m = 17: 2**17 observation keys, above the table's cap.
         inst = ss.Instance(
-            items=tuple(f"i{k}" for k in range(7)),
+            items=tuple(f"i{k}" for k in range(17)),
             states=("x",),
             distribution=ss.JointDistribution(
                 (
                     (
-                        ss.Realization(tuple((f"i{k}", "x") for k in range(7))),
+                        ss.Realization(tuple((f"i{k}", "x") for k in range(17))),
                         __import__("fractions").Fraction(1),
                     ),
                 )
@@ -122,7 +123,7 @@ class TestIndependenceCommands:
             utility=ss.WeightedCoverage.build(
                 targets=("t",),
                 weights={"t": 1.0},
-                coverage={(f"i{k}", "x"): ("t",) for k in range(7)},
+                coverage={(f"i{k}", "x"): ("t",) for k in range(17)},
             ),
         )
         path = tmp_path / "wide.json"
@@ -136,8 +137,9 @@ class TestIndependenceCommands:
         ids=lambda command: command[0],
     )
     def test_cap_below_one_is_a_usage_error(self, cc2_path, command, cap, capsys):
+        """No command takes ``--cap``, so any value is a usage error."""
         assert main([command[0], cc2_path, *command[1:], "--cap", cap]) == 1
-        assert "cap must be at least 1" in capsys.readouterr().err
+        assert "unrecognized arguments: --cap" in capsys.readouterr().err
 
 
 def test_parser_defaults_come_from_their_sources():
@@ -147,9 +149,6 @@ def test_parser_defaults_come_from_their_sources():
     assert (greedy.delta, greedy.mode, greedy.seed, greedy.variant) == (
         config.delta, config.weight_mode, config.seed, config.weight_variant
     )
-    for command in ("kappa", "gamma", "gap"):
-        args = parser.parse_args([command, "x.json"])
-        assert args.cap == ss.independence.ENUMERATION_CAP
 
 
 class TestGreedyCommand:
@@ -308,38 +307,47 @@ class TestGapCommand:
         assert out == ""
         assert err.startswith("error: ") and message in err
 
-    def test_cap_help_names_the_adaptive_oracle_cap(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["gap", "--help"])
-        help_text = " ".join(capsys.readouterr().out.split())
-        assert "gamma's enumeration only" in help_text
-        cap = ss.policies.ADAPTIVE_TABLE_CAP
-        assert f"stops where 2**m x |support| exceeds {cap}" in help_text
-
     def test_oracle_cap_prints_nothing(self, tmp_path, capsys):
-        # Product m = 6: 64 entries, 4,096 observation keys.
+        # Product m = 6 with 4 states: 4,096 entries, 2**18 observation keys.
         path = tmp_path / "product6.json"
-        fileio.save_instance(ss.generate_product(6, states_per_item=2, seed=0), path)
+        fileio.save_instance(ss.generate_product(6, states_per_item=4, seed=0), path)
         assert main(["gap", str(path)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("capacity error: adaptive oracle over 6 items")
+        assert err == (
+            "capacity error: the observation table over 6 items and a support "
+            "of 4096 needs 262144 keys, above the cap 65536\n"
+        )
 
     def test_cap_flag_opens_gamma_from_m7(self, tmp_path, capsys):
-        """At m = 7 with at most 16 entries the oracle runs, so only gamma's
-        enumeration cap stops ``gap``, and ``--cap 7`` lifts it."""
+        """``gap`` runs gamma at m = 7 with no flag: common-cause m = 7 with 12
+        entries has 1,536 observation keys, inside the table's cap."""
         instance = ss.generate_common_cause(7, 2, 12, 0)
-        assert len(instance.distribution.entries) <= 16
+        assert len(instance.distribution.entries) == 12
         path = tmp_path / "cc7.json"
         fileio.save_instance(instance, path)
-        assert main(["gap", str(path)]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith("capacity error: exhaustive enumeration over 7 items")
-        assert main(["gap", str(path), "--cap", "7"]) == 0
+        assert main(["gap", str(path)]) == 0
         out = capsys.readouterr().out
         assert out.startswith("gamma = ")
         assert "optimal adaptive value: " in out
+
+
+@pytest.mark.parametrize("target", ["cc2", "missing"])
+def test_python_m_stosub_is_the_command_line(cc2_path, tmp_path, capsys, target):
+    """``python -m stosub`` in a new interpreter prints what ``cli.main``
+    prints, on both streams, and exits with its code, on success and on an
+    input error."""
+    path = cc2_path if target == "cc2" else str(tmp_path / "missing.json")
+    result = subprocess.run(
+        [sys.executable, "-m", "stosub", "kappa", path],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+    )
+    code = main(["kappa", path])
+    out, err = capsys.readouterr()
+    assert (result.returncode, result.stdout, result.stderr) == (code, out, err)
+    assert code == (0 if target == "cc2" else 1)
 
 
 class TestHashSeedIndependence:

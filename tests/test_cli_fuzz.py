@@ -3,7 +3,7 @@
 Every subcommand is drawn with some of its flags, each flag with a
 well-formed or a malformed value (negative, non-integer or non-numeric
 numbers, bad ``--constraint`` JSON, missing or unwritable paths, the
-removed ``validate --cap``).  Every vector must end in one of the
+removed ``--cap`` of ``validate``, ``kappa``, ``gamma`` and ``gap``).  Every vector must end in one of the
 documented exit codes (0 success, 1 input or usage, 2 capacity, 3 strict
 violation) and never in an uncaught exception.  ``experiment --bundled``
 is left out for time.  Values starting with ``@`` name paths made by the
@@ -41,8 +41,8 @@ OUT_DIRS = ["@report-dir", "@instance", "@under-a-file"]
 # command -> (choices of each positional, {flag: value choices or None})
 COMMANDS = {
     "validate": ([INPUTS], {"--cap": NUMBERS}),
-    "kappa": ([INPUTS], {"--cap": NUMBERS}),
-    "gamma": ([INPUTS], {"--cap": NUMBERS}),
+    "kappa": ([INPUTS], {}),
+    "gamma": ([INPUTS], {}),
     "greedy": (
         [INPUTS],
         {
@@ -59,7 +59,7 @@ COMMANDS = {
         [["adaptive", "nonadaptive", "bogus"], INPUTS],
         {"--constraint": CONSTRAINTS},
     ),
-    "gap": ([INPUTS], {"--constraint": CONSTRAINTS, "--cap": NUMBERS}),
+    "gap": ([INPUTS], {"--constraint": CONSTRAINTS}),
     "generate": (
         [["common-cause", "product", "bogus"]],
         {
@@ -151,6 +151,14 @@ def test_every_argument_vector_ends_in_a_documented_exit(paths, template):
 
 def test_removed_validate_cap_is_a_usage_error(paths):
     code, err = _run(["validate", "--cap", "3", paths["@instance"]])
+    assert code == 1
+    assert "unrecognized arguments: --cap" in err
+    assert "usage: stosub" in err
+
+
+@pytest.mark.parametrize("command", ["kappa", "gamma", "gap"])
+def test_removed_cap_is_a_usage_error(paths, command):
+    code, err = _run([command, "--cap", "7", paths["@instance"]])
     assert code == 1
     assert "unrecognized arguments: --cap" in err
     assert "usage: stosub" in err

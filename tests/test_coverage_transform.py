@@ -191,7 +191,7 @@ def test_exact_coverage_skips_the_world_kernel(monkeypatch):
     ev.tables(kappa_pins(inst))
     ev.gains()
     ss.expected_set_value(inst, inst.items[:3])
-    ss.kappa(inst, cap=inst.m)
+    ss.kappa(inst)
     assert calls == []
 
 

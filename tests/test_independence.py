@@ -45,15 +45,10 @@ class TestKappa:
         assert ss.kappa(cc2).ratios_examined == 12
 
     def test_cap(self):
-        inst = ss.generate_product(4, states_per_item=2, seed=0)
-        with pytest.raises(ss.CapacityError):
-            ss.kappa(inst, cap=3)
-
-    @pytest.mark.parametrize("measure", [ss.kappa, ss.gamma])
-    @pytest.mark.parametrize("cap", [0, -1])
-    def test_cap_below_one_is_an_input_error(self, cc2, measure, cap):
-        with pytest.raises(ss.InputError, match="at least 1"):
-            measure(cc2, cap=cap)
+        # Product m = 6 with 4 states: 4,096 entries, 2**18 observation keys.
+        inst = ss.generate_product(6, states_per_item=4, seed=0)
+        with pytest.raises(ss.CapacityError, match="needs 262144 keys"):
+            ss.kappa(inst)
 
     def test_scale_invariance(self, cc2):
         scaled = ss.Instance(

@@ -420,7 +420,7 @@ def test_gamma_lists_no_ordered_pair():
     _evaluator(inst).observations()
     tracemalloc.start()
     try:
-        report = ss.gamma(inst, cap=9)
+        report = ss.gamma(inst)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -508,7 +508,7 @@ def test_larger_instances_keep_their_reports(case):
     of observations for gamma and valued kappa item by item."""
     inst = pinned_m8_instance(case["instance"])
     for name, measure in (("kappa", ss.kappa), ("gamma", ss.gamma)):
-        report, want = measure(inst, cap=inst.m), case[name]
+        report, want = measure(inst), case[name]
         assert str(report.value) == want["value"]
         assert str(report.clamped) == want["clamped"]
         assert report.witness.to_dict() == want["witness"]

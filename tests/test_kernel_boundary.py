@@ -11,7 +11,9 @@ values a set through a utility's ``evaluate``: the rest read the evaluator.
 Inside the evaluator only ``__init__`` reads which coverage kernel applies.
 Every field of the observation table is read somewhere outside the build
 that fills it, and no module but ``model`` sums the table's weights, whose
-row totals the table stores once.
+row totals the table stores once.  The table owns its capacity rule: its
+one raise site is ``_Evaluator.observations``, and kappa, gamma and the
+adaptive oracle that read it check no cap of their own.
 """
 
 import ast
@@ -404,3 +406,97 @@ def test_guard_allows_other_sums():
         "    return obs.totals[0], obs.masks.sum(), weights.sum()\n"
     )
     assert weight_sums(source) == []
+
+
+def _name_of(node) -> str:
+    """The name a ``Name`` or ``Attribute`` node reads, else ``""``."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")
+
+
+def _is_cap_name(node) -> bool:
+    return _name_of(node).endswith("_CAP")
+
+
+def _raises_capacity(node) -> bool:
+    return isinstance(node, ast.Raise) and any(
+        _name_of(n) == "CapacityError" for n in ast.walk(node)
+    )
+
+
+def cap_checks(source: str, roots) -> list[str]:
+    """``CapacityError`` raises and ``*_CAP`` reads in the root functions and
+    in every module function they call, directly or through others."""
+    functions = {
+        n.name: n for n in ast.parse(source).body if isinstance(n, ast.FunctionDef)
+    }
+    found, reached, pending = [], set(roots), list(roots)
+    while pending:
+        name = pending.pop()
+        for node in ast.walk(functions[name]):
+            if _raises_capacity(node):
+                found.append(f"line {node.lineno}: {name} raises CapacityError")
+            elif _is_cap_name(node):
+                found.append(f"line {node.lineno}: {name} reads a cap")
+        new = _called_names(functions[name]) & functions.keys() - reached
+        reached |= new
+        pending += new
+    return sorted(set(found))
+
+
+def capacity_raisers(source: str) -> set[str]:
+    """The ``_Evaluator`` methods that raise ``CapacityError``."""
+    cls = next(
+        n
+        for n in ast.parse(source).body
+        if isinstance(n, ast.ClassDef) and n.name == "_Evaluator"
+    )
+    return {
+        method.name
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef)
+        and any(_raises_capacity(n) for n in ast.walk(method))
+    }
+
+
+@pytest.mark.parametrize(
+    "module, roots",
+    [("independence.py", ("kappa", "gamma")), ("policies.py", ("optimal_adaptive",))],
+)
+def test_table_readers_check_no_cap(module, roots):
+    assert cap_checks((PACKAGE / module).read_text(), roots) == []
+
+
+def test_one_raise_site_per_table():
+    """``_table`` refuses the value table above ``EXACT_CAP`` items, and
+    ``observations`` the observation table above 2**EXACT_CAP keys."""
+    raisers = capacity_raisers((PACKAGE / "model.py").read_text())
+    assert raisers == {"_table", "observations"}
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def _check_cap(i, cap):\n    if i.m > cap:\n        raise CapacityError(i.m)\n"
+        "def kappa(i):\n    _check_cap(i, 6)\n",
+        "def kappa(i, cap=ENUMERATION_CAP):\n    pass\n",
+        "def kappa(i):\n    if i.m > 6:\n        raise errors.CapacityError(i.m)\n",
+        "def kappa(i):\n    if len(i.entries) << i.m > policies.ADAPTIVE_TABLE_CAP:\n"
+        "        raise errors.CapacityError('too large')\n",
+    ],
+)
+def test_guard_catches_cap_checks(source):
+    assert cap_checks(source, ("kappa",))
+
+
+def test_guard_catches_a_second_raise_site():
+    source = (
+        "class _Evaluator:\n"
+        "    def observations(self):\n"
+        "        raise CapacityError('too large')\n"
+        "    def _observe(self):\n"
+        "        if self.m > 16:\n"
+        "            raise CapacityError('too many items')\n"
+        "    def gains(self):\n"
+        "        return CapacityError\n"
+    )
+    assert capacity_raisers(source) == {"observations", "_observe"}

@@ -17,7 +17,7 @@ import stosub as ss
 from stosub import fileio
 from stosub import harness
 from stosub.cli import BUNDLED_SUITE
-from stosub.policies import ADAPTIVE_TABLE_CAP
+from stosub.model import EXACT_CAP
 from conftest import make_modular
 from test_independence_exact import CASES as EXACT_CASES
 from helpers import (
@@ -114,10 +114,10 @@ def test_optimal_adaptive_matches_fraction_reference(name):
 def test_optimal_adaptive_on_the_exact_independence_cases(name):
     """The independence cases bring what ``INSTANCES`` lacks: Python-int
     observation weights, an LCD near 10**60, a single state, twin rows and
-    a non-monotone table.  Each is within the adaptive cap, and the tree
+    a non-monotone table.  Each is within the table's cap, and the tree
     and value equal the Fraction reference's under uniform k = 1, 2 and m."""
     instance = EXACT_CASES[name]()
-    assert len(instance.distribution.entries) << instance.m <= ADAPTIVE_TABLE_CAP
+    assert len(instance.distribution.entries) << instance.m <= 1 << EXACT_CAP
     for k in sorted({1, 2, instance.m}):
         constraint = ss.UniformMatroid(k)
         policy, value = ss.optimal_adaptive(instance, constraint)
@@ -141,7 +141,7 @@ def test_optimal_adaptive_on_sizes_the_table_cap_admits(name):
     reference's, ties included, under uniform k = 2, 3 and a partition."""
     instance = ADMITTED[name]()
     support, m, items = len(instance.distribution.entries), instance.m, instance.items
-    assert support << m <= ADAPTIVE_TABLE_CAP
+    assert support << m <= 1 << EXACT_CAP
     assert m > 5 or support > 64
     constraints = {
         "uniform-2": ss.UniformMatroid(2),

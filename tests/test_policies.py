@@ -6,7 +6,7 @@ import pytest
 import stosub as ss
 from stosub import fileio, model
 from stosub.cli import main
-from conftest import make_modular, make_single_item
+from conftest import make_single_item, make_wide
 from helpers import (
     direct_policy_value,
     direct_set_value,
@@ -136,40 +136,37 @@ class TestOptimalAdaptive:
         assert value == pytest.approx(2.5)
 
     def test_caps(self):
-        # 2**m * |support| above ADAPTIVE_TABLE_CAP (2048): 32 * 243, 64 * 64.
-        wide = ss.generate_product(5, states_per_item=3, seed=0)
-        with pytest.raises(ss.CapacityError, match="7776 observation keys"):
+        # 2**m * |support| above the table's cap (65,536): 64 * 4,096, 512 * 512.
+        wide = ss.generate_product(6, states_per_item=4, seed=0)
+        with pytest.raises(ss.CapacityError, match="needs 262144 keys"):
             ss.optimal_adaptive(wide, ss.UniformMatroid(rank=1))
-        deep = ss.generate_product(6, states_per_item=2, seed=0)
-        with pytest.raises(ss.CapacityError, match="6 items and a support of 64"):
+        deep = ss.generate_product(9, states_per_item=2, seed=0)
+        with pytest.raises(ss.CapacityError, match="9 items and a support of 512"):
             ss.optimal_adaptive(deep, ss.UniformMatroid(rank=1))
 
     @pytest.mark.parametrize(
         "m, support, admitted",
-        [(6, 32, True), (11, 1, True), (6, 33, False), (12, 1, False)],
+        [
+            (6, 32, True), (11, 1, True), (10, 64, True), (16, 1, True),
+            (10, 65, False), (17, 1, False),
+        ],
     )
     def test_table_cap_is_checked_before_any_work(self, m, support, admitted):
-        """The bound is 2**m * |support| <= 2048, checked on both sides of
-        it, and a rejected instance never gets an evaluator."""
-        if support == 1:
-            instance = make_modular({f"e{i:02d}": float(i % 3) for i in range(m)})
-        else:
-            base = ss.generate_product(m, states_per_item=2, seed=0)
-            first = base.distribution.entries[:support]
-            entries = tuple((r, Fraction(1, support)) for r, _ in first)
-            instance = ss.Instance(
-                base.items, base.states, ss.JointDistribution(entries), base.utility
-            )
-        assert (support << m <= ss.policies.ADAPTIVE_TABLE_CAP) == admitted
+        """The bound is 2**m * |support| <= 65,536, the observation table's,
+        checked on both sides of it, and a rejected instance gets an
+        evaluator but no table."""
+        instance = make_wide(m, support)
+        assert (support << m <= 1 << ss.model.EXACT_CAP) == admitted
         constraint = ss.UniformMatroid(rank=2)
         if admitted:
             _, value = ss.optimal_adaptive(instance, constraint)
             if support == 1:  # one world: adaptivity gains nothing
                 assert value == ss.best_nonadaptive(instance, constraint)[1]
         else:
-            with pytest.raises(ss.CapacityError, match="above the cap 2048"):
+            with pytest.raises(ss.CapacityError, match="above the cap 65536"):
                 ss.optimal_adaptive(instance, constraint)
-            assert not hasattr(instance, "_evaluator_cache")
+            ev = instance._evaluator_cache
+            assert ev._observations is None and ev._tables == {}
 
 
 class TestBestNonadaptive:

@@ -1,0 +1,98 @@
+"""One cap on the observation table, owned by the evaluator.
+
+``_Evaluator.observations()`` refuses a table of more than 2**EXACT_CAP =
+65,536 keys (2**m * |support|) before it sorts anything.  kappa, gamma and
+the adaptive oracle all read that table, so they stop at the same
+instances, with no table built, and the command line exits 2 there with
+nothing on stdout.  An instance above the cap keeps every read of the value
+table.  ``test_policies`` checks the oracle on both sides of the cap.
+"""
+
+import pytest
+
+import stosub as ss
+from stosub import fileio
+from stosub.cli import main
+from stosub.model import EXACT_CAP, _evaluator
+from conftest import make_wide
+
+CAP = 1 << EXACT_CAP
+
+# (m, support): exactly CAP keys, and one key more or one item more.
+AT_CAP = {"m16-one-world": (16, 1), "m10-64-worlds": (10, 64)}
+ABOVE_CAP = {"m17-one-world": (17, 1), "m10-65-worlds": (10, 65)}
+
+
+def _keys(instance) -> int:
+    return len(instance.distribution.entries) << instance.m
+
+
+@pytest.mark.parametrize("measure", [ss.kappa, ss.gamma], ids=["kappa", "gamma"])
+@pytest.mark.parametrize("shape", AT_CAP)
+def test_measures_run_at_the_cap(shape, measure):
+    instance = make_wide(*AT_CAP[shape])
+    assert _keys(instance) == CAP
+    value = measure(instance).value
+    # One world is a product prior.
+    assert value == 1 if len(instance.distribution.entries) == 1 else value <= 1
+
+
+@pytest.mark.parametrize("measure", [ss.kappa, ss.gamma], ids=["kappa", "gamma"])
+@pytest.mark.parametrize("shape", ABOVE_CAP)
+def test_one_key_more_raises_before_any_table(shape, measure):
+    m, support = ABOVE_CAP[shape]
+    instance = make_wide(m, support)
+    message = (
+        f"the observation table over {m} items and a support of {support} "
+        f"needs {_keys(instance)} keys, above the cap {CAP}"
+    )
+    with pytest.raises(ss.CapacityError) as raised:
+        measure(instance)
+    assert str(raised.value) == message
+    ev = _evaluator(instance)
+    assert ev._observations is None and ev._tables == {}
+
+
+COMMANDS = {
+    "kappa": ["kappa"],
+    "gamma": ["gamma"],
+    "gap": ["gap"],
+    "oracle-adaptive": ["oracle", "adaptive"],
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("shape", [*AT_CAP, *ABOVE_CAP])
+def test_commands_at_and_above_the_cap(tmp_path, capsys, shape, command):
+    instance = make_wide(*{**AT_CAP, **ABOVE_CAP}[shape])
+    path = tmp_path / "instance.json"
+    fileio.save_instance(instance, path)
+    code = main([*COMMANDS[command], str(path)])
+    out, err = capsys.readouterr()
+    if shape in AT_CAP:
+        assert (code, err) == (0, "")
+        first = {"gap": "gamma = ", "oracle-adaptive": "optimal adaptive value: "}
+        assert out.startswith(first.get(command, f"{command} = "))
+    else:
+        assert (code, out) == (2, "")
+        assert err.startswith("capacity error: the observation table over ")
+
+
+def test_value_reads_need_no_observation_table():
+    """The dense-ascent shape (m = 12, 3 states, 32 worlds) has 2**17 keys,
+    so it has no observation table, yet set values, the multilinear value
+    and an ascent step all read the value table."""
+    instance = ss.generate_common_cause(12, 3, 32, seed=0)
+    assert _keys(instance) > CAP
+    items = instance.items
+    y = ss.FractionalPoint(items, tuple(0.1 for _ in items))
+    config = ss.GreedyConfig(delta=0.05)
+    moved, _ = ss.greedy.step(instance, ss.UniformMatroid(3), y, 0.0, config)
+    assert ss.multilinear_value(instance, moved) >= ss.multilinear_value(instance, y)
+    picked = ss.FractionalPoint(items, tuple(float(i < 3) for i in range(len(items))))
+    value = ss.expected_set_value(instance, items[:3])
+    assert ss.multilinear_value(instance, picked) == value
+    assert value == float(ss.expected_set_value_exact(instance, items[:3]))
+    with pytest.raises(ss.CapacityError, match="needs 131072 keys"):
+        _evaluator(instance).observations()
+    assert _evaluator(instance)._observations is None
