@@ -4,7 +4,8 @@ An :class:`Instance` bundles a ground set of items, a finite state alphabet,
 an explicit joint distribution over full state realizations, and a monotone
 submodular utility defined on sets of (item, state) pairs.  Probabilities are
 exact rationals throughout so that the independence diagnostics can
-distinguish true zeros from rounding; utility values are plain floats.
+distinguish true zeros from rounding; utility weights and table values are
+plain floats.
 
 Expected values exposed here (``expected_set_value`` and its exact twin) are
 computed in exact rational arithmetic internally and rounded once on the way
@@ -18,45 +19,37 @@ branches on the kind.
 
 The value table: entry ``mask`` (bit i for item i) holds E[f(S)] as an
 integer numerator N over one denominator D = L * 2**k, with L = ``lcd`` the
-support's LCD (p_w = a_w / L).  Utility values are floats, hence
-dyadic: 2**k times every weight or table value is an integer, and so is
-2**k times any left-to-right float sum of weights, because rounding a sum
-of nonnegative floats never drops below the finest bit of its terms.  So
-N = sum_w a_w * 2**k f_w exactly, in int64 when L * 2**k * max f < 2**63
-and in Python ints otherwise; the float view is the correctly rounded N / D,
-the float ``float(Fraction(N, D))`` gives (one numpy division when N and D
-are below 2**53, so both are exact floats).  Coverage sums its weights left
-to right in ascending target order, in ``WeightedCoverage.evaluate`` and in
-the world kernel below alike; that kernel takes the sum as one product
-``codes @ weights`` when 2**k times the weights' total is below 2**53,
-because every subset sum is then an exact float in any order (each coverage
-utility decides this once).  A table may pin one (item, state) pair into every
-set.  Full tables come from one of two kernels, and ``tables(pins)`` builds
-every requested table not yet cached in one call:
+support's LCD (p_w = a_w / L).  Utility values are dyadic: a coverage value
+is the exact sum of its covered weights, and 2**k times every weight or
+explicit table value is an integer.  So N = sum_w a_w * 2**k f_w exactly,
+in int64 when L * 2**k * max f < 2**63 and in Python ints otherwise; the
+float view is the correctly rounded N / D, the float ``float(Fraction(N,
+D))`` gives (one numpy division when N and D are below 2**53, so both are
+exact floats).  A table may pin one (item, state) pair into every set.
+Full tables come from one kernel per utility kind, and ``tables(pins)``
+builds every requested table not yet cached in one call:
 
-- Coverage whose subset sums are exact floats (the one-product case) takes
-  a superset-sum (fast zeta) transform, as in Bjorklund, Husfeldt, Kaski
-  and Koivisto, "Fourier meets Mobius: fast subset convolution" (STOC
-  2007).  The evaluator scales c_t = 2**k w_t, summing to C, once, and
-  whether it holds them picks the kernel here and for gamma's unions
-  below.  Set S leaves target t uncovered in world w exactly when S avoids
-  every item whose state in w covers t, so N[S] = L * C minus the sum of
-  a_w * c_t over the (w, t) with S inside that complement (and t outside
-  the pinned pair's targets).  One scatter-add of those |support| *
-  #targets terms and one m-step superset sum give a whole table:
+- Coverage takes a superset-sum (fast zeta) transform, as in Bjorklund,
+  Husfeldt, Kaski and Koivisto, "Fourier meets Mobius: fast subset
+  convolution" (STOC 2007).  The utility holds its integer units c_t =
+  2**k w_t, summing to C, and the evaluator keeps them in the table's
+  dtype; whether it holds them picks the kernel here and for gamma's
+  unions below.  Set S leaves target t uncovered in world w exactly when S
+  avoids every item whose state in w covers t, so N[S] = L * C minus the
+  sum of a_w * c_t over the (w, t) with S inside that complement (and t
+  outside the pinned pair's targets).  One scatter-add of those |support|
+  * #targets terms and one m-step superset sum give a whole table:
   O(|support| * #targets + m * 2**m) time per table and O(#tables * 2**m +
   |support| * #targets) memory.
-- Explicit tables, and coverage whose float sums round (weights such as
-  0.1, 0.2 and 0.3, where each world's left-to-right order decides f),
-  take the world kernel: world by world, the covered targets (or the
-  explicit table's ground-pair index) of all 2**m masks by doubling over
-  the item bits, one ``_values`` call per world on the stacked codes of all
-  pins, so O(|support| * #tables * 2**m * #targets) time and O(#tables *
-  2**m) extra memory.
+- Explicit tables take the world kernel: world by world, the ground-pair
+  index of all 2**m masks by doubling over the item bits, one ``_values``
+  call per world on the stacked codes of all pins, so O(|support| *
+  #tables * 2**m) time and O(#tables * 2**m) extra memory.
 
 The unpinned table exists in full up to ``EXACT_CAP`` items, built on first
 use; above it asking for it is a ``CapacityError``, and ``numerators`` values
-only the requested masks, in one pass of the world kernel.
+only the requested masks, in one pass of the world kernel (coverage codes
+there are covered-target flags, valued by their product with the units).
 ``gains`` caches the float table's differences across each item's bit, the
 2**(m-1) x m matrix the multilinear weight kernel contracts.
 
@@ -66,7 +59,8 @@ every positive-probability observation of every item set in one table,
 built in one vectorised pass the first time kappa, gamma or the oracle asks
 and shared by all three.  It is the one owner of their capacity rule: it
 raises ``CapacityError`` before any work when the 2**m * |support| keys it
-would sort exceed 2**EXACT_CAP.  The bound reuses the value table's, so
+would sort (|support| counts the positive-probability worlds) exceed
+2**EXACT_CAP.  The bound reuses the value table's, so
 every instance the table admits (2**m <= 2**m * |support|) has m <=
 ``EXACT_CAP`` and a full value table for kappa's pins and the fixed-set
 oracle.  Nothing else checks it: an instance whose table would be too large
@@ -105,19 +99,19 @@ gamma compares two observations of one mask through the gains of an item on
 the union of their pair sets, contracted with each one's W.  ``union_keys``
 names what those gains read of a row, so that rows of one mask with one
 class and one key are interchangeable, and ``union_dots`` gives both
-contractions of each requested pair in one batch.  For coverage whose subset
-sums are exact it needs no union: a gain is an integer sum over the targets
-neither row covers, and the key is the targets the item can cover that the
-row leaves uncovered.  Explicit tables, and coverage whose float sums round,
-key each row by its whole pair set and value the unions through
-``union_gains``, the codes and the same scaling.  ``scaled_value`` gives
-2**k f of one pair set and ``row_values`` that of every row, so the policy
-oracles, which do their own exact sums, never see the scale.
+contractions of each requested pair in one batch.  Coverage needs no
+union: a gain is an integer sum over the targets neither row covers, and
+the key is the targets the item can cover that the row leaves uncovered.
+Explicit tables key each row by its whole pair set and value the unions
+through ``union_gains``, the codes and the same scaling.  ``scaled_value``
+gives 2**k f of one pair set and ``row_values`` that of every row, so the
+policy oracles, which do their own exact sums, never see the scale.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Union
@@ -253,8 +247,12 @@ def _pair(value, context: str) -> Pair:
 class WeightedCoverage:
     """Weighted coverage utility: each (item, state) covers a subset of targets.
 
-    Monotone and submodular by construction.  ``coverage`` must be total over
-    the instance's item/state product when used inside an :class:`Instance`.
+    f(S) is the exact sum of the weights of the targets S covers, so f is
+    monotone and submodular by construction.  Each weight is a dyadic float,
+    so with k = ``_dyadic_shift(weights)`` the integer units c_t = 2**k w_t
+    give f(S) = sum c_t / 2**k, and ``evaluate`` returns its correctly
+    rounded float.  ``coverage`` must be total over the instance's item/state
+    product when used inside an :class:`Instance`.
     """
 
     targets: tuple[str, ...]
@@ -269,10 +267,12 @@ class WeightedCoverage:
         if len(self.weights) != len(self.targets):
             raise InputError("one weight per target required")
         weights = tuple(nonnegative(w, "target weight") for w in self.weights)
-        total = 0.0  # summed left to right, as ``_values`` sums them
-        for w in weights:
-            total += w
-        if math.isinf(total):
+        # From the exact ratios: 2**k overflows a float at k = 1074.
+        shift = _dyadic_shift(weights)
+        units = tuple(
+            n * (1 << shift) // d for n, d in map(float.as_integer_ratio, weights)
+        )
+        if sum(units) > int(sys.float_info.max) << shift:
             raise InputError("target weights must have a finite sum")
         index = {t: i for i, t in enumerate(self.targets)}
         canon = []
@@ -288,12 +288,8 @@ class WeightedCoverage:
         object.__setattr__(self, "coverage", tuple(canon))
         object.__setattr__(self, "_cover", cover)
         object.__setattr__(self, "weights", weights)
-        # Below 2**53 in units of 2**-k every subset sum is an exact float, in
-        # any order, so one product gives the left-to-right sums bit for bit.
-        shift = _dyadic_shift(weights)
-        exact = sum(map(Fraction, weights)) * (1 << shift) < _FLOAT_EXACT
         object.__setattr__(self, "_shift", shift)
-        object.__setattr__(self, "_product", np.array(weights) if exact else None)
+        object.__setattr__(self, "_units", units)
 
     @classmethod
     def build(
@@ -359,11 +355,8 @@ class WeightedCoverage:
                 covered |= self._cover[tuple(pair)]
             except KeyError:
                 raise InputError(f"unknown (item, state) pair {pair}") from None
-        # Left to right in target order, as ``_values`` adds (sum() may compensate).
-        total = 0
-        for i in sorted(covered):
-            total += self.weights[i]
-        return total
+        # Integer true division rounds the exact quotient once.
+        return sum(self._units[t] for t in covered) / (1 << self._shift)
 
     def _codes(self, pairs: list[Pair]) -> np.ndarray:
         """One row of covered-target flags per pair; a union is an OR of rows."""
@@ -372,18 +365,9 @@ class WeightedCoverage:
             row[list(self._cover[pair])] = True
         return codes
 
-    def _values(self, codes: np.ndarray) -> np.ndarray:
-        if self._product is not None:
-            return codes @ self._product
-        total = np.zeros(len(codes))
-        for t, weight in enumerate(self.weights):
-            total += codes[:, t] * weight
-        return total
-
-    def _grid(self) -> tuple[float, int]:
-        """Largest value any pair set can take, and its dyadic scale exponent."""
-        every = self._values(np.ones((1, len(self.targets)), dtype=bool))
-        return float(every[0]), self._shift
+    def _grid(self) -> tuple[int, int]:
+        """2**k times the largest value any pair set can take, and k."""
+        return sum(self._units), self._shift
 
 
 @dataclass(frozen=True)
@@ -395,8 +379,8 @@ class ExplicitTable:
 
     kind = "explicit-table"
 
-    # No target sums to transform: the evaluator values it world by world.
-    _product = None
+    # No target units to transform: the evaluator values it world by world.
+    _units = None
 
     CONSTRUCTION_CAP = 16
 
@@ -513,9 +497,10 @@ class ExplicitTable:
     def _values(self, codes: np.ndarray) -> np.ndarray:
         return self._mask_cache[codes]
 
-    def _grid(self) -> tuple[float, int]:
+    def _grid(self) -> tuple[int, int]:
         values = self._mask_cache.tolist()
-        return max(values), _dyadic_shift(values)
+        shift = _dyadic_shift(values)
+        return int(Fraction(max(values)) * (1 << shift)), shift
 
 
 def _first(flags: np.ndarray) -> list[int]:
@@ -622,16 +607,18 @@ class _Evaluator:
             (s, p.numerator * (lcd // p.denominator)) for s, p in support if p
         ]
         top, self._shift = instance.utility._grid()
-        scaled_top = max(1, int(Fraction(top) * (1 << self._shift)))
+        scaled_top = max(1, top)
         self._int64 = lcd * scaled_top < 1 << 63
         self.denominator = lcd << self._shift
         # The dtype rule of the observation weights (``_observe``).
         self._ratio_int64 = lcd * lcd * scaled_top < 1 << 63
-        # c_t = 2**k w_t when the coverage subset sums are exact floats: the
-        # kernel choice of ``tables``, ``union_keys`` and ``union_dots``.
+        # A coverage utility's units c_t = 2**k w_t in the table's dtype, None
+        # for an explicit table: the kernel choice of ``_scaled``, ``tables``,
+        # ``union_keys`` and ``union_dots``.
+        units = instance.utility._units
         self._units = None
-        if instance.utility._product is not None:
-            self._units = self._scaled(np.eye(self._codes.shape[-1], dtype=bool))
+        if units is not None:
+            self._units = np.array(units, np.int64 if self._int64 else object)
         self._tables: dict = {}
         self._float_table = None
         self._observations = None
@@ -646,7 +633,7 @@ class _Evaluator:
     def _numerators(self, masks: np.ndarray | None, pins=(None,)) -> np.ndarray:
         """Numerators of the given masks (all 2^m in order when None), one row
         per pin; a pin adds one fixed (item, state) pair to every set, None
-        adds none.  World by world, with one ``_values`` call per world."""
+        adds none.  World by world, with one ``_scaled`` call per world."""
         zero = np.zeros_like(self._codes[0, 0])
         base = np.stack([zero if pin is None else self._codes[pin] for pin in pins])
         total = 0
@@ -665,8 +652,8 @@ class _Evaluator:
         return total.reshape(len(pins), -1)
 
     def _transform(self, pins) -> np.ndarray:
-        """``_numerators(None, pins)`` for a coverage utility whose subset sums
-        are exact floats, by one superset-sum transform per pin.
+        """``_numerators(None, pins)`` for a coverage utility, by one
+        superset-sum transform per pin.
 
         With c_t = 2**k w_t and C their sum, S leaves target t uncovered in
         world w exactly when S lies inside M, the items whose state in w
@@ -691,7 +678,10 @@ class _Evaluator:
         return self.lcd * int(units.sum()) - sums
 
     def _scaled(self, codes: np.ndarray) -> np.ndarray:
-        """2**k times the utility of each pair-set code, as exact integers."""
+        """2**k times the utility of each pair-set code, as exact integers: a
+        coverage code's product with the units, else the scaled table value."""
+        if self._units is not None:
+            return codes @ self._units
         values = self.instance.utility._values(codes)
         if self._int64:
             return np.ldexp(values, self._shift).astype(np.int64)
@@ -714,11 +704,11 @@ class _Evaluator:
     def tables(self, pins) -> np.ndarray:
         """Numerators of every mask, one row of 2**m per pin (None for no pin,
         else an (item index, state index) pair).  The rows not yet cached are
-        built together: by ``_transform`` for coverage whose subset sums are
-        exact floats (``_units`` set), else in one pass of ``_numerators`` over
-        the worlds, so a caller that needs several pins asks for them at
-        once.  Full tables at any m: kappa asks for ``observations()`` first,
-        whose cap bounds m, and the fixed-set oracle checks ``EXACT_CAP``."""
+        built together: by ``_transform`` for coverage (``_units`` set), else
+        in one pass of ``_numerators`` over the worlds, so a caller that needs
+        several pins asks for them at once.  Full tables at any m: kappa asks
+        for ``observations()`` first, whose cap bounds m, and the fixed-set
+        oracle checks ``EXACT_CAP``."""
         missing = [pin for pin in dict.fromkeys(pins) if pin not in self._tables]
         if missing:
             if self._units is None:
@@ -772,7 +762,7 @@ class _Evaluator:
         exceed 2**EXACT_CAP.  The weights are int64 or Python ints by the
         ratio rule in ``__init__``, so products with them are exact."""
         if self._observations is None:
-            support = len(self.instance.distribution.entries)
+            support = len(self.worlds)
             if support << self.m > 1 << EXACT_CAP:
                 raise CapacityError(
                     f"the observation table over {self.m} items and a support "
@@ -872,10 +862,10 @@ class _Evaluator:
         union gains read of the row's pair set.
 
         Two rows of one mask with equal words have equal gains on top of
-        their union with any third row.  For coverage whose subset sums are
-        exact (``union_dots``) that is the set of targets the item can cover
-        and the row leaves uncovered; otherwise it is the whole pair-set
-        code.  The codes are packed into words once, on first use.
+        their union with any third row.  For coverage (``union_dots``) that
+        is the set of targets the item can cover and the row leaves
+        uncovered; for an explicit table it is the whole pair-set code.  The
+        codes are packed into words once, on first use.
         """
         if self._row_words is None:
             self.observations()
@@ -897,11 +887,11 @@ class _Evaluator:
         the observation weights.  The first array indexes the pairs kept,
         in order; every other pair has both contractions 0.
 
-        Coverage whose subset sums are exact needs no union: with c_t = 2**k
-        w_t, g_o sums c_t over the targets state o of e covers and neither
-        row does, in integers.  It vanishes unless the rows' ``union_keys``
-        meet, and few pairs' do, so only those are valued.  Other utilities
-        value the unions through ``union_gains``.  Each contraction is at
+        Coverage needs no union: with c_t = 2**k w_t, g_o sums c_t over the
+        targets state o of e covers and neither row does, in integers.  It
+        vanishes unless the rows' ``union_keys`` meet, and few pairs' do, so
+        only those are valued.  Explicit tables value the unions through
+        ``union_gains``.  Each contraction is at
         most L * 2**k * max f, so under the int64 rule of the observation
         weights it fits, and so does its product with a row weight.
         """

@@ -1,7 +1,9 @@
 """Independent brute-force oracles used to check the library's fast paths.
 
 Everything here enumerates directly over item names, the raw support, and
-``utility.evaluate``; none of it touches the library's cached evaluators or
+``direct_value``: a coverage value summed in Fractions off the public
+``coverage`` and ``weights`` fields, an explicit table's through
+``utility.evaluate``.  None of it touches the library's cached evaluators or
 bitmask tables, so agreement is meaningful.
 """
 
@@ -47,8 +49,15 @@ def pairs_of(realization, items):
 
 
 def direct_value(instance, pair_set) -> Fraction:
-    """Exact utility of a set of (item, state) pairs."""
-    return Fraction(instance.utility.evaluate(pair_set))
+    """Exact utility of a set of (item, state) pairs: a coverage utility's
+    exact sum of the weights of the targets they cover."""
+    utility = instance.utility
+    if not isinstance(utility, WeightedCoverage):
+        return Fraction(utility.evaluate(pair_set))
+    cover = dict(utility.coverage)
+    covered = {t for pair in pair_set for t in cover[tuple(pair)]}
+    weight = dict(zip(utility.targets, utility.weights))
+    return sum((Fraction(weight[t]) for t in covered), Fraction(0))
 
 
 def direct_set_value(instance, items) -> Fraction:
@@ -425,7 +434,7 @@ def sequence_feasible(policy, constraint) -> bool:
 
 def loop_optimal_adaptive(instance, constraint):
     """(policy, value) of the best adaptive policy, by a ``Fraction`` backward
-    induction over histories straight off the support and ``utility.evaluate``.
+    induction over histories straight off the support and ``direct_value``.
 
     Histories are keyed by the observed pairs, plus the pick sequence for
     families that are not downward-closed, where the library keys every

@@ -1,12 +1,11 @@
 """Full coverage tables from the superset-sum transform.
 
-A coverage utility whose subset sums are exact floats gets its full value
-tables from one superset-sum transform per table (see the ``model`` module
-docstring); explicit tables, and coverage utilities whose float sums round,
+Every coverage utility gets its full value tables from one superset-sum
+transform per table (see the ``model`` module docstring); explicit tables
 keep the world-by-world kernel.  Every row must equal that kernel's row and
 the direct sums of ``helpers`` (``==``), and keep the SHA-256 digests in
-``tests/data/pinned_tables.json``, written by the world kernel for every
-case below with every pin kappa asks for.
+``tests/data/pinned_tables.json`` for every case below with every pin kappa
+asks for.
 """
 
 import hashlib
@@ -19,7 +18,7 @@ import numpy as np
 import pytest
 
 import stosub as ss
-from stosub.model import _Evaluator, _evaluator
+from stosub.model import EXACT_CAP, _Evaluator, _evaluator
 from helpers import direct_set_value, direct_state_value
 from test_independence_exact import CASES as EXACT_CASES
 
@@ -75,10 +74,6 @@ def row_digest(row) -> str:
     return hashlib.sha256(",".join(map(str, row.tolist())).encode()).hexdigest()
 
 
-def _transformed(instance) -> bool:
-    return instance.utility._product is not None
-
-
 @pytest.fixture(scope="module")
 def instances():
     return {}
@@ -96,8 +91,8 @@ PINNED_DIGESTS = json.loads(PINNED.read_text())["cases"]
 
 @pytest.mark.parametrize("name", CASES)
 def test_pinned_table_digests(instances, name):
-    """Every row, unpinned and under every kappa pin, keeps the digest of
-    the numerators the world-by-world kernel wrote."""
+    """Every row, unpinned and under every kappa pin, keeps its pinned
+    digest (see the file's ``about``)."""
     inst = _instance(instances, name)
     rows = _evaluator(inst).tables(kappa_pins(inst))
     assert [row_digest(row) for row in rows] == PINNED_DIGESTS[name]
@@ -139,17 +134,16 @@ def test_tables_match_direct_sums(instances, name):
 
 
 def test_cases_reach_both_dtypes_on_the_transform(instances):
-    """The transform runs in int64 and in Python ints, and some cases keep
-    the world kernel."""
+    """The transform runs in int64 and in Python ints, and the explicit
+    tables keep the world kernel."""
     dtypes = {}
     for name in EXACT_CASES:
         inst = _instance(instances, f"exact-{name}")
-        dtypes.setdefault(_transformed(inst), set()).add(
+        dtypes.setdefault(inst.utility.kind, set()).add(
             _evaluator(inst).tables([None]).dtype
         )
-    assert dtypes[True] == {np.dtype(np.int64), np.dtype(object)}
-    assert False in dtypes
-    assert _transformed(_instance(instances, "exact-twins-python-ints"))
+    assert dtypes["weighted-coverage"] == {np.dtype(np.int64), np.dtype(object)}
+    assert "explicit-table" in dtypes
 
 
 def test_coverage_without_targets():
@@ -171,33 +165,64 @@ def test_coverage_without_targets():
 
 
 def _counted_kernel(monkeypatch) -> list:
-    calls, kernel = [], _Evaluator._numerators
+    """Record each call of the world kernel (whether it built full tables)
+    and of ``union_gains`` (the string "union")."""
+    calls, kernel, unions = [], _Evaluator._numerators, _Evaluator.union_gains
 
     def counted(self, masks, pins=(None,)):
         calls.append(masks is None)
         return kernel(self, masks, pins)
 
+    def counted_unions(self, items, a, b):
+        calls.append("union")
+        return unions(self, items, a, b)
+
     monkeypatch.setattr(_Evaluator, "_numerators", counted)
+    monkeypatch.setattr(_Evaluator, "union_gains", counted_unions)
     return calls
 
 
 def test_exact_coverage_skips_the_world_kernel(monkeypatch):
-    """Full tables of an exact-sum coverage utility, pinned or not, and
-    every read built on them, never call the world-by-world kernel."""
+    """Full tables of a coverage utility, pinned or not, and every read
+    built on them, never call the world-by-world kernel or ``union_gains``."""
     calls = _counted_kernel(monkeypatch)
     inst = ss.generate_common_cause(8, 3, 12, seed=4)
-    assert _transformed(inst)
     ev = _evaluator(inst)
     ev.tables(kappa_pins(inst))
     ev.gains()
     ss.expected_set_value(inst, inst.items[:3])
     ss.kappa(inst)
+    ss.gamma(inst)
+    assert calls == []
+
+
+EXPLICIT_CASES = {"exact-explicit-table", "exact-non-monotone-table"}
+COVERAGE_CASES = [name for name in CASES if name not in EXPLICIT_CASES]
+
+
+@pytest.mark.parametrize("name", COVERAGE_CASES)
+def test_no_coverage_case_reaches_the_world_kernel(monkeypatch, name):
+    """Below ``EXACT_CAP`` every coverage case, decimal weights included,
+    builds its tables, gains, set values and (where its observation table
+    is admitted) kappa, gamma and the adaptive oracle without the world
+    kernel or ``union_gains``."""
+    calls = _counted_kernel(monkeypatch)
+    inst = CASES[name]()
+    assert inst.utility.kind == "weighted-coverage" and inst.m <= EXACT_CAP
+    ev = _evaluator(inst)
+    ev.tables(kappa_pins(inst))
+    ev.gains()
+    ss.expected_set_value(inst, inst.items[::2])
+    if len(ev.worlds) << inst.m <= 1 << EXACT_CAP:
+        ss.kappa(inst)
+        ss.gamma(inst)
+        ss.optimal_adaptive(inst, ss.UniformMatroid(2))
     assert calls == []
 
 
 def _decimal_instance():
     """Weights 0.1, 0.2 and 0.3, whose float sums round: 0.1 + 0.2 + 0.3 is
-    0.6000000000000001, so each world's left-to-right order decides f."""
+    0.6000000000000001, while their exact sum rounds to 0.6."""
     base = ss.generate_common_cause(4, 2, 6, seed=3)
     targets = ("t1", "t2", "t3")
     rng = random.Random(3)
@@ -213,18 +238,16 @@ def _decimal_instance():
     return ss.Instance(base.items, base.states, base.distribution, utility)
 
 
-def test_rounding_coverage_keeps_the_world_kernel(monkeypatch):
-    """Decimal weights take the world-by-world kernel, and every set value
-    equals ``direct_set_value`` float for float."""
+def test_decimal_coverage_skips_the_world_kernel(monkeypatch):
+    """Decimal weights take the transform too, and every set value equals
+    the exact ``direct_set_value``, rounded once."""
     calls = _counted_kernel(monkeypatch)
     inst = _decimal_instance()
-    assert not _transformed(inst)
-    assert inst.utility.evaluate([(i, s) for i in inst.items for s in inst.states]) == (
-        0.1 + 0.2 + 0.3
-    )
+    every = [(i, s) for i in inst.items for s in inst.states]
+    assert inst.utility.evaluate(every) == 0.6 != 0.1 + 0.2 + 0.3
     ev = _evaluator(inst)
     ev.tables(kappa_pins(inst))
-    assert calls == [True]
+    assert calls == []
     for mask in range(1 << inst.m):
         members = [item for i, item in enumerate(inst.items) if mask >> i & 1]
         want = direct_set_value(inst, members)

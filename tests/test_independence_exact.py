@@ -1,7 +1,7 @@
 """kappa and gamma equal the Fraction-per-ratio loop on the whole report.
 
 ``helpers.loop_kappa`` and ``helpers.loop_gamma`` value every ratio as a
-``Fraction`` straight off the support and ``utility.evaluate``, in the
+``Fraction`` straight off the support and ``helpers.direct_value``, in the
 library's enumeration order, so value, clamp, witness (the first strict
 minimum) and ``ratios_examined`` must all agree.  The cases cover ties at 0,
 single-state items, an explicit table and a non-monotone one (negative
@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 import stosub as ss
+from stosub import fileio
 from stosub.model import _evaluator
 from helpers import (
     direct_conditional,
@@ -33,6 +34,7 @@ from helpers import (
     indexed_observations,
     loop_gamma,
     loop_kappa,
+    loop_optimal_adaptive,
     loop_twins,
     table_from_function,
 )
@@ -395,18 +397,55 @@ def test_gamma_values_each_pair_of_distinct_groups_once(instances, monkeypatch):
     assert 0 < sum(calls) == _group_pairs(inst) < report.ratios_examined // 2
 
 
-@pytest.mark.parametrize(
-    "name", ["explicit-table", "non-monotone-table", "third-weights", "huge-lcd"]
-)
-def test_gamma_values_unions_where_sums_round(instances, monkeypatch, name):
-    """Explicit tables, and coverage whose float sums round, value each
-    valued pair's union through ``union_gains``, one union per pair."""
+@pytest.mark.parametrize("name", ["explicit-table", "non-monotone-table"])
+def test_gamma_values_unions_on_explicit_tables(instances, monkeypatch, name):
+    """Explicit tables value each valued pair's union through
+    ``union_gains``, one union per pair."""
     inst = instances[name]
     unions = _counting(monkeypatch, inst, "union_gains")
     calls = _counting(monkeypatch, inst, "union_dots")
     report = ss.gamma(inst)
     assert report == loop_gamma(inst)
     assert 0 < sum(unions) == sum(calls)
+
+
+@pytest.mark.parametrize("name", ["third-weights", "huge-lcd"])
+def test_gamma_values_no_union_on_decimal_coverage(instances, monkeypatch, name):
+    """Weights whose float sums round still give exact sums, so gamma values
+    their pairs without a union (on Python-int units here)."""
+    inst = instances[name]
+    unions = _counting(monkeypatch, inst, "union_gains")
+    calls = _counting(monkeypatch, inst, "union_dots")
+    report = ss.gamma(inst)
+    assert report == loop_gamma(inst)
+    assert unions == [] and sum(calls) > 0
+
+
+@pytest.mark.parametrize(
+    "weights, shift",
+    [((1e-9 / 3, 1e9), 84), ((5e-324, 1.0), 1074)],
+    ids=["third-of-1e-9", "least-subnormal"],
+)
+def test_python_int_units_match_the_loops(weights, shift):
+    """Weights far apart in scale give Python-int units (2**1074 overflows a
+    float, so the units come from the weights' exact ratios), and every
+    exact read equals its Fraction loop: the value table, kappa, gamma and
+    the adaptive oracle."""
+    inst = _reweighted(ss.generate_common_cause(4, 2, 7, seed=6), weights)
+    ev = _evaluator(inst)
+    assert ev.denominator == ev.lcd << shift and ev._units.dtype == object
+    for mask in range(1 << inst.m):
+        members = [item for i, item in enumerate(inst.items) if mask >> i & 1]
+        assert ss.expected_set_value_exact(inst, members) == direct_set_value(
+            inst, members
+        )
+    assert ss.kappa(inst) == loop_kappa(inst)
+    assert ss.gamma(inst) == loop_gamma(inst)
+    for k in (1, 2):
+        policy, value = ss.optimal_adaptive(inst, ss.UniformMatroid(k))
+        want_policy, want_value = loop_optimal_adaptive(inst, ss.UniformMatroid(k))
+        assert value == want_value
+        assert fileio.policy_to_obj(policy) == fileio.policy_to_obj(want_policy)
 
 
 def test_gamma_lists_no_ordered_pair():

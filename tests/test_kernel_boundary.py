@@ -8,7 +8,8 @@ The kappa and gamma enumerations compare integer pairs and build a
 ``Fraction`` only once they are done, never once per ratio; the policy
 oracles and reads build none per history or world.  No module but ``model``
 values a set through a utility's ``evaluate``: the rest read the evaluator.
-Inside the evaluator only ``__init__`` reads which coverage kernel applies.
+Inside the evaluator only ``__init__`` reads the utility's integer units,
+which pick the table kernel.
 Every field of the observation table is read somewhere outside the build
 that fills it, and no module but ``model`` sums the table's weights, whose
 row totals the table stores once.  The table owns its capacity rule: its
@@ -79,9 +80,19 @@ def private_reads(source: str) -> list[str]:
     ]
 
 
-def product_reads(source: str) -> dict[str, list[int]]:
+def _is_utility_units(node) -> bool:
+    """``<...>.utility._units``: the units a utility holds, not the
+    evaluator's own copy in ``self._units``."""
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "_units"
+        and _name_of(node.value) == "utility"
+    )
+
+
+def unit_reads(source: str) -> dict[str, list[int]]:
     """The lines of each ``_Evaluator`` method that read a utility's
-    ``_product``, the flag that picks the coverage kernels."""
+    ``_units``, which pick the kernel: None for an explicit table."""
     tree = ast.parse(source)
     cls = next(
         n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_Evaluator"
@@ -92,7 +103,7 @@ def product_reads(source: str) -> dict[str, list[int]]:
             lines = [
                 node.lineno
                 for node in ast.walk(method)
-                if isinstance(node, ast.Attribute) and node.attr == "_product"
+                if _is_utility_units(node)
             ]
             if lines:
                 reads[method.name] = lines
@@ -100,22 +111,22 @@ def product_reads(source: str) -> dict[str, list[int]]:
 
 
 def test_evaluator_decides_its_kernel_once():
-    """Only ``__init__`` reads ``_product``; every other method branches on
-    what it stored, so the kernel choice lives in one place."""
-    reads = product_reads((PACKAGE / "model.py").read_text())
+    """Only ``__init__`` reads the utility's ``_units``; every other method
+    branches on the copy it stored, so the kernel choice lives in one place."""
+    reads = unit_reads((PACKAGE / "model.py").read_text())
     assert list(reads) == ["__init__"]
 
 
-def test_guard_catches_product_reads():
+def test_guard_catches_unit_reads():
     source = (
         "class _Evaluator:\n"
         "    def __init__(self, instance):\n"
-        "        self._units = instance.utility._product\n"
+        "        self._units = instance.utility._units\n"
         "    def tables(self, pins):\n"
-        "        if self.instance.utility._product is None:\n"
+        "        if self._units is None and self.instance.utility._units:\n"
         "            pass\n"
     )
-    assert list(product_reads(source)) == ["__init__", "tables"]
+    assert list(unit_reads(source)) == ["__init__", "tables"]
 
 
 def test_private_names_found():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from helpers import (
     direct_conditional,
     direct_set_value,
     direct_state_value,
+    direct_value,
     loop_validate_utility,
     table_from_function,
 )
@@ -486,22 +488,6 @@ class TestInducedSetFunction:
                     assert value(bigger | {e}) - value(bigger) <= gain + 1e-12
 
 
-def _loop_values(weights, codes) -> list[float]:
-    """Each code row's covered weights, added left to right in target order."""
-    totals = []
-    for row in codes.tolist():
-        total = 0.0
-        for covered, weight in zip(row, weights):
-            if covered:
-                total += weight
-        totals.append(total)
-    return totals
-
-
-def _every_code(n):
-    return np.array(list(itertools.product([False, True], repeat=n)))
-
-
 def _coverage_instance(weights, probabilities=(0.1, 0.2, 0.3, 0.4)):
     """Two items, two states, seeded coverage; one probability per world
     (a, b) in ("x", "y")**2 order, given as decimal strings or Fractions."""
@@ -523,9 +509,42 @@ def _coverage_instance(weights, probabilities=(0.1, 0.2, 0.3, 0.4)):
     return ss.Instance(("a", "b"), ("x", "y"), dist, utility)
 
 
+def _one_world(seed: int, m: int, choices) -> ss.Instance:
+    """m items in one state "on" and one world, so every item set is a set of
+    pairs and its expected value is f itself; 3-5 targets with weights drawn
+    from ``choices``, each item covering a seeded subset of them."""
+    rng = random.Random(seed)
+    items = tuple(f"e{i}" for i in range(m))
+    targets = tuple(f"t{k}" for k in range(rng.randint(3, 5)))
+    utility = ss.WeightedCoverage.build(
+        targets,
+        {t: rng.choice(choices) for t in targets},
+        {(i, "on"): tuple(t for t in targets if rng.random() < 0.5) for i in items},
+    )
+    world = ss.Realization(tuple((i, "on") for i in items))
+    dist = ss.JointDistribution(((world, Fraction(1)),))
+    return ss.Instance(items, ("on",), dist, utility)
+
+
+DECIMALS = (0.1, 0.2, 0.3)
+THIRDS = (1 / 3, 2 / 3, 0.1, 1.0)
+NON_DYADIC = {
+    "baseline-abc": lambda: make_modular({"a": 0.1, "b": 0.2, "c": 0.3}),
+    **{
+        f"{name}-m{m}-s{seed}": lambda seed=seed, m=m, choices=choices: _one_world(
+            seed, m, choices
+        )
+        for name, choices in (("decimals", DECIMALS), ("thirds", THIRDS))
+        for m in (3, 6)
+        for seed in range(3)
+    },
+}
+
+
 class TestExactSumGuards:
-    """Coverage values and the float view take their vectorised paths only
-    where those are exact, and equal the scalar loops everywhere."""
+    """Coverage values are exact sums of the weights on every weight set, so
+    they are exactly monotone and submodular, and every float view of them
+    (``evaluate``, the value table) rounds the exact value once."""
 
     @pytest.mark.parametrize(
         "weights",
@@ -533,28 +552,79 @@ class TestExactSumGuards:
             (1.0, 4.0, 2.0, 5.0, 3.0),
             (0.125, 2.5, 3.75, 0.5, 1.0, 7.875),
             (2.0**52, 2.0**51, 1.0),
+            (2.0**53, 1.0, 1.0),
+            (0.1, 0.2, 0.7),
+            (1e300, 1.0),
         ],
     )
-    def test_narrow_weights_take_the_product(self, weights):
+    def test_values_are_exact_sums(self, weights):
+        # 2.0**53 + 1.0 == 2.0**53, and 0.1 + 0.2 + 0.7 == 1.0, as floats.
         inst = _coverage_instance(weights)
         utility = inst.utility
-        assert utility._product is not None
-        codes = _every_code(len(weights))
-        assert utility._values(codes).tolist() == _loop_values(weights, codes)
+        ground = [(i, s) for i in inst.items for s in inst.states]
+        for r in range(len(ground) + 1):
+            for pairs in itertools.combinations(ground, r):
+                assert utility.evaluate(pairs) == float(direct_value(inst, pairs))
         table = _evaluator(inst).values()
         for mask in range(4):
             chosen = [item for k, item in enumerate(inst.items) if mask >> k & 1]
+            assert ss.expected_set_value_exact(inst, chosen) == direct_set_value(
+                inst, chosen
+            )
             assert table[mask] == float(direct_set_value(inst, chosen))
 
+    @pytest.mark.parametrize("name", NON_DYADIC)
+    def test_non_dyadic_weights_are_exactly_submodular(self, name):
+        """In Fractions over every mask: f(S + i) >= f(S), and the gain of i
+        never grows from S to S + j.  Left-to-right float sums broke this in
+        the baseline case: the gain of a was 0.10000000000000003 on {b} and
+        0.10000000000000009 on {b, c}."""
+        inst = NON_DYADIC[name]()
+        m = inst.m
+
+        def f(mask):
+            return ss.expected_set_value_exact(
+                inst, [item for k, item in enumerate(inst.items) if mask >> k & 1]
+            )
+
+        values = [f(mask) for mask in range(1 << m)]
+        for mask in range(1 << m):
+            for i in range(m):
+                if mask >> i & 1:
+                    continue
+                gain = values[mask | 1 << i] - values[mask]
+                assert gain >= 0
+                for j in range(m):
+                    if j != i and not mask >> j & 1:
+                        bigger = mask | 1 << j
+                        assert values[bigger | 1 << i] - values[bigger] <= gain
+
+    @pytest.mark.parametrize("name", NON_DYADIC)
+    def test_evaluate_rounds_the_exact_sum_once(self, name):
+        inst = NON_DYADIC[name]()
+        utility = inst.utility
+        for r in range(inst.m + 1):
+            for items in itertools.combinations(inst.items, r):
+                pairs = [(i, "on") for i in items]
+                exact = direct_value(inst, pairs)
+                assert utility.evaluate(pairs) == float(exact)
+                assert ss.expected_set_value_exact(inst, items) == exact
+
     @pytest.mark.parametrize(
-        "weights", [(2.0**53, 1.0, 1.0), (0.1, 0.2, 0.7), (1e300, 1.0)]
+        "weights", [(1e308, 1e308), (sys.float_info.max, 2.0**970)]
     )
-    def test_wide_weights_take_the_loop(self, weights):
-        # 2.0**53 + 1.0 == 2.0**53: a sum in another order could differ.
-        utility = _coverage_instance(weights).utility
-        assert utility._product is None
-        codes = _every_code(len(weights))
-        assert utility._values(codes).tolist() == _loop_values(weights, codes)
+    def test_sum_above_the_largest_float_is_rejected(self, weights):
+        with pytest.raises(ss.InputError, match="finite sum"):
+            _coverage_instance(weights)
+
+    def test_sum_at_the_largest_float_is_kept(self):
+        top = sys.float_info.max
+        utility = ss.WeightedCoverage.build(
+            ("t0", "t1"),
+            {"t0": top - 2.0**971, "t1": 2.0**971},
+            {("e", "on"): ("t0", "t1")},
+        )
+        assert utility.evaluate([("e", "on")]) == top
 
     def test_float_view_near_and_above_2_53(self):
         third = Fraction(1, 3)

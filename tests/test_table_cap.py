@@ -1,12 +1,15 @@
 """One cap on the observation table, owned by the evaluator.
 
 ``_Evaluator.observations()`` refuses a table of more than 2**EXACT_CAP =
-65,536 keys (2**m * |support|) before it sorts anything.  kappa, gamma and
+65,536 keys (2**m * |support|, counting the positive-probability worlds it
+sorts) before it sorts anything.  kappa, gamma and
 the adaptive oracle all read that table, so they stop at the same
 instances, with no table built, and the command line exits 2 there with
 nothing on stdout.  An instance above the cap keeps every read of the value
 table.  ``test_policies`` checks the oracle on both sides of the cap.
 """
+
+from fractions import Fraction
 
 import pytest
 
@@ -76,6 +79,42 @@ def test_commands_at_and_above_the_cap(tmp_path, capsys, shape, command):
     else:
         assert (code, out) == (2, "")
         assert err.startswith("capacity error: the observation table over ")
+
+
+def _with_a_null_world(positive: int) -> ss.Instance:
+    """``make_wide(10, positive)`` plus the product prior's next world, at
+    probability 0."""
+    wide = make_wide(10, positive)
+    null = ss.generate_product(10, states_per_item=2, seed=0).distribution.entries[
+        positive
+    ][0]
+    entries = wide.distribution.entries + ((null, Fraction(0)),)
+    return ss.Instance(
+        wide.items, wide.states, ss.JointDistribution(entries), wide.utility
+    )
+
+
+def test_null_worlds_take_no_keys():
+    """The table sorts the positive worlds only, so a world of probability 0
+    adds no key: 64 positive worlds at m = 10 sit at the cap."""
+    instance = _with_a_null_world(64)
+    assert len(instance.distribution.entries) << instance.m > CAP
+    assert ss.kappa(instance).value <= 1
+    assert ss.gamma(instance).value <= 1
+    ss.optimal_adaptive(instance, ss.UniformMatroid(2))
+    assert len(_evaluator(instance).observations().masks) > 0
+
+
+def test_positive_worlds_above_the_cap_still_raise():
+    instance = _with_a_null_world(65)
+    with pytest.raises(ss.CapacityError) as raised:
+        ss.kappa(instance)
+    assert str(raised.value) == (
+        f"the observation table over 10 items and a support of 65 needs "
+        f"{65 << 10} keys, above the cap {CAP}"
+    )
+    ev = _evaluator(instance)
+    assert ev._observations is None and ev._tables == {}
 
 
 def test_value_reads_need_no_observation_table():

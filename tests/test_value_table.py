@@ -215,14 +215,17 @@ class TestFractionalWeights:
             assert ss.expected_set_value_exact(inst, subset) == want
             assert ss.expected_set_value(inst, subset) == float(want)
 
-    def test_evaluate_sums_in_target_order(self):
+    def test_evaluate_is_independent_of_target_order(self):
+        """The exact sum 0.3 + 0.5 + 0.4 rounds to 1.2 in every target order,
+        where a left-to-right float sum gives 1.2000000000000002 in one."""
         targets = tuple(f"t{k}" for k in range(9))
         weights = dict.fromkeys(targets, 1.0)
         weights.update(t1=0.3, t2=0.5, t8=0.4)
-        utility = ss.WeightedCoverage.build(
-            targets, weights, {("e", "on"): ("t8", "t2", "t1")}
-        )
-        assert utility.evaluate([("e", "on")]) == (0.3 + 0.5) + 0.4
+        for order in (targets, targets[::-1], ("t8", "t2", "t1", *targets[3:8], "t0")):
+            utility = ss.WeightedCoverage.build(
+                order, weights, {("e", "on"): ("t8", "t2", "t1")}
+            )
+            assert utility.evaluate([("e", "on")]) == 1.2 != (0.3 + 0.5) + 0.4
 
 
 class TestAboveTheCap:
