@@ -39,9 +39,9 @@ all the batch's items in one set of arrays (``_BATCH`` bounds their size):
   diagonal; position 0 of the enumeration, item 0's V = {} diagonal, is 1 as
   well, so no other ratio-1 entry can be the first strict minimum, and a 1/1
   stands for position 0 and every pair of one conditional.  The gains of e
-  on a union read of each row only its key (``union_keys``): for coverage
-  whose subset sums are exact, the targets e can cover that the row leaves
-  uncovered, and otherwise the row's whole pair set.  So the rows of one V
+  on a union read of each row only its key (``union_keys``): for coverage,
+  the targets e can cover that the row leaves uncovered, and for an
+  explicit table the row's whole pair set.  So the rows of one V
   with one conditional and one key form a group whose members every ratio
   treats alike, and a pair of groups takes its first place in the
   enumeration at their first rows, (i, j) of V's n_V rows at V's first
@@ -49,21 +49,23 @@ all the batch's items in one set of arrays (``_BATCH`` bounds their size):
   different conditionals is valued once, in both orientations
   (``union_dots``; none on a product prior), and the few candidates are
   sorted by position.  A pair whose contractions are both 0 is 0/0 = 1 both
-  ways and is left to the 1/1 too; on coverage with exact sums that is every
-  pair whose keys do not meet, most pairs.  ``ratios_examined`` still counts
+  ways and is left to the 1/1 too; on coverage that is every pair whose
+  keys do not meet, most pairs.  ``ratios_examined`` still counts
   every ordered pair, the sum over V avoiding e of n_V**2, as it counts
   every row for kappa.
 
 The arrays are int64 when L**2 * 2**k * max f < 2**63, which bounds every
 numerator and denominator (a weight sum of at most L times a gain of at most
-L * 2**k * max f), and Python-int object arrays otherwise.  ``_near_min``
-keeps, per batch, the ratios that can be its first strict minimum: a float
-pre-filter keeps those within a relative window of the smallest float
-quotient, a window wider than the rounding of x, y and x / y.  One
-``_first_min`` per measure then scans every batch's candidates once, in
-enumeration order, by exact integer cross-multiplications (x / y < x' / y'
-exactly when x * y' < x' * y, with y, y' > 0), and one ``Fraction`` is
-built at the end.  T is read from the table's ``totals``.
+L * 2**k * max f), and Python-int object arrays otherwise.  ``_first_min``
+takes each batch's exact first strict minimum: a float pre-filter keeps the
+ratios within a relative window of the smallest float quotient, a window
+wider than the rounding of x, y and x / y, and one scan of those, in
+enumeration order, compares them by exact integer cross-multiplications
+(x / y < x' / y' exactly when x * y' < x' * y, with y, y' > 0).  The
+batches run in enumeration order, so a batch's minimum replaces the earlier
+ones' only when strictly smaller (gamma's first is its 1/1 at position 0),
+and one ``Fraction`` is built at the end.  T is read from the table's
+``totals``.
 
 Conventions for degenerate ratios follow the definitions: 0/0 counts as 1,
 a zero numerator over a positive denominator counts as 0, a negative
@@ -147,20 +149,19 @@ class IndependenceReport:
     ratios_examined: int
 
 
-def _near_min(
+def _first_min(
     x: np.ndarray, y: np.ndarray, position: np.ndarray | None = None
-) -> tuple[np.ndarray, ...]:
-    """Flat indices and values of the ratios x / y that can be the first
-    strict minimum, in enumeration order.
+) -> tuple[int, tuple[int, int]] | None:
+    """Flat index and value of the first strict minimum of the ratios x / y.
 
     ``x`` and ``y`` are int64 or object arrays of one shape, in enumeration
-    order unless ``position`` gives each ratio's place in it.  The values are
-    object arrays of Python ints, in lowest terms with y > 0 under the
-    module's conventions; all three are empty when every ratio is skipped.
-    The float quotients are those of the ratios clipped into [-1, 1], so none
-    overflows, and the clip is monotone, so every minimum stays within the
-    window.  The window grows with its low end, so the indices kept from a
-    part of an array include every one the whole array's window keeps there.
+    order unless ``position`` gives each ratio's place in it.  The value is a
+    pair (num, den) of Python ints in lowest terms with den > 0 under the
+    module's conventions; None when every ratio is skipped.  A float
+    pre-filter keeps the ratios within ``_WINDOW`` of the smallest float
+    quotient, those of the ratios clipped into [-1, 1], so none overflows;
+    the clip is monotone, so every minimum stays within the window.  One
+    ordered scan of exact cross-multiplications runs over what it keeps.
     """
     x, y = x.ravel(), y.ravel()
     x, y = np.where(y < 0, -x, x), abs(y)  # new arrays, changed in place below
@@ -168,7 +169,7 @@ def _near_min(
     x[undefined] = y[undefined] = 1
     live = np.flatnonzero(y)
     if not len(live):
-        return live, np.array([], object), np.array([], object)
+        return None
     if len(live) < len(y):
         x, y = x[live], y[live]
     quotients = (np.clip(x, -y, y) / y).astype(float, copy=False)
@@ -183,24 +184,20 @@ def _near_min(
     x, y = x // common, y // common
     rest = (x != x[0]) | (y != y[0])
     rest[0] = True
-    return index[rest], x[rest].astype(object), y[rest].astype(object)
-
-
-def _first_min(x: np.ndarray, y: np.ndarray) -> tuple[int, tuple[int, int]] | None:
-    """Flat position and value of the first strict minimum of the ratios x / y.
-
-    The value is a pair (num, den) of Python ints in lowest terms with den >
-    0; None when every ratio is skipped.  One ordered scan of exact
-    cross-multiplications runs over the candidates of ``_near_min``.
-    """
-    index, x, y = _near_min(x, y)
-    if not len(index):
-        return None
-    x, y, best = x.tolist(), y.tolist(), 0
+    index, x, y, best = index[rest], x[rest].tolist(), y[rest].tolist(), 0
     for k in range(1, len(x)):  # a later candidate wins only when strictly smaller
         if x[k] * y[best] < x[best] * y[k]:
             best = k
     return int(index[best]), (x[best], y[best])
+
+
+def _below(found, best: tuple[int, int] | None) -> bool:
+    """Whether a batch's ``_first_min`` lies strictly below ``best``, the
+    value of the earlier batches' first minimum (None before any)."""
+    if found is None:
+        return False
+    x, y = found[1]
+    return best is None or x * best[1] < best[0] * y
 
 
 def _batches(costs: np.ndarray):
@@ -262,7 +259,7 @@ def kappa(instance: Instance) -> IndependenceReport:
 
     # Only the first row of each conditional of e: its twins repeat its ratios.
     first = (obs.twins == np.arange(len(obs.masks))[:, None]).T
-    near, where = [], []
+    best = None
     for lo, hi in _batches(first.sum(axis=1) * smasks.shape[1]):
         items, rows = np.nonzero(first[lo:hi])
         items += lo
@@ -270,13 +267,12 @@ def kappa(instance: Instance) -> IndependenceReport:
         den = weights[:, 0, None] * gains[items, 0]
         for o in range(1, states):
             den += weights[:, o, None] * gains[items, o]
-        index, x, y = _near_min(obs.totals[rows, None] * n[items], den)
-        k, col = np.divmod(index, smasks.shape[1])
-        near.append((x, y))
-        where.append(np.stack([items[k], rows[k], smasks[items[k], col]]))
+        found = _first_min(obs.totals[rows, None] * n[items], den)
+        if _below(found, best):
+            k, col = divmod(found[0], smasks.shape[1])
+            best, e, row = found[1], int(items[k]), int(rows[k])
+            smask = int(smasks[e, col])
     examined = int(np.count_nonzero(obs.twins >= 0)) * smasks.shape[1]
-    index, best = _first_min(*np.concatenate(near, axis=1))
-    e, row, smask = (int(v) for v in np.concatenate(where, axis=1)[:, index])
     witness = KappaWitness(
         item=instance.items[e],
         base=_names(instance, smask),
@@ -313,7 +309,7 @@ def gamma(instance: Instance) -> IndependenceReport:
 
     # First item 0's V = {} diagonal, ratio 1/1 at flat position 0, which
     # stands for every ratio-1 pair of equal conditionals (module docstring).
-    near, where = [np.ones((2, 1), object)], [np.zeros((3, 1), int)]
+    best, where = (1, 1), (0, 0, 0)
     for lo, hi in _batches(squares.sum(axis=1)):
         items, rows = np.nonzero(obs.twins[:, lo:hi].T >= 0)
         items += lo
@@ -352,18 +348,19 @@ def gamma(instance: Instance) -> IndependenceReport:
         position = np.concatenate([base + i * sizes[v] + j, base + j * sizes[v] + i])
         # (a, b) is T_b d_a / (T_a d_b), and (b, a) its reciprocal.
         forward, backward = obs.totals[rows[b]] * da, obs.totals[rows[a]] * db
-        index, x, y = _near_min(
+        found = _first_min(
             np.concatenate([forward, backward]),
             np.concatenate([backward, forward]),
             position,
         )
-        back, k = np.divmod(index, len(a))
-        near.append((x, y))
-        ra, rb = rows[a[k]], rows[b[k]]
-        where.append(np.stack([e[k], np.where(back, rb, ra), np.where(back, ra, rb)]))
+        if _below(found, best):
+            back, k = divmod(found[0], len(a))
+            ra, rb = int(rows[a[k]]), int(rows[b[k]])
+            if back:  # the pair's (b, a) orientation
+                ra, rb = rb, ra
+            best, where = found[1], (int(e[k]), ra, rb)
     examined = int(squares.sum())
-    index, best = _first_min(*np.concatenate(near, axis=1))
-    e, a, b = (int(v) for v in np.concatenate(where, axis=1)[:, index])
+    e, a, b = where
     witness = GammaWitness(
         item=instance.items[e],
         observed_items=_names(instance, int(obs.masks[a])),

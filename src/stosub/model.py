@@ -38,18 +38,20 @@ builds every requested table not yet cached in one call:
   avoids every item whose state in w covers t, so N[S] = L * C minus the
   sum of a_w * c_t over the (w, t) with S inside that complement (and t
   outside the pinned pair's targets).  One scatter-add of those |support|
-  * #targets terms and one m-step superset sum give a whole table:
-  O(|support| * #targets + m * 2**m) time per table and O(#tables * 2**m +
-  |support| * #targets) memory.
+  * #targets terms for every requested pin and one m-step superset sum give
+  the tables: O(|support| * #targets + m * 2**m) time per table and
+  O(#tables * (2**m + |support| * #targets)) memory.
 - Explicit tables take the world kernel: world by world, the ground-pair
   index of all 2**m masks by doubling over the item bits, one ``_values``
   call per world on the stacked codes of all pins, so O(|support| *
   #tables * 2**m) time and O(#tables * 2**m) extra memory.
 
-The unpinned table exists in full up to ``EXACT_CAP`` items, built on first
-use; above it asking for it is a ``CapacityError``, and ``numerators`` values
-only the requested masks, in one pass of the world kernel (coverage codes
-there are covered-target flags, valued by their product with the units).
+``tables`` is the one builder of full tables and the one owner of their
+cap: above ``EXACT_CAP`` items it raises ``CapacityError`` before any work,
+whoever asks (the float view, kappa's pins, the fixed-set oracle).  Above
+it ``numerators`` values only the requested masks, in one pass of the world
+kernel (coverage codes there are covered-target flags, valued by their
+product with the units).
 ``gains`` caches the float table's differences across each item's bit, the
 2**(m-1) x m matrix the multilinear weight kernel contracts.
 
@@ -62,8 +64,8 @@ raises ``CapacityError`` before any work when the 2**m * |support| keys it
 would sort (|support| counts the positive-probability worlds) exceed
 2**EXACT_CAP.  The bound reuses the value table's, so
 every instance the table admits (2**m <= 2**m * |support|) has m <=
-``EXACT_CAP`` and a full value table for kappa's pins and the fixed-set
-oracle.  Nothing else checks it: an instance whose table would be too large
+``EXACT_CAP``, and kappa's pinned tables stay below the value table's cap.
+Nothing else checks it: an instance whose table would be too large
 still gets every value-table read.
 
 A world's key under a mask is a mixed-radix code of the masked items'
@@ -666,12 +668,14 @@ class _Evaluator:
         free = 0  # M of each (world, target): bit i when item i's state misses t
         for i in range(m):
             free = free | (~self._codes[i, states[:, i]]).astype(np.int64) << i
-        free = free.ravel()
-        terms = a[:, None] * units  # a_w c_t
-        sums = np.zeros((len(pins), 1 << m), units.dtype)
-        for row, pin in zip(sums, pins):
-            kept = terms if pin is None else terms * ~self._codes[pin]
-            np.add.at(row, free, kept.ravel())
+        # a_w c_t for each (pin, world, target), 0 where the pin covers t,
+        # all scattered at (pin, M) in one pass.
+        zero = np.zeros_like(self._codes[0, 0])
+        pinned = np.stack([zero if pin is None else self._codes[pin] for pin in pins])
+        terms = a[:, None] * units * ~pinned[:, None]
+        sums = np.zeros(len(pins) << m, units.dtype)
+        np.add.at(sums, np.arange(len(pins))[:, None, None] << m | free, terms)
+        sums = sums.reshape(len(pins), 1 << m)
         for i in range(m):  # superset sums, one item bit at a time
             halves = sums.reshape(len(pins), -1, 2, 1 << i)
             halves[:, :, 0] += halves[:, :, 1]
@@ -703,12 +707,15 @@ class _Evaluator:
 
     def tables(self, pins) -> np.ndarray:
         """Numerators of every mask, one row of 2**m per pin (None for no pin,
-        else an (item index, state index) pair).  The rows not yet cached are
-        built together: by ``_transform`` for coverage (``_units`` set), else
-        in one pass of ``_numerators`` over the worlds, so a caller that needs
-        several pins asks for them at once.  Full tables at any m: kappa asks
-        for ``observations()`` first, whose cap bounds m, and the fixed-set
-        oracle checks ``EXACT_CAP``."""
+        else an (item index, state index) pair), or a ``CapacityError``
+        before any work above ``EXACT_CAP`` items.  The rows not yet cached
+        are built together: by ``_transform`` for coverage (``_units`` set),
+        else in one pass of ``_numerators`` over the worlds, so a caller that
+        needs several pins asks for them at once."""
+        if self.m > EXACT_CAP:
+            raise CapacityError(
+                f"exact enumeration over {self.m} items exceeds the cap {EXACT_CAP}"
+            )
         missing = [pin for pin in dict.fromkeys(pins) if pin not in self._tables]
         if missing:
             if self._units is None:
@@ -720,18 +727,12 @@ class _Evaluator:
         return np.stack([self._tables[pin] for pin in pins])
 
     def _table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Numerators and floats of the unpinned table, built on first use (a
-        ``CapacityError`` above ``EXACT_CAP``).  Pinned tables keep their
-        numerators only, all that kappa reads."""
+        """Numerators and floats of the unpinned table, built on first use by
+        ``tables``, which holds the numerators; only the floats are kept
+        here.  Pinned tables have numerators only, all that kappa reads."""
         if self._float_table is None:
-            if self.m > EXACT_CAP:
-                raise CapacityError(
-                    f"exact enumeration over {self.m} items exceeds the cap {EXACT_CAP}"
-                )
-            self.tables([None])
-            row = self._tables[None]
-            self._float_table = (row, self._floats(row))
-        return self._float_table
+            self._float_table = self._floats(self.tables([None])[0])
+        return self._tables[None], self._float_table
 
     def values(self) -> np.ndarray:
         """Float E[f] of every mask, the full table in mask order."""

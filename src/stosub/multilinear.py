@@ -77,9 +77,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import CapacityError, InputError, integer
-from .model import EXACT_CAP, Instance, _evaluator
+from .model import EXACT_CAP, EXACT_TOL, Instance, _evaluator
 
-_COORD_TOL = 1e-9
 
 # Uniforms in one inclusion draw (samples times items).  The draw runs in
 # blocks of _BLOCK uniforms, so only its int64 masks, one per sample, grow
@@ -110,7 +109,7 @@ class FractionalPoint:
         cleaned = []
         for item, v in zip(self.items, self.values):
             v = float(v)
-            if not math.isfinite(v) or v < -_COORD_TOL or v > 1 + _COORD_TOL:
+            if not math.isfinite(v) or v < -EXACT_TOL or v > 1 + EXACT_TOL:
                 raise InputError(f"coordinate {item}={v} outside [0, 1]")
             cleaned.append(min(1.0, max(0.0, v)))
         object.__setattr__(self, "values", tuple(cleaned))

@@ -40,7 +40,8 @@ f(picked pairs) / D, an item's pick probability is the weight of the worlds
 that pick it over L (``lcd``), and the virtual value is sum_v a_v *
 N(mask_v) / (L * D) with N a mask's numerator in the value table.  Each is
 one int/int division, correctly rounded.  The fixed-set enumeration reads
-that table once, as integers, so it stops at the evaluator's ``EXACT_CAP``.
+that table once, as integers, and the value table's cap is the evaluator's.
+Both oracles read one enumeration of every mask's items and feasibility.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ from typing import Mapping, Union
 import numpy as np
 
 from .constraints import Constraint, is_feasible
-from .errors import CapacityError, DegenerateBoundError, InputError, PolicyError
-from .model import EXACT_CAP, EXACT_TOL, Instance, _evaluator
+from .errors import DegenerateBoundError, InputError, PolicyError
+from .model import EXACT_TOL, Instance, _evaluator
 from .multilinear import FractionalPoint, multilinear_value, optimistic_weights
 
 
@@ -152,6 +153,17 @@ def policy_is_feasible(policy: Policy, constraint: Constraint) -> bool:
     return feasible(policy.root, frozenset())
 
 
+def _feasible_sets(
+    instance: Instance, constraint: Constraint
+) -> tuple[list[tuple[str, ...]], np.ndarray]:
+    """The items of every mask, in item order, by doubling over the item
+    bits, and whether each set is feasible."""
+    picked = [()]
+    for item in instance.items:
+        picked += [p + (item,) for p in picked]
+    return picked, np.array([is_feasible(constraint, p) for p in picked])
+
+
 def optimal_adaptive(
     instance: Instance, constraint: Constraint
 ) -> tuple[Policy, float]:
@@ -162,10 +174,7 @@ def optimal_adaptive(
     ev = _evaluator(instance)
     table, m = ev.observations(), instance.m
     count, bits, child = len(table.masks), 1 << np.arange(m), table.children
-    picked = [()]  # the items of every mask, by doubling over the item bits
-    for item in instance.items:
-        picked += [p + (item,) for p in picked]
-    feasible = np.array([is_feasible(constraint, p) for p in picked])
+    feasible = _feasible_sets(instance, constraint)[1]
     # A pick needs an item the row has not observed and a feasible extended
     # set; each prefix of the picks was checked when it was picked.
     masks = table.masks[:, None]
@@ -203,24 +212,17 @@ def optimal_adaptive(
 def best_nonadaptive(
     instance: Instance, constraint: Constraint
 ) -> tuple[frozenset[str], float]:
-    """Best feasible fixed set by exhaustive enumeration of the value table."""
+    """Best feasible fixed set by exhaustive enumeration of the value table:
+    the largest value, then the smallest sorted item tuple."""
     constraint.check_items(instance.items)
-    if instance.m > EXACT_CAP:
-        raise CapacityError(
-            f"enumeration over {instance.m} items exceeds the cap {EXACT_CAP}"
-        )
     ev = _evaluator(instance)
-    table = ev.tables([None])[0].tolist()
-    sets = (
-        tuple(sorted(instance.items[i] for i in range(instance.m) if mask >> i & 1))
-        for mask in range(len(table))
-    )
-    # The largest value first, then the smallest sorted item tuple.
-    ranked = [(-v, s) for v, s in zip(table, sets) if is_feasible(constraint, s)]
-    if not ranked:
+    table = ev.tables([None])[0]
+    picked, feasible = _feasible_sets(instance, constraint)
+    if not feasible.any():
         raise InputError("constraint admits no feasible set, not even the empty one")
-    value, chosen = min(ranked)
-    return frozenset(chosen), -value / ev.denominator
+    best = table[feasible].max()
+    chosen = min(sorted(picked[k]) for k in np.flatnonzero(feasible & (table == best)))
+    return frozenset(chosen), int(best) / ev.denominator
 
 
 def virtual_nonadaptive_value(

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 import stosub as ss
-from stosub import fileio
+from stosub import fileio, independence
 from stosub.model import _evaluator
 from helpers import (
     direct_conditional,
@@ -516,10 +516,34 @@ def _tabulated(instance, seed):
     )
 
 
+def _mixture(m, eps, states, worlds, seed):
+    """(1 - eps) * product + eps * common-cause, both seeded by ``seed``, with
+    the product's coverage utility.  With 2 states every common-cause world
+    lies in the product support, so the support is the product's."""
+    product = ss.generate_product(m, states_per_item=states, seed=seed)
+    cause = dict(ss.generate_common_cause(m, states, worlds, seed).distribution.entries)
+    entries = tuple(
+        (r, (1 - eps) * p + eps * cause.pop(r, 0))
+        for r, p in product.distribution.entries
+    )
+    assert not cause
+    return ss.Instance(
+        items=product.items,
+        states=product.states,
+        distribution=ss.JointDistribution(entries),
+        utility=product.utility,
+    )
+
+
 def pinned_m8_instance(spec):
-    """A common-cause instance, with its target weights cycled from
-    ``spec["weights"]`` or its utility replaced by ``_tabulated`` when the
-    spec says so."""
+    """A mixture instance (``_mixture``), or a common-cause one with its
+    target weights cycled from ``spec["weights"]`` or its utility replaced
+    by ``_tabulated`` when the spec says so."""
+    if spec["generator"] == "mixture":
+        return _mixture(
+            spec["m"], Fraction(spec["eps"]), spec["states"], spec["worlds"],
+            spec["seed"],
+        )
     inst = ss.generate_common_cause(
         spec["m"], spec["states"], spec["worlds"], spec["seed"]
     )
@@ -535,7 +559,8 @@ def pinned_m8_instance(spec):
     json.loads(PINNED_M8.read_text())["cases"],
     ids=lambda c: "{}-m{}-seed{}".format(
         "table" if c["instance"].get("table")
-        else "rounding" if "weights" in c["instance"] else "cc",
+        else "rounding" if "weights" in c["instance"]
+        else "mixture" if c["instance"]["generator"] == "mixture" else "cc",
         c["instance"]["m"],
         c["instance"]["seed"],
     ),
@@ -544,7 +569,10 @@ def test_larger_instances_keep_their_reports(case):
     """Common-cause m = 7 and 8 (3 states, 24 worlds, seeds 0-1), and at
     m = 5 one coverage instance whose float sums round and one explicit
     table, against the reports of the kernel that listed every ordered pair
-    of observations for gamma and valued kappa item by item."""
+    of observations for gamma and valued kappa item by item.  The 1/1000
+    mixture at m = 8 has kappa and gamma strictly inside (0, 1), each the
+    minimum over several batches; its reports are those of the kernel that
+    filtered each batch's candidates and then scanned them all once more."""
     inst = pinned_m8_instance(case["instance"])
     for name, measure in (("kappa", ss.kappa), ("gamma", ss.gamma)):
         report, want = measure(inst), case[name]
@@ -553,3 +581,20 @@ def test_larger_instances_keep_their_reports(case):
         assert report.witness.to_dict() == want["witness"]
         assert type(report.ratios_examined) is int
         assert report.ratios_examined == want["ratios_examined"]
+
+
+def test_mixture_minimum_spans_batches(monkeypatch):
+    """The pinned mixture's kappa and gamma each run over more than one
+    batch of items, and neither value is 0 or 1, so its report pins a
+    minimum chosen across batches."""
+    runs, batches = [], independence._batches
+
+    def counted(costs):
+        runs.append(list(batches(costs)))
+        return runs[-1]
+
+    monkeypatch.setattr(independence, "_batches", counted)
+    inst = _mixture(8, Fraction(1, 1000), 2, 4, 0)
+    for measure in (ss.kappa, ss.gamma):
+        assert 0 < measure(inst).value < 1
+    assert [len(r) > 1 for r in runs] == [True, True]

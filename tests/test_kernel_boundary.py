@@ -12,9 +12,11 @@ Inside the evaluator only ``__init__`` reads the utility's integer units,
 which pick the table kernel.
 Every field of the observation table is read somewhere outside the build
 that fills it, and no module but ``model`` sums the table's weights, whose
-row totals the table stores once.  The table owns its capacity rule: its
-one raise site is ``_Evaluator.observations``, and kappa, gamma and the
-adaptive oracle that read it check no cap of their own.
+row totals the table stores once.  Each table owns its capacity rule:
+the value table's one raise site is ``_Evaluator.tables`` and the
+observation table's is ``_Evaluator.observations``.  kappa, gamma and both
+policy oracles check no cap of their own, and the readers of the value
+table stop with one message above its cap.
 """
 
 import ast
@@ -23,7 +25,9 @@ from pathlib import Path
 import pytest
 
 import stosub
+from stosub import model
 from stosub.model import Observations
+from conftest import make_wide
 
 PACKAGE = Path(stosub.__file__).parent
 
@@ -471,17 +475,44 @@ def capacity_raisers(source: str) -> set[str]:
 
 @pytest.mark.parametrize(
     "module, roots",
-    [("independence.py", ("kappa", "gamma")), ("policies.py", ("optimal_adaptive",))],
+    [
+        ("independence.py", ("kappa", "gamma")),
+        ("policies.py", ("optimal_adaptive", "best_nonadaptive")),
+    ],
 )
 def test_table_readers_check_no_cap(module, roots):
     assert cap_checks((PACKAGE / module).read_text(), roots) == []
 
 
 def test_one_raise_site_per_table():
-    """``_table`` refuses the value table above ``EXACT_CAP`` items, and
+    """``tables`` refuses the value table above ``EXACT_CAP`` items, and
     ``observations`` the observation table above 2**EXACT_CAP keys."""
     raisers = capacity_raisers((PACKAGE / "model.py").read_text())
-    assert raisers == {"_table", "observations"}
+    assert raisers == {"tables", "observations"}
+
+
+def test_value_table_readers_share_one_refusal(monkeypatch):
+    """Above ``EXACT_CAP`` items the fixed-set oracle and the multilinear
+    value stop with the same message, before any table is built."""
+
+    def refuse(*args):
+        raise AssertionError("value table built above the exact cap")
+
+    for builder in ("_transform", "_numerators"):
+        monkeypatch.setattr(model._Evaluator, builder, refuse)
+    instance = make_wide(model.EXACT_CAP + 1, 1)
+    x = stosub.FractionalPoint.zeros(instance.items)
+    calls = (
+        lambda: stosub.best_nonadaptive(instance, stosub.UniformMatroid(rank=1)),
+        lambda: stosub.multilinear_value(instance, x),
+    )
+    messages = set()
+    for call in calls:
+        with pytest.raises(stosub.CapacityError) as raised:
+            call()
+        messages.add(str(raised.value))
+    assert messages == {"exact enumeration over 17 items exceeds the cap 16"}
+    assert model._evaluator(instance)._tables == {}
 
 
 @pytest.mark.parametrize(

@@ -77,10 +77,11 @@ class TestExactValue:
         before any table is built."""
         inst = make_modular({f"i{k:02d}": 1.0 for k in range(17)})
 
-        def refuse(self, pins):
+        def refuse(*args):
             raise AssertionError("value table built above the exact cap")
 
-        monkeypatch.setattr(model._Evaluator, "tables", refuse)
+        for builder in ("_transform", "_numerators"):
+            monkeypatch.setattr(model._Evaluator, builder, refuse)
         x = ss.FractionalPoint.zeros(inst.items)
         for kernel in (ss.multilinear_value, ss.optimistic_weights):
             with pytest.raises(

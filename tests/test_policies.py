@@ -213,10 +213,11 @@ class TestBestNonadaptive:
         path = tmp_path / "m17.json"
         fileio.save_instance(inst, path)
 
-        def refuse(self, instance):
+        def refuse(*args):
             raise AssertionError("value table built above the exact cap")
 
-        monkeypatch.setattr(model._Evaluator, "__init__", refuse)
+        for builder in ("_transform", "_numerators"):
+            monkeypatch.setattr(model._Evaluator, builder, refuse)
         with pytest.raises(ss.CapacityError, match="17 items exceeds the cap 16"):
             ss.best_nonadaptive(inst, ss.UniformMatroid(rank=1))
         assert main(["oracle", "nonadaptive", str(path)]) == 2
