@@ -24,10 +24,11 @@ every V, V ascending and keys sorted (see ``model``), and skip what cannot
 change the report.  Each works on a batch of consecutive items at a time,
 all the batch's items in one set of arrays (``_BATCH`` bounds their size):
 
-- kappa stacks, item by item, the rows whose mask avoids e, takes n and G
-  for every S avoiding e from the evaluator's value tables (built for every
-  pin in one pass), and forms the denominators sum_o W_o * G_o and the
-  numerators T * n: ratios in (item, V, observation, S) order.  Two rows
+- kappa stacks, item by item, the rows whose mask avoids e, takes n from
+  the evaluator's value table and G from its pair gains for every S
+  avoiding e, reads the rows' W through the table's one reader, and forms
+  the denominators sum_o W_o * G_o and the numerators T * n: ratios in
+  (item, V, observation, S) order.  Two rows
   whose W[., e] are proportional, W' = c * W with c > 0, are twins: T' = c *
   T, so every ratio of the later one is the earlier one's with both terms
   times c, and equal under every convention below (0/0, x/0 and sign flips
@@ -78,7 +79,6 @@ orders above, masks ascending and observations in sorted state order.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -245,17 +245,14 @@ def kappa(instance: Instance) -> IndependenceReport:
     e on S to the conditional-state average of the same marginal.
     """
     ev = _evaluator(instance)
-    obs, m, states = ev.observations(), instance.m, len(instance.states)
-    # Row 0 holds N; row 1 + e * states + o holds N with (e, o) pinned.
-    tables = ev.tables([None, *itertools.product(range(m), range(states))])
+    obs, m = ev.observations(), instance.m
     # Row e: the masks without bit e, ascending (as in _observe), made from
     # 0 .. 2**(m-1) - 1 by moving the bits from e up one place; n and G there.
     low, bit = np.arange(1 << (m - 1)), 1 << np.arange(m)[:, None]
     smasks = (low & -bit) << 1 | low & bit - 1
-    base = tables[0, smasks]
-    n = tables[0, smasks | bit] - base
-    pinned = tables[1:].reshape(m, states, 1 << m)
-    gains = np.take_along_axis(pinned, smasks[:, None], axis=2) - base[:, None]
+    table = ev.table()
+    n = table[smasks | bit] - table[smasks]
+    gains = ev.pair_gains()[smasks, np.arange(m)[:, None]]  # (e, S, o)
 
     # Only the first row of each conditional of e: its twins repeat its ratios.
     first = (obs.twins == np.arange(len(obs.masks))[:, None]).T
@@ -263,10 +260,8 @@ def kappa(instance: Instance) -> IndependenceReport:
     for lo, hi in _batches(first.sum(axis=1) * smasks.shape[1]):
         items, rows = np.nonzero(first[lo:hi])
         items += lo
-        weights = obs.weights[rows, items]
-        den = weights[:, 0, None] * gains[items, 0]
-        for o in range(1, states):
-            den += weights[:, o, None] * gains[items, o]
+        # sum_o W_o * G_o, in one pass over each row's gathered gains.
+        den = np.einsum("ko,kso->ks", obs.weights(rows, items), gains[items])
         found = _first_min(obs.totals[rows, None] * n[items], den)
         if _below(found, best):
             k, col = divmod(found[0], smasks.shape[1])

@@ -25,9 +25,8 @@ explicit table value is an integer.  So N = sum_w a_w * 2**k f_w exactly,
 in int64 when L * 2**k * max f < 2**63 and in Python ints otherwise; the
 float view is the correctly rounded N / D, the float ``float(Fraction(N,
 D))`` gives (one numpy division when N and D are below 2**53, so both are
-exact floats).  A table may pin one (item, state) pair into every set.
-Full tables come from one kernel per utility kind, and ``tables(pins)``
-builds every requested table not yet cached in one call:
+exact floats).  The full table comes from one kernel per utility kind,
+and ``table()`` builds it once:
 
 - Coverage takes a superset-sum (fast zeta) transform, as in Bjorklund,
   Husfeldt, Kaski and Koivisto, "Fourier meets Mobius: fast subset
@@ -36,22 +35,25 @@ builds every requested table not yet cached in one call:
   dtype; whether it holds them picks the kernel here and for gamma's
   unions below.  Set S leaves target t uncovered in world w exactly when S
   avoids every item whose state in w covers t, so N[S] = L * C minus the
-  sum of a_w * c_t over the (w, t) with S inside that complement (and t
-  outside the pinned pair's targets).  One scatter-add of those |support|
-  * #targets terms for every requested pin and one m-step superset sum give
-  the tables: O(|support| * #targets + m * 2**m) time per table and
-  O(#tables * (2**m + |support| * #targets)) memory.
-- Explicit tables take the world kernel: world by world, the ground-pair
-  index of all 2**m masks by doubling over the item bits, one ``_values``
-  call per world on the stacked codes of all pins, so O(|support| *
-  #tables * 2**m) time and O(#tables * 2**m) extra memory.
+  sum of a_w * c_t over the (w, t) with S inside that complement.  One
+  scatter-add of those |support| * #targets terms and one m-step superset
+  sum give the table: O(|support| * #targets + m * 2**m) time.
+- Explicit tables sum the observation table below: N[S] sums T_r * 2**k
+  f(P_r) over the rows r of mask S, P_r the row's pair set.  Their ground
+  set, items x states, has at most ``CONSTRUCTION_CAP`` = ``EXACT_CAP``
+  pairs, so 2**m * |support| <= (2 * |states|)**m <= 2**EXACT_CAP.
 
-``tables`` is the one builder of full tables and the one owner of their
-cap: above ``EXACT_CAP`` items it raises ``CapacityError`` before any work,
-whoever asks (the float view, kappa's pins, the fixed-set oracle).  Above
-it ``numerators`` values only the requested masks, in one pass of the world
-kernel (coverage codes there are covered-target flags, valued by their
-product with the units).
+kappa also reads the pair gains G[S, e, o] = N(S + (e, o)) - N(S), which
+``pair_gains()`` builds on each call: for coverage, the sum of U[S, t]
+over the targets (e, o) covers, U the transform with its target axis
+kept; for explicit tables, the sum of T_r * 2**k (f(P_r + (e, o)) -
+f(P_r)) over the rows of mask S.
+
+``table`` owns the value table's cap: above ``EXACT_CAP`` items it raises
+``CapacityError`` before any work, whoever asks (the float view, kappa,
+the fixed-set oracle).  Only there ``numerators`` runs the world kernel,
+``_numerators``, on the requested masks: world by world, one ``_scaled``
+call on their pair-set codes (covered-target flags for coverage).
 ``gains`` caches the float table's differences across each item's bit, the
 2**(m-1) x m matrix the multilinear weight kernel contracts.
 
@@ -64,7 +66,7 @@ raises ``CapacityError`` before any work when the 2**m * |support| keys it
 would sort (|support| counts the positive-probability worlds) exceed
 2**EXACT_CAP.  The bound reuses the value table's, so
 every instance the table admits (2**m <= 2**m * |support|) has m <=
-``EXACT_CAP``, and kappa's pinned tables stay below the value table's cap.
+``EXACT_CAP``, and kappa's pair gains stay below the value table's cap.
 Nothing else checks it: an instance whose table would be too large
 still gets every value-table read.
 
@@ -76,26 +78,25 @@ sums each group's weight.  The rows run mask-ascending, then key-ascending,
 and row r carries:
 
 - its mask, and the index of one world that agrees with it (its first);
-- totals[r], the weight T of the worlds that agree with it, the one store
-  of T that kappa, gamma and the adaptive oracle read;
+- totals[r], the weight T of the worlds that agree with it, int64 when
+  L**2 * 2**k * max f < 2**63, so that every ratio product fits, and
+  Python ints otherwise;
 - children[r, i, o], the row of mask | 1 << i that holds the worlds of row r
   giving item i state o (row r itself when r observes i in state o), or the
   number of rows, one past the last, when no world of r does;
-- W[r, i, o], the total weight of the worlds that agree with row r and give
-  item i state o, that is, T read through ``children`` (0 past the last
-  row), so ``W[r, i].sum()`` is ``totals[r]`` for any i.  W and the totals
-  are int64 when L**2 * 2**k * max f < 2**63, so that every ratio product
-  fits, and Python ints otherwise;
-- twins[r, i], the first row whose mask avoids i and whose W[., i] is a
-  positive multiple of W[r, i], that is, the first row with the same
+- twins[r, i], the first row whose mask avoids i and whose W[., i] (below)
+  is a positive multiple of W[r, i], that is, the first row with the same
   conditional of item i (its class); -1 when row r observes i.  Every free
   (row, item) pair is named by one stable ``lexsort``, by item and then by
   the conditional in lowest terms (``gcd`` chained over the state columns),
   so each class's rows sit together in ascending order behind its first;
 - the code of its observed pair set, kept inside the evaluator: every
-  world's code under every mask, by doubling over the item bits as in the
-  world kernel, read at (mask, first world).  ``row_values`` scales them
-  all in one batch.
+  world's code under every mask, by doubling over the item bits, read at
+  (mask, first world).  ``row_values`` scales them all in one batch.
+
+W[r, i, o], the weight of the worlds of row r that give item i state o,
+is T read through ``children`` (0 past the last row), so ``W[r, i].sum()``
+is ``totals[r]``; ``Observations.weights`` reads it for requested pairs.
 
 gamma compares two observations of one mask through the gains of an item on
 the union of their pair sets, contracted with each one's W.  ``union_keys``
@@ -381,10 +382,11 @@ class ExplicitTable:
 
     kind = "explicit-table"
 
-    # No target units to transform: the evaluator values it world by world.
+    # No target units to transform: the evaluator sums observation rows.
     _units = None
 
-    CONSTRUCTION_CAP = 16
+    # At most 2**EXACT_CAP observation keys, whatever the prior (``model``).
+    CONSTRUCTION_CAP = EXACT_CAP
 
     def __post_init__(self):
         ground = tuple(sorted(set(self.ground)))
@@ -567,25 +569,22 @@ class Instance:
         except (KeyError, TypeError):
             raise InputError(f"unknown item {item!r}") from None
 
-    def state_index(self, state: str) -> int:
-        try:
-            return self._state_pos[state]
-        except (KeyError, TypeError):
-            raise InputError(f"unknown state {state!r}") from None
-
 
 class Observations(NamedTuple):
     """The evaluator's observation table (module docstring), one row per
     observation: ``masks``, ``worlds`` and ``totals`` have shape (rows,),
-    ``weights`` and ``children`` (rows, items, states), and ``twins`` (rows,
-    items)."""
+    ``children`` (rows, items, states), and ``twins`` (rows, items)."""
 
     masks: np.ndarray
     worlds: np.ndarray
     totals: np.ndarray
-    weights: np.ndarray
     twins: np.ndarray
     children: np.ndarray
+
+    def weights(self, rows: np.ndarray, items: np.ndarray) -> np.ndarray:
+        """W of each (row, item), the rows and items broadcast together:
+        its states' weights, T read through ``children``."""
+        return np.append(self.totals, 0)[self.children[rows, items]]
 
 
 class _Evaluator:
@@ -615,13 +614,13 @@ class _Evaluator:
         # The dtype rule of the observation weights (``_observe``).
         self._ratio_int64 = lcd * lcd * scaled_top < 1 << 63
         # A coverage utility's units c_t = 2**k w_t in the table's dtype, None
-        # for an explicit table: the kernel choice of ``_scaled``, ``tables``,
-        # ``union_keys`` and ``union_dots``.
+        # for an explicit table: the kernel choice of ``_scaled``, ``table``,
+        # ``pair_gains``, ``union_keys`` and ``union_dots``.
         units = instance.utility._units
         self._units = None
         if units is not None:
             self._units = np.array(units, np.int64 if self._int64 else object)
-        self._tables: dict = {}
+        self._numerator_table = None
         self._float_table = None
         self._observations = None
         self._row_codes = None
@@ -632,54 +631,45 @@ class _Evaluator:
         """The state index of every item in every world, one row per world."""
         return np.array([s for s, _ in self.worlds], dtype=np.intp).reshape(-1, self.m)
 
-    def _numerators(self, masks: np.ndarray | None, pins=(None,)) -> np.ndarray:
-        """Numerators of the given masks (all 2^m in order when None), one row
-        per pin; a pin adds one fixed (item, state) pair to every set, None
-        adds none.  World by world, with one ``_scaled`` call per world."""
+    def _numerators(self, masks: np.ndarray) -> np.ndarray:
+        """Numerators of the given masks, world by world, with one
+        ``_scaled`` call per world: the kernel above ``EXACT_CAP``."""
         zero = np.zeros_like(self._codes[0, 0])
-        base = np.stack([zero if pin is None else self._codes[pin] for pin in pins])
         total = 0
         for states, weight in self.worlds:
-            rows = [self._codes[i, s] for i, s in enumerate(states)]
-            if masks is None:  # doubling over item bits: mask | 1<<i from mask
-                codes = base[:, None]
-                for row in rows:
-                    codes = np.concatenate([codes, codes | row], axis=1)
-            else:
-                codes = np.repeat(base[:, None], len(masks), axis=1)
-                for i, row in enumerate(rows):
-                    codes[:, (masks >> i) & 1 == 1] |= row
-            flat = codes.reshape((codes.shape[0] * codes.shape[1],) + zero.shape)
-            total = total + weight * self._scaled(flat)
-        return total.reshape(len(pins), -1)
+            codes = np.repeat(zero[None], len(masks), axis=0)
+            for i, s in enumerate(states):
+                codes[(masks >> i) & 1 == 1] |= self._codes[i, s]
+            total = total + weight * self._scaled(codes)
+        return total
 
-    def _transform(self, pins) -> np.ndarray:
-        """``_numerators(None, pins)`` for a coverage utility, by one
-        superset-sum transform per pin.
-
-        With c_t = 2**k w_t and C their sum, S leaves target t uncovered in
-        world w exactly when S lies inside M, the items whose state in w
-        does not cover t, so N[S] = L C - sum over M >= S of G[M], where
-        G[M] sums a_w c_t over those (w, t) with that M whose t the pinned
-        pair does not cover.  Every partial sum is at most L C, so the int64
-        rule of ``__init__`` holds throughout."""
+    def _transform(self, by_target: bool) -> np.ndarray:
+        """Entry S sums a_w c_t over the (world, target) pairs in which S
+        leaves t uncovered, that is, lies inside M, the items whose state in
+        w misses t: one scatter-add at M and one superset sum.  One column
+        per target when ``by_target``.  Every partial sum is at most L C, so
+        the int64 rule of ``__init__`` holds throughout."""
         m, states, units = self.m, self._states(), self._units
         a = np.array([weight for _, weight in self.worlds], units.dtype)
         free = 0  # M of each (world, target): bit i when item i's state misses t
         for i in range(m):
             free = free | (~self._codes[i, states[:, i]]).astype(np.int64) << i
-        # a_w c_t for each (pin, world, target), 0 where the pin covers t,
-        # all scattered at (pin, M) in one pass.
-        zero = np.zeros_like(self._codes[0, 0])
-        pinned = np.stack([zero if pin is None else self._codes[pin] for pin in pins])
-        terms = a[:, None] * units * ~pinned[:, None]
-        sums = np.zeros(len(pins) << m, units.dtype)
-        np.add.at(sums, np.arange(len(pins))[:, None, None] << m | free, terms)
-        sums = sums.reshape(len(pins), 1 << m)
+        targets = (len(units),) if by_target else ()
+        sums = np.zeros((1 << m, *targets), units.dtype)
+        index = (free, np.arange(len(units))) if by_target else free
+        np.add.at(sums, index, a[:, None] * units)
         for i in range(m):  # superset sums, one item bit at a time
-            halves = sums.reshape(len(pins), -1, 2, 1 << i)
-            halves[:, :, 0] += halves[:, :, 1]
-        return self.lcd * int(units.sum()) - sums
+            halves = sums.reshape(1 << (m - 1 - i), 2, 1 << i, *targets)
+            halves[:, 0] += halves[:, 1]
+        return sums
+
+    def _row_sums(self, values: np.ndarray) -> np.ndarray:
+        """Per mask, in mask order, the sum of T_r * values[r] over the
+        observation rows r of that mask; values[r] may be an array."""
+        obs = self.observations()
+        terms = (obs.totals.astype(values.dtype) * values.T).T
+        starts = np.searchsorted(obs.masks, np.arange(1 << self.m))
+        return np.add.reduceat(terms, starts)
 
     def _scaled(self, codes: np.ndarray) -> np.ndarray:
         """2**k times the utility of each pair-set code, as exact integers: a
@@ -705,44 +695,49 @@ class _Evaluator:
             return numerators / float(self.denominator)
         return np.array([n / self.denominator for n in numerators.tolist()])
 
-    def tables(self, pins) -> np.ndarray:
-        """Numerators of every mask, one row of 2**m per pin (None for no pin,
-        else an (item index, state index) pair), or a ``CapacityError``
-        before any work above ``EXACT_CAP`` items.  The rows not yet cached
-        are built together: by ``_transform`` for coverage (``_units`` set),
-        else in one pass of ``_numerators`` over the worlds, so a caller that
-        needs several pins asks for them at once."""
-        if self.m > EXACT_CAP:
-            raise CapacityError(
-                f"exact enumeration over {self.m} items exceeds the cap {EXACT_CAP}"
-            )
-        missing = [pin for pin in dict.fromkeys(pins) if pin not in self._tables]
-        if missing:
+    def table(self) -> np.ndarray:
+        """Numerators of every mask, in mask order, built once (module
+        docstring), or a ``CapacityError`` before any work above
+        ``EXACT_CAP`` items."""
+        if self._numerator_table is None:
+            if self.m > EXACT_CAP:
+                raise CapacityError(
+                    f"exact enumeration over {self.m} items exceeds the cap {EXACT_CAP}"
+                )
             if self._units is None:
-                rows = self._numerators(None, missing)
+                self._numerator_table = self._row_sums(self.row_values())
             else:
-                rows = self._transform(missing)
-            for pin, row in zip(missing, rows):
-                self._tables[pin] = row
-        return np.stack([self._tables[pin] for pin in pins])
+                self._numerator_table = (
+                    self.lcd * int(self._units.sum()) - self._transform(False)
+                )
+        return self._numerator_table
 
-    def _table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Numerators and floats of the unpinned table, built on first use by
-        ``tables``, which holds the numerators; only the floats are kept
-        here.  Pinned tables have numerators only, all that kappa reads."""
-        if self._float_table is None:
-            self._float_table = self._floats(self.tables([None])[0])
-        return self._tables[None], self._float_table
+    def pair_gains(self) -> np.ndarray:
+        """G[S, e, o] = N(S + (e, o)) - N(S), exact, of shape (2**m, items,
+        states), built on each call (module docstring).  kappa reads it
+        after the observation table, whose cap bounds m."""
+        shape = (1 << self.m, *self._codes.shape[:2])
+        if self._units is None:
+            values, pairs = self.row_values(), self._codes.ravel()
+            grown = self._scaled((self._row_codes[:, None] | pairs).ravel())
+            gains = grown.reshape(len(values), len(pairs)) - values[:, None]
+            return self._row_sums(gains).reshape(shape)
+        # One row of covered-target flags per pair, in the units' dtype.
+        covered = self._codes.reshape(shape[1] * shape[2], len(self._units))
+        gains = self._transform(True) @ covered.T.astype(self._units.dtype)
+        return gains.reshape(shape)
 
     def values(self) -> np.ndarray:
         """Float E[f] of every mask, the full table in mask order."""
-        return self._table()[1]
+        if self._float_table is None:
+            self._float_table = self._floats(self.table())
+        return self._float_table
 
     def numerators(self, masks: np.ndarray) -> np.ndarray:
         """Numerators N of an array of masks, exact (module docstring)."""
         if self.m <= EXACT_CAP:
-            return self._table()[0][masks]
-        return self._numerators(masks.ravel())[0].reshape(masks.shape)
+            return self.table()[masks]
+        return self._numerators(masks.ravel()).reshape(masks.shape)
 
     def gains(self) -> np.ndarray:
         """The 2**(m-1) x m gain matrix, built once: column e lists the float
@@ -806,14 +801,15 @@ class _Evaluator:
             np.int64 if self._ratio_int64 else object,
         )
         totals = np.add.reduceat(a[order], starts)
-        weights = np.append(totals, 0)[children]
+        twins = np.full((len(masks), m), -1)
+        table = Observations(masks, worlds, totals, twins, children)
 
         # A free (row, item) pair's conditional, in lowest terms, names it
         # among the rows that leave the item free.  One stable sort of every
         # free pair by (item, conditional), listed item by item with rows
         # ascending, puts each name's rows together, its first row at the head.
         items, named = np.nonzero((masks[:, None] >> np.arange(m) & 1).T == 0)
-        conditionals = weights[named, items]
+        conditionals = table.weights(named, items)
         divisor = conditionals[:, 0]
         for o in range(1, radix):
             divisor = np.gcd(divisor, conditionals[:, o])
@@ -824,14 +820,12 @@ class _Evaluator:
         heads[1:] = (items[1:] != items[:-1]) | (
             conditionals[1:] != conditionals[:-1]
         ).any(axis=1)
-        twins = np.full((len(masks), m), -1)
         twins[named, items] = named[heads][np.cumsum(heads) - 1]
         # Every world's pair-set code under every mask, by doubling over the
         # item bits, read at each row's first world.
         codes = np.zeros((1, len(states)) + self._codes.shape[2:], self._codes.dtype)
         for i in range(m):
             codes = np.concatenate([codes, codes | self._codes[i, states[:, i]]])
-        table = Observations(masks, worlds, totals, weights, twins, children)
         return table, codes[masks, worlds]
 
     def row_values(self) -> np.ndarray:
@@ -896,7 +890,7 @@ class _Evaluator:
         most L * 2**k * max f, so under the int64 rule of the observation
         weights it fits, and so does its product with a row weight.
         """
-        weights = self.observations().weights[rows, items]
+        weights = self.observations().weights(rows, items)
         kept = np.arange(len(a))
         if self._units is None:
             gains = self.union_gains(items[a], rows[a], rows[b])
@@ -915,7 +909,7 @@ class _Evaluator:
     def numerator(self, mask: int) -> int:
         """E[f] of ``mask`` times ``denominator``."""
         if self.m <= EXACT_CAP:
-            return int(self._table()[0][mask])
+            return int(self.table()[mask])
         return int(self.numerators(np.array([mask], dtype=object))[0])
 
     def scaled_value(self, pairs: Iterable[tuple[int, int]]) -> int:

@@ -216,7 +216,7 @@ def best_nonadaptive(
     the largest value, then the smallest sorted item tuple."""
     constraint.check_items(instance.items)
     ev = _evaluator(instance)
-    table = ev.tables([None])[0]
+    table = ev.table()
     picked, feasible = _feasible_sets(instance, constraint)
     if not feasible.any():
         raise InputError("constraint admits no feasible set, not even the empty one")

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from stosub import (
@@ -57,6 +58,13 @@ def make_modular(weights: dict[str, float]) -> Instance:
             coverage={(i, "on"): (f"t_{i}",) for i in items},
         ),
     )
+
+
+def observation_weights(table) -> np.ndarray:
+    """W of every (row, item) of an observation table, through its one
+    reader: shape (rows, items, states)."""
+    rows, items = table.children.shape[:2]
+    return table.weights(np.arange(rows)[:, None], np.arange(items))
 
 
 def make_wide(m: int, support: int) -> Instance:

@@ -1,11 +1,12 @@
-"""Full coverage tables from the superset-sum transform.
+"""Full value tables and pair gains without the world kernel.
 
-Every coverage utility gets its full value tables from one superset-sum
-transform per table (see the ``model`` module docstring); explicit tables
-keep the world-by-world kernel.  Every row must equal that kernel's row and
-the direct sums of ``helpers`` (``==``), and keep the SHA-256 digests in
-``tests/data/pinned_tables.json`` for every case below with every pin kappa
-asks for.
+Every coverage utility gets its full value table and pair gains from the
+superset-sum transform, and every explicit table from its observation rows
+(see the ``model`` module docstring); the world-by-world kernel runs only
+above ``EXACT_CAP``.  Every table must equal that kernel's values and the
+direct sums of ``helpers`` (``==``), and the table with each pinned pair's
+gains added keeps the SHA-256 digests in ``tests/data/pinned_tables.json``
+for every case below with every (item, state) pair kappa reads.
 """
 
 import hashlib
@@ -63,9 +64,11 @@ def _cases() -> dict:
 CASES = _cases()
 
 
-def kappa_pins(instance) -> list:
-    """The tables kappa reads: unpinned, then every (item, state) pin."""
-    return [None, *itertools.product(range(instance.m), range(len(instance.states)))]
+def pinned_rows(ev) -> list:
+    """The table, then the table plus G[:, e, o] for every (item, state)
+    pair in item-major order: N(S) and N(S + (e, o)) of every mask S."""
+    table, gains = ev.table(), ev.pair_gains()
+    return [table, *(table + gains[:, e, o] for e, o in np.ndindex(gains.shape[1:]))]
 
 
 def row_digest(row) -> str:
@@ -91,20 +94,19 @@ PINNED_DIGESTS = json.loads(PINNED.read_text())["cases"]
 
 @pytest.mark.parametrize("name", CASES)
 def test_pinned_table_digests(instances, name):
-    """Every row, unpinned and under every kappa pin, keeps its pinned
+    """Every row, unpinned and with every pair pinned, keeps its pinned
     digest (see the file's ``about``)."""
-    inst = _instance(instances, name)
-    rows = _evaluator(inst).tables(kappa_pins(inst))
+    rows = pinned_rows(_evaluator(_instance(instances, name)))
     assert [row_digest(row) for row in rows] == PINNED_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", CASES)
 def test_tables_match_the_world_kernel(instances, name):
-    """``tables`` equals the kept world-by-world kernel, dtype included."""
+    """``table`` equals the world-by-world kernel on every mask, dtype
+    included."""
     inst = _instance(instances, name)
     ev = _evaluator(inst)
-    pins = kappa_pins(inst)
-    got, want = ev.tables(pins), ev._numerators(None, pins)
+    got, want = ev.table(), ev._numerators(np.arange(1 << inst.m))
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
 
@@ -112,16 +114,17 @@ def test_tables_match_the_world_kernel(instances, name):
 @pytest.mark.parametrize("name", CASES)
 def test_tables_match_direct_sums(instances, name):
     """Rows against ``direct_set_value`` and ``direct_state_value`` straight
-    off the support: every mask and pin up to m = 5, seeded samples above."""
+    off the support: every mask and pair up to m = 5, seeded samples above."""
     inst = _instance(instances, name)
     ev = _evaluator(inst)
-    pins = kappa_pins(inst)
+    pins = [None, *itertools.product(range(inst.m), range(len(inst.states)))]
     rng = random.Random(name)
     masks = list(range(1 << inst.m))
     if inst.m > 5:
         masks = [0, masks[-1], *rng.sample(masks, 6)]
         pins = [None, *rng.sample(pins[1:], 3)]
-    rows = ev.tables(pins)
+    table, gains = ev.table(), ev.pair_gains()
+    rows = [table if pin is None else table + gains[:, pin[0], pin[1]] for pin in pins]
     for mask in masks:
         members = [item for i, item in enumerate(inst.items) if mask >> i & 1]
         for pin, row in zip(pins, rows):
@@ -135,20 +138,20 @@ def test_tables_match_direct_sums(instances, name):
 
 def test_cases_reach_both_dtypes_on_the_transform(instances):
     """The transform runs in int64 and in Python ints, and the explicit
-    tables keep the world kernel."""
+    tables sum their observation rows."""
     dtypes = {}
     for name in EXACT_CASES:
         inst = _instance(instances, f"exact-{name}")
         dtypes.setdefault(inst.utility.kind, set()).add(
-            _evaluator(inst).tables([None]).dtype
+            _evaluator(inst).table().dtype
         )
     assert dtypes["weighted-coverage"] == {np.dtype(np.int64), np.dtype(object)}
     assert "explicit-table" in dtypes
 
 
 def test_coverage_without_targets():
-    """No targets: every table is 0 on both kernels (the world kernel's
-    reshape of its empty codes used to raise)."""
+    """No targets: the table and the pair gains are 0, and so is the world
+    kernel (whose reshape of its empty codes used to raise)."""
     base = ss.generate_common_cause(3, 2, 4, seed=0)
     utility = ss.WeightedCoverage.build(
         targets=(),
@@ -157,21 +160,21 @@ def test_coverage_without_targets():
     )
     inst = ss.Instance(base.items, base.states, base.distribution, utility)
     ev = _evaluator(inst)
-    pins = kappa_pins(inst)
-    assert not ev.tables(pins).any()
-    assert not ev._numerators(None, pins).any()
+    assert not ev.table().any()
+    assert ev.pair_gains().shape == (8, 3, 2) and not ev.pair_gains().any()
+    assert not ev._numerators(np.arange(8)).any()
     assert not ev._numerators(np.array([0, 5, 7])).any()
     assert ss.expected_set_value(inst, base.items) == 0.0
 
 
 def _counted_kernel(monkeypatch) -> list:
-    """Record each call of the world kernel (whether it built full tables)
-    and of ``union_gains`` (the string "union")."""
+    """Record each call of the world kernel (the string "numerators") and
+    of ``union_gains`` (the string "union")."""
     calls, kernel, unions = [], _Evaluator._numerators, _Evaluator.union_gains
 
-    def counted(self, masks, pins=(None,)):
-        calls.append(masks is None)
-        return kernel(self, masks, pins)
+    def counted(self, masks):
+        calls.append("numerators")
+        return kernel(self, masks)
 
     def counted_unions(self, items, a, b):
         calls.append("union")
@@ -183,12 +186,14 @@ def _counted_kernel(monkeypatch) -> list:
 
 
 def test_exact_coverage_skips_the_world_kernel(monkeypatch):
-    """Full tables of a coverage utility, pinned or not, and every read
-    built on them, never call the world-by-world kernel or ``union_gains``."""
+    """The full table and the pair gains of a coverage utility, and every
+    read built on them, never call the world-by-world kernel or
+    ``union_gains``."""
     calls = _counted_kernel(monkeypatch)
     inst = ss.generate_common_cause(8, 3, 12, seed=4)
     ev = _evaluator(inst)
-    ev.tables(kappa_pins(inst))
+    ev.table()
+    ev.pair_gains()
     ev.gains()
     ss.expected_set_value(inst, inst.items[:3])
     ss.kappa(inst)
@@ -197,27 +202,41 @@ def test_exact_coverage_skips_the_world_kernel(monkeypatch):
 
 
 EXPLICIT_CASES = {"exact-explicit-table", "exact-non-monotone-table"}
-COVERAGE_CASES = [name for name in CASES if name not in EXPLICIT_CASES]
 
 
-@pytest.mark.parametrize("name", COVERAGE_CASES)
+@pytest.mark.parametrize("name", CASES)
 def test_no_coverage_case_reaches_the_world_kernel(monkeypatch, name):
-    """Below ``EXACT_CAP`` every coverage case, decimal weights included,
-    builds its tables, gains, set values and (where its observation table
-    is admitted) kappa, gamma and the adaptive oracle without the world
-    kernel or ``union_gains``."""
+    """Below ``EXACT_CAP`` every case, decimal weights and explicit tables
+    included, builds its table, pair gains, gains, set values and (where its
+    observation table is admitted) kappa, gamma and both oracles without
+    the world kernel; coverage needs no ``union_gains`` either."""
     calls = _counted_kernel(monkeypatch)
     inst = CASES[name]()
-    assert inst.utility.kind == "weighted-coverage" and inst.m <= EXACT_CAP
+    assert inst.m <= EXACT_CAP
+    assert (inst.utility.kind == "explicit-table") == (name in EXPLICIT_CASES)
     ev = _evaluator(inst)
-    ev.tables(kappa_pins(inst))
+    ev.table()
+    ev.pair_gains()
     ev.gains()
     ss.expected_set_value(inst, inst.items[::2])
+    ss.best_nonadaptive(inst, ss.UniformMatroid(2))
     if len(ev.worlds) << inst.m <= 1 << EXACT_CAP:
         ss.kappa(inst)
         ss.gamma(inst)
         ss.optimal_adaptive(inst, ss.UniformMatroid(2))
-    assert calls == []
+    assert "numerators" not in calls
+    assert name in EXPLICIT_CASES or calls == []
+
+
+def test_sampled_estimate_above_the_cap_reaches_the_world_kernel(monkeypatch):
+    """Above ``EXACT_CAP`` a sampled estimate values its masks in the world
+    kernel, the one caller left."""
+    calls = _counted_kernel(monkeypatch)
+    inst = ss.generate_common_cause(EXACT_CAP + 1, 2, 3, seed=0)
+    x = ss.FractionalPoint(inst.items, (0.5,) * inst.m)
+    ss.multilinear_estimate(inst, x, 8, seed=0)
+    assert calls == ["numerators"]
+    assert _evaluator(inst)._numerator_table is None
 
 
 def _decimal_instance():
@@ -246,7 +265,8 @@ def test_decimal_coverage_skips_the_world_kernel(monkeypatch):
     every = [(i, s) for i in inst.items for s in inst.states]
     assert inst.utility.evaluate(every) == 0.6 != 0.1 + 0.2 + 0.3
     ev = _evaluator(inst)
-    ev.tables(kappa_pins(inst))
+    ev.table()
+    ev.pair_gains()
     assert calls == []
     for mask in range(1 << inst.m):
         members = [item for i, item in enumerate(inst.items) if mask >> i & 1]

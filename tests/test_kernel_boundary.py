@@ -11,9 +11,10 @@ values a set through a utility's ``evaluate``: the rest read the evaluator.
 Inside the evaluator only ``__init__`` reads the utility's integer units,
 which pick the table kernel.
 Every field of the observation table is read somewhere outside the build
-that fills it, and no module but ``model`` sums the table's weights, whose
-row totals the table stores once.  Each table owns its capacity rule:
-the value table's one raise site is ``_Evaluator.tables`` and the
+that fills it, and no module but ``model`` sums the table's weights W,
+which the table stores only as its row totals and reads through one
+reader.  Each table owns its capacity rule:
+the value table's one raise site is ``_Evaluator.table`` and the
 observation table's is ``_Evaluator.observations``.  kappa, gamma and both
 policy oracles check no cap of their own, and the readers of the value
 table stop with one message above its cap.
@@ -126,15 +127,15 @@ def test_guard_catches_unit_reads():
         "class _Evaluator:\n"
         "    def __init__(self, instance):\n"
         "        self._units = instance.utility._units\n"
-        "    def tables(self, pins):\n"
+        "    def table(self):\n"
         "        if self._units is None and self.instance.utility._units:\n"
         "            pass\n"
     )
-    assert list(unit_reads(source)) == ["__init__", "tables"]
+    assert list(unit_reads(source)) == ["__init__", "table"]
 
 
 def test_private_names_found():
-    assert {"_table", "_numerators", "_tables"} <= PRIVATE
+    assert {"_numerators", "_transform", "_numerator_table"} <= PRIVATE
 
 
 def test_multilinear_has_no_mask_loops():
@@ -165,8 +166,8 @@ def test_guard_catches_mask_loops(source):
 @pytest.mark.parametrize(
     "source",
     [
-        "ev._tables.clear()",
-        "numerators = ev._table()[0]",
+        "ev._numerator_table = None",
+        "sums = ev._transform(True)",
         "x = _evaluator(i)._numerators(None)",
     ],
 )
@@ -405,10 +406,10 @@ def test_guard_reads_only_tables():
     "source",
     [
         "def f(ev):\n    obs = ev.observations()\n"
-        "    return obs.weights[:, 0].sum(axis=-1)",
+        "    return obs.weights(rows, 0).sum(axis=-1)",
         "def f(ev):\n    table, m = ev.observations(), 3\n"
-        "    w = table.weights[:, 0]\n    return w.sum(axis=1)",
-        "def f(ev):\n    return sum(ev.observations().weights[0, 0])",
+        "    w = table.weights(rows, 0)\n    return w.sum(axis=1)",
+        "def f(ev):\n    return sum(ev.observations().weights(0, 0))",
     ],
 )
 def test_guard_catches_weight_sums(source):
@@ -485,10 +486,10 @@ def test_table_readers_check_no_cap(module, roots):
 
 
 def test_one_raise_site_per_table():
-    """``tables`` refuses the value table above ``EXACT_CAP`` items, and
+    """``table`` refuses the value table above ``EXACT_CAP`` items, and
     ``observations`` the observation table above 2**EXACT_CAP keys."""
     raisers = capacity_raisers((PACKAGE / "model.py").read_text())
-    assert raisers == {"tables", "observations"}
+    assert raisers == {"table", "observations"}
 
 
 def test_value_table_readers_share_one_refusal(monkeypatch):
@@ -498,7 +499,7 @@ def test_value_table_readers_share_one_refusal(monkeypatch):
     def refuse(*args):
         raise AssertionError("value table built above the exact cap")
 
-    for builder in ("_transform", "_numerators"):
+    for builder in ("_transform", "_row_sums", "_numerators"):
         monkeypatch.setattr(model._Evaluator, builder, refuse)
     instance = make_wide(model.EXACT_CAP + 1, 1)
     x = stosub.FractionalPoint.zeros(instance.items)
@@ -512,7 +513,7 @@ def test_value_table_readers_share_one_refusal(monkeypatch):
             call()
         messages.add(str(raised.value))
     assert messages == {"exact enumeration over 17 items exceeds the cap 16"}
-    assert model._evaluator(instance)._tables == {}
+    assert model._evaluator(instance)._numerator_table is None
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import stosub as ss
 from stosub.model import _evaluator
-from conftest import make_modular, make_single_item
+from conftest import make_modular, make_single_item, observation_weights
 from helpers import (
     direct_conditional,
     direct_set_value,
@@ -76,12 +76,10 @@ class TestExpectedSetValue:
 
 def pinned_gain(instance, base, item, state) -> Fraction:
     """E[f(base + (item, state))] - E[f(base)], exact, from the evaluator's
-    pinned table (the one kappa reads)."""
+    pair gains (the ones kappa reads)."""
     ev = _evaluator(instance)
-    pin = (instance.item_index(item), instance.state_index(state))
-    plain, pinned = ev.tables([None, pin])
-    mask = ev.mask_of(base)
-    return Fraction(int(pinned[mask] - plain[mask]), ev.denominator)
+    e, o = instance.item_index(item), instance.states.index(state)
+    return Fraction(int(ev.pair_gains()[ev.mask_of(base), e, o]), ev.denominator)
 
 
 def observed_conditionals(instance, item, observed_items) -> dict:
@@ -94,7 +92,7 @@ def observed_conditionals(instance, item, observed_items) -> dict:
     bits = [i for i in range(instance.m) if vmask >> i & 1]
     table = ev.observations()
     rows = table.masks == vmask
-    weights = table.weights[rows, instance.item_index(item)]
+    weights = table.weights(np.flatnonzero(rows), instance.item_index(item))
     out = {}
     for w, row in zip(table.worlds[rows].tolist(), weights.tolist()):
         states = [instance.states[s] for s in ev.worlds[w][0]]
@@ -133,7 +131,7 @@ class TestMarginal:
 
 
 class TestStateMarginal:
-    """The pinned tables kappa reads: E[f(S + (e, o))] - E[f(S)]."""
+    """The pair gains kappa reads: E[f(S + (e, o))] - E[f(S)]."""
 
     def test_empty_base(self, cc2):
         assert pinned_gain(cc2, set(), "a", "good") == 2
@@ -222,7 +220,7 @@ class TestObservationTable:
             zip(
                 table.masks.tolist(),
                 table.worlds.tolist(),
-                table.weights.tolist(),
+                observation_weights(table).tolist(),
                 table.twins.tolist(),
             )
         )

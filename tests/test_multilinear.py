@@ -80,7 +80,7 @@ class TestExactValue:
         def refuse(*args):
             raise AssertionError("value table built above the exact cap")
 
-        for builder in ("_transform", "_numerators"):
+        for builder in ("_transform", "_row_sums", "_numerators"):
             monkeypatch.setattr(model._Evaluator, builder, refuse)
         x = ss.FractionalPoint.zeros(inst.items)
         for kernel in (ss.multilinear_value, ss.optimistic_weights):

@@ -166,7 +166,7 @@ class TestOptimalAdaptive:
             with pytest.raises(ss.CapacityError, match="above the cap 65536"):
                 ss.optimal_adaptive(instance, constraint)
             ev = instance._evaluator_cache
-            assert ev._observations is None and ev._tables == {}
+            assert ev._observations is None and ev._numerator_table is None
 
 
 class TestBestNonadaptive:
@@ -216,7 +216,7 @@ class TestBestNonadaptive:
         def refuse(*args):
             raise AssertionError("value table built above the exact cap")
 
-        for builder in ("_transform", "_numerators"):
+        for builder in ("_transform", "_row_sums", "_numerators"):
             monkeypatch.setattr(model._Evaluator, builder, refuse)
         with pytest.raises(ss.CapacityError, match="17 items exceeds the cap 16"):
             ss.best_nonadaptive(inst, ss.UniformMatroid(rank=1))

@@ -9,6 +9,8 @@ nothing on stdout.  An instance above the cap keeps every read of the value
 table.  ``test_policies`` checks the oracle on both sides of the cap.
 """
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,6 +20,7 @@ from stosub import fileio
 from stosub.cli import main
 from stosub.model import EXACT_CAP, _evaluator
 from conftest import make_wide
+from helpers import direct_set_value, direct_state_value
 
 CAP = 1 << EXACT_CAP
 
@@ -53,7 +56,7 @@ def test_one_key_more_raises_before_any_table(shape, measure):
         measure(instance)
     assert str(raised.value) == message
     ev = _evaluator(instance)
-    assert ev._observations is None and ev._tables == {}
+    assert ev._observations is None and ev._numerator_table is None
 
 
 COMMANDS = {
@@ -114,7 +117,7 @@ def test_positive_worlds_above_the_cap_still_raise():
         f"{65 << 10} keys, above the cap {CAP}"
     )
     ev = _evaluator(instance)
-    assert ev._observations is None and ev._tables == {}
+    assert ev._observations is None and ev._numerator_table is None
 
 
 def test_value_reads_need_no_observation_table():
@@ -135,3 +138,50 @@ def test_value_reads_need_no_observation_table():
     with pytest.raises(ss.CapacityError, match="needs 131072 keys"):
         _evaluator(instance).observations()
     assert _evaluator(instance)._observations is None
+
+
+def _widest_explicit_table() -> ss.Instance:
+    """An explicit table on 8 items x 2 states, the 16 ground pairs
+    ``ExplicitTable.CONSTRUCTION_CAP`` allows, under a prior on all 256
+    worlds: 2**8 * 256 keys, exactly the observation table's cap.  Its
+    values are budget-additive quarters, so the scaled table is int64."""
+    items, states = tuple(f"e{k}" for k in range(8)), ("lo", "hi")
+    ground = sorted((item, state) for item in items for state in states)
+    rng = random.Random(16)
+    weight = [rng.randint(1, 5) for _ in ground]
+    entries = []
+    for mask in range(1 << len(ground)):
+        picked = [k for k in range(len(ground)) if mask >> k & 1]
+        total = min(sum(weight[k] for k in picked), 24)
+        entries.append((tuple(ground[k] for k in picked), total / 4))
+    utility = ss.ExplicitTable(ground=tuple(ground), entries=tuple(entries))
+    worlds = list(itertools.product(states, repeat=len(items)))
+    mass = len(worlds) * (len(worlds) + 1) // 2
+    distribution = ss.JointDistribution(
+        tuple(
+            (ss.Realization(tuple(zip(items, world))), Fraction(w + 1, mass))
+            for w, world in enumerate(worlds)
+        )
+    )
+    return ss.Instance(items, states, distribution, utility)
+
+
+def test_widest_explicit_table_fits_the_cap():
+    """Every explicit table fits the observation table: the widest one builds
+    its value table and pair gains from its rows, and they equal the exact
+    Fraction sums on seeded masks."""
+    instance = _widest_explicit_table()
+    assert len(instance.utility.ground) == ss.ExplicitTable.CONSTRUCTION_CAP
+    assert _keys(instance) == CAP
+    ev = _evaluator(instance)
+    table, gains = ev.table(), ev.pair_gains()
+    rng = random.Random(8)
+    for mask in [0, 255, *rng.sample(range(256), 3)]:
+        members = [item for i, item in enumerate(instance.items) if mask >> i & 1]
+        base = direct_set_value(instance, members)
+        assert table[mask] == base * ev.denominator
+        e, o = rng.randrange(8), rng.randrange(2)
+        pinned = direct_state_value(
+            instance, members, instance.items[e], instance.states[o]
+        )
+        assert gains[mask, e, o] == (pinned - base) * ev.denominator

@@ -70,13 +70,13 @@ class TestBitIdentity:
             assert ss.standard_weight(cc8, x, item) == (1.0 - coords[item]) * opt
         ev = _evaluator(cc8)
         for item, state in [("e1", "s1"), ("e4", "s2"), ("e8", "s3")]:
-            pin = (cc8.item_index(item), cc8.state_index(state))
+            e, o = cc8.item_index(item), cc8.states.index(state)
             want = [
                 direct_state_value(cc8, _members(cc8, mask), item, state)
                 * ev.denominator
                 for mask in range(1 << cc8.m)
             ]
-            assert ev.tables([None, pin])[1].tolist() == want
+            assert (ev.table() + ev.pair_gains()[:, e, o]).tolist() == want
 
     def test_point_with_zero_and_one_coordinates(self, cc8):
         value = _cached_oracle(cc8)
@@ -154,12 +154,12 @@ class TestExplicitTableUtility:
             rest = [i for i in inst.items if i != item]
             for base in _subsets(rest):
                 for state in inst.states:
-                    pin = (inst.item_index(item), inst.state_index(state))
+                    e, o = inst.item_index(item), inst.states.index(state)
                     want = direct_state_value(inst, base, item, state)
-                    numerators = ev.tables([None, pin])
+                    plain, gain = ev.table(), ev.pair_gains()[:, e, o]
                     mask = ev.mask_of(base)
-                    assert numerators[0, mask] == direct_set_value(inst, base) * den
-                    assert numerators[1, mask] == want * den
+                    assert plain[mask] == direct_set_value(inst, base) * den
+                    assert plain[mask] + gain[mask] == want * den
 
     def test_extension_and_weights(self, inst):
         value = _cached_oracle(inst)
@@ -208,7 +208,7 @@ class TestFractionalWeights:
     )
     def test_every_mask_is_exact(self, denominators, python_ints):
         inst = _product_with_denominators(denominators)
-        numerators = _evaluator(inst)._table()[0]
+        numerators = _evaluator(inst).table()
         assert (numerators.dtype == object) == python_ints
         for subset in _subsets(inst.items):
             want = direct_set_value(inst, subset)
