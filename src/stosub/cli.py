@@ -207,11 +207,10 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_gap)
 
     p = sub.add_parser("generate", help="write a seeded instance")
+    spec = harness.InstanceSpec()
     p.add_argument("family", choices=["common-cause", "product"])
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--states", type=int, default=2)
-    p.add_argument("--worlds", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
+    for name in ("m", "states", "worlds", "seed"):
+        p.add_argument(f"--{name}", type=int, default=getattr(spec, name))
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_generate)
 

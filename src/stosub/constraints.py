@@ -155,11 +155,11 @@ class PartitionMatroid(Constraint):
             raise InputError(f"items {sorted(uncovered)} not covered by any block")
 
     def feasible(self, chosen):
-        for block, cap in zip(self.blocks, self.capacities):
-            if len(chosen & set(block)) > cap:
-                return False
         self._check_covered(chosen)
-        return True
+        return all(
+            len(chosen & set(block)) <= cap
+            for block, cap in zip(self.blocks, self.capacities)
+        )
 
     def lp_vertex(self, order, weights):
         chosen: list[str] = []

@@ -21,12 +21,15 @@ The value table: entry ``mask`` (bit i for item i) holds E[f(S)] as an
 integer numerator N over one denominator D = L * 2**k, with L = ``lcd`` the
 support's LCD (p_w = a_w / L).  Utility values are dyadic: a coverage value
 is the exact sum of its covered weights, and 2**k times every weight or
-explicit table value is an integer.  So N = sum_w a_w * 2**k f_w exactly,
-in int64 when L * 2**k * max f < 2**63 and in Python ints otherwise; the
-float view is the correctly rounded N / D, the float ``float(Fraction(N,
-D))`` gives (one numpy division when N and D are below 2**53, so both are
-exact floats).  The full table comes from one kernel per utility kind,
-and ``table()`` builds it once:
+explicit table value is an integer.  Both kinds hold k (``_shift``), those
+integers and their top value from construction; the evaluator only casts
+the integers to its dtype, and ``_scaled`` reads them with no float
+arithmetic.  So N = sum_w a_w * 2**k f_w exactly, in int64 when L * 2**k *
+max f < 2**63 and in Python ints otherwise; the float view is the
+correctly rounded N / D, the float ``float(Fraction(N, D))`` gives (one
+numpy division when N and D are below 2**53, so both are exact floats).
+The full table comes from one kernel per utility kind, and ``table()``
+builds it once:
 
 - Coverage takes a superset-sum (fast zeta) transform, as in Bjorklund,
   Husfeldt, Kaski and Koivisto, "Fourier meets Mobius: fast subset
@@ -117,7 +120,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -252,9 +255,9 @@ class WeightedCoverage:
 
     f(S) is the exact sum of the weights of the targets S covers, so f is
     monotone and submodular by construction.  Each weight is a dyadic float,
-    so with k = ``_dyadic_shift(weights)`` the integer units c_t = 2**k w_t
-    give f(S) = sum c_t / 2**k, and ``evaluate`` returns its correctly
-    rounded float.  ``coverage`` must be total over the instance's item/state
+    so ``_dyadic(weights)`` gives k and the integer units c_t = 2**k w_t,
+    f(S) = sum c_t / 2**k, and ``evaluate`` returns its correctly rounded
+    float.  ``coverage`` must be total over the instance's item/state
     product when used inside an :class:`Instance`.
     """
 
@@ -270,12 +273,10 @@ class WeightedCoverage:
         if len(self.weights) != len(self.targets):
             raise InputError("one weight per target required")
         weights = tuple(nonnegative(w, "target weight") for w in self.weights)
-        # From the exact ratios: 2**k overflows a float at k = 1074.
-        shift = _dyadic_shift(weights)
-        units = tuple(
-            n * (1 << shift) // d for n, d in map(float.as_integer_ratio, weights)
-        )
-        if sum(units) > int(sys.float_info.max) << shift:
+        shift, units = _dyadic(weights)
+        units = tuple(units.tolist())
+        top = sum(units)
+        if top > int(sys.float_info.max) << shift:
             raise InputError("target weights must have a finite sum")
         index = {t: i for i, t in enumerate(self.targets)}
         canon = []
@@ -293,6 +294,7 @@ class WeightedCoverage:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "_shift", shift)
         object.__setattr__(self, "_units", units)
+        object.__setattr__(self, "_top", top)
 
     @classmethod
     def build(
@@ -368,10 +370,6 @@ class WeightedCoverage:
             row[list(self._cover[pair])] = True
         return codes
 
-    def _grid(self) -> tuple[int, int]:
-        """2**k times the largest value any pair set can take, and k."""
-        return sum(self._units), self._shift
-
 
 @dataclass(frozen=True)
 class ExplicitTable:
@@ -418,8 +416,12 @@ class ExplicitTable:
         by_mask = np.zeros(len(table))
         for key, value in table.items():
             by_mask[sum(bit[p] for p in key)] = value
+        shift, scaled = _dyadic(by_mask)
         object.__setattr__(self, "_bit", bit)
         object.__setattr__(self, "_mask_cache", by_mask)
+        object.__setattr__(self, "_shift", shift)
+        object.__setattr__(self, "_scaled_values", scaled)
+        object.__setattr__(self, "_top", int(scaled.max()))
 
     def to_dict(self) -> dict:
         return {
@@ -498,14 +500,6 @@ class ExplicitTable:
         """The ground-set bit of each pair; a union is an OR of bits."""
         return np.array([self._bit[p] for p in pairs], dtype=np.int64)
 
-    def _values(self, codes: np.ndarray) -> np.ndarray:
-        return self._mask_cache[codes]
-
-    def _grid(self) -> tuple[int, int]:
-        values = self._mask_cache.tolist()
-        shift = _dyadic_shift(values)
-        return int(Fraction(max(values)) * (1 << shift)), shift
-
 
 def _first(flags: np.ndarray) -> list[int]:
     """The index of the first set flag, as a list of zero or one int."""
@@ -524,9 +518,15 @@ def utility_from_dict(doc: dict) -> UtilityFunction:
     return cls.from_dict(doc)
 
 
-def _dyadic_shift(values: Iterable[float]) -> int:
-    """Least k >= 0 such that every value times 2**k is an integer."""
-    return max((v.as_integer_ratio()[1].bit_length() - 1 for v in values), default=0)
+def _dyadic(values: Sequence[float]) -> tuple[int, np.ndarray]:
+    """The least k >= 0 such that 2**k times every value is an integer, and
+    those integers, from each value's exact ratio (2**k overflows a float at
+    k = 1074): int64 when the largest is below 2**63, Python ints beyond."""
+    shift = max((v.as_integer_ratio()[1].bit_length() - 1 for v in values), default=0)
+    top, denominator = max(values, default=0.0).as_integer_ratio()
+    dtype = np.int64 if top * (1 << shift) // denominator < 1 << 63 else object
+    scaled = (n * (1 << shift) // d for n, d in map(float.as_integer_ratio, values))
+    return shift, np.fromiter(scaled, dtype, len(values))
 
 
 @dataclass(frozen=True)
@@ -607,19 +607,21 @@ class _Evaluator:
         self.worlds = [
             (s, p.numerator * (lcd // p.denominator)) for s, p in support if p
         ]
-        top, self._shift = instance.utility._grid()
-        scaled_top = max(1, top)
-        self._int64 = lcd * scaled_top < 1 << 63
-        self.denominator = lcd << self._shift
+        utility = instance.utility
+        top = max(1, utility._top)
+        dtype = np.int64 if lcd * top < 1 << 63 else object
+        self.denominator = lcd << utility._shift
         # The dtype rule of the observation weights (``_observe``).
-        self._ratio_int64 = lcd * lcd * scaled_top < 1 << 63
-        # A coverage utility's units c_t = 2**k w_t in the table's dtype, None
-        # for an explicit table: the kernel choice of ``_scaled``, ``table``,
-        # ``pair_gains``, ``union_keys`` and ``union_dots``.
-        units = instance.utility._units
-        self._units = None
-        if units is not None:
-            self._units = np.array(units, np.int64 if self._int64 else object)
+        self._ratio_int64 = lcd * lcd * top < 1 << 63
+        # The utility's integers in the table's dtype: a coverage utility's
+        # units c_t = 2**k w_t, None for an explicit table (the kernel choice
+        # of ``_scaled``, ``table``, ``pair_gains``, ``union_keys`` and
+        # ``union_dots``), else the table's 2**k f by ground mask.
+        units = utility._units
+        self._units = None if units is None else np.array(units, dtype)
+        self._scaled_values = (
+            utility._scaled_values.astype(dtype, copy=False) if units is None else None
+        )
         self._numerator_table = None
         self._float_table = None
         self._observations = None
@@ -676,12 +678,7 @@ class _Evaluator:
         coverage code's product with the units, else the scaled table value."""
         if self._units is not None:
             return codes @ self._units
-        values = self.instance.utility._values(codes)
-        if self._int64:
-            return np.ldexp(values, self._shift).astype(np.int64)
-        scale = 1 << self._shift
-        scaled = [int(Fraction(v) * scale) for v in values.tolist()]
-        return np.array(scaled, dtype=object)
+        return self._scaled_values[codes]
 
     def _floats(self, numerators: np.ndarray) -> np.ndarray:
         """Correctly rounded ``numerator / denominator``, as float(Fraction) gives.

@@ -62,8 +62,8 @@ j < ceil(x_e * 2**53); x_e * 2**53 is an exact float, so this integer test
 is exactly j * 2**-53 < x_e.  The draw runs in blocks of ``_BLOCK``
 uniforms, which keeps its temporaries cache-sized and its peak below 10
 bytes per uniform; the blocks cannot show in the result.  Swap rounding
-takes its draws from :func:`_draws`, in one block, through the same output
-step :func:`_output`.
+takes its draws one at a time from :func:`_draw`, the same formula on a
+Python int.
 """
 
 from __future__ import annotations
@@ -263,20 +263,9 @@ def _key(seed: int, stream: tuple[int, ...]) -> int:
     return key
 
 
-def _draws(key: int, start: int, count: int) -> np.ndarray:
-    """Draws ``start + 1`` to ``start + count`` of ``key`` as uint64 j, each
-    the uniform j * 2**-53."""
-    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z *= _GAMMA
-    z += key
-    return _output(z)
-
-
-def _output(z: np.ndarray) -> np.ndarray:
-    """The 53-bit draws of the SplitMix64 states ``z``, overwritten."""
-    z = _mix(z)
-    z >>= 11
-    return z
+def _draw(key: int, i: int) -> int:
+    """Draw ``i`` (from 1) of ``key`` as the int j, the uniform j * 2**-53."""
+    return _mix((key + i * _GAMMA) & _MASK) >> 11
 
 
 def _sample_masks(xv: list[float], n: int, seed: int, stream: tuple) -> np.ndarray:
@@ -304,7 +293,8 @@ def _sample_masks(xv: list[float], n: int, seed: int, stream: tuple) -> np.ndarr
     masks = np.empty(n, dtype=np.int64)
     for start in range(0, n, rows):
         offset = np.uint64(start * m * _GAMMA & _MASK)
-        j = _output(first[: min(rows, n - start) * m] + offset)
+        j = _mix(first[: min(rows, n - start) * m] + offset)
+        j >>= 11
         masks[start : start + rows] = (j.reshape(-1, m) < limits) @ weights
     return masks
 

@@ -15,24 +15,28 @@ A point passes the multilinear extension's item check and the constraint's
 
 The k-th random move of :func:`pipage_round` uses draw k of the stream
 ``(seed, ())`` of the counter-based generator in :mod:`stosub.multilinear`,
-all taken in one block by its :func:`~stosub.multilinear._draws`.  Every
+taken as the move is made by its :func:`~stosub.multilinear._draw`.  Every
 random move leaves one more coordinate integral, and an integral coordinate
 never moves again, so a run takes at most one draw per coordinate.
 
 Each random move has exactly two outcomes, so :func:`exact_distribution`
-can run the same moves in ``Fraction`` arithmetic and enumerate every output
-set of :func:`pipage_round` with its exact probability.  The experiment
-harness decides its rounding flag from that distribution's exact mean.
+runs the same moves from the snapped point in ``Fraction`` arithmetic and
+gives their exact output distribution, which :func:`pipage_round` samples
+with float moves snapped within ``_SNAP``.  Where an exact move leaves a
+coordinate within ``_SNAP`` of 0 or 1, that distribution can weigh a set
+the float moves never return.  The experiment harness decides its rounding
+flag from that distribution's exact mean.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .constraints import Constraint
 from .errors import InputError, UnsupportedKindError
 from .model import Instance
-from .multilinear import FractionalPoint, _aligned, _draws, _key
+from .multilinear import FractionalPoint, _aligned, _draw, _key
 
 _SNAP = 1e-12
 
@@ -122,18 +126,21 @@ def pipage_round(
     an integral point costs no randomness.
     """
     groups, vals = _start(instance, constraint, y)
-    draws = iter(_draws(_key(seed, ()), 0, len(vals)) * 2.0**-53)
+    key, draws = _key(seed, ()), itertools.count(1)
     for move, group, cap in _phases(groups):
         while (outcomes := move(vals, group, cap)) is not None:
             p, first, second = outcomes
-            vals = tuple(map(_snap, first if p and next(draws) < p else second))
+            drawn = p and _draw(key, next(draws)) * 2.0**-53 < p
+            vals = tuple(map(_snap, first if drawn else second))
     return _chosen(instance, vals)
 
 
 def exact_distribution(
     instance: Instance, constraint: Constraint, y: FractionalPoint
 ) -> list[tuple[frozenset[str], Fraction]]:
-    """Every output set of :func:`pipage_round` with its exact probability.
+    """The exact distribution of the swap moves' output sets from the
+    snapped point, which :func:`pipage_round` samples with snapped float
+    moves (module docstring).
 
     Runs the same moves on the snapped coordinates as ``Fraction`` values,
     following both outcomes of each draw and merging equal coordinate

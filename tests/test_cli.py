@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import stosub as ss
-from stosub import fileio
+from stosub import fileio, harness
 from stosub.cli import build_parser, main
 from helpers import table_from_function
 
@@ -148,6 +148,11 @@ def test_parser_defaults_come_from_their_sources():
     greedy = parser.parse_args(["greedy", "x.json"])
     assert (greedy.delta, greedy.mode, greedy.seed, greedy.variant) == (
         config.delta, config.weight_mode, config.seed, config.weight_variant
+    )
+    spec = harness.InstanceSpec()
+    generate = parser.parse_args(["generate", "product"])
+    assert (generate.m, generate.states, generate.worlds, generate.seed) == (
+        spec.m, spec.states, spec.worlds, spec.seed
     )
 
 

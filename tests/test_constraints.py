@@ -51,6 +51,17 @@ class TestFeasibility:
         with pytest.raises(ss.InputError):
             ss.is_feasible(partition_ab_cd(), {"zz"})
 
+    @pytest.mark.parametrize("chosen", [{"z"}, {"a", "z"}])
+    def test_partition_unknown_item_raises_before_the_caps(self, chosen):
+        """An unknown item raises even beside a block over its cap, as a
+        knapsack's unknown item does."""
+        c = ss.PartitionMatroid(blocks=(("a",),), capacities=(0,))
+        with pytest.raises(ss.InputError, match=r"items \['z'\] not covered"):
+            ss.is_feasible(c, chosen)
+        knapsack = ss.Knapsack(costs=(("a", 1.0),), budget=0.0)
+        with pytest.raises(ss.InputError, match="no cost declared for item 'z'"):
+            ss.is_feasible(knapsack, chosen)
+
     def test_knapsack_budget(self):
         c = knapsack_345()
         assert ss.is_feasible(c, {"a", "b"})

@@ -13,6 +13,7 @@ import hashlib
 import itertools
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ import pytest
 
 import stosub as ss
 from stosub.model import EXACT_CAP, _Evaluator, _evaluator
-from helpers import direct_set_value, direct_state_value
+from helpers import direct_set_value, direct_state_value, table_from_function
 from test_independence_exact import CASES as EXACT_CASES
 
 # The exact-oracles benchmark inputs: (generator, m, states, worlds); the
@@ -147,6 +148,43 @@ def test_cases_reach_both_dtypes_on_the_transform(instances):
         )
     assert dtypes["weighted-coverage"] == {np.dtype(np.int64), np.dtype(object)}
     assert "explicit-table" in dtypes
+
+
+@pytest.mark.parametrize(
+    "tiny, big, dtypes",
+    [
+        (0.25, 3.0, (np.int64, np.int64)),
+        (2.0**-70, 3.0, (object, object)),  # 2**70 * 3 passes 2**63
+        (0.5, 2.0**60, (np.int64, object)),  # only L * 2**61 passes it
+    ],
+)
+def test_explicit_tables_on_both_dtypes(tiny, big, dtypes):
+    """An explicit table holds 2**k f by ground mask as int64 below 2**63
+    and as Python ints beyond; the evaluator casts them to the table's
+    dtype, and the table and pair gains equal the direct sums on each."""
+    items, states = ("a", "b"), ("x", "y")
+    weight = dict(zip(itertools.product(items, states), (tiny, 1.0, big, 0.5)))
+    utility = table_from_function(weight, lambda s: sum(weight[p] for p in s))
+    worlds = list(itertools.product(states, repeat=2))
+    distribution = ss.JointDistribution(
+        tuple(
+            (ss.Realization(tuple(zip(items, world))), Fraction(1 << w, 15))
+            for w, world in enumerate(worlds)
+        )
+    )
+    inst = ss.Instance(items, states, distribution, utility)
+    ev = _evaluator(inst)
+    held, cast = map(np.dtype, dtypes)
+    assert (utility._scaled_values.dtype, ev.table().dtype) == (held, cast)
+    gains = ev.pair_gains()
+    for mask in range(1 << inst.m):
+        members = [item for i, item in enumerate(items) if mask >> i & 1]
+        assert ev.table()[mask] == direct_set_value(inst, members) * ev.denominator
+        for (e, o), (item, state) in zip(
+            np.ndindex(gains.shape[1:]), itertools.product(items, states)
+        ):
+            want = direct_state_value(inst, members, item, state)
+            assert ev.table()[mask] + gains[mask, e, o] == want * ev.denominator
 
 
 def test_coverage_without_targets():

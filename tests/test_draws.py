@@ -14,9 +14,18 @@ import pytest
 
 import stosub as ss
 from stosub import multilinear
-from stosub.multilinear import _GAMMA, _MASK, _draws, _key, _mix, _sample_masks
+from stosub.multilinear import _GAMMA, _MASK, _draw, _key, _mix, _sample_masks
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def array_draws(key: int, count: int) -> np.ndarray:
+    """Draws 1 to ``count`` of ``key`` through the array form of ``_mix``,
+    the states ``_sample_masks`` mixes."""
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    z *= _GAMMA
+    z += key
+    return _mix(z) >> 11
 
 
 def fresh_python(code: str, **env) -> str:
@@ -43,10 +52,10 @@ class TestKernel:
     def test_array_draws_match_the_int_form(self):
         key = _key(7, (3,))
         expected = [_mix((key + i * _GAMMA) & _MASK) >> 11 for i in range(1, 65)]
-        assert _draws(key, 0, 64).tolist() == expected
-        assert _draws(key, 40, 24).tolist() == expected[40:]
-        uniforms = _draws(key, 0, 64) * 2.0**-53
-        assert uniforms.tolist() == [j * 2.0**-53 for j in expected]
+        assert [_draw(key, i) for i in range(1, 65)] == expected
+        assert array_draws(key, 64).tolist() == expected
+        uniforms = array_draws(key, 64) * 2.0**-53
+        assert uniforms.tolist() == [_draw(key, i) * 2.0**-53 for i in range(1, 65)]
 
     def test_block_size_is_invisible(self, monkeypatch):
         xv = [0.1, 0.5, 0.9, 0.3, 0.7]
@@ -61,7 +70,8 @@ class TestKernel:
         """j < ceil(x * 2**53) includes exactly when u = j * 2**-53 < x, also
         at coordinates equal to a drawn uniform and one ulp above it."""
         n, m, seed = 4096, 7, 5
-        j = _draws(_key(seed, ()), 0, n * m)
+        key = _key(seed, ())
+        j = np.array([_draw(key, i) for i in range(1, n * m + 1)], dtype=np.uint64)
         u = j.astype(np.float64) * 2.0**-53  # exact: j < 2**53
         xv = [0.0, 2.0**-53, 0.5, 1 - 2.0**-53, 1.0, u[5], u[6] + 2.0**-53]
         masks = _sample_masks(xv, n, seed, ())
@@ -88,22 +98,22 @@ class TestKernel:
     def test_same_draws_in_two_interpreters(self):
         code = """
             import hashlib
-            from stosub.multilinear import _draws, _key, _sample_masks
+            from stosub.multilinear import _draw, _key, _sample_masks
             masks = _sample_masks([0.2, 0.5, 0.7], 5000, 11, (4,))
             print(hashlib.sha256(masks.tobytes()).hexdigest())
-            print(_draws(_key(11, ()), 0, 3).tolist())
+            print([_draw(_key(11, ()), i) for i in (1, 2, 3)])
         """
         first = fresh_python(code, PYTHONHASHSEED="1")
         assert fresh_python(code, PYTHONHASHSEED="2") == first
         masks = _sample_masks([0.2, 0.5, 0.7], 5000, 11, (4,))
         assert first.split("\n")[:2] == [
             hashlib.sha256(masks.tobytes()).hexdigest(),
-            repr(_draws(_key(11, ()), 0, 3).tolist()),
+            repr([_draw(_key(11, ()), i) for i in (1, 2, 3)]),
         ]
 
     def test_chi_square_over_sixteen_bins(self):
         n = 1 << 20
-        top = _draws(_key(2024, ()), 0, n) >> 49
+        top = array_draws(_key(2024, ()), n) >> 49
         bins = np.bincount(top.astype(np.intp), minlength=16)
         assert len(bins) == 16
         chi2 = float((((bins - n / 16) ** 2) / (n / 16)).sum())

@@ -8,8 +8,10 @@ The kappa and gamma enumerations compare integer pairs and build a
 ``Fraction`` only once they are done, never once per ratio; the policy
 oracles and reads build none per history or world.  No module but ``model``
 values a set through a utility's ``evaluate``: the rest read the evaluator.
-Inside the evaluator only ``__init__`` reads the utility's integer units,
-which pick the table kernel.
+Inside the evaluator only ``__init__`` reads the utility's integers (a
+coverage utility's units, which pick the table kernel, and an explicit
+table's scaled values), and no method rescales a float value: none calls
+``ldexp`` or builds a ``Fraction``.
 Every field of the observation table is read somewhere outside the build
 that fills it, and no module but ``model`` sums the table's weights W,
 which the table stores only as its row totals and reads through one
@@ -33,11 +35,22 @@ from conftest import make_wide
 PACKAGE = Path(stosub.__file__).parent
 
 
-def _private_evaluator_names() -> set[str]:
-    tree = ast.parse((PACKAGE / "model.py").read_text())
-    cls = next(
-        n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_Evaluator"
+def _evaluator_class(source: str) -> ast.ClassDef:
+    return next(
+        n
+        for n in ast.parse(source).body
+        if isinstance(n, ast.ClassDef) and n.name == "_Evaluator"
     )
+
+
+def _methods(source: str) -> list[ast.FunctionDef]:
+    return [
+        n for n in _evaluator_class(source).body if isinstance(n, ast.FunctionDef)
+    ]
+
+
+def _private_evaluator_names() -> set[str]:
+    cls = _evaluator_class((PACKAGE / "model.py").read_text())
     names = set()
     for node in ast.walk(cls):
         if isinstance(node, ast.FunctionDef):
@@ -85,40 +98,33 @@ def private_reads(source: str) -> list[str]:
     ]
 
 
-def _is_utility_units(node) -> bool:
-    """``<...>.utility._units``: the units a utility holds, not the
-    evaluator's own copy in ``self._units``."""
+def _is_utility_integers(node) -> bool:
+    """``<...>.utility._units`` or ``<...>.utility._scaled_values``: the
+    integers a utility holds, not the evaluator's own copies in ``self``."""
     return (
         isinstance(node, ast.Attribute)
-        and node.attr == "_units"
+        and node.attr in ("_units", "_scaled_values")
         and _name_of(node.value) == "utility"
     )
 
 
-def unit_reads(source: str) -> dict[str, list[int]]:
+def integer_reads(source: str) -> dict[str, list[int]]:
     """The lines of each ``_Evaluator`` method that read a utility's
-    ``_units``, which pick the kernel: None for an explicit table."""
-    tree = ast.parse(source)
-    cls = next(
-        n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_Evaluator"
-    )
+    integers: ``_units``, which pick the kernel (None for an explicit
+    table), or an explicit table's ``_scaled_values``."""
     reads = {}
-    for method in cls.body:
-        if isinstance(method, ast.FunctionDef):
-            lines = [
-                node.lineno
-                for node in ast.walk(method)
-                if _is_utility_units(node)
-            ]
-            if lines:
-                reads[method.name] = lines
+    for method in _methods(source):
+        lines = [node.lineno for node in ast.walk(method) if _is_utility_integers(node)]
+        if lines:
+            reads[method.name] = lines
     return reads
 
 
 def test_evaluator_decides_its_kernel_once():
-    """Only ``__init__`` reads the utility's ``_units``; every other method
-    branches on the copy it stored, so the kernel choice lives in one place."""
-    reads = unit_reads((PACKAGE / "model.py").read_text())
+    """Only ``__init__`` reads the utility's integers; every other method
+    uses the copies it stored, so the kernel choice and the dtype cast live
+    in one place."""
+    reads = integer_reads((PACKAGE / "model.py").read_text())
     assert list(reads) == ["__init__"]
 
 
@@ -130,8 +136,41 @@ def test_guard_catches_unit_reads():
         "    def table(self):\n"
         "        if self._units is None and self.instance.utility._units:\n"
         "            pass\n"
+        "    def _scaled(self, codes):\n"
+        "        return self.instance.utility._scaled_values[codes]\n"
     )
-    assert list(unit_reads(source)) == ["__init__", "table"]
+    assert list(integer_reads(source)) == ["__init__", "table", "_scaled"]
+
+
+def _is_ldexp_call(node) -> bool:
+    return isinstance(node, ast.Call) and _name_of(node.func) == "ldexp"
+
+
+def float_rescales(source: str) -> list[str]:
+    """``ldexp`` calls and ``Fraction`` builds in ``_Evaluator`` methods."""
+    return [
+        f"line {node.lineno}: {method.name} rescales a float value"
+        for method in _methods(source)
+        for node in ast.walk(method)
+        if _is_ldexp_call(node) or _is_fraction_call(node)
+    ]
+
+
+def test_evaluator_rescales_no_float():
+    assert float_rescales((PACKAGE / "model.py").read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "return np.ldexp(values, self._shift).astype(np.int64)",
+        "return [int(Fraction(v) * scale) for v in values.tolist()]",
+        "return [int(fractions.Fraction(v) * scale) for v in values]",
+    ],
+)
+def test_guard_catches_float_rescales(body):
+    source = f"class _Evaluator:\n    def _scaled(self, values):\n        {body}\n"
+    assert float_rescales(source)
 
 
 def test_private_names_found():
@@ -461,16 +500,10 @@ def cap_checks(source: str, roots) -> list[str]:
 
 def capacity_raisers(source: str) -> set[str]:
     """The ``_Evaluator`` methods that raise ``CapacityError``."""
-    cls = next(
-        n
-        for n in ast.parse(source).body
-        if isinstance(n, ast.ClassDef) and n.name == "_Evaluator"
-    )
     return {
         method.name
-        for method in cls.body
-        if isinstance(method, ast.FunctionDef)
-        and any(_raises_capacity(n) for n in ast.walk(method))
+        for method in _methods(source)
+        if any(_raises_capacity(n) for n in ast.walk(method))
     }
 
 
