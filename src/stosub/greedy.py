@@ -7,6 +7,14 @@ vertex.  Weights come from exact enumeration or from seeded Monte-Carlo
 estimates; either way a run is a pure function of (instance, constraint,
 config).
 
+The steps are exact: a point is integer numerators over one common
+denominator, a time a (numerator, denominator) pair, and in :func:`run`
+t = k delta over a power of two (delta and the LP vertices are floats).
+The last step is exactly 1 - t, so the steps sum to 1 even when 1/delta is
+not an integer, and a matroid endpoint sums exactly to its caps.  Round
+points and :func:`step`'s result are float views, rounded correctly once;
+:func:`run`'s final point is exact.  A move past 1 is an ``InputError``.
+
 A sampled round draws its inclusion masks once, from the stream
 ``(seed, (round_index,))`` of the counter-based generator in
 :mod:`stosub.multilinear`, and estimates every item's weight from that draw:
@@ -18,8 +26,10 @@ between items, so sharing the draw keeps it.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Union
 
 from .constraints import Constraint, LPSolution, is_feasible, lp_maximize
@@ -27,6 +37,7 @@ from .errors import ConfigurationError, DegenerateBoundError, InputError
 from .model import EXACT_TOL, Instance
 from .multilinear import (
     FractionalPoint,
+    _numerators,
     estimation_sample_count,
     multilinear_value,
     optimistic_weight_estimates,
@@ -106,19 +117,22 @@ class Trajectory:
 def _round(
     instance: Instance,
     constraint: Constraint,
-    y: FractionalPoint,
-    t: float,
+    items: tuple[str, ...],
+    coords: tuple[list[int], int],
+    t: tuple[int, int],
     config: GreedyConfig,
-) -> tuple[RoundRecord, FractionalPoint]:
-    """One round at time ``t``: its record and the point it moves ``y`` to.
-
-    The final round's step is 1 - t, so the steps of a full sweep sum to
-    exactly 1 even when 1/delta is not an integer.
-    """
-    round_index = int(round(t / config.delta))
-    d = 1.0 - t if round_index >= config.rounds - 1 else config.delta
-    if d <= 0 or t + d > 1.0 + 1e-12:
-        raise InputError(f"round at t={t} would overshoot the time horizon")
+) -> tuple[RoundRecord, tuple[list[int], int]]:
+    """One round at time ``t`` from the exact point ``coords`` over ``items``
+    (module docstring): its record and the exact point it moves to."""
+    nums, den = coords
+    y = FractionalPoint(items, tuple(a / den for a in nums))
+    at = t[0] / t[1]
+    round_index = int(round(at / config.delta))
+    dn, dd = float(config.delta).as_integer_ratio()
+    if round_index >= config.rounds - 1:
+        dn, dd = t[1] - t[0], t[1]
+    if dn <= 0 or t[0] * dd + dn * t[1] > t[1] * dd:
+        raise InputError(f"round at t={at} would overshoot the time horizon")
     if config.weight_mode == "exact":
         weights = optimistic_weights(instance, y)
     else:
@@ -130,12 +144,14 @@ def _round(
     if config.weight_variant == "standard":  # the standard_weight identity
         weights = [w * (1.0 - y.value_of(i)) for i, w in zip(instance.items, weights)]
     lp = lp_maximize(constraint, dict(zip(instance.items, weights)))
-    moved = [
-        min(1.0, v + d * lp.point.value_of(item))
-        for item, v in zip(y.items, y.values)
-    ]
-    record = RoundRecord(t=t, step=d, point=y, weights=tuple(weights), lp=lp)
-    return record, FractionalPoint(y.items, tuple(moved))
+    vs, vd = _numerators([lp.point.value_of(item) for item in items])
+    top = math.lcm(den, dd * vd)
+    scale, unit = top // den, dn * (top // (dd * vd))
+    moved = [a * scale + v * unit for a, v in zip(nums, vs)]
+    if past := [item for item, a in zip(items, moved) if a > top]:
+        raise InputError(f"round at t={at} moves {past[0]!r} past 1")
+    record = RoundRecord(t=at, step=dn / dd, point=y, weights=tuple(weights), lp=lp)
+    return record, (moved, top)
 
 
 def step(
@@ -147,21 +163,23 @@ def step(
 ) -> tuple[FractionalPoint, LPSolution]:
     """One round at time ``t``, on the same step schedule :func:`run` uses."""
     constraint.check_items(instance.items)
-    record, moved = _round(instance, constraint, y, t, config)
-    return moved, record.lp
+    coords, t = _numerators(y.exact), float(t).as_integer_ratio()
+    record, (moved, top) = _round(instance, constraint, y.items, coords, t, config)
+    return FractionalPoint(y.items, tuple(a / top for a in moved)), record.lp
 
 
 def run(instance: Instance, constraint: Constraint, config: GreedyConfig) -> Trajectory:
     """Full ascent from the all-zero point; records every round."""
     constraint.check_items(instance.items)
-    y = FractionalPoint.zeros(instance.items)
-    t = 0.0
-    records = []
-    for _ in range(config.rounds):
-        record, y = _round(instance, constraint, y, t, config)
+    dn, dd = float(config.delta).as_integer_ratio()
+    coords, records = ([0] * instance.m, 1), []
+    for k in range(config.rounds):
+        t = (k * dn, dd)
+        record, coords = _round(instance, constraint, instance.items, coords, t, config)
         records.append(record)
-        t += record.step
-    return Trajectory(rounds=tuple(records), final=y, config=config)
+    nums, den = coords
+    final = FractionalPoint(instance.items, tuple(Fraction(a, den) for a in nums))
+    return Trajectory(rounds=tuple(records), final=final, config=config)
 
 
 @dataclass(frozen=True)

@@ -116,6 +116,7 @@ policy oracles, which do their own exact sums, never see the scale.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -395,27 +396,28 @@ class ExplicitTable:
                 f"explicit tables support at most {self.CONSTRUCTION_CAP} ground pairs"
             )
         object.__setattr__(self, "ground", ground)
-        table: dict[frozenset[Pair], float] = {}
+        # Canonical order (size, then sorted pairs) is bit combinations by size.
+        bit = {pair: 1 << i for i, pair in enumerate(ground)}
+        values: list = [None] * (1 << len(ground))
         for subset, value in self.entries:
-            key = frozenset(tuple(p) for p in subset)
-            if not key <= set(ground):
-                raise InputError(f"table subset {sorted(key)} outside the ground set")
-            if key in table:
-                raise InputError(f"duplicate table entry for {sorted(key)}")
-            table[key] = nonnegative(value, "table value")
-        if len(table) != 1 << len(ground):
+            pairs = {tuple(p) for p in subset}
+            if not pairs <= bit.keys():
+                raise InputError(f"table subset {sorted(pairs)} outside the ground set")
+            mask = sum(bit[p] for p in pairs)
+            if values[mask] is not None:
+                raise InputError(f"duplicate table entry for {sorted(pairs)}")
+            values[mask] = nonnegative(value, "table value")
+        if len(self.entries) != len(values):
             raise InputError(
-                f"table must cover all {1 << len(ground)} subsets, got {len(table)}"
+                f"table must cover all {len(values)} subsets, got {len(self.entries)}"
             )
         canon = tuple(
-            (tuple(sorted(key)), table[key])
-            for key in sorted(table, key=lambda k: (len(k), tuple(sorted(k))))
+            (tuple(ground[i] for i in picked), values[sum(1 << i for i in picked)])
+            for size in range(len(ground) + 1)
+            for picked in itertools.combinations(range(len(ground)), size)
         )
         object.__setattr__(self, "entries", canon)
-        bit = {pair: 1 << i for i, pair in enumerate(ground)}
-        by_mask = np.zeros(len(table))
-        for key, value in table.items():
-            by_mask[sum(bit[p] for p in key)] = value
+        by_mask = np.array(values)
         shift, scaled = _dyadic(by_mask)
         object.__setattr__(self, "_bit", bit)
         object.__setattr__(self, "_mask_cache", by_mask)

@@ -70,7 +70,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -96,23 +96,27 @@ _GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's counter increment, 2**64 / golden ra
 
 @dataclass(frozen=True)
 class FractionalPoint:
-    """A vector in [0,1]^m keyed by item name."""
+    """A vector in [0,1]^m keyed by item name: ``exact`` holds each coordinate
+    as given (a rational as itself, else its float's binary value), clamped
+    within ``EXACT_TOL`` of [0, 1], and ``values`` its float view."""
 
     items: tuple[str, ...]
     values: tuple[float, ...]
+    exact: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(set(self.items)) != len(self.items):
             raise InputError("duplicate items in fractional point")
         if len(self.items) != len(self.values):
             raise InputError("one coordinate per item required")
-        cleaned = []
+        exact = []
         for item, v in zip(self.items, self.values):
-            v = float(v)
+            v = v if isinstance(v, (float, numbers.Rational)) else float(v)
             if not math.isfinite(v) or v < -EXACT_TOL or v > 1 + EXACT_TOL:
                 raise InputError(f"coordinate {item}={v} outside [0, 1]")
-            cleaned.append(min(1.0, max(0.0, v)))
-        object.__setattr__(self, "values", tuple(cleaned))
+            exact.append(v if 0 < v < 1 else 0 if v <= 0 else 1)
+        object.__setattr__(self, "exact", tuple(exact))
+        object.__setattr__(self, "values", tuple(map(float, exact)))
         object.__setattr__(self, "_pos", {it: i for i, it in enumerate(self.items)})
 
     @classmethod
@@ -147,11 +151,18 @@ class Estimate:
     std_error: float
 
 
-def _aligned(instance: Instance, x: FractionalPoint) -> list[float]:
+def _aligned(instance: Instance, x: FractionalPoint, values=None) -> list:
     if set(x.items) != set(instance.items):
         raise InputError("fractional point items do not match the instance")
-    coords = x.as_dict()
+    coords = dict(zip(x.items, x.values if values is None else values))
     return [coords[item] for item in instance.items]
+
+
+def _numerators(values) -> tuple[list[int], int]:
+    """Exact rationals as integer numerators over their least common denominator."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*(d for _, d in ratios))
+    return [n * (den // d) for n, d in ratios], den
 
 
 def _inclusion_probabilities(coords) -> np.ndarray:

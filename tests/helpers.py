@@ -652,3 +652,42 @@ def loop_validate_utility(utility, tol: float = 1e-12) -> UtilityReport:
         submodular=sub is None,
         witness=mono if mono is not None else sub,
     )
+
+
+def reference_swap_round(instance, constraint, coords: dict, seed: int) -> frozenset:
+    """Swap rounding walked in ``Fraction`` arithmetic from the definition.
+
+    ``coords`` maps each item to its exact coordinate.  Swaps run group by
+    group in ``rounding_groups`` order (two lowest-index fractional
+    coordinates, mass b -> a with probability up_b / (up_a + up_b)), then
+    each group's last fractional coordinate rounds up with probability its
+    value, or down without a draw when the group is already full.  The k-th
+    draw is the uniform j / 2**53 from the scalar SplitMix64 output k of
+    ``(seed, ())``, compared with the probability as a ``Fraction``.
+    """
+    from stosub.multilinear import _draw, _key
+
+    x = [Fraction(coords[item]) for item in instance.items]
+    groups = constraint.rounding_groups(instance.items)
+    key, taken = _key(seed, ()), 0
+
+    def heads(p: Fraction) -> bool:
+        nonlocal taken
+        taken += 1
+        return Fraction(_draw(key, taken), 1 << 53) < p
+
+    for group, _ in groups:
+        while len(fractional := [i for i in group if 0 < x[i] < 1]) >= 2:
+            a, b = fractional[:2]
+            up_a, up_b = min(1 - x[a], x[b]), min(x[a], 1 - x[b])
+            if heads(up_b / (up_a + up_b)):
+                x[a], x[b] = x[a] + up_a, x[b] - up_a
+            else:
+                x[a], x[b] = x[a] - up_b, x[b] + up_b
+    for group, cap in groups:
+        fractional = [i for i in group if 0 < x[i] < 1]
+        if fractional:
+            i = fractional[0]
+            full = sum(x[j] == 1 for j in group) >= cap
+            x[i] = 1 if not full and heads(x[i]) else 0
+    return frozenset(item for item, v in zip(instance.items, x) if v == 1)

@@ -179,6 +179,13 @@ class TestStep:
         y2, _ = ss.step(cc2, constraint, y, 0.6, config)
         assert max(y2.values) == pytest.approx(1.0, abs=0)
 
+    def test_move_past_one_is_an_input_error(self, modular3):
+        # The LP picks "a", and 0.98 + 0.05 passes 1: the step is refused,
+        # not clamped to a move of 0.02.
+        y = ss.FractionalPoint(modular3.items, (0.98, 0.0, 0.0))
+        with pytest.raises(ss.InputError, match=r"t=0\.5 moves 'a' past 1"):
+            ss.step(modular3, ss.UniformMatroid(rank=1), y, 0.5, ss.GreedyConfig())
+
     def test_overshoot_rejected(self, cc2):
         config = ss.GreedyConfig(delta=0.25)
         with pytest.raises(ss.InputError):

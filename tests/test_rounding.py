@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import statistics
 from fractions import Fraction
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 
 import stosub as ss
 from conftest import make_modular
-from helpers import direct_set_value
+from helpers import direct_set_value, reference_swap_round
 from stosub import fileio, harness
 
 PINNED = Path(__file__).parent / "data" / "pinned_rounding.json"
@@ -189,12 +190,9 @@ class TestExactDistribution:
         dist = ss.exact_distribution(inst, constraint, y)
         assert sum(w for _, w in dist) == 1
         assert all(ss.is_feasible(constraint, chosen) for chosen, _ in dist)
-        # Ascent sums are not exact: a group can sum to one ulp over its cap,
-        # and the rounding snaps coordinates within 1e-12 of 0 or 1 before it
-        # starts, so the marginals only match y to that tolerance.
         marginals = _exact_marginals(inst.items, dist)
-        for item, v in zip(y.items, y.values):
-            assert abs(marginals[item] - Fraction(v)) <= 1e-12
+        for item, v in zip(y.items, y.exact):
+            assert marginals[item] == v
         assert _exact_mean(inst, dist) >= ss.multilinear_value(inst, y) - 1e-9
 
     @pytest.mark.parametrize(
@@ -209,6 +207,83 @@ class TestExactDistribution:
         y = ss.FractionalPoint(cc2.items, (0.5, 0.0))
         with pytest.raises(ss.UnsupportedKindError):
             ss.exact_distribution(cc2, constraint, y)
+
+
+def _sweep_instance(generator: str, m: int, seed: int) -> ss.Instance:
+    if generator == "product":
+        return ss.generate_product(m, states_per_item=2, seed=seed)
+    return ss.generate_common_cause(m, 2, 4, seed)
+
+
+class TestExactEndpoint:
+    """The ascent's endpoint is exact, so the walk starts on the face the
+    ascent reached and never leaves it."""
+
+    def test_found_instance_sits_on_its_face(self):
+        # Float ascent sums ended this run one ulp below the rank, and the
+        # exact distribution then weighed the non-basis {e1}.
+        inst = ss.generate_common_cause(4, 2, 4, 1002)
+        constraint = ss.UniformMatroid(rank=2)
+        y = ss.run(inst, constraint, ss.GreedyConfig()).final
+        assert sum(y.exact) == 2
+        support = {chosen for chosen, _ in ss.exact_distribution(inst, constraint, y)}
+        assert all(len(chosen) == 2 for chosen in support)
+        drawn = {ss.pipage_round(inst, constraint, y, seed) for seed in range(2000)}
+        assert drawn <= support
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    @pytest.mark.parametrize("generator", ["common-cause", "product"])
+    def test_endpoints_sum_to_the_rank(self, generator, m, k):
+        constraint = ss.UniformMatroid(rank=k)
+        for seed in range(20):
+            inst = _sweep_instance(generator, m, seed)
+            y = ss.run(inst, constraint, ss.GreedyConfig()).final
+            assert sum(y.exact) == k, seed
+            dist = ss.exact_distribution(inst, constraint, y)
+            assert _exact_marginals(inst.items, dist) == dict(zip(y.items, y.exact))
+
+
+def _rational_point(rng, groups, m: int, denominator: int) -> tuple:
+    """Random multiples of 1 / ``denominator``, each group scaled down to
+    its cap when over it: exact rationals inside the polytope."""
+    x = [Fraction(rng.randint(0, denominator), denominator) for _ in range(m)]
+    for group, cap in groups:
+        total = sum(x[i] for i in group)
+        if total > cap:
+            for i in group:
+                x[i] = x[i] * cap / total
+    return tuple(x)
+
+
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_walk_matches_the_fraction_reference(m):
+    """``pipage_round`` draws set for set what the ``Fraction`` walk draws,
+    on float points, on non-dyadic rational points and on ascent endpoints."""
+    rng = random.Random(m)
+    inst = ss.generate_common_cause(m, 2, 4, m)
+    half = m // 2
+    constraints = [
+        ss.UniformMatroid(rank=1),
+        ss.UniformMatroid(rank=half),
+        ss.PartitionMatroid(
+            blocks=(inst.items[:half], inst.items[half:]), capacities=(1, 1)
+        ),
+    ]
+    for constraint in constraints:
+        groups = constraint.rounding_groups(inst.items)
+        points = [
+            _rational_point(rng, groups, m, denominator)
+            for denominator in (3, 7, 10, 1_000_003)
+        ]
+        points.append(tuple(map(float, _rational_point(rng, groups, m, 2**40))))
+        endpoint = ss.run(inst, constraint, ss.GreedyConfig()).final
+        for y in [ss.FractionalPoint(inst.items, p) for p in points] + [endpoint]:
+            coords = dict(zip(y.items, y.exact))
+            for seed in range(40):
+                assert ss.pipage_round(inst, constraint, y, seed) == (
+                    reference_swap_round(inst, constraint, coords, seed)
+                ), (constraint, y.exact, seed)
 
 
 PINNED_CASES = json.loads(PINNED.read_text())["cases"]
@@ -226,7 +301,10 @@ def test_pinned_rounded_sets(case):
     """``pipage_round`` keeps the sets it drew when each draw was taken one
     at a time from the scalar SplitMix64 output: 25 seeds per point, the
     points random, on a matroid face, on a 0.05 grid, or within 1e-12 of 0
-    and 1, over uniform and partition matroids at m = 2-6."""
+    and 1, over uniform and partition matroids at m = 2-6.  The sets are
+    those of the exact walk: a coordinate of 1e-13 takes its own draw, and
+    a 0.05-grid point whose exact sum falls an ulp short of an integer
+    keeps a fractional coordinate to close."""
     inst = harness.InstanceSpec(**case["instance"]).resolve()
     constraint = fileio.constraint_from_dict(case["constraint"])
     y = ss.FractionalPoint(inst.items, tuple(case["point"]))
