@@ -3,9 +3,9 @@
 Four kinds are supported: uniform matroids, partition matroids, knapsacks,
 and explicit set families.  The per-round LP maximizes a nonnegative linear
 objective over the relaxation polytope of the family; for the matroid kinds
-the optimum is an integral greedy vertex, for knapsacks it is the classic
-density-ordered fractional greedy, and for explicit families it is the best
-listed set.
+the optimum is an integral greedy vertex, for knapsacks the density-ordered
+fractional greedy on the integer-scaled costs, and for explicit families the
+best listed set.
 
 Explicit families are downward-closed by default.  Passing
 ``downward_closed=False`` admits prefix-closed families that are not
@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import InputError, UnsupportedKindError
 from .errors import nonnegative, require_field, require_list
-from .model import EXACT_TOL
+from .model import EXACT_TOL, _dyadic
 from .multilinear import FractionalPoint
 
 
@@ -203,9 +204,11 @@ class PartitionMatroid(Constraint):
 class Knapsack(Constraint):
     """Sets whose total cost stays within the budget.
 
-    The relaxation polytope is the box intersected with the budget halfspace,
-    whose vertices may have one fractional coordinate.  No rounding scheme
-    for knapsacks is implemented here.
+    Costs and budget are scaled by one power of two to exact integers when
+    the knapsack is built; feasibility and the LP vertex read those, so no
+    answer depends on item names.  The relaxation polytope is the box cut by
+    the budget halfspace; a vertex has at most one fractional coordinate, an
+    exact rational.  No rounding scheme for knapsacks is implemented here.
     """
 
     costs: tuple[tuple[str, float], ...]
@@ -219,9 +222,12 @@ class Knapsack(Constraint):
             if item in costs:
                 raise InputError(f"duplicate cost for item {item!r}")
             costs[item] = nonnegative(cost, "cost")
+        object.__setattr__(self, "budget", nonnegative(self.budget, "budget"))
+        scaled_budget, *scaled = _dyadic([self.budget, *costs.values()])[1].tolist()
         object.__setattr__(self, "costs", tuple(costs.items()))
         object.__setattr__(self, "_cost", costs)
-        object.__setattr__(self, "budget", nonnegative(self.budget, "budget"))
+        object.__setattr__(self, "_scaled_costs", dict(zip(costs, scaled)))
+        object.__setattr__(self, "_scaled_budget", scaled_budget)
 
     def cost_of(self, item: str) -> float:
         try:
@@ -229,41 +235,30 @@ class Knapsack(Constraint):
         except KeyError:
             raise InputError(f"no cost declared for item {item!r}") from None
 
-    def _spent(self, chosen) -> float:
-        # Sum in the stored (sorted) order; a set's order follows the hash seed.
-        return sum(c for i, c in self.costs if i in chosen)
-
     def feasible(self, chosen):
         if missing := chosen - self._cost.keys():
             self.cost_of(min(missing))  # raises: no cost declared
-        return self._spent(chosen) <= self.budget
+        return sum(self._scaled_costs[i] for i in chosen) <= self._scaled_budget
 
     def check_items(self, items):
         _check_known(self._cost, items, "cost")
 
     def lp_vertex(self, order, weights):
         cost = {it: self.cost_of(it) for it in order}
-        coords = {it: 0.0 for it in order}
-        objective = 0.0
-        picked: set[str] = set()
+        coords = {it: 0 for it in order}
+        objective, left = 0.0, self._scaled_budget
         # Free items first, then by density; ties keep their order (stable sort).
         ranked = [it for it in order if weights[it] > 0]
         ranked.sort(key=lambda it: -weights[it] / cost[it] if cost[it] else -math.inf)
-        # An item is whole only if ``feasible`` accepts it: the same float sum.
-        for it in ranked:
-            if self.feasible(picked | {it}):
-                picked.add(it)
-                coords[it] = 1.0
-                objective += weights[it]
-            else:
-                remaining = self.budget - self._spent(picked)
-                if remaining > 0:  # below 1: a whole item here would be infeasible
-                    frac = min(remaining / cost[it], math.nextafter(1.0, 0.0))
-                    coords[it] = frac
-                    objective += weights[it] * frac
+        for it in ranked:  # whole items while they fit, then part of the next
+            need = self._scaled_costs[it]
+            coords[it] = Fraction(left, need) if need > left else 1
+            objective += weights[it] * coords[it]
+            if need > left:
                 break
-        if all(v in (0.0, 1.0) for v in coords.values()):
-            return _integral(order, [i for i in order if coords[i] == 1.0], objective)
+            left -= need
+        if all(v in (0, 1) for v in coords.values()):
+            return _integral(order, [i for i in order if coords[i] == 1], objective)
         point = FractionalPoint(tuple(order), tuple(coords[it] for it in order))
         return LPSolution(point=point, objective=objective, vertex_set=None)
 

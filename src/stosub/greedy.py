@@ -9,7 +9,8 @@ config).
 
 The steps are exact: a point is integer numerators over one common
 denominator, a time a (numerator, denominator) pair, and in :func:`run`
-t = k delta over a power of two (delta and the LP vertices are floats).
+t = k delta over a power of two (delta is a float).  Each step moves toward
+the LP vertex's exact coordinates (a knapsack's fractional one a rational).
 The last step is exactly 1 - t, so the steps sum to 1 even when 1/delta is
 not an integer, and a matroid endpoint sums exactly to its caps.  Round
 points and :func:`step`'s result are float views, rounded correctly once;
@@ -100,6 +101,9 @@ class GreedyConfig:
 
 @dataclass(frozen=True)
 class RoundRecord:
+    """``point`` is the float view of the round's start, so ``point.exact`` is
+    that float's binary value; only ``Trajectory.final`` is exact."""
+
     t: float
     step: float
     point: FractionalPoint
@@ -144,7 +148,8 @@ def _round(
     if config.weight_variant == "standard":  # the standard_weight identity
         weights = [w * (1.0 - y.value_of(i)) for i, w in zip(instance.items, weights)]
     lp = lp_maximize(constraint, dict(zip(instance.items, weights)))
-    vs, vd = _numerators([lp.point.value_of(item) for item in items])
+    vertex = dict(zip(lp.point.items, lp.point.exact))
+    vs, vd = _numerators([vertex[item] for item in items])
     top = math.lcm(den, dd * vd)
     scale, unit = top // den, dn * (top // (dd * vd))
     moved = [a * scale + v * unit for a, v in zip(nums, vs)]

@@ -77,7 +77,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import CapacityError, InputError, integer
-from .model import EXACT_CAP, EXACT_TOL, Instance, _evaluator
+from .model import EXACT_CAP, Instance, _evaluator
 
 
 # Uniforms in one inclusion draw (samples times items).  The draw runs in
@@ -97,8 +97,8 @@ _GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's counter increment, 2**64 / golden ra
 @dataclass(frozen=True)
 class FractionalPoint:
     """A vector in [0,1]^m keyed by item name: ``exact`` holds each coordinate
-    as given (a rational as itself, else its float's binary value), clamped
-    within ``EXACT_TOL`` of [0, 1], and ``values`` its float view."""
+    as given (a rational as itself, else its float's binary value), and
+    ``values`` its float view, -0.0 read as 0.0."""
 
     items: tuple[str, ...]
     values: tuple[float, ...]
@@ -112,9 +112,9 @@ class FractionalPoint:
         exact = []
         for item, v in zip(self.items, self.values):
             v = v if isinstance(v, (float, numbers.Rational)) else float(v)
-            if not math.isfinite(v) or v < -EXACT_TOL or v > 1 + EXACT_TOL:
+            if not 0 <= v <= 1:
                 raise InputError(f"coordinate {item}={v} outside [0, 1]")
-            exact.append(v if 0 < v < 1 else 0 if v <= 0 else 1)
+            exact.append(v or 0)  # -0.0 reads as 0
         object.__setattr__(self, "exact", tuple(exact))
         object.__setattr__(self, "values", tuple(map(float, exact)))
         object.__setattr__(self, "_pos", {it: i for i, it in enumerate(self.items)})

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -66,13 +67,20 @@ class TestFeasibility:
         c = knapsack_345()
         assert ss.is_feasible(c, {"a", "b"})
         assert not ss.is_feasible(c, {"a", "b", "c"})
-        # 0.1 + 0.2 + 0.3 exceeds 0.6 summed in item order, and in exact
-        # rationals of the costs; a set's own order follows the hash seed.
+        # The binary values of 0.1, 0.2 and 0.3 sum to 2**-55 over that of
+        # 0.6, in any order: the costs are compared as exact integers.
         c = ss.Knapsack(costs=(("c", 0.3), ("a", 0.1), ("b", 0.2)), budget=0.6)
         assert not ss.is_feasible(c, {"a", "b", "c"})
         assert ss.is_feasible(c, {"a", "c"})
         with pytest.raises(ss.InputError, match="no cost declared for item 'x'"):
             ss.is_feasible(c, {"a", "y", "x"})
+
+    def test_knapsack_reads_binary_values_not_float_sums(self):
+        # 0.22 + 0.346 rounds to 0.566, but in binary values it is 2**-55 over.
+        assert 0.22 + 0.346 == 0.566
+        c = ss.Knapsack(costs=(("a", 0.22), ("b", 0.346)), budget=0.566)
+        assert not ss.is_feasible(c, {"a", "b"})
+        assert ss.is_feasible(c, {"a"}) and ss.is_feasible(c, {"b"})
 
     def test_explicit_membership(self):
         c = ss.ExplicitFamily(feasible_sets=((), ("a",), ("a", "b"), ("b",)))
@@ -153,6 +161,16 @@ class TestLpMaximize:
         assert sol.point.value_of("c") == 0.0
         assert sol.vertex_set == ("a", "b")
 
+    def test_knapsack_fraction_is_exact(self):
+        # a fills 3 of the budget 7; c takes the 4 left of its cost 5.
+        sol = ss.lp_maximize(knapsack_345(), {"a": 6.0, "b": 0.0, "c": 5.0})
+        assert sol.point.exact == (1, 0, Fraction(4, 5))
+        assert sol.objective == 10.0
+        # The fraction is of binary values: (0.25 - 0.1) / 0.2 exactly.
+        c = ss.Knapsack(costs=(("a", 0.1), ("b", 0.2)), budget=0.25)
+        sol = ss.lp_maximize(c, {"a": 2.0, "b": 1.0})
+        assert sol.point.exact == (1, (Fraction(0.25) - Fraction(0.1)) / Fraction(0.2))
+
     def test_knapsack_zero_cost_items_ride_free(self):
         c = ss.Knapsack(costs=(("a", 0.0), ("b", 2.0)), budget=1.0)
         sol = ss.lp_maximize(c, {"a": 1.0, "b": 2.0})
@@ -162,8 +180,8 @@ class TestLpMaximize:
         assert sol.objective == pytest.approx(2.0)
 
     def test_knapsack_vertex_passes_its_own_feasibility_check(self):
-        # 0.6 - 0.1 - 0.2 leaves exactly 0.3, but 0.1 + 0.2 + 0.3 > 0.6 in
-        # floats: c may not be taken whole, only as a point of the polytope.
+        # In binary values 0.1 + 0.2 + 0.3 is 2**-55 over 0.6: c may not be
+        # taken whole, only as an exact fraction below 1.
         c = ss.Knapsack(costs=(("a", 0.1), ("b", 0.2), ("c", 0.3)), budget=0.6)
         sol = ss.lp_maximize(c, {"a": 3.0, "b": 2.0, "c": 1.0})
         assert sol.vertex_set is None
@@ -172,7 +190,7 @@ class TestLpMaximize:
         assert c.in_polytope(sol.point)
         assert ss.is_feasible(c, ("a", "b"))
         assert not ss.is_feasible(c, ("a", "b", "c"))
-        # 0.43 - 0.03 is exactly 0.4, yet 0.4 + 0.03 > 0.43: a stays below 1.
+        # In binary values 0.4 + 0.03 is 2**-55 over 0.43: a stays below 1.
         c = ss.Knapsack(costs=(("a", 0.4), ("b", 0.03)), budget=0.43)
         sol = ss.lp_maximize(c, {"a": 1.0, "b": 1.0})
         assert sol.vertex_set is None

@@ -58,6 +58,17 @@ class TestRun:
                 traj = ss.run(inst, constraint, ss.GreedyConfig(delta=0.05))
                 assert constraint.in_polytope(traj.final)
 
+    def test_knapsack_endpoint_spends_exactly_the_budget(self):
+        # Every LP vertex here fills the budget's binary value exactly, so
+        # the endpoint, a convex combination of them, does too.
+        inst = ss.generate_common_cause(3, 2, 4, seed=0)
+        costs = (("e1", 0.61), ("e2", 0.3), ("e3", 0.19))
+        constraint = ss.Knapsack(costs=costs, budget=0.7)
+        final = ss.run(inst, constraint, ss.GreedyConfig(delta=0.25)).final
+        assert 0 < final.exact[0] < 1
+        spent = sum(Fraction(c) * x for (_, c), x in zip(costs, final.exact))
+        assert spent == Fraction(0.7)
+
     def test_variants_agree_before_any_saturation(self, modular3):
         # At y = 0 both weight definitions coincide, so the first round of the
         # standard variant matches the optimistic one.  They genuinely diverge

@@ -19,7 +19,9 @@ opportunities", ACM Computing Surveys 2018):
 
 The instances are seeded common-cause priors (3 states, 12 worlds) at m =
 7..11 and product priors, all within the observation table's cap, under a
-uniform matroid of rank 3.
+uniform matroid of rank 3.  One knapsack case swaps two item names, each
+cost following its item, where summing the costs as floats in name order
+would put the full set on either side of the budget.
 """
 
 import dataclasses
@@ -113,3 +115,54 @@ def test_relation_holds_exactly(name, relation):
     assert got_values == tuple(factor * v for v in values)
     assert values[2] == values[0]  # the tree is optimal on the first instance
 
+
+def _names_swapped(instance, a, b):
+    """``instance`` with items ``a`` and ``b`` renamed into each other; every
+    realization and coverage entry follows its item, and positions stay."""
+    name = {a: b, b: a}
+
+    def renamed(pairs):
+        return tuple((name.get(item, item), state) for item, state in pairs)
+
+    distribution = ss.JointDistribution(
+        tuple(
+            (ss.Realization(renamed(r.pairs)), p)
+            for r, p in instance.distribution.entries
+        )
+    )
+    coverage = tuple(
+        (renamed([pair])[0], targets) for pair, targets in instance.utility.coverage
+    )
+    utility = dataclasses.replace(instance.utility, coverage=coverage)
+    items = tuple(name.get(item, item) for item in instance.items)
+    return ss.Instance(items, instance.states, distribution, utility)
+
+
+def test_knapsack_readings_follow_items_not_names():
+    # 0.61 + 0.3 + 0.19 rounds to the budget as floats, 0.19 + 0.3 + 0.61 to
+    # 1.1 above it; the costs' binary values sum to 1.1e-16 over it.
+    instance = ss.generate_common_cause(3, 2, 4, seed=0)
+    costs, budget = {"e1": 0.61, "e2": 0.3, "e3": 0.19}, 1.0999999999999999
+    swap = {"e1": "e3", "e3": "e1"}
+    sides = [
+        (instance, costs, {}),
+        (
+            _names_swapped(instance, "e1", "e3"),
+            {swap.get(item, item): cost for item, cost in costs.items()},
+            swap,
+        ),
+    ]
+    readings = []
+    for inst, side_costs, back in sides:
+        knapsack = ss.Knapsack(costs=tuple(side_costs.items()), budget=budget)
+        chosen, best = ss.best_nonadaptive(inst, knapsack)
+        readings.append(
+            (
+                ss.is_feasible(knapsack, inst.items),
+                frozenset(back.get(item, item) for item in chosen),
+                best,
+                ss.optimal_adaptive(inst, knapsack)[1],
+            )
+        )
+    assert readings[0] == readings[1]
+    assert readings[0][:3] == (False, frozenset({"e1", "e3"}), 6.6)

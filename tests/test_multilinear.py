@@ -420,6 +420,17 @@ class TestFractionalPoint:
         with pytest.raises(ss.InputError):
             ss.FractionalPoint(("a",), (1.5,))
 
+    @pytest.mark.parametrize("v", [1 + 1e-12, -1e-12, Fraction(-1, 10**30), math.nan])
+    def test_nothing_outside_the_unit_interval_is_clamped(self, v):
+        with pytest.raises(ss.InputError, match=r"coordinate a=.* outside \[0, 1\]"):
+            ss.FractionalPoint(("a",), (v,))
+
+    def test_coordinates_are_kept_as_given(self):
+        x = ss.FractionalPoint(("a", "b", "c"), (Fraction(1, 3), 1.0, -0.0))
+        assert x.exact == (Fraction(1, 3), 1.0, 0.0)
+        assert x.values == (1 / 3, 1.0, 0.0)
+        assert math.copysign(1.0, x.values[2]) == 1.0  # -0.0 reads as 0.0
+
     def test_mismatched_items_rejected(self, cc2):
         x = ss.FractionalPoint(("a", "zz"), (0.5, 0.5))
         with pytest.raises(ss.InputError):
